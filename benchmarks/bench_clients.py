@@ -1,20 +1,18 @@
-"""Sweep concurrent-client counts against the aggregation server cores.
+"""Sweep concurrent-client counts against the aggregation server.
 
 Launches an asyncio fleet of raw-protocol clients (pre-encoded frames, one
 event loop, no thread per client) against an in-process
 :class:`~repro.net.AggregationServer`, holds every connection open at once,
 and measures ingest throughput, BUSY shed counts, and connect health at
-each fleet size — the 10k-concurrent-clients story behind the async core.
-``--core both`` runs the sweep against the asyncio core and the legacy
-thread-per-connection core so the two are directly comparable.
+each fleet size — the 10k-concurrent-clients story behind the event-loop
+network plane.
 
 Results merge into ``BENCH_service.json`` under the ``client_sweep`` key
 (the shard sweep written by ``bench_service.py`` is preserved).
 
 Usage::
 
-    python benchmarks/bench_clients.py                    # async core, 100 -> 10k
-    python benchmarks/bench_clients.py --core both
+    python benchmarks/bench_clients.py                    # 100 -> 10k clients
     python benchmarks/bench_clients.py --smoke --check    # CI gate
 """
 
@@ -22,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import io
 import json
 import os
 import sys
@@ -32,11 +31,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.common import Record  # noqa: E402
 from repro.net import AggregationServer, MessageType  # noqa: E402
 from repro.net.protocol import (  # noqa: E402
+    CAP_BINARY,
+    FLAG_BINARY,
     HEADER,
+    encode_binary_body,
     message_bytes,
     parse_body,
     parse_frame_header,
-    records_to_wire,
+    records_to_binary,
+    write_frame,
 )
 
 SCHEME = (
@@ -46,9 +49,6 @@ SCHEME = (
 
 #: fds kept free for the server's listener, spool files, stdio, and slack
 FD_HEADROOM = 256
-
-#: the thread-per-connection core tops out on thread count, not sockets
-THREADED_CAP = 2000
 
 #: simultaneous in-flight connect() attempts while ramping the fleet up
 CONNECT_RAMP = 500
@@ -97,8 +97,13 @@ def synth_batches(batches: int, batch_size: int) -> list[bytes]:
             )
             for i in range(batch_size)
         ]
-        body = {"seq": seq, "records": records_to_wire(records)}
-        frames.append(message_bytes(MessageType.RECORDS, body))
+        payload = encode_binary_body(
+            {"seq": seq, "count": len(records)},
+            {"records": records_to_binary(records)},
+        )
+        frame = io.BytesIO()
+        write_frame(frame, MessageType.RECORDS, payload, flags=FLAG_BINARY)
+        frames.append(frame.getvalue())
     return frames
 
 
@@ -120,7 +125,8 @@ async def _one_client(
     stats: dict,
 ) -> None:
     hello = message_bytes(
-        MessageType.HELLO, {"client": f"bench-{index}", "scheme": SCHEME}
+        MessageType.HELLO,
+        {"client": f"bench-{index}", "scheme": SCHEME, "caps": [CAP_BINARY]},
     )
     reader = writer = None
     async with ramp:
@@ -202,7 +208,6 @@ async def _drive_fleet(
 
 
 def run_fleet(
-    core: str,
     n_clients: int,
     frames: list[bytes],
     batch_size: int,
@@ -218,9 +223,7 @@ def run_fleet(
         "gave_up": 0,
         "errors": 0,
     }
-    with AggregationServer(
-        SCHEME, shards=shards, queue_depth=queue_depth, core=core
-    ) as server:
+    with AggregationServer(SCHEME, shards=shards, queue_depth=queue_depth) as server:
         host, port = server.address
         connect_seconds, ingest_seconds = asyncio.run(
             _drive_fleet(host, port, n_clients, frames, stats)
@@ -229,7 +232,6 @@ def run_fleet(
     acked_records = stats["acked_batches"] * batch_size
     lost = acked_records - merged.num_processed
     return {
-        "core": core,
         "clients": n_clients,
         "connect_seconds": connect_seconds,
         "ingest_seconds": ingest_seconds,
@@ -244,7 +246,6 @@ def run_fleet(
 
 
 def sweep(
-    core: str,
     counts: list[int],
     frames: list[bytes],
     batch_size: int,
@@ -253,10 +254,10 @@ def sweep(
 ) -> list[dict]:
     runs = []
     for n in counts:
-        run = run_fleet(core, n, frames, batch_size, shards, queue_depth)
+        run = run_fleet(n, frames, batch_size, shards, queue_depth)
         runs.append(run)
         print(
-            f"core={core} clients={n}: "
+            f"clients={n}: "
             f"{run['records_per_second']:,.0f} records/s, "
             f"connect {run['connect_seconds']:.2f}s, "
             f"busy={run['busy']} failures={run['connect_failures']} "
@@ -268,7 +269,7 @@ def sweep(
 
 
 def first_shed(runs: list[dict]) -> int | None:
-    """Smallest fleet size at which the core shed (BUSY) or refused work."""
+    """Smallest fleet size at which the server shed (BUSY) or refused work."""
     for run in runs:
         if run["busy"] or run["gave_up"] or run["connect_failures"]:
             return run["clients"]
@@ -301,12 +302,6 @@ def main() -> int:
         default=[100, 500, 1000, 2000, 5000, 10000],
         help="fleet sizes to sweep",
     )
-    parser.add_argument(
-        "--core",
-        choices=["async", "threaded", "both"],
-        default="async",
-        help="server core(s) to benchmark",
-    )
     parser.add_argument("--batches", type=int, default=5, help="batches per client")
     parser.add_argument("--batch-size", type=int, default=50)
     parser.add_argument("--shards", type=int, default=4)
@@ -315,8 +310,7 @@ def main() -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero unless the async core keeps up with the "
-        "threaded core and no acked records are lost",
+        help="exit non-zero if an acked record was lost or any batch was shed",
     )
     parser.add_argument("--output", default="BENCH_service.json")
     args = parser.parse_args()
@@ -325,8 +319,6 @@ def main() -> int:
         args.clients = [n for n in args.clients if n <= 2000] or [100]
         args.batches = min(args.batches, 2)
         args.batch_size = min(args.batch_size, 50)
-        if args.check:
-            args.core = "both"
 
     cap, limit = fd_budget()
     counts = sorted(set(args.clients))
@@ -339,22 +331,7 @@ def main() -> int:
         )
 
     frames = synth_batches(args.batches, args.batch_size)
-    cores = ["async", "threaded"] if args.core == "both" else [args.core]
-    results: dict[str, list[dict]] = {}
-    for core in cores:
-        core_counts = counts
-        if core == "threaded":
-            core_counts = [n for n in counts if n <= THREADED_CAP] or [counts[0]]
-            dropped = [n for n in counts if n > THREADED_CAP]
-            if dropped:
-                print(
-                    f"threaded core capped at {THREADED_CAP} clients "
-                    f"(thread per connection); skipping {dropped}"
-                )
-        results[core] = sweep(
-            core, core_counts, frames, args.batch_size, args.shards,
-            args.queue_depth,
-        )
+    runs = sweep(counts, frames, args.batch_size, args.shards, args.queue_depth)
 
     sweep_payload = {
         "scheme": SCHEME,
@@ -364,43 +341,19 @@ def main() -> int:
         "queue_depth": args.queue_depth,
         "fd_limit": limit,
         "client_cap": cap,
-        "runs": [run for runs in results.values() for run in runs],
-        "first_shed": {core: first_shed(runs) for core, runs in results.items()},
+        "runs": runs,
+        "first_shed": first_shed(runs),
     }
     merge_output(args.output, sweep_payload)
 
     if args.check:
         failures = []
-        for core, runs in results.items():
-            lost = sum(run["lost"] for run in runs)
-            if lost:
-                failures.append(f"{core} core lost {lost} acked records")
-        if "async" in results and "threaded" in results:
-            shared = {
-                n
-                for n in (r["clients"] for r in results["async"])
-            } & {n for n in (r["clients"] for r in results["threaded"])}
-            if shared:
-                n = max(shared)
-                tput = {
-                    core: next(
-                        r["records_per_second"]
-                        for r in runs
-                        if r["clients"] == n
-                    )
-                    for core, runs in results.items()
-                }
-                print(
-                    f"check at {n} clients: async "
-                    f"{tput['async']:,.0f} records/s vs threaded "
-                    f"{tput['threaded']:,.0f} records/s"
-                )
-                # CI boxes are noisy; gate on "keeps up", not a fixed ratio.
-                if tput["async"] < 0.5 * tput["threaded"]:
-                    failures.append(
-                        f"async core fell behind threaded at {n} clients: "
-                        f"{tput['async']:,.0f} < 0.5 * {tput['threaded']:,.0f}"
-                    )
+        lost = sum(run["lost"] for run in runs)
+        if lost:
+            failures.append(f"{lost} acked records were never folded")
+        shed = sum(run["busy"] + run["gave_up"] for run in runs)
+        if shed:
+            failures.append(f"{shed} batches were shed (BUSY) or given up")
         if failures:
             for failure in failures:
                 print(f"CHECK FAILED: {failure}", file=sys.stderr)

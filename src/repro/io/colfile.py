@@ -892,11 +892,16 @@ class ColfileReader:
     def num_chunks(self) -> int:
         return len(self.chunks)
 
+    def chunk_bytes(self, index: int) -> memoryview:
+        """One chunk's undecoded ``RCB1`` bytes — exactly ``encode_batch``
+        output, so a spooled chunk ships as a wire section without a decode."""
+        c = self.chunks[index]
+        return self._data[c["offset"] : c["offset"] + c["length"]]
+
     def chunk_store(self, index: int) -> ColfileStore:
         """Decode one chunk into a query-ready store (numpy views)."""
         c = self.chunks[index]
-        view = self._data[c["offset"] : c["offset"] + c["length"]]
-        store = decode_batch_store(view, self._limits)
+        store = decode_batch_store(self.chunk_bytes(index), self._limits)
         if len(store) != c["rows"]:
             raise ColfileError(
                 f"{self.path}: chunk {index} row count does not match directory"

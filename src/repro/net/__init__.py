@@ -6,10 +6,11 @@ producer processes on many hosts can stream into one long-running,
 queryable aggregation daemon:
 
 * :mod:`.protocol` — a length-prefixed, versioned binary framing protocol
-  carrying snapshot-record batches and exported partial-DB states;
+  carrying snapshot-record batches and exported partial-DB states as
+  ``colbin1`` columnar sections;
 * :mod:`.server` — :class:`AggregationServer`, a daemon whose network
   plane is a single asyncio event loop (10k+ concurrent clients, no
-  thread per socket; a legacy threaded core stays selectable) that
+  thread per socket) that
   hash-routes incoming keys to N shard workers (one
   :class:`~repro.aggregate.db.AggregationDB` per shard per tenant,
   lock-free within a shard) and merges shards on demand for live CalQL

@@ -71,13 +71,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="per-shard queue depth before backpressure stalls producers",
     )
     parser.add_argument(
-        "--core",
-        choices=("async", "threaded"),
-        default="async",
-        help="network plane: one asyncio event loop for every connection "
-        "(default) or the legacy thread-per-connection core",
-    )
-    parser.add_argument(
         "--final-output",
         metavar="PATH",
         help="on graceful shutdown, export the final drained snapshot here "
@@ -114,7 +107,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         metavar="SEC",
-        help="async core: how long a batch may wait for shard-queue space "
+        help="how long a batch may wait for shard-queue space "
         "before it is shed with BUSY (default 1.0)",
     )
     tenancy.add_argument(
@@ -309,7 +302,6 @@ def serve_main(argv: Sequence[str]) -> int:
             port=args.port,
             shards=args.shards,
             queue_depth=args.queue_depth,
-            core=args.core,
             upstream=args.upstream,
             forward_interval=args.forward_interval,
             failover_after=args.failover_after,
@@ -350,7 +342,7 @@ def serve_main(argv: Sequence[str]) -> int:
         windowed = f", windowed {server.window_assigner.describe()}"
     print(
         f"serving {args.scheme!r} on {host}:{port} "
-        f"({role}, {args.core} core, {args.shards} shards{windowed}, "
+        f"({role}, {args.shards} shards{windowed}, "
         f"epoch {server.epoch})",
         file=sys.stderr,
     )

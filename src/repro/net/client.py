@@ -5,17 +5,20 @@ records, ships them to an :class:`~repro.net.server.AggregationServer`
 over the framing protocol, and — crucially — keeps working when the
 server does not:
 
-* **Write-ahead spool** — every batch is written to a binary columnar
-  ``.rcf`` spool segment (:mod:`repro.io.colfile`) *before* the first
-  send attempt, so a batch in flight when the connection dies is never
-  lost (legacy ``.cali`` spool segments still replay).
+* **Write-ahead spool, encoded once** — every batch is encoded exactly
+  once and written to the spool *before* the first send attempt, so a
+  batch in flight when the connection dies is never lost.  A record batch
+  is a one-chunk binary columnar ``.rcf`` segment
+  (:mod:`repro.io.colfile`, readable by ``repro-query``); its chunk *is*
+  the wire's ``records`` section and ships straight from the file.
+  States, forward and retract batches spool their finished frame.
 * **Retry with exponential backoff** — each delivery makes up to
   ``retries + 1`` attempts with exponentially growing, capped sleeps;
   when they are exhausted the batch simply stays spooled and the client
   returns to the caller (profiling must never block the application).
 * **Replay on reconnect** — pending spool files are replayed in sequence
-  order (one batch in memory at a time) before new data is sent, and the
-  ``.rcf`` round-trip is byte-exact.
+  order (one batch in memory at a time) before new data is sent; a
+  replayed frame is byte-identical to its first delivery.
 * **Exactly-once** — batches carry monotonically increasing sequence
   numbers.  Within one server epoch the server skips sequences it has
   already folded, so a replay after a lost ACK cannot double-count.  When
@@ -55,7 +58,6 @@ internal lock serialises buffering, delivery, and the socket protocol.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import socket
@@ -69,8 +71,7 @@ from ..aggregate.db import AggregationDB
 from ..aggregate.scheme import AggregationScheme
 from ..common.errors import ReproError
 from ..common.record import Record
-from ..io.calformat import iter_records
-from ..io.colfile import read_colfile, write_colfile
+from ..io.colfile import ColfileReader, ColfileWriter
 from .protocol import (
     CAP_BINARY,
     FLAG_BINARY,
@@ -80,11 +81,7 @@ from .protocol import (
     Truncated,
     encode_binary_body,
     read_message,
-    records_to_binary,
-    records_to_wire,
-    states_from_wire,
     states_to_binary,
-    states_to_wire,
     write_frame,
     write_message,
 )
@@ -137,7 +134,6 @@ class FlushClient:
         spool_dir: Optional[str] = None,
         max_payload: int = MAX_PAYLOAD,
         failover_after: Optional[float] = None,
-        binary: bool = True,
         token: Optional[str] = None,
         busy_retries: int = 10,
         on_server_info: Optional[Callable[[dict], None]] = None,
@@ -188,11 +184,6 @@ class FlushClient:
         self._wfile = None
         self._epoch: Optional[str] = None
         self._closed = False
-
-        #: offer the binary columnar payload encoding in the handshake
-        self.binary_enabled = binary
-        #: True once the current server acknowledged CAP_BINARY
-        self._binary = False
 
         #: seconds of continuous unreachability before re-parenting to the
         #: server's advertised upstream (None = never fail over)
@@ -311,13 +302,12 @@ class FlushClient:
         folded into it.  The database is exported as-is; the caller decides
         when to :meth:`AggregationDB.clear` it.
         """
-        wire = {
+        body = {
             "scheme": db.scheme.describe(),
-            "groups": states_to_wire(db.export_states()),
             "offered": db.num_offered,
             "processed": db.num_processed,
         }
-        return self._spool_and_deliver("states", wire)
+        return self._spool_and_deliver(MessageType.STATES, body, db.export_states())
 
     def send_forward(
         self,
@@ -332,10 +322,10 @@ class FlushClient:
         scheme: Optional[str] = None,
         watermark: Optional[float] = None,
     ) -> bool:
-        """Ship a reduction-tree FORWARD delta (already wire-encoded groups).
+        """Ship a reduction-tree FORWARD delta.
 
         The relay-to-parent transport unit: ``groups`` is
-        :func:`~repro.net.protocol.states_to_wire` output, ``origin``
+        :meth:`AggregationDB.export_states` output, ``origin``
         identifies whose partial aggregates these are (``(id, epoch)`` of
         the server incarnation that first aggregated them — preserved
         unchanged when a mid-tree relay passes a descendant's delta
@@ -345,7 +335,6 @@ class FlushClient:
         """
         body = {
             "scheme": scheme or self.scheme_text,
-            "groups": groups,
             "origin": list(origin),
             "from_epoch": from_epoch,
             "level": level,
@@ -358,7 +347,7 @@ class FlushClient:
             # Windowed streaming: the sender's event-time watermark rides the
             # delta that contains every record below it (see forward_now).
             body["watermark"] = float(watermark)
-        return self._spool_and_deliver("forward", body)
+        return self._spool_and_deliver(MessageType.FORWARD, body, groups)
 
     def send_retract(
         self, origins: Iterable[tuple[str, str]], *, from_epoch: str
@@ -377,17 +366,31 @@ class FlushClient:
             "origins": [list(o) for o in origins],
             "from_epoch": from_epoch,
         }
-        return self._spool_and_deliver("retract", body)
+        return self._spool_and_deliver(MessageType.RETRACT, body)
 
-    def _spool_and_deliver(self, kind: str, body: dict) -> bool:
-        """Write-ahead spool a JSON-bodied batch and try to deliver it."""
+    def _spool_and_deliver(
+        self, mtype: MessageType, body: dict, groups: Optional[list] = None
+    ) -> bool:
+        """Encode a batch's frame once, write-ahead spool it, try to deliver.
+
+        ``groups`` (exported states) become the frame's binary ``groups``
+        section; without them the frame is a plain JSON control message.
+        """
         with self._lock:
             self._check_open()
             seq = self._next_seq
             self._next_seq += 1
-            path = os.path.join(self.spool_dir, f"batch-{seq:08d}.{kind}.json")
-            with open(path, "w", encoding="utf-8") as stream:
-                json.dump(body, stream, separators=(",", ":"))
+            body["seq"] = seq
+            kind = mtype.name.lower()
+            path = os.path.join(self.spool_dir, f"batch-{seq:08d}.{kind}.frame")
+            with open(path, "wb") as stream:
+                if groups is None:
+                    write_message(stream, mtype, body)
+                else:
+                    payload = encode_binary_body(
+                        body, {"groups": states_to_binary(groups)}
+                    )
+                    write_frame(stream, mtype, payload, flags=FLAG_BINARY)
             self._pending[seq] = (kind, path)
             self.counters["batches"] += 1
             self._deliver_pending()
@@ -406,9 +409,10 @@ class FlushClient:
         self._next_seq += 1
         path = os.path.join(self.spool_dir, f"batch-{seq:08d}.rcf")
         # Write-ahead: the batch is on disk before the first send attempt.
-        # The spool segment is binary columnar (.rcf): cheaper to write on
-        # the hot path than .cali text, and replay is byte-exact.
-        write_colfile(path, records)
+        # One chunk per segment whatever batch_size is: the chunk is the
+        # frame's ``records`` section, shipped from the file undecoded.
+        with ColfileWriter(path) as writer:
+            writer.write_chunk(records)
         self._pending[seq] = ("records", path)
         self.counters["records"] += len(records)
         self.counters["batches"] += 1
@@ -493,42 +497,27 @@ class FlushClient:
         self.counters["failovers"] += 1
         return True
 
-    _BATCH_TYPES = {
-        "states": MessageType.STATES,
-        "forward": MessageType.FORWARD,
-        "retract": MessageType.RETRACT,
-    }
-
     def _send_one(self, seq: int, kind: str, path: str) -> None:
-        sections: Optional[dict[str, bytes]] = None
         if kind == "records":
-            if path.endswith(".cali"):
-                # Legacy text spool segment (pre-.rcf spool directories):
-                # stream it; memory stays bounded by one batch.
-                records = list(iter_records(path))
-            else:
-                records, _globals = read_colfile(path)
-            if self._binary:
-                body = {"seq": seq, "count": len(records)}
-                sections = {"records": records_to_binary(records)}
-            else:
-                body = {"seq": seq, "records": records_to_wire(records)}
-            mtype = MessageType.RECORDS
-        else:
-            with open(path, "r", encoding="utf-8") as stream:
-                body = json.load(stream)
-            body["seq"] = seq
-            mtype = self._BATCH_TYPES[kind]
-            if self._binary and kind in ("states", "forward") and "groups" in body:
-                groups = states_from_wire(body.pop("groups"))
-                sections = {"groups": states_to_binary(groups)}
-        if sections is not None:
-            payload = encode_binary_body(body, sections)
+            reader = ColfileReader(path)
+            try:
+                if reader.num_chunks != 1:
+                    raise ReproError(f"{path}: spool segment must hold one chunk")
+                payload = encode_binary_body(
+                    {"seq": seq, "count": reader.num_records},
+                    {"records": reader.chunk_bytes(0)},
+                )
+            finally:
+                reader.close()
             self.counters["wire_bytes"] += write_frame(
-                self._wfile, mtype, payload, flags=FLAG_BINARY
+                self._wfile, MessageType.RECORDS, payload, flags=FLAG_BINARY
             )
         else:
-            self.counters["wire_bytes"] += write_message(self._wfile, mtype, body)
+            with open(path, "rb") as stream:
+                frame = stream.read()
+            self._wfile.write(frame)
+            self._wfile.flush()
+            self.counters["wire_bytes"] += len(frame)
         reply, ack = read_message(self._rfile, self.max_payload)
         if reply is MessageType.ERROR:
             raise _Fatal(f"server refused batch {seq}: {ack.get('reason')}")
@@ -549,15 +538,13 @@ class FlushClient:
         rfile = sock.makefile("rb")
         wfile = sock.makefile("wb")
         try:
-            hello = {"client": self.client_id}
+            hello = {"client": self.client_id, "caps": [CAP_BINARY]}
             if self.scheme_text is not None:
                 hello["scheme"] = self.scheme_text
             if self.token is not None:
                 hello["token"] = self.token
             if self._announce_failover is not None:
                 hello["failover_from"] = list(self._announce_failover)
-            if self.binary_enabled:
-                hello["caps"] = [CAP_BINARY]
             write_message(wfile, MessageType.HELLO, hello)
             mtype, body = read_message(rfile, self.max_payload)
         except Exception:
@@ -587,11 +574,6 @@ class FlushClient:
                 # An observer bug must never poison connection setup: the
                 # socket is healthy, delivery proceeds regardless.
                 pass
-        # Binary payloads only flow when both ends opted in (JSON otherwise)
-        acked_caps = body.get("caps")
-        self._binary = self.binary_enabled and (
-            isinstance(acked_caps, list) and CAP_BINARY in acked_caps
-        )
         # Remember this server's identity and its advertised upstream so a
         # later failure window can re-parent us to the grandparent.
         upstream = body.get("upstream")

@@ -7,24 +7,22 @@ and :class:`~repro.net.server.AggregationServer` is one *frame*::
     0       4     magic  b"RAGG"
     4       1     protocol version (currently 1)
     5       1     message type (MessageType)
-    6       2     flags (reserved, 0)
+    6       2     flags (FLAG_BINARY: the payload is a binary envelope)
     8       4     payload length N (big-endian unsigned)
-    12      N     payload (UTF-8 JSON)
+    12      N     payload (UTF-8 JSON, or an ``RBE1`` envelope)
 
 The framing layer is deliberately binary and fixed — a reader can always
 resynchronize trust boundaries from the magic and knows the exact byte
-count to expect — while payloads are JSON so they stay debuggable and
-need no third-party serializer.  Pickle is never used on the wire: the
-server must survive arbitrary hostile bytes, and unpickling is code
-execution.
+count to expect.  Control frames and ``RESULT`` replies carry JSON so they
+stay debuggable and need no third-party serializer; the data frames
+(``RECORDS``/``STATES``/``FORWARD``) always carry a binary envelope whose
+sections are :mod:`repro.io.colfile` columnar blobs.  Pickle is never used
+on the wire: the server must survive arbitrary hostile bytes, and
+unpickling is code execution.
 
-Typed payload helpers round-trip the framework's data through plain JSON:
-
-* records — ``{label: [type_name, raw_value]}`` per record, preserving
-  :class:`~repro.common.variant.Variant` types exactly;
-* exported partial-DB states — ``[key entries, state cells]`` pairs where
-  cells are numbers, ``null``, nested lists, or tagged variants
-  (``{"__v": [type, value]}`` — :class:`FirstOp` keeps a Variant cell).
+``RESULT`` replies round-trip records through plain JSON —
+``{label: [type_name, raw_value]}`` per record, preserving
+:class:`~repro.common.variant.Variant` types exactly.
 
 Failure behaviour is part of the contract: a frame with a bad magic, an
 unknown version, or an oversized declared length raises a specific
@@ -60,7 +58,6 @@ __all__ = [
     "parse_frame_header",
     "write_frame",
     "read_frame",
-    "read_frame_ex",
     "write_message",
     "message_bytes",
     "read_message",
@@ -68,8 +65,6 @@ __all__ = [
     "busy_body",
     "records_to_wire",
     "records_from_wire",
-    "states_to_wire",
-    "states_from_wire",
     "encode_binary_body",
     "decode_binary_body",
     "records_to_binary",
@@ -92,10 +87,11 @@ MAX_DECODED = 4 * MAX_PAYLOAD
 HEADER = struct.Struct(">4sBBHI")
 
 #: frame flag: the payload is a binary envelope (:func:`encode_binary_body`)
-#: rather than UTF-8 JSON.  Only sent to peers that advertised CAP_BINARY.
+#: rather than UTF-8 JSON.  Required on RECORDS/STATES/FORWARD frames.
 FLAG_BINARY = 0x0001
 
-#: HELLO/HELLO_ACK capability token for the binary columnar payload encoding
+#: HELLO/HELLO_ACK capability token for the binary columnar payload
+#: encoding; a HELLO that does not offer it is refused
 CAP_BINARY = "colbin1"
 
 
@@ -194,31 +190,20 @@ def _read_exact(stream: BinaryIO, n: int, context: str) -> bytes:
     return buf
 
 
-def read_frame_ex(
-    stream: BinaryIO, max_payload: int = MAX_PAYLOAD
-) -> tuple[MessageType, int, bytes]:
-    """Read one frame; returns ``(message type, flags, payload bytes)``.
-
-    Raises :class:`Truncated` on a short read, :class:`ProtocolError` on a
-    bad magic or unknown message type, :class:`VersionMismatch` /
-    :class:`FrameTooLarge` for their namesakes — all *before* reading a
-    potentially attacker-sized payload.
-    """
-    header = _read_exact(stream, HEADER.size, "header")
-    mtype, flags, length = parse_frame_header(header, max_payload)
-    payload = _read_exact(stream, length, "payload") if length else b""
-    return mtype, flags, payload
-
-
 def read_frame(
     stream: BinaryIO, max_payload: int = MAX_PAYLOAD
 ) -> tuple[MessageType, bytes]:
     """Read one frame; returns ``(message type, payload bytes)``.
 
-    Flag-blind variant of :func:`read_frame_ex` for peers that only ever
-    speak JSON payloads (all responses, and pre-binary clients).
+    Raises :class:`Truncated` on a short read, :class:`ProtocolError` on a
+    bad magic or unknown message type, :class:`VersionMismatch` /
+    :class:`FrameTooLarge` for their namesakes — all *before* reading a
+    potentially attacker-sized payload.  Flag-blind: this is the client's
+    reader, and every response is JSON.
     """
-    mtype, _flags, payload = read_frame_ex(stream, max_payload)
+    header = _read_exact(stream, HEADER.size, "header")
+    mtype, _flags, length = parse_frame_header(header, max_payload)
+    payload = _read_exact(stream, length, "payload") if length else b""
     return mtype, payload
 
 
@@ -309,60 +294,6 @@ def records_from_wire(obj: object) -> list[Record]:
     return out
 
 
-def _cell_to_wire(cell: object) -> object:
-    if isinstance(cell, Variant):
-        return {"__v": _variant_to_wire(cell)}
-    if isinstance(cell, list):
-        return [_cell_to_wire(c) for c in cell]
-    return cell  # number / bool / str / None — JSON-native
-
-
-def _cell_from_wire(cell: object) -> object:
-    if isinstance(cell, dict):
-        if set(cell) != {"__v"}:
-            raise ProtocolError(f"malformed state cell {cell!r}")
-        return _variant_from_wire(cell["__v"])
-    if isinstance(cell, list):
-        return [_cell_from_wire(c) for c in cell]
-    return cell
-
-
-def states_to_wire(
-    states: Sequence[tuple[dict[str, Variant], list[list]]],
-) -> list:
-    """Encode :meth:`AggregationDB.export_states` output for the wire."""
-    return [
-        [
-            {label: _variant_to_wire(v) for label, v in entries.items()},
-            [[_cell_to_wire(c) for c in cells] for cells in op_states],
-        ]
-        for entries, op_states in states
-    ]
-
-
-def states_from_wire(obj: object) -> list[tuple[dict[str, Variant], list[list]]]:
-    """Decode :func:`states_to_wire` output for :meth:`AggregationDB.load_states`."""
-    if not isinstance(obj, list):
-        raise ProtocolError(f"state batch must be a list, got {type(obj).__name__}")
-    out = []
-    for item in obj:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ProtocolError(f"wire state group must be a pair, got {item!r}")
-        entries_obj, op_states = item
-        if not isinstance(entries_obj, dict) or not isinstance(op_states, list):
-            raise ProtocolError(f"malformed wire state group {item!r}")
-        entries = {
-            str(label): _variant_from_wire(pair) for label, pair in entries_obj.items()
-        }
-        cells = []
-        for op_state in op_states:
-            if not isinstance(op_state, list):
-                raise ProtocolError(f"malformed operator state {op_state!r}")
-            cells.append([_cell_from_wire(c) for c in op_state])
-        out.append((entries, cells))
-    return out
-
-
 def origin_from_wire(pair: object) -> tuple[str, str]:
     """Decode an ``[id, epoch]`` origin pair from FORWARD/RETRACT payloads.
 
@@ -435,9 +366,8 @@ def optional(body: dict, key: str, default: Optional[object] = None) -> object:
 # holds the ordinary JSON message fields plus a ``sections`` table mapping
 # section names to ``[offset, length]`` within the trailing bytes.  Sections
 # carry the columnar blobs (record batches, operator states) produced by
-# :mod:`repro.io.colfile`.  Negotiated via the CAP_BINARY capability in
-# HELLO/HELLO_ACK; JSON remains the fallback for old peers, and responses
-# always stay JSON.  The declared decoded length is checked against the
+# :mod:`repro.io.colfile`.  Every client must offer the CAP_BINARY
+# capability in HELLO; responses always stay JSON.  The declared decoded length is checked against the
 # receiver's ``max_decoded`` *before* decompression, so a compressed bomb
 # is rejected without inflating it.
 

@@ -17,10 +17,10 @@ Data flow::
 * **Routing** — each record's GROUP BY values are hashed with the
   process-stable FNV hash; identical keys always land in the same shard,
   so shard databases partition the key space and merge without overlap.
-* **Backpressure** — shard queues are bounded; a connection handler that
-  cannot enqueue blocks before acknowledging, which TCP propagates to the
-  client as a stalled send.  A fast client cannot outrun aggregation by
-  more than ``shards × queue_depth`` batches.
+* **Backpressure** — shard queues are bounded; a batch that cannot be
+  enqueued is not acknowledged (it waits, then is shed with ``BUSY``), so
+  a fast client cannot outrun aggregation by more than
+  ``shards × queue_depth`` batches.
 * **Live queries** — a consistent merged snapshot is taken *without
   stopping ingestion*: an export barrier is enqueued on every shard, each
   worker exports its per-key states when it reaches the barrier (i.e.
@@ -47,21 +47,24 @@ Data flow::
   incarnation forwarded — the children's spool replay re-delivers all of
   it first-hand, so root totals stay exact through mid-tree failures.
 
-* **Async core** (``core="async"``, the default) — a single event loop
-  owns accept/read/write for *every* connection: frames are parsed
-  incrementally off the stream buffer, no thread per socket, so the
-  network plane scales to 10k+ concurrent clients while the shard fold
-  workers stay a (lock-free) thread pool fed through the same bounded
-  queues.  Blocking request paths (QUERY/DRAIN/STATS, relay folds) hop to
-  a small executor so the loop never stalls.  ``core="threaded"`` keeps
-  the original thread-per-connection plane for comparison benchmarks.
+* **Network plane** — a single event loop owns accept/read/write for
+  *every* connection: frames are parsed incrementally off the stream
+  buffer, no thread per socket, so the network plane scales to 10k+
+  concurrent clients while the shard fold workers stay a (lock-free)
+  thread pool fed through the same bounded queues.  Blocking request
+  paths (QUERY/DRAIN/STATS, relay folds) hop to a small executor so the
+  loop never stalls.
+* **Payloads** — ``RECORDS``/``STATES``/``FORWARD`` carry ``colbin1``
+  binary sections, always: a ``HELLO`` that does not offer the cap is
+  refused (``code="caps"``) and a data frame without ``FLAG_BINARY`` is a
+  protocol error.  Control frames and ``RESULT`` replies stay JSON.
 * **Multi-tenancy** (``tenants=``) — per-tenant namespaces keyed by an
   auth token presented in HELLO.  Each tenant folds into its own
   per-shard :class:`~repro.aggregate.db.AggregationDB`, so cross-tenant
   queries can never observe each other's records; per-tenant quotas
   bound connections, queued batches, and DB entries.
 * **Admission control** — when shard queues back up (or a tenant is over
-  its queued-batch quota) the async core answers ``BUSY`` with a
+  its queued-batch quota) the server answers ``BUSY`` with a
   ``retry_after`` instead of blocking the event loop; the batch is *not*
   folded and not dedup-marked, so the client's write-ahead spool replays
   it later — exactly-once semantics survive shedding.
@@ -107,20 +110,18 @@ from .protocol import (
     origins_from_wire,
     parse_body,
     parse_frame_header,
-    read_frame_ex,
     records_from_binary,
-    records_from_wire,
     records_to_wire,
     require,
     states_from_binary,
-    states_from_wire,
-    states_to_wire,
-    write_message,
 )
 
 __all__ = ["AggregationServer", "TenantQuota", "DEFAULT_TENANT"]
 
 _KEY_SEP = "\x1f"
+
+#: frame types whose payload must be a colbin1 binary envelope
+_DATA_FRAMES = (MessageType.RECORDS, MessageType.STATES, MessageType.FORWARD)
 
 #: the implicit namespace for token-less clients (quota-free by default)
 DEFAULT_TENANT = "default"
@@ -332,7 +333,7 @@ class _Shard:
 
 
 class AggregationServer:
-    """A threaded TCP daemon aggregating streamed snapshot records.
+    """An asyncio TCP daemon aggregating streamed snapshot records.
 
     >>> server = AggregationServer("AGGREGATE count GROUP BY kernel")
     >>> server.start()                                    # doctest: +SKIP
@@ -354,13 +355,11 @@ class AggregationServer:
         relay_id: Optional[str] = None,
         level: Optional[int] = None,
         forward_spool_dir: Optional[str] = None,
-        binary: bool = True,
         window=None,
         lateness: float = 0.0,
         time_attribute: Optional[str] = None,
         retire_interval: float = 0.0,
         confidence: float = 0.90,
-        core: str = "async",
         tenants: Optional[dict] = None,
         require_token: bool = False,
         admission_timeout: float = 1.0,
@@ -370,8 +369,6 @@ class AggregationServer:
         sampling_budget: Union[str, float, None] = None,
     ) -> None:
         window_spec = window
-        if core not in ("async", "threaded"):
-            raise ValueError(f"core must be 'async' or 'threaded', got {core!r}")
         #: advertised per-event overhead budget (ns): producers whose channel
         #: runs with ``sampling.budget=auto`` adopt it from the HELLO_ACK, so
         #: one serve-side flag tunes a whole fleet of clients.
@@ -437,8 +434,6 @@ class AggregationServer:
         self.host = host
         self.port = port
         self.max_payload = max_payload
-        #: accept (and advertise) the zero-copy binary columnar payload encoding
-        self.binary = binary
         #: cap on *decoded* binary payload size — the envelope may compress,
         #: so the frame-length check alone cannot bound allocation
         self.max_decoded = 4 * max_payload
@@ -450,23 +445,17 @@ class AggregationServer:
         ]
         self._key_labels = scheme.key
         self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conn_lock = threading.Lock()
-        self._conns: set[socket.socket] = set()
-        self._handlers: list[threading.Thread] = []
         self._seq_lock = threading.Lock()
         self._max_seq: dict[str, int] = {}
         #: dedup key -> monotonic time of last frame; idle entries past
         #: ``dedup_ttl`` are pruned so unclean disconnects (no BYE) cannot
         #: grow the map forever under client churn
         self._seq_touched: dict[str, float] = {}
-        self._seq_swept = time.monotonic()
         self.dedup_ttl = float(dedup_ttl)
         self._stopping = threading.Event()
         self._started = False
 
-        # -- network core / multi-tenancy / admission control -------------------
-        self.core = core
+        # -- multi-tenancy / admission control -----------------------------------
         self.backlog = int(backlog)
         self.admission_timeout = float(admission_timeout)
         self.busy_retry_after = float(busy_retry_after)
@@ -494,12 +483,13 @@ class AggregationServer:
                 else:
                     state.quota = quota
                 self._tenants_by_token[token] = state
-        # asyncio core plumbing (populated by start() when core == "async")
+        # event-loop plumbing (populated by start())
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
-        self._async_server: Optional[asyncio.base_events.Server] = None
-        self._async_tasks: set = set()
-        self._async_writers: set = set()
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._housekeeping_task: Optional[asyncio.Task] = None
+        self._tasks: set = set()
+        self._writers: set = set()
         self._executor: Optional[ThreadPoolExecutor] = None
 
         # -- reduction-tree state (relay mode when upstream is set) -------------
@@ -515,6 +505,11 @@ class AggregationServer:
         self._forward_spool_dir = forward_spool_dir
         self._forward_client = None  # type: Optional[object]
         self._forward_thread: Optional[threading.Thread] = None
+        #: held across a whole forward cycle (collect -> send -> flush), so a
+        #: forward_now() caller waits for the periodic forwarder's in-flight
+        #: delta instead of returning while it is still detached.  Outermost:
+        #: taken before _forward_lock and _window_lock, never inside them.
+        self._cycle_lock = threading.Lock()
         #: guards every structure below — handlers and the forwarder race
         self._forward_lock = threading.Lock()
         #: (sender, origin) -> segregated pass-through DB; sender/origin are
@@ -535,7 +530,7 @@ class AggregationServer:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "AggregationServer":
-        """Bind, listen, and spawn the shard and accept threads."""
+        """Bind, spawn the shard workers, and start the event loop."""
         if self._started:
             raise ReproError("server already started")
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -548,33 +543,25 @@ class AggregationServer:
                 target=shard.run, name=f"repro-net-shard-{shard.index}", daemon=True
             )
             shard.thread.start()
-        if self.core == "async":
-            # The event loop owns the listener: asyncio.start_server calls
-            # listen() itself with our backlog.
-            self._executor = ThreadPoolExecutor(
-                max_workers=4, thread_name_prefix="repro-net-blocking"
-            )
-            ready = threading.Event()
-            boot: dict = {}
-            self._loop_thread = threading.Thread(
-                target=self._loop_main,
-                args=(ready, boot),
-                name="repro-net-loop",
-                daemon=True,
-            )
-            self._loop_thread.start()
-            ready.wait(timeout=10.0)
-            if "error" in boot:
-                self._started = True  # let stop() tear down what came up
-                self.stop()
-                raise boot["error"]
-        else:
-            listener.listen(self.backlog)
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, name="repro-net-accept", daemon=True
-            )
-            self._accept_thread.start()
+        # The event loop owns the listener: asyncio.start_server calls
+        # listen() itself with our backlog.
+        self._executor = ThreadPoolExecutor(
+            max_workers=4, thread_name_prefix="repro-net-blocking"
+        )
+        ready = threading.Event()
+        boot: dict = {}
+        self._loop_thread = threading.Thread(
+            target=self._loop_main,
+            args=(ready, boot),
+            name="repro-net-loop",
+            daemon=True,
+        )
+        self._loop_thread.start()
+        ready.wait(timeout=10.0)
         self._started = True
+        if "error" in boot:
+            self.stop()  # tear down what came up
+            raise boot["error"]
         self.metrics.gauge("net.shards", len(self._shards))
         if self.is_relay:
             from .client import FlushClient  # deferred: client imports protocol only
@@ -589,7 +576,6 @@ class AggregationServer:
                 retries=1,
                 backoff=0.05,
                 backoff_max=0.5,
-                binary=self.binary,
             )
             if self.forward_interval and self.forward_interval > 0:
                 self._forward_thread = threading.Thread(
@@ -630,16 +616,7 @@ class AggregationServer:
         :meth:`drain_results` observes all acknowledged data.
         """
         self._stopping.set()
-        if self.core == "async":
-            self._shutdown_loop(graceful=True, timeout=timeout)
-        else:
-            self._close_listener()
-            with self._conn_lock:
-                conns = list(self._conns)
-            for conn in conns:
-                _close_quietly(conn)
-            for thread in list(self._handlers):
-                thread.join(timeout=timeout)
+        self._shutdown_loop(graceful=True, timeout=timeout)
         done = []
         for shard in self._shards:
             event = threading.Event()
@@ -669,14 +646,7 @@ class AggregationServer:
         exactly like a crashed server process.  Shard state is abandoned.
         """
         self._stopping.set()
-        if self.core == "async":
-            self._shutdown_loop(graceful=False, timeout=5.0)
-        else:
-            self._close_listener()
-            with self._conn_lock:
-                conns = list(self._conns)
-            for conn in conns:
-                _close_quietly(conn)
+        self._shutdown_loop(graceful=False, timeout=5.0)
         for shard in self._shards:
             try:
                 shard.queue.put_nowait(("stop", threading.Event()))
@@ -687,15 +657,7 @@ class AggregationServer:
             # poison the client so a racing forwarder thread cannot revive it.
             self._forward_client.abort()
 
-    def _close_listener(self) -> None:
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            _close_quietly(listener)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
-
-    # -- asyncio network core ----------------------------------------------------
+    # -- network plane: one event loop for every connection ----------------------
 
     def _loop_main(self, ready: threading.Event, boot: dict) -> None:
         """Body of the event-loop thread: one loop owns every connection."""
@@ -708,7 +670,7 @@ class AggregationServer:
             # start_server calls listen() on the pre-bound socket itself,
             # honoring our backlog — the port was fixed at bind time so
             # ``address`` is already concrete for callers.
-            self._async_server = await asyncio.start_server(
+            self._server = await asyncio.start_server(
                 self._client_connected, sock=self._listener, backlog=self.backlog
             )
 
@@ -739,11 +701,11 @@ class AggregationServer:
 
     async def _client_connected(self, reader, writer) -> None:
         task = asyncio.current_task()
-        self._async_tasks.add(task)
-        self._async_writers.add(writer)
+        self._tasks.add(task)
+        self._writers.add(writer)
         self.metrics.count("net.connections")
         try:
-            await self._serve_connection_async(reader, writer)
+            await self._serve_connection(reader, writer)
         except asyncio.CancelledError:
             pass  # kill() or shutdown cancelled us mid-frame
         except (Truncated, OSError, ValueError, ConnectionError):
@@ -752,19 +714,19 @@ class AggregationServer:
             self.metrics.count("net.disconnects", reason="io")
         except ProtocolError as exc:
             self.metrics.count("net.errors", stage="protocol")
-            await self._send_error_async(writer, exc)
+            await self._send_error(writer, exc)
         except ReproError as exc:
             self.metrics.count("net.errors", stage="request")
-            await self._send_error_async(writer, exc, code="request")
+            await self._send_error(writer, exc, code="request")
         finally:
-            self._async_writers.discard(writer)
-            self._async_tasks.discard(task)
+            self._writers.discard(writer)
+            self._tasks.discard(task)
             try:
                 writer.close()
             except Exception:
                 pass
 
-    async def _send_error_async(self, writer, exc, code: Optional[str] = None) -> None:
+    async def _send_error(self, writer, exc, code: Optional[str] = None) -> None:
         code = code or getattr(exc, "code", None) or "protocol"
         try:
             writer.write(
@@ -774,7 +736,7 @@ class AggregationServer:
         except (OSError, ConnectionError):
             pass
 
-    async def _read_async(self, reader) -> tuple[MessageType, dict, dict]:
+    async def _read(self, reader) -> tuple[MessageType, dict, dict]:
         """Incremental frame parse off the stream buffer (no thread, no poll)."""
         try:
             header = await reader.readexactly(HEADER.size)
@@ -792,42 +754,48 @@ class AggregationServer:
         nbytes = HEADER.size + len(payload)
         self.metrics.count("net.bytes.rx", nbytes)
         if mtype is MessageType.FORWARD:
+            # Tree telemetry: wire bytes arriving as relayed partial states
+            # (the Fig. 8 quantity — payload shrinks as levels combine).
             self.metrics.count("net.forward.bytes.rx", nbytes)
         if flags & FLAG_BINARY:
-            if not self.binary:
-                raise ProtocolError(
-                    "binary payload received but this server only speaks JSON"
-                )
             body, sections = decode_binary_body(payload, max_decoded=self.max_decoded)
             return mtype, body, sections
+        if mtype in _DATA_FRAMES:
+            raise ProtocolError(
+                f"{mtype.name} payload must be a {CAP_BINARY} binary envelope"
+            )
         return mtype, parse_body(mtype, payload), {}
 
-    async def _write_async(self, writer, mtype: MessageType, body: dict) -> None:
+    async def _write(self, writer, mtype: MessageType, body: dict) -> None:
         data = message_bytes(mtype, body)
         writer.write(data)
         await writer.drain()
         self.metrics.count("net.bytes.tx", len(data))
 
-    async def _serve_connection_async(self, reader, writer) -> None:
-        mtype, body, _ = await self._read_async(reader)
+    async def _serve_connection(self, reader, writer) -> None:
+        mtype, body, _ = await self._read(reader)
         if mtype is not MessageType.HELLO:
             raise ProtocolError(f"expected HELLO, got {mtype.name}")
         client_id, tenant, ack = self._handshake(body)
         try:
-            await self._write_async(writer, MessageType.HELLO_ACK, ack)
+            await self._write(writer, MessageType.HELLO_ACK, ack)
             loop = asyncio.get_running_loop()
             while True:
-                mtype, body, sections = await self._read_async(reader)
+                mtype, body, sections = await self._read(reader)
                 if mtype is MessageType.BYE:
+                    # The client session is over and its replay window with
+                    # it: drop its dedup entry so unbounded client churn
+                    # (one-shot producers, live_query probes) cannot grow
+                    # the map forever.
                     self._forget_client(tenant, client_id)
                     self.metrics.count("net.disconnects", reason="bye")
                     return
                 if mtype is MessageType.RECORDS:
-                    resp = await self._fold_records_async(
+                    resp = await self._fold_records(
                         tenant, client_id, body, sections
                     )
                 elif mtype is MessageType.STATES:
-                    resp = await self._fold_states_async(
+                    resp = await self._fold_states(
                         tenant, client_id, body, sections
                     )
                 elif mtype is MessageType.FORWARD:
@@ -855,7 +823,7 @@ class AggregationServer:
                     )
                 else:
                     raise ProtocolError(f"unexpected {mtype.name} frame")
-                await self._write_async(writer, *resp)
+                await self._write(writer, *resp)
         finally:
             self._release_conn(tenant)
 
@@ -866,12 +834,12 @@ class AggregationServer:
             # start() never brought the loop up: just close the bare socket.
             listener, self._listener = self._listener, None
             if listener is not None:
-                _close_quietly(listener)
+                listener.close()
             return
         if loop.is_running():
             try:
                 fut = asyncio.run_coroutine_threadsafe(
-                    self._shutdown_async(graceful, timeout), loop
+                    self._shutdown(graceful, timeout), loop
                 )
                 fut.result(timeout=timeout + 5.0)
             except Exception:
@@ -885,15 +853,14 @@ class AggregationServer:
         if executor is not None:
             executor.shutdown(wait=graceful)
 
-    async def _shutdown_async(self, graceful: bool, timeout: float) -> None:
+    async def _shutdown(self, graceful: bool, timeout: float) -> None:
         current = asyncio.current_task()
-        task = getattr(self, "_housekeeping_task", None)
-        if task is not None:
-            task.cancel()
-        server, self._async_server = self._async_server, None
+        if self._housekeeping_task is not None:
+            self._housekeeping_task.cancel()
+        server, self._server = self._server, None
         if server is not None:
             server.close()
-        for writer in list(self._async_writers):
+        for writer in list(self._writers):
             try:
                 if graceful:
                     # Orderly EOF: clients observe the close and spool
@@ -905,7 +872,7 @@ class AggregationServer:
                         transport.abort()
             except Exception:
                 pass
-        tasks = [t for t in self._async_tasks if t is not current and not t.done()]
+        tasks = [t for t in self._tasks if t is not current and not t.done()]
         if graceful and tasks:
             _, pending = await asyncio.wait(tasks, timeout=min(timeout, 5.0))
             tasks = list(pending)
@@ -964,25 +931,9 @@ class AggregationServer:
             out.append((self._shards[0], [], offered, processed))
         return out
 
-    def _route_records(self, tenant: _TenantState, records: list[Record]) -> None:
-        for shard, bucket in self._bucket_records(records):
-            self._enqueue_counted(tenant, shard, ("records", tenant.name, bucket, tenant))
-
-    def _route_states(
-        self,
-        tenant: _TenantState,
-        groups: list[tuple[dict[str, Variant], list[list]]],
-        offered: int,
-        processed: int,
-    ) -> None:
-        for shard, bucket, off, proc in self._bucket_states(groups, offered, processed):
-            self._enqueue_counted(
-                tenant, shard, ("states", tenant.name, bucket, off, proc, tenant)
-            )
-
     def _enqueue(self, shard: _Shard, item: tuple) -> None:
-        # Bounded put = backpressure.  Wake up periodically so a connection
-        # blocked on a full queue still notices server shutdown.
+        # Blocking put for barriers (export, retire): wake up periodically
+        # so a caller waiting on a full queue still notices server shutdown.
         while True:
             try:
                 shard.queue.put(item, timeout=0.2)
@@ -991,30 +942,7 @@ class AggregationServer:
                 if self._stopping.is_set():
                     raise ReproError("server is shutting down") from None
 
-    def _enqueue_counted(self, tenant: _TenantState, shard: _Shard, item: tuple) -> None:
-        """Blocking enqueue (threaded core) with tenant queue accounting."""
-        self._enqueue(shard, item)
-        tenant.add_queued()
-
-    async def _route_records_async(
-        self, tenant: _TenantState, records: list[Record], shed: bool = True
-    ) -> bool:
-        puts = [
-            (shard, ("records", tenant.name, bucket, tenant))
-            for shard, bucket in self._bucket_records(records)
-        ]
-        return await self._put_async(tenant, puts, shed)
-
-    async def _route_states_async(
-        self, tenant: _TenantState, groups: list, offered: int, processed: int
-    ) -> bool:
-        puts = [
-            (shard, ("states", tenant.name, bucket, off, proc, tenant))
-            for shard, bucket, off, proc in self._bucket_states(groups, offered, processed)
-        ]
-        return await self._put_async(tenant, puts, shed=True)
-
-    async def _put_async(self, tenant: _TenantState, puts: list, shed: bool) -> bool:
+    async def _put(self, tenant: _TenantState, puts: list, shed: bool) -> bool:
         """Admission-controlled enqueue on the event loop: never blocks it.
 
         Returns False (-> BUSY) when a full shard queue outlasts
@@ -1073,10 +1001,18 @@ class AggregationServer:
         everything upstream tagged with its origin.  Returns True when the
         parent acknowledged everything; False leaves the deltas in the
         forward client's write-ahead spool for the next cycle's replay.
+        Cycles are serialised: a call made while the periodic forwarder has
+        a delta in flight waits for it, so everything acknowledged before
+        the call is upstream (or spooled) when it returns.
         Public so tests and drains can force a deterministic cycle.
         """
         if not self.is_relay:
             raise ReproError("forward_now() requires relay mode (upstream=)")
+        with self._cycle_lock:
+            return self._forward_cycle(final)
+
+    def _forward_cycle(self, final: bool) -> bool:
+        """Collect -> send -> flush; the caller holds ``_cycle_lock``."""
         client = self._forward_client
         watermark = None
         if self.windowed:
@@ -1099,7 +1035,7 @@ class AggregationServer:
         own_offered = 0
         own_processed = 0
         for slot in self._collect_shard_deltas(final=final):
-            own_groups.extend(states_to_wire(slot["states"]))
+            own_groups.extend(slot["states"])
             own_offered += slot["offered"]
             own_processed += slot["processed"]
         for (sender, origin), db in sorted(detached.items()):
@@ -1107,7 +1043,7 @@ class AggregationServer:
                 continue
             ok = (
                 client.send_forward(
-                    states_to_wire(db.export_states()),
+                    db.export_states(),
                     origin=origin,
                     from_epoch=self.epoch,
                     level=self.level,
@@ -1470,7 +1406,6 @@ class AggregationServer:
         summary = {
             "observe.kind": Variant.of("server"),
             "observe.epoch": Variant.of(self.epoch),
-            "observe.core": Variant.of(self.core),
             "observe.shards": Variant.of(len(self._shards)),
             "observe.scheme": Variant.of(self.scheme.describe()),
             "observe.entries": Variant.of(
@@ -1525,120 +1460,6 @@ class AggregationServer:
                 )
         return records
 
-    # -- connection handling -------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        listener = self._listener
-        while not self._stopping.is_set():
-            try:
-                conn, addr = listener.accept()
-            except OSError:
-                return  # listener closed
-            with self._conn_lock:
-                if self._stopping.is_set():
-                    _close_quietly(conn)
-                    return
-                self._conns.add(conn)
-            self.metrics.count("net.connections")
-            self._handlers = [t for t in self._handlers if t.is_alive()]
-            thread = threading.Thread(
-                target=self._handle_connection,
-                args=(conn,),
-                name=f"repro-net-conn-{addr[1]}",
-                daemon=True,
-            )
-            self._handlers.append(thread)
-            thread.start()
-
-    def _handle_connection(self, conn: socket.socket) -> None:
-        rfile = conn.makefile("rb")
-        wfile = conn.makefile("wb")
-        try:
-            self._serve_connection(rfile, wfile)
-        except (Truncated, OSError, ValueError):
-            # Peer vanished (or our own shutdown closed the socket):
-            # nothing to report to — drop the connection.
-            self.metrics.count("net.disconnects", reason="io")
-        except ProtocolError as exc:
-            self.metrics.count("net.errors", stage="protocol")
-            try:
-                self._write(
-                    wfile,
-                    MessageType.ERROR,
-                    error_body(str(exc), code=getattr(exc, "code", "protocol")),
-                )
-            except (OSError, ValueError):
-                pass
-        except ReproError as exc:
-            self.metrics.count("net.errors", stage="request")
-            try:
-                self._write(
-                    wfile, MessageType.ERROR, error_body(str(exc), code="request")
-                )
-            except (OSError, ValueError):
-                pass
-        finally:
-            _close_quietly(conn)
-            with self._conn_lock:
-                self._conns.discard(conn)
-
-    def _read(self, rfile) -> tuple[MessageType, dict, dict]:
-        mtype, flags, payload = read_frame_ex(rfile, self.max_payload)
-        nbytes = HEADER.size + len(payload)
-        self.metrics.count("net.bytes.rx", nbytes)
-        if mtype is MessageType.FORWARD:
-            # Tree telemetry: wire bytes arriving as relayed partial states
-            # (the Fig. 8 quantity — payload shrinks as levels combine).
-            self.metrics.count("net.forward.bytes.rx", nbytes)
-        if flags & FLAG_BINARY:
-            if not self.binary:
-                raise ProtocolError(
-                    "binary payload received but this server only speaks JSON"
-                )
-            body, sections = decode_binary_body(payload, max_decoded=self.max_decoded)
-            return mtype, body, sections
-        return mtype, parse_body(mtype, payload), {}
-
-    def _write(self, wfile, mtype: MessageType, body: dict) -> None:
-        self.metrics.count("net.bytes.tx", write_message(wfile, mtype, body))
-
-    def _serve_connection(self, rfile, wfile) -> None:
-        mtype, body, _ = self._read(rfile)
-        if mtype is not MessageType.HELLO:
-            raise ProtocolError(f"expected HELLO, got {mtype.name}")
-        client_id, tenant, ack = self._handshake(body)
-        try:
-            self._write(wfile, MessageType.HELLO_ACK, ack)
-            while True:
-                mtype, body, sections = self._read(rfile)
-                if mtype is MessageType.BYE:
-                    # The client session is over and its replay window with
-                    # it: drop its dedup entry so unbounded client churn
-                    # (one-shot producers, live_query probes) cannot grow
-                    # the map forever.
-                    self._forget_client(tenant, client_id)
-                    self.metrics.count("net.disconnects", reason="bye")
-                    return
-                if mtype is MessageType.RECORDS:
-                    resp = self._fold_records(tenant, client_id, body, sections)
-                elif mtype is MessageType.STATES:
-                    resp = self._fold_states(tenant, client_id, body, sections)
-                elif mtype is MessageType.FORWARD:
-                    resp = self._fold_forward(client_id, body, sections)
-                elif mtype is MessageType.RETRACT:
-                    resp = self._fold_retract(client_id, body)
-                elif mtype is MessageType.QUERY:
-                    resp = self._query_response(body, tenant)
-                elif mtype is MessageType.STATS:
-                    resp = self._stats_response()
-                elif mtype is MessageType.DRAIN:
-                    resp = self._drain_response(tenant)
-                else:
-                    raise ProtocolError(f"unexpected {mtype.name} frame")
-                self._write(wfile, *resp)
-        finally:
-            self._release_conn(tenant)
-
     # -- handshake, tenancy, and dedup state --------------------------------------
 
     def _resolve_tenant(self, body: dict) -> _TenantState:
@@ -1661,6 +1482,12 @@ class AggregationServer:
         the caller owns the matching :meth:`_release_conn`.
         """
         client_id = str(require(body, "client", (str,)))
+        client_caps = body.get("caps")
+        if not isinstance(client_caps, list) or CAP_BINARY not in client_caps:
+            raise _Refused(
+                f"this server requires the {CAP_BINARY!r} capability in HELLO caps",
+                code="caps",
+            )
         tenant = self._resolve_tenant(body)
         with self._tenant_lock:
             limit = tenant.quota.max_connections
@@ -1686,21 +1513,12 @@ class AggregationServer:
                 "shards": len(self._shards),
                 "scheme": self.scheme.describe(),
                 "level": self.level,
+                "caps": [CAP_BINARY],
             }
             if tenant.name != DEFAULT_TENANT:
                 ack["tenant"] = tenant.name
             if self.sampling_budget_ns is not None:
                 ack["sampling_budget_ns"] = self.sampling_budget_ns
-            client_caps = body.get("caps")
-            if (
-                self.binary
-                and isinstance(client_caps, list)
-                and CAP_BINARY in client_caps
-            ):
-                # Capability negotiation: echo only what both sides speak,
-                # so a new client against an old (caps-blind) server falls
-                # back to JSON and an old client never sees an unknown flag.
-                ack["caps"] = [CAP_BINARY]
             if self.is_relay:
                 # Advertise our own parent so children can re-parent to
                 # their grandparent if we die (the root advertises nothing:
@@ -1779,19 +1597,9 @@ class AggregationServer:
         so a shed (BUSY) or a failed route leaves no trace and the client's
         redelivery folds normally.
         """
-        now = time.monotonic()
         with self._seq_lock:
-            self._seq_touched[key] = now
-            sweep_due = bool(self.dedup_ttl) and (
-                now - self._seq_swept > max(self.dedup_ttl / 2.0, 0.05)
-            )
-            last = self._max_seq.get(key, -1)
-        if sweep_due:
-            # Opportunistic sweep keeps the threaded core bounded too; the
-            # async core additionally prunes from its housekeeping task so
-            # an idle server still forgets dead clients.
-            self._prune_dedup()
-        return seq <= last
+            self._seq_touched[key] = time.monotonic()
+            return seq <= self._max_seq.get(key, -1)
 
     def _dedup_mark(self, key: str, seq: int) -> None:
         with self._seq_lock:
@@ -1810,7 +1618,6 @@ class AggregationServer:
             return
         now = time.monotonic()
         with self._seq_lock:
-            self._seq_swept = now
             stale = [
                 key
                 for key, touched in self._seq_touched.items()
@@ -1869,43 +1676,12 @@ class AggregationServer:
             self.metrics.count("window.untimed", untimed)
         return stamped
 
-    def _parse_records(self, body: dict, sections: Optional[dict]) -> tuple[int, list]:
+    async def _fold_records(
+        self, tenant: _TenantState, client_id: str, body: dict, sections: dict
+    ) -> tuple[MessageType, dict]:
+        """RECORDS handler: admission control instead of blocking the loop."""
         seq = int(require(body, "seq", (int,)))
-        if sections and "records" in sections:
-            records = records_from_binary(sections["records"], self.max_decoded)
-        else:
-            records = records_from_wire(require(body, "records", (list,)))
-        return seq, records
-
-    def _fold_records(
-        self, tenant: _TenantState, client_id: str, body: dict, sections: Optional[dict]
-    ) -> tuple[MessageType, dict]:
-        """Threaded-core RECORDS handler: blocking backpressure, no shedding."""
-        seq, records = self._parse_records(body, sections)
-        key = self._dedup_key(tenant, client_id)
-        duplicate = self._dedup_peek(key, seq)
-        if not duplicate:
-            self._check_entries_quota(tenant)
-            routed = (
-                self._window_stamp(client_id, records) if self.windowed else records
-            )
-            if routed:
-                self._route_records(tenant, routed)
-            self._dedup_mark(key, seq)
-            self.metrics.count("net.batches", kind="records")
-            self.metrics.count("net.records", len(records))
-        else:
-            self.metrics.count("net.duplicates")
-        return (
-            MessageType.ACK,
-            {"seq": seq, "count": len(records), "duplicate": duplicate},
-        )
-
-    async def _fold_records_async(
-        self, tenant: _TenantState, client_id: str, body: dict, sections: Optional[dict]
-    ) -> tuple[MessageType, dict]:
-        """Async-core RECORDS handler: admission control instead of blocking."""
-        seq, records = self._parse_records(body, sections)
+        records = records_from_binary(_section(sections, "records"), self.max_decoded)
         key = self._dedup_key(tenant, client_id)
         if self._dedup_peek(key, seq):
             self.metrics.count("net.duplicates")
@@ -1920,10 +1696,11 @@ class AggregationServer:
         if routed:
             # Windowed stamping already advanced the watermark, so a windowed
             # batch can no longer be shed — it waits for queue space instead.
-            ok = await self._route_records_async(
-                tenant, routed, shed=not self.windowed
-            )
-            if not ok:
+            puts = [
+                (shard, ("records", tenant.name, bucket, tenant))
+                for shard, bucket in self._bucket_records(routed)
+            ]
+            if not await self._put(tenant, puts, shed=not self.windowed):
                 return self._busy(tenant, seq)
         self._dedup_mark(key, seq)
         self.metrics.count("net.batches", kind="records")
@@ -1952,43 +1729,16 @@ class AggregationServer:
                         f"operator state has {len(op_state)} cells, expected {width}"
                     )
 
-    def _parse_states(
-        self, body: dict, sections: Optional[dict]
-    ) -> tuple[int, list, int, int]:
+    async def _fold_states(
+        self, tenant: _TenantState, client_id: str, body: dict, sections: dict
+    ) -> tuple[MessageType, dict]:
+        """STATES handler: admission control instead of blocking the loop."""
         seq = int(require(body, "seq", (int,)))
-        groups = self._groups_from(body, sections)
-        scheme_text = require(body, "scheme", (str,))
-        self._check_scheme(str(scheme_text))
+        groups = self._groups_from(sections)
+        self._check_scheme(str(require(body, "scheme", (str,))))
         self._validate_states(groups)
         offered = int(body.get("offered", 0))
         processed = int(body.get("processed", 0))
-        return seq, groups, offered, processed
-
-    def _fold_states(
-        self, tenant: _TenantState, client_id: str, body: dict, sections: Optional[dict]
-    ) -> tuple[MessageType, dict]:
-        """Threaded-core STATES handler: blocking backpressure, no shedding."""
-        seq, groups, offered, processed = self._parse_states(body, sections)
-        key = self._dedup_key(tenant, client_id)
-        duplicate = self._dedup_peek(key, seq)
-        if not duplicate:
-            self._check_entries_quota(tenant)
-            self._route_states(tenant, groups, offered, processed)
-            self._dedup_mark(key, seq)
-            self.metrics.count("net.batches", kind="states")
-            self.metrics.count("net.groups", len(groups))
-        else:
-            self.metrics.count("net.duplicates")
-        return (
-            MessageType.ACK,
-            {"seq": seq, "count": len(groups), "duplicate": duplicate},
-        )
-
-    async def _fold_states_async(
-        self, tenant: _TenantState, client_id: str, body: dict, sections: Optional[dict]
-    ) -> tuple[MessageType, dict]:
-        """Async-core STATES handler: admission control instead of blocking."""
-        seq, groups, offered, processed = self._parse_states(body, sections)
         key = self._dedup_key(tenant, client_id)
         if self._dedup_peek(key, seq):
             self.metrics.count("net.duplicates")
@@ -1999,8 +1749,11 @@ class AggregationServer:
         self._check_entries_quota(tenant)
         if tenant.over_queue_quota():
             return self._busy(tenant, seq)
-        ok = await self._route_states_async(tenant, groups, offered, processed)
-        if not ok:
+        puts = [
+            (shard, ("states", tenant.name, bucket, off, proc, tenant))
+            for shard, bucket, off, proc in self._bucket_states(groups, offered, processed)
+        ]
+        if not await self._put(tenant, puts, shed=True):
             return self._busy(tenant, seq)
         self._dedup_mark(key, seq)
         self.metrics.count("net.batches", kind="states")
@@ -2012,14 +1765,12 @@ class AggregationServer:
 
     # -- reduction tree: receiving side -------------------------------------------
 
-    def _groups_from(self, body: dict, sections: Optional[dict]) -> list:
-        """Decode exported states from a binary section or the JSON body."""
-        if sections and "groups" in sections:
-            return states_from_binary(sections["groups"], self.max_decoded)
-        return states_from_wire(require(body, "groups", (list,)))
+    def _groups_from(self, sections: dict) -> list:
+        """Decode exported states from the frame's ``groups`` section."""
+        return states_from_binary(_section(sections, "groups"), self.max_decoded)
 
     def _fold_forward(
-        self, client_id: str, body: dict, sections: Optional[dict] = None
+        self, client_id: str, body: dict, sections: dict
     ) -> tuple[MessageType, dict]:
         """Fold a downstream relay's delta, segregated per (sender, origin).
 
@@ -2030,7 +1781,7 @@ class AggregationServer:
         seq = int(require(body, "seq", (int,)))
         from_epoch = str(require(body, "from_epoch", (str,)))
         origin = origin_from_wire(require(body, "origin", (list,)))
-        groups = self._groups_from(body, sections)
+        groups = self._groups_from(sections)
         self._check_scheme(str(require(body, "scheme", (str,))))
         self._validate_states(groups)
         offered = int(body.get("offered", 0))
@@ -2236,12 +1987,8 @@ def _parse_upstream(
     return (str(host), int(port))
 
 
-def _close_quietly(sock: socket.socket) -> None:
+def _section(sections: dict, name: str):
     try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
+        return sections[name]
+    except KeyError:
+        raise ProtocolError(f"frame carries no {name!r} binary section") from None

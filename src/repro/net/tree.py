@@ -99,13 +99,11 @@ class LocalTree:
         forward_interval: float = 0.0,
         failover_after: Optional[float] = None,
         host: str = "127.0.0.1",
-        binary: bool = True,
         window=None,
         lateness: float = 0.0,
         time_attribute: Optional[str] = None,
         retire_interval: float = 0.0,
         confidence: float = 0.90,
-        core: str = "async",
     ) -> None:
         sizes = list(level_sizes) if level_sizes is not None else plan_tree(n_leaves, fanin)
         if not sizes or sizes[0] != 1:
@@ -124,15 +122,13 @@ class LocalTree:
             lateness=lateness,
             time_attribute=time_attribute,
             confidence=confidence,
-            core=core,
         )
         #: levels[0] = [root]; levels[-1] is what the leaves stream to
         self.levels: list[list[AggregationServer]] = []
         try:
             root = AggregationServer(
                 scheme, host=host, shards=shards, relay_id="root", level=0,
-                binary=binary, retire_interval=retire_interval,
-                **windowed_kwargs,
+                retire_interval=retire_interval, **windowed_kwargs,
             ).start()
             self.levels.append([root])
             self.scheme = root.scheme
@@ -155,7 +151,6 @@ class LocalTree:
                             failover_after=failover_after,
                             relay_id=f"relay-L{depth}-{i}",
                             level=depth,
-                            binary=binary,
                             **windowed_kwargs,
                         ).start()
                     )
@@ -208,9 +203,11 @@ class LocalTree:
     def sync(self) -> bool:
         """Force one forward cycle per relay, deepest level first.
 
-        Deliveries are synchronous and export barriers are queue-ordered,
-        so after ``leaf.flush(); tree.sync()`` the root's merged state
-        contains every acknowledged leaf record.  Returns True when every
+        Deliveries are synchronous, export barriers are queue-ordered, and
+        a relay's forward cycles are serialised (a forced cycle waits for
+        the periodic forwarder's in-flight one), so after ``leaf.flush();
+        tree.sync()`` the root's merged state contains every acknowledged
+        leaf record.  Returns True when every
         relay's parent acknowledged everything (False = something is
         spooled behind a dead link).
         """

@@ -1,6 +1,6 @@
 """Multi-tenant admission control: auth, quotas, shedding, dedup TTL.
 
-The async core's contract under pressure: unknown tokens and exhausted
+The server's contract under pressure: unknown tokens and exhausted
 quotas are refused at the handshake, a full shard queue sheds batches with
 BUSY instead of blocking the event loop, a shed batch replays from the
 client's write-ahead spool exactly once, tenants never observe each
@@ -182,7 +182,6 @@ def test_shed_then_spool_replay_exactly_once():
         SCHEME,
         shards=1,
         queue_depth=1,
-        core="async",
         admission_timeout=0.0,
         busy_retry_after=0.02,
     ) as srv:
@@ -229,7 +228,7 @@ def test_shed_then_spool_replay_exactly_once():
 
 def test_dedup_state_pruned_after_idle_ttl():
     """An aborted client's dedup entry is reaped by TTL, not by BYE."""
-    with AggregationServer(SCHEME, core="async", dedup_ttl=0.2) as srv:
+    with AggregationServer(SCHEME, dedup_ttl=0.2) as srv:
         client = FlushClient(
             *srv.address, batch_size=4, client_id="ttl-client"
         )
@@ -245,7 +244,7 @@ def test_dedup_state_pruned_after_idle_ttl():
 
 def test_bye_still_forgets_immediately():
     """Orderly BYE drops dedup state without waiting out the TTL."""
-    with AggregationServer(SCHEME, core="async", dedup_ttl=900.0) as srv:
+    with AggregationServer(SCHEME, dedup_ttl=900.0) as srv:
         with FlushClient(
             *srv.address, batch_size=4, client_id="short-lived"
         ) as client:

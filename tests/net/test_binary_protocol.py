@@ -1,10 +1,11 @@
-"""Binary columnar wire encoding: envelope, negotiation, interop, spool.
+"""Binary columnar wire encoding: envelope, required capability, spool.
 
-The binary payload path must be invisible at the semantic level — every
-combination of binary/JSON client and server produces identical aggregation
-results — and hostile payloads must die at the protocol boundary with the
-*decoded* size capped, not just the frame length (a compressed envelope can
-claim any expansion it likes).
+Data frames carry ``colbin1`` binary sections, always: a peer that does
+not offer the capability, or sends a JSON-bodied data frame, is refused
+with a typed error before anything folds.  Hostile payloads must die at the
+protocol boundary with the *decoded* size capped, not just the frame length
+(a compressed envelope can claim any expansion it likes), and a replayed
+batch ships the very bytes its first delivery did.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import socket
 import zlib
 
 import pytest
@@ -22,19 +24,21 @@ from repro.aggregate import AggregationDB, StreamAggregator
 from repro.calql import parse_scheme
 from repro.common import Record, ValueType, Variant
 from repro.net import AggregationServer, FlushClient
+from repro.net import server as server_module
 from repro.net.protocol import (
     CAP_BINARY,
-    MAX_DECODED,
     FrameTooLarge,
+    MessageType,
     ProtocolError,
     decode_binary_body,
     encode_binary_body,
+    read_message,
     records_from_binary,
     records_to_binary,
+    records_to_wire,
     states_from_binary,
-    states_from_wire,
     states_to_binary,
-    states_to_wire,
+    write_message,
 )
 
 SCHEME = (
@@ -143,12 +147,22 @@ def test_records_binary_garbage_maps_to_protocol_error():
 
 
 def test_states_binary_roundtrip_preserves_cells():
-    db = AggregationDB(parse_scheme(SCHEME))
-    for record in synth_records(5, 500):
-        db.process(record)
-    states = db.export_states()
-    out = states_from_binary(states_to_binary(states))
-    assert states_to_wire(out) == states_to_wire(states)
+    # "any" (FirstOp) keeps a Variant in its state cell; min/max keep
+    # None-or-number.  All must round-trip.
+    scheme = parse_scheme(
+        "AGGREGATE count, sum(x), min(x), max(x), any(tag) GROUP BY k"
+    )
+    db = AggregationDB(scheme)
+    db.process(Record({"k": "a", "x": 2.5, "tag": "first"}))
+    db.process(Record({"k": "a", "x": 4, "tag": "second"}))
+    db.process(Record({"k": "b", "tag": "only"}))
+    for i, record in enumerate(synth_records(5, 500)):
+        db.process(Record({"k": record.get("kernel").value, "x": i * 0.5}))
+    restored = AggregationDB(scheme)
+    restored.load_states(states_from_binary(states_to_binary(db.export_states())))
+    assert sorted(map(result_key, restored.flush())) == sorted(
+        map(result_key, db.flush())
+    )
 
 
 def test_states_binary_adversarial_limit():
@@ -162,48 +176,57 @@ def test_states_binary_adversarial_limit():
         states_from_binary(blob, max_decoded=16)
 
 
-def test_binary_delta_smaller_than_json():
-    """The Fig. 8 quantity: a FORWARD delta's binary envelope must beat
-    the JSON encoding it replaces."""
-    db = AggregationDB(parse_scheme(SCHEME))
-    for record in synth_records(7, 4000):
-        db.process(record)
-    states = db.export_states()
-    body = {"scheme": SCHEME, "from_epoch": "e", "origin": ["n", "e"], "seq": 0}
-    json_bytes = len(
-        json.dumps({**body, "groups": states_to_wire(states)}).encode("utf-8")
-    )
-    binary_bytes = len(
-        encode_binary_body(body, {"groups": states_to_binary(states)})
-    )
-    assert binary_bytes < json_bytes
+# -- required capability -----------------------------------------------------------
 
 
-# -- negotiation & interop ---------------------------------------------------------
+def raw_hello(server, hello: dict):
+    """Open a raw connection, send ``hello``; returns (sock, rfile, wfile)."""
+    sock = socket.create_connection(server.address, timeout=5.0)
+    rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+    write_message(wfile, MessageType.HELLO, hello)
+    return sock, rfile, wfile
 
 
-@pytest.mark.parametrize(
-    "server_binary,client_binary",
-    [(True, True), (True, False), (False, True), (False, False)],
-)
-def test_mixed_version_interop(tmp_path, server_binary, client_binary):
-    """Every binary/JSON pairing yields the serial reference result."""
-    records = synth_records(11, 1500)
-    with AggregationServer(SCHEME, shards=2, binary=server_binary) as server:
-        client = FlushClient(
-            *server.address,
-            scheme=SCHEME,
-            batch_size=128,
-            spool_dir=str(tmp_path),
-            binary=client_binary,
+def test_hello_without_colbin1_is_refused_and_releases_its_slot():
+    tenants = {"tok": {"name": "solo", "max_connections": 1}}
+    with AggregationServer(SCHEME, shards=1, tenants=tenants) as server:
+        sock, rfile, _wfile = raw_hello(
+            server, {"client": "old", "scheme": SCHEME, "token": "tok"}
         )
-        client.push_all(records)
-        assert client.flush()
-        negotiated = server_binary and client_binary
-        assert client._binary is negotiated
-        got = sorted(map(result_key, server.drain_results()))
-        client.close()
-    assert got == reference(records)
+        try:
+            mtype, body = read_message(rfile)
+        finally:
+            sock.close()
+        assert mtype is MessageType.ERROR
+        assert body["code"] == "caps"
+        assert CAP_BINARY in body["reason"]
+        # The refused HELLO must not hold the tenant's only connection slot.
+        with FlushClient(*server.address, scheme=SCHEME, token="tok") as client:
+            client.push_all(synth_records(31, 5))
+            assert client.flush()
+
+
+def test_json_bodied_records_frame_is_refused_and_leaves_no_trace():
+    with AggregationServer(SCHEME, shards=1) as server:
+        sock, rfile, wfile = raw_hello(
+            server, {"client": "rogue", "scheme": SCHEME, "caps": [CAP_BINARY]}
+        )
+        try:
+            mtype, _ack = read_message(rfile)
+            assert mtype is MessageType.HELLO_ACK
+            write_message(
+                wfile,
+                MessageType.RECORDS,
+                {"seq": 0, "records": records_to_wire(synth_records(29, 3))},
+            )
+            mtype, body = read_message(rfile)
+        finally:
+            sock.close()
+        assert mtype is MessageType.ERROR
+        assert CAP_BINARY in body["reason"]
+        assert server.merged_db().num_offered == 0
+        with server._seq_lock:
+            assert "rogue" not in server._max_seq
 
 
 def test_binary_negotiated_through_hello_caps(tmp_path):
@@ -231,7 +254,6 @@ def test_states_and_forward_ride_binary(tmp_path):
                 *relay.address, scheme=SCHEME, spool_dir=str(tmp_path)
             )
             assert client.send_states(db)
-            assert client._binary
             assert relay.forward_now()
             got = sorted(map(result_key, root.drain_results()))
             client.close()
@@ -267,58 +289,45 @@ def test_spool_segments_are_rcf_and_replay_exactly(tmp_path):
     assert got == reference(records)
 
 
-def test_legacy_cali_spool_segment_still_replays(tmp_path):
-    """Pre-.rcf spool directories (old clients) must keep replaying."""
-    from repro.io.calformat import write_cali
+def test_replayed_frames_are_byte_identical_to_first_delivery(tmp_path, monkeypatch):
+    """A batch is encoded once, when spooled: replay ships the same bytes."""
+    received = []  # (kind, seq, frame payload), every server, arrival order
+    real_decode = server_module.decode_binary_body
 
-    records = synth_records(23, 120)
+    def recording_decode(payload, max_decoded):
+        body, sections = real_decode(payload, max_decoded=max_decoded)
+        if "records" in sections:
+            kind = "records"
+        else:
+            kind = "forward" if "origin" in body else "states"
+        received.append((kind, body["seq"], bytes(payload)))
+        return body, sections
+
+    monkeypatch.setattr(server_module, "decode_binary_body", recording_decode)
+    records = synth_records(37, 250)
+    db = AggregationDB(parse_scheme(SCHEME))
+    for record in records:
+        db.process(record)
+    first = AggregationServer(SCHEME, shards=1).start()
     client = FlushClient(
-        "127.0.0.1",
-        1,
-        scheme=SCHEME,
-        spool_dir=str(tmp_path),
-        retries=0,
-        client_id="legacy",
+        *first.address, scheme=SCHEME, batch_size=100, spool_dir=str(tmp_path)
     )
-    # plant a legacy segment exactly where an old client would have left it
-    legacy = os.path.join(client.spool_dir, "batch-00000000.cali")
-    write_cali(legacy, records)
-    client._pending[0] = ("records", legacy)
-    client._next_seq = 1
-    with AggregationServer(SCHEME, shards=1) as server:
-        client.host, client.port = server.address
+    try:
+        client.push_all(records)
         assert client.flush()
-        got = sorted(map(result_key, server.drain_results()))
+        assert client.send_states(db)
+        assert client.send_forward(
+            db.export_states(), origin=("leaf", "e0"), from_epoch="e0"
+        )
+    finally:
+        first.kill()
+    delivered, received[:] = list(received), []
+    assert [(kind, seq) for kind, seq, _ in delivered] == [
+        ("records", 0), ("records", 1), ("records", 2), ("states", 3), ("forward", 4)
+    ]
+    with AggregationServer(SCHEME, shards=1) as second:
+        client.host, client.port = second.address
+        assert client.flush()  # new epoch: the whole spool replays
+        assert client.counters["epoch_changes"] == 1
         client.close()
-    assert got == reference(records)
-
-
-def test_binary_frame_rejected_by_json_only_server(tmp_path):
-    """A server with binary disabled refuses FLAG_BINARY frames outright."""
-    from repro.net.protocol import FLAG_BINARY, MessageType, read_message, write_frame, write_message
-    import socket as socketlib
-
-    with AggregationServer(SCHEME, shards=1, binary=False) as server:
-        sock = socketlib.create_connection(server.address, timeout=5.0)
-        rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
-        try:
-            write_message(
-                wfile, MessageType.HELLO,
-                {"client": "rogue", "scheme": SCHEME, "caps": [CAP_BINARY]},
-            )
-            mtype, ack = read_message(rfile, MAX_DECODED)
-            assert mtype is MessageType.HELLO_ACK
-            assert "caps" not in ack  # server did not offer binary...
-            payload = encode_binary_body(
-                {"seq": 0, "count": 1},
-                {"records": records_to_binary(synth_records(29, 1))},
-            )
-            # ...but send a binary frame anyway
-            write_frame(wfile, MessageType.RECORDS, payload, flags=FLAG_BINARY)
-            mtype, body = read_message(rfile, MAX_DECODED)
-            assert mtype is MessageType.ERROR
-            assert "JSON" in body.get("reason", "")
-        finally:
-            rfile.close()
-            wfile.close()
-            sock.close()
+    assert received == delivered

@@ -14,9 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregate import AggregationDB
-from repro.calql import parse_scheme
-from repro.common import Record, ValueType, Variant
+from repro.common import Record
 from repro.net.protocol import (
     HEADER,
     MAGIC,
@@ -32,8 +30,6 @@ from repro.net.protocol import (
     read_message,
     records_from_wire,
     records_to_wire,
-    states_from_wire,
-    states_to_wire,
     write_frame,
     write_message,
 )
@@ -182,43 +178,3 @@ def test_records_from_wire_rejects_garbage():
         records_from_wire([{"label": "missing type tag"}])
     with pytest.raises(ProtocolError):
         records_from_wire([{"label": ["no_such_type", "v"]}])
-
-
-def test_states_wire_roundtrip_preserves_variant_cells():
-    # "any" (FirstOp) keeps a Variant in its state cell; min/max keep
-    # None-or-number; histogram keeps an int list.  All must round-trip.
-    scheme = parse_scheme(
-        "AGGREGATE count, sum(x), min(x), max(x), any(tag) GROUP BY k"
-    )
-    db = AggregationDB(scheme)
-    db.process(Record({"k": "a", "x": 2.5, "tag": "first"}))
-    db.process(Record({"k": "a", "x": 4, "tag": "second"}))
-    db.process(Record({"k": "b", "x": -1}))
-
-    wire = states_to_wire(db.export_states())
-    json.dumps(wire)  # must be pure JSON
-    restored = AggregationDB(scheme)
-    restored.load_states(states_from_wire(wire))
-    key = lambda r: tuple(sorted((k, v.value) for k, v in r.items()))
-    assert sorted(map(key, restored.flush())) == sorted(map(key, db.flush()))
-
-
-def test_states_from_wire_rejects_garbage():
-    with pytest.raises(ProtocolError):
-        states_from_wire(42)
-    with pytest.raises(ProtocolError):
-        states_from_wire([["bad", "entry", "arity", "x"]])
-
-
-def test_variant_cell_tagging_is_unambiguous():
-    # A plain dict cell is not a valid cell; only the {"__v": ...} tag is.
-    v = Variant(ValueType.STRING, "hello")
-    scheme = parse_scheme("AGGREGATE any(tag) GROUP BY k")
-    db = AggregationDB(scheme)
-    db.process(Record({"k": "a", "tag": "hello"}))
-    wire = states_to_wire(db.export_states())
-    text = json.dumps(wire)
-    assert "__v" in text
-    restored = states_from_wire(json.loads(text))
-    cell = restored[0][1][0][0]
-    assert isinstance(cell, Variant) and cell == v

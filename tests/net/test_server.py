@@ -19,12 +19,18 @@ from repro.calql import parse_scheme
 from repro.common import Record
 from repro.common.errors import ReproError
 from repro.net import AggregationServer, FlushClient, live_query
+from repro.common.variant import Variant
 from repro.net.protocol import (
+    CAP_BINARY,
+    FLAG_BINARY,
     HEADER,
     MAGIC,
     PROTOCOL_VERSION,
     MessageType,
+    encode_binary_body,
     read_message,
+    states_to_binary,
+    write_frame,
     write_message,
 )
 
@@ -75,12 +81,9 @@ def assert_equivalent(got: list, want: list) -> None:
                 assert gv == wv
 
 
-@pytest.fixture(params=["async", "threaded"])
-def server(request):
-    """Every server behaviour test runs against both network cores."""
-    with AggregationServer(
-        SCHEME, shards=3, queue_depth=16, core=request.param
-    ) as srv:
+@pytest.fixture
+def server():
+    with AggregationServer(SCHEME, shards=3, queue_depth=16) as srv:
         yield srv
 
 
@@ -282,15 +285,19 @@ def test_malformed_states_rejected_without_killing_shards(server):
     wfile = sock.makefile("wb")
     rfile = sock.makefile("rb")
     write_message(
-        wfile, MessageType.HELLO, {"client": "evil", "version": PROTOCOL_VERSION}
+        wfile, MessageType.HELLO, {"client": "evil", "caps": [CAP_BINARY]}
     )
     mtype, _ = read_message(rfile)
     assert mtype is MessageType.HELLO_ACK
     # States whose cell arity does not match the scheme's operators.
-    write_message(
+    groups = [({"kernel": Variant.of("x"), "mpi.rank": Variant.of(0)}, [[1]])]
+    write_frame(
         wfile,
         MessageType.STATES,
-        {"seq": 1, "groups": [[{"kernel": ["string", "x"], "mpi.rank": ["int", "0"]}, [[1]]]]},
+        encode_binary_body(
+            {"seq": 1, "scheme": SCHEME}, {"groups": states_to_binary(groups)}
+        ),
+        flags=FLAG_BINARY,
     )
     mtype, body = read_message(rfile)
     assert mtype is MessageType.ERROR

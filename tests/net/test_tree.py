@@ -113,6 +113,29 @@ class TestTreeExactness:
                 client.close()
         assert got == reference(all_records)
 
+    def test_sync_waits_for_the_periodic_forwarders_inflight_cycle(self):
+        """sync() must not return while a relay's own forwarder thread still
+        holds a detached delta: the first root answer is complete, no polling."""
+        serial = AggregationDB(parse_scheme(SCHEME))
+        with LocalTree(
+            SCHEME, n_leaves=2, level_sizes=[1, 2], forward_interval=0.01
+        ) as tree:
+            # One batch per round and many keys: the forwarder's cycle is long
+            # next to its interval, so without the wait it is caught mid-flight
+            # in roughly one round in ten.
+            clients = [tree.leaf_client(i, batch_size=128) for i in range(2)]
+            for round_ in range(50):
+                for i, client in enumerate(clients):
+                    records = synth(round_ * 2 + i, 128, keys=2000)
+                    for record in records:
+                        serial.process(record)
+                    assert client.send_records(records)
+                assert tree.sync()
+                got = result_keys(tree.root.drain_results())
+                assert got == result_keys(serial.flush()), f"stale in round {round_}"
+            for client in clients:
+                client.close()
+
     def test_telemetry_queryable_at_root(self):
         with LocalTree(SCHEME, n_leaves=4, level_sizes=[1, 2]) as tree:
             for i in range(2):  # leaves 0/1 land on different relays
