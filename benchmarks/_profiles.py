@@ -7,8 +7,8 @@ empty string to disable).  The payload's numeric leaves become one record
 per metric and are aggregated through a real CalQL query, so benchmark
 history is an ordinary profile — queryable, listable, and checkable::
 
-    repro-query store list --store .profile-store --workload bench.hotpath
-    repro-query check --store .profile-store --workload bench.hotpath
+    repro-query store list --store .profile-store --workload bench.columnar
+    repro-query check --store .profile-store --workload bench.columnar
 
 Saving is strictly best-effort: a broken store must never fail a benchmark
 run, so every error is reported to stderr and swallowed.

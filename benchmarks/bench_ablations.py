@@ -1,12 +1,10 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
-1. **Key strategy** — tuple-of-values keys vs the paper's interned
-   "compact, collision-free hash value" (Section IV-B).
-2. **Per-thread DBs vs a shared locked DB** — the paper chooses per-thread
+1. **Per-thread DBs vs a shared locked DB** — the paper chooses per-thread
    databases "as this design avoids the use of thread locks".
-3. **Reduction-tree fanout** — binomial (k=2) vs flatter k-ary trees in the
+2. **Reduction-tree fanout** — binomial (k=2) vs flatter k-ary trees in the
    cross-process reduction (Section IV-C).
-4. **On-line vs off-line placement** of the same aggregation — Section
+3. **On-line vs off-line placement** of the same aggregation — Section
    VI-F's observation that the stages are interchangeable, quantified as a
    volume/time tradeoff.
 """
@@ -38,31 +36,14 @@ def _records(n=4000):
 RECORDS = _records()
 
 
-def _scheme(strategy="tuple"):
+def _scheme():
     return AggregationScheme(
         ops=[make_op("count"), make_op("sum", ["time.duration"])],
         key=["kernel", "mpi.rank", "iteration"],
-        key_strategy=strategy,
     )
 
 
-# -- 1. key strategy ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("strategy", ["tuple", "interned"])
-def test_ablation_key_strategy(benchmark, strategy):
-    scheme = _scheme(strategy)
-
-    def run():
-        db = AggregationDB(scheme)
-        db.process_all(RECORDS)
-        return db
-
-    db = benchmark(run)
-    assert db.num_entries > 100
-
-
-# -- 2. per-thread vs shared locked DB -------------------------------------------
+# -- 1. per-thread vs shared locked DB -------------------------------------------
 
 
 class _LockedSharedDB:
@@ -124,7 +105,7 @@ def test_ablation_threading_design(benchmark, design):
     assert db.num_processed == len(RECORDS)
 
 
-# -- 3. reduction-tree fanout ---------------------------------------------------
+# -- 2. reduction-tree fanout ---------------------------------------------------
 
 
 @pytest.mark.parametrize("fanout", [2, 4, 8], ids=lambda f: f"fanout{f}")
@@ -159,7 +140,7 @@ def test_ablation_fanout_tradeoff(benchmark):
         )
 
 
-# -- 4. on-line vs off-line placement of the aggregation ----------------------------
+# -- 3. on-line vs off-line placement of the aggregation ----------------------------
 
 
 def test_ablation_stage_shift(benchmark):

@@ -49,14 +49,12 @@ def test_operator_update_cost(benchmark, name, args):
 
 
 @pytest.mark.parametrize("key_width", [1, 2, 4], ids=lambda w: f"key{w}")
-@pytest.mark.parametrize("strategy", ["tuple", "interned"])
-def test_db_process_cost(benchmark, key_width, strategy):
+def test_db_process_cost(benchmark, key_width):
     """Whole-pipeline per-snapshot cost: key extraction + kernel updates."""
     key = ["kernel", "mpi.rank", "function", "iteration"][:key_width]
     scheme = AggregationScheme(
         ops=[make_op("count"), make_op("sum", ["time.duration"])],
         key=key,
-        key_strategy=strategy,
     )
 
     def run():

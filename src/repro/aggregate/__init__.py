@@ -7,7 +7,7 @@ datasets), and across processes (combining partial databases).
 """
 
 from .db import AggregationDB
-from .key import InternedKeyExtractor, KeyExtractor, TupleKeyExtractor, make_extractor
+from .key import TupleKeyExtractor, make_extractor
 from .ops import (
     AggregateOp,
     AvgOp,
@@ -26,20 +26,13 @@ from .ops import (
     default_registry,
     make_op,
 )
-from .plan import (
-    FOLD_PLANS,
-    CompiledFoldPlan,
-    FoldPlan,
-    GenericFoldPlan,
-    make_plan,
-)
+from .plan import CompiledFoldPlan, FoldPlan, GenericFoldPlan, make_plan
 from .scheme import AggregationScheme
 from .stream import StreamAggregator, aggregate_records, combine_partials
 
 __all__ = [
     "AggregationDB",
     "AggregationScheme",
-    "FOLD_PLANS",
     "FoldPlan",
     "CompiledFoldPlan",
     "GenericFoldPlan",
@@ -47,9 +40,7 @@ __all__ = [
     "StreamAggregator",
     "aggregate_records",
     "combine_partials",
-    "KeyExtractor",
     "TupleKeyExtractor",
-    "InternedKeyExtractor",
     "make_extractor",
     "AggregateOp",
     "CountOp",

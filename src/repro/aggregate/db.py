@@ -11,20 +11,22 @@ unique key.
 The implementation is deliberately allocation-light: operator kernels are
 shared across keys, per-key state is a flat list of small lists, and the hot
 loop does one dict lookup plus one fused fold (see
-:mod:`repro.aggregate.plan`).  The ``fold_plan`` knob selects between the
-compiled fast path (default) and the reference ``generic`` per-operator
-dispatch loop used for equivalence testing.
+:mod:`repro.aggregate.plan`).  ``AggregationDB(scheme, fold_plan="generic")``
+builds the reference per-operator dispatch loop instead: the equivalence
+tests fold through it, and merge-only databases (which never see a record)
+use it to skip plan compilation.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Optional
 
 from .. import observe
 from ..common.errors import AggregationError
 from ..common.record import Record
 from ..common.variant import Variant
-from .key import TupleKeyExtractor, make_extractor
+from .key import make_extractor
+from .plan import make_plan
 from .scheme import AggregationScheme
 
 __all__ = ["AggregationDB"]
@@ -39,12 +41,16 @@ class AggregationDB:
     >>> db.process(Record({"function": "foo"}))
     >>> [r.to_plain() for r in db.flush()]
     [{'function': 'foo', 'count': 2}]
+
+    ``process(record)`` folds one input record into the database; it is a
+    closure built once per database from the fold plan, so the per-record
+    path re-resolves nothing.
     """
 
     def __init__(self, scheme: AggregationScheme, fold_plan: str = "compiled") -> None:
         self.scheme = scheme
         self._ops = scheme.fresh_kernels()
-        self._extractor = make_extractor(scheme.key, scheme.key_strategy)
+        self._extractor = make_extractor(scheme.key)
         self._table: dict[Hashable, list[list]] = {}
         # Cached once: the MPI network model calls wire_size() per message,
         # and re-running every kernel's init() there is measurable overhead.
@@ -63,42 +69,21 @@ class AggregationDB:
         # Per-stream invariants, bound once — never re-resolved per record.
         self._predicate = scheme.predicate
         self._extract = self._extractor.extract
-        self._plan = scheme.compile(fold_plan)
-        #: resolved fold strategy, ``compiled`` or ``generic``
-        self.fold_plan = self._plan.kind
-        if self._plan.kind == "compiled":
-            # Shadow the generic method with the fused closure: zero dispatch
-            # overhead on the per-record path.
-            self.process = self._make_compiled_process()
+        self._plan = make_plan(scheme.ops, fold_plan)
+        self.process = self._make_process()
         observe.count(
-            "aggregate.plan", plan=self.fold_plan, fast_ops=self._plan.num_fast_ops
+            "aggregate.plan", plan=self._plan.kind, fast_ops=self._plan.num_fast_ops
         )
 
     # -- streaming path ------------------------------------------------------
 
-    def process(self, record: Record) -> None:
-        """Fold one input record into the database (generic fold plan)."""
-        self.num_offered += 1
-        predicate = self._predicate
-        if predicate is not None and not predicate(record):
-            return
-        self.num_processed += 1
-        key = self._extract(record)
-        table = self._table
-        states = table.get(key)
-        if states is None:
-            states = [op.init() for op in self._ops]
-            table[key] = states
-        # The plan's fused update (rather than a local zip loop) so that
-        # per-record concerns it owns — sample.weight detection — apply on
-        # this path too.
-        self._plan.update(states, record)
-
-    def _make_compiled_process(self):
+    def _make_process(self):
         """The fused per-record fold closure (the paper's sub-µs hot path)."""
         table = self._table
         extract = self._extract
         predicate = self._predicate
+        # The plan's fused update owns the per-record concerns (sample.weight
+        # detection), whichever plan it is.
         update = self._plan.update
         init_states = self._plan.init_states
         if predicate is None:
@@ -133,7 +118,7 @@ class AggregationDB:
         """Fold a whole record stream (convenience for the off-line path).
 
         Loop invariants (table, extractor, plan, counters) are hoisted out of
-        the per-record iteration for both fold plans.
+        the per-record iteration.
         """
         table = self._table
         extract = self._extract
@@ -161,7 +146,7 @@ class AggregationDB:
     def lookup_states(self, record: Record) -> list[list]:
         """The (created-if-missing) state lists for ``record``'s key.
 
-        Splitting lookup from :meth:`update_states` lets the on-line
+        Splitting lookup from the plan's ``update`` lets the on-line
         aggregation service cache the returned list against its blackboard
         context and skip key extraction entirely on cache hits.  Stream
         counters are *not* touched here — cache-owning callers maintain them.
@@ -172,10 +157,6 @@ class AggregationDB:
             states = self._plan.init_states()
             self._table[key] = states
         return states
-
-    def update_states(self, states: list[list], record: Record) -> None:
-        """Fold ``record`` into already-looked-up ``states`` via the plan."""
-        self._plan.update(states, record)
 
     @property
     def plan(self):
@@ -195,7 +176,7 @@ class AggregationDB:
                 "cannot combine aggregation databases with different schemes: "
                 f"{self.scheme.describe()!r} vs {other.scheme.describe()!r}"
             )
-        for key, other_states in other._iter_rekeyed(self._extractor):
+        for key, other_states in other._table.items():
             states = self._table.get(key)
             if states is None:
                 # Deep-copy the states so later combines into self never
@@ -209,34 +190,13 @@ class AggregationDB:
         self.num_offered += other.num_offered
         self.num_processed += other.num_processed
 
-    def _iter_rekeyed(self, extractor) -> Iterator[tuple[Hashable, list[list]]]:
-        """Yield (key-under-``extractor``, states) for every entry.
-
-        Interned keys are only meaningful relative to their own extractor's
-        tables, so combining re-interns via the entries round-trip.  Tuple
-        keys pass through untouched when both sides use the same strategy.
-        """
-        passthrough = (
-            isinstance(extractor, TupleKeyExtractor)
-            and isinstance(self._extractor, TupleKeyExtractor)
-            and extractor.key_labels == self._extractor.key_labels
-        )
-        for key, states in self._table.items():
-            if passthrough:
-                yield key, states
-            else:
-                entries = self._extractor.entries(key)
-                rec = Record.from_variants(dict(entries))
-                yield extractor.extract(rec), states
-
     # -- partial-state transfer (columnar backend, process pools) ----------------
 
     def export_states(self) -> list[tuple[dict[str, Variant], list[list]]]:
         """Portable ``(key entries, operator states)`` pairs for every entry.
 
         Keys are rendered back to their attribute entries so the
-        representation is meaningful across processes and key strategies
-        (interned ids are only valid relative to their own extractor).  The
+        representation is self-describing across processes.  The
         states are the live lists — callers transferring between processes
         get fresh copies from pickling anyway; same-process callers must
         treat them as read-only.

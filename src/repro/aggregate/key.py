@@ -1,4 +1,4 @@
-"""Aggregation-key extraction and interning.
+"""Aggregation-key extraction.
 
 The aggregation key is the GROUP BY part of a scheme: the tuple of values of
 the key attributes in an input record.  Records missing some or all key
@@ -6,52 +6,29 @@ attributes still aggregate — they get their own entries, exactly as the
 paper's Section III-B table shows rows "where only one or none of the key
 attributes were set".
 
-Two interchangeable strategies are provided (and compared in the
-``bench_ablation_key`` benchmark):
-
-:class:`TupleKeyExtractor`
-    The key is the tuple of :class:`Variant` values (``None`` for missing).
-    Simple, no auxiliary state.
-
-:class:`InternedKeyExtractor`
-    Mirrors the paper's "compact, collision-free hash value": every distinct
-    value of each key attribute is interned to a small integer, and the
-    integer tuple is interned again to a single composite id.  The database
-    is then keyed by one machine integer, and the key attributes are
-    *reconstructed from the lookup hash* at flush time — the same flush
-    procedure Section IV-B describes.  Collision-freedom is by construction
-    (interning, not hashing).
+The key is the tuple of :class:`Variant` values (``None`` for a missing
+attribute): no auxiliary state, and the key attributes are reconstructed
+from the tuple itself at flush time.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Sequence
 
 from ..common.record import Record
 from ..common.variant import Variant
 
-__all__ = ["KeyExtractor", "TupleKeyExtractor", "InternedKeyExtractor", "make_extractor"]
-
-#: sentinel index for "attribute not present in the record"
-_MISSING = -1
+__all__ = ["TupleKeyExtractor", "make_extractor"]
 
 
-class KeyExtractor:
-    """Interface: record -> hashable key, and key -> entries (for flush)."""
+class TupleKeyExtractor:
+    """Record -> hashable key, and key -> entries (for flush).
+
+    Key = tuple of values (None where the attribute is absent).
+    """
 
     def __init__(self, key_labels: Sequence[str]) -> None:
         self.key_labels = tuple(key_labels)
-
-    def extract(self, record: Record) -> Hashable:
-        raise NotImplementedError
-
-    def entries(self, key: Hashable) -> list[tuple[str, Variant]]:
-        """Reconstruct the (label, value) pairs a key stands for."""
-        raise NotImplementedError
-
-
-class TupleKeyExtractor(KeyExtractor):
-    """Key = tuple of values (None where the attribute is absent)."""
 
     def extract(self, record: Record) -> tuple:
         get = record.get
@@ -62,6 +39,7 @@ class TupleKeyExtractor(KeyExtractor):
         )
 
     def entries(self, key: tuple) -> list[tuple[str, Variant]]:
+        """Reconstruct the (label, value) pairs a key stands for."""
         return [
             (lbl, value)
             for lbl, value in zip(self.key_labels, key)
@@ -69,58 +47,6 @@ class TupleKeyExtractor(KeyExtractor):
         ]
 
 
-class InternedKeyExtractor(KeyExtractor):
-    """Key = composite integer id, collision-free via two-level interning."""
-
-    def __init__(self, key_labels: Sequence[str]) -> None:
-        super().__init__(key_labels)
-        # per-attribute value interning
-        self._value_ids: list[dict[Variant, int]] = [{} for _ in self.key_labels]
-        self._values: list[list[Variant]] = [[] for _ in self.key_labels]
-        # composite interning
-        self._composite_ids: dict[tuple[int, ...], int] = {}
-        self._composites: list[tuple[int, ...]] = []
-
-    def extract(self, record: Record) -> int:
-        get = record.get
-        indices = []
-        for i, lbl in enumerate(self.key_labels):
-            v = get(lbl)
-            if v.is_empty:
-                indices.append(_MISSING)
-                continue
-            table = self._value_ids[i]
-            idx = table.get(v)
-            if idx is None:
-                idx = len(self._values[i])
-                table[v] = idx
-                self._values[i].append(v)
-            indices.append(idx)
-        composite = tuple(indices)
-        cid = self._composite_ids.get(composite)
-        if cid is None:
-            cid = len(self._composites)
-            self._composite_ids[composite] = cid
-            self._composites.append(composite)
-        return cid
-
-    def entries(self, key: int) -> list[tuple[str, Variant]]:
-        composite = self._composites[key]
-        out = []
-        for i, (lbl, idx) in enumerate(zip(self.key_labels, composite)):
-            if idx != _MISSING:
-                out.append((lbl, self._values[i][idx]))
-        return out
-
-    @property
-    def num_composites(self) -> int:
-        return len(self._composites)
-
-
-def make_extractor(key_labels: Sequence[str], strategy: str = "tuple") -> KeyExtractor:
-    """Factory selecting a key strategy by name (``tuple`` or ``interned``)."""
-    if strategy == "tuple":
-        return TupleKeyExtractor(key_labels)
-    if strategy == "interned":
-        return InternedKeyExtractor(key_labels)
-    raise ValueError(f"unknown key strategy {strategy!r} (expected 'tuple' or 'interned')")
+def make_extractor(key_labels: Sequence[str]) -> TupleKeyExtractor:
+    """The key extractor for a scheme's GROUP BY labels."""
+    return TupleKeyExtractor(key_labels)

@@ -2,10 +2,9 @@
 
 The paper's on-line aggregation costs well under a microsecond per event
 because the per-record fold does no allocation and no per-operator dispatch.
-The generic :meth:`AggregationDB.process <repro.aggregate.db.AggregationDB.process>`
-loop re-resolves every operator argument per record and walks a
-``zip(ops, states)`` pair list; a *fold plan* compiles that loop away once
-per database:
+The reference fold (:class:`GenericFoldPlan`) re-resolves every operator
+argument per record and walks a ``zip(ops, states)`` pair list; the compiled
+*fold plan* compiles that loop away once per database:
 
 * each operator gets a **kernel** closure ``kernel(states, entries, record)``
   with its state index and argument label bound at compile time;
@@ -55,10 +54,7 @@ from .ops import (
     VarianceOp,
 )
 
-__all__ = ["FOLD_PLANS", "FoldPlan", "CompiledFoldPlan", "GenericFoldPlan", "make_plan"]
-
-#: recognised ``fold_plan`` knob values
-FOLD_PLANS = ("compiled", "generic")
+__all__ = ["FoldPlan", "CompiledFoldPlan", "GenericFoldPlan", "make_plan"]
 
 _INT = ValueType.INT
 _UINT = ValueType.UINT
@@ -622,11 +618,11 @@ class CompiledFoldPlan(FoldPlan):
 
 
 def make_plan(ops: Sequence[AggregateOp], kind: str = "compiled") -> FoldPlan:
-    """Build a fold plan of the requested ``kind`` (see :data:`FOLD_PLANS`)."""
+    """Build the ``compiled`` fold plan, or the ``generic`` reference one."""
     if kind == "compiled":
         return CompiledFoldPlan(ops)
     if kind == "generic":
         return GenericFoldPlan(ops)
     raise AggregationError(
-        f"unknown fold plan {kind!r} (expected one of: {', '.join(FOLD_PLANS)})"
+        f"unknown fold plan {kind!r} (expected 'compiled' or 'generic')"
     )

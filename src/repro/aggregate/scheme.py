@@ -7,11 +7,10 @@ A scheme is the triple the paper defines in Section III-B:
 * **aggregation key** — the GROUP BY attribute labels,
 * **aggregation operators** — the reduction kernels.
 
-plus an optional record *predicate* (the WHERE clause) and a key-interning
-strategy.  Schemes are plain data: the same object configures the on-line
-aggregation service, the off-line query engine, and the cross-process
-reduction — that single-description-everywhere property is the paper's core
-claim.
+plus an optional record *predicate* (the WHERE clause).  Schemes are plain
+data: the same object configures the on-line aggregation service, the
+off-line query engine, and the cross-process reduction — that
+single-description-everywhere property is the paper's core claim.
 
 Construct schemes directly::
 
@@ -39,14 +38,13 @@ Predicate = Callable[[Record], bool]
 class AggregationScheme:
     """Immutable specification of one aggregation."""
 
-    __slots__ = ("ops", "key", "predicate", "key_strategy")
+    __slots__ = ("ops", "key", "predicate")
 
     def __init__(
         self,
         ops: Sequence[Union[AggregateOp, str]],
         key: Sequence[str] = (),
         predicate: Optional[Predicate] = None,
-        key_strategy: str = "tuple",
     ) -> None:
         kernels: list[AggregateOp] = []
         for op in ops:
@@ -74,7 +72,6 @@ class AggregationScheme:
         object.__setattr__(self, "ops", tuple(kernels))
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "key_strategy", key_strategy)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("AggregationScheme is immutable")
@@ -102,19 +99,6 @@ class AggregationScheme:
         """The operator kernels (stateless; shared per DB)."""
         return self.ops
 
-    def compile(self, fold_plan: str = "compiled"):
-        """Compile the operator tuple into a per-record fold plan.
-
-        ``fold_plan`` selects the strategy: ``"compiled"`` fuses all operator
-        updates into one closure with monomorphic raw-value kernels for the
-        standard numeric reductions; ``"generic"`` is the reference per-op
-        dispatch loop.  Both are fold-equivalent — see
-        :mod:`repro.aggregate.plan`.
-        """
-        from .plan import make_plan  # local import: plan builds on ops
-
-        return make_plan(self.ops, fold_plan)
-
     def describe(self) -> str:
         """CalQL-ish text rendering of the scheme."""
         text = "AGGREGATE " + ", ".join(op.spec_string() for op in self.ops)
@@ -124,11 +108,11 @@ class AggregationScheme:
 
     def with_key(self, key: Sequence[str]) -> "AggregationScheme":
         """A copy with a different aggregation key."""
-        return AggregationScheme(self.ops, key, self.predicate, self.key_strategy)
+        return AggregationScheme(self.ops, key, self.predicate)
 
     def with_predicate(self, predicate: Optional[Predicate]) -> "AggregationScheme":
         """A copy with a different WHERE predicate."""
-        return AggregationScheme(self.ops, self.key, predicate, self.key_strategy)
+        return AggregationScheme(self.ops, self.key, predicate)
 
     def __repr__(self) -> str:
         return f"AggregationScheme({self.describe()!r})"

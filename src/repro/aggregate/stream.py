@@ -29,9 +29,9 @@ class StreamAggregator:
     ['bar', 'foo']
     """
 
-    def __init__(self, scheme: AggregationScheme, fold_plan: str = "compiled") -> None:
+    def __init__(self, scheme: AggregationScheme) -> None:
         self.scheme = scheme
-        self.db = AggregationDB(scheme, fold_plan=fold_plan)
+        self.db = AggregationDB(scheme)
 
     def push(self, record: Record) -> None:
         self.db.process(record)

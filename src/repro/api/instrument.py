@@ -21,10 +21,6 @@ by.  Both accept ``attribute=`` for custom nesting hierarchies, and every
 helper resolves :func:`repro.runtime.default_runtime` *per call*, so code
 instrumented at import time follows a runtime swapped in later (tests,
 embedders).
-
-The raw ``mark_begin``/``mark_end`` spellings from early examples still
-work but warn once per process — unbalanced begin/end is the bug class the
-``with``/decorator forms exist to prevent.
 """
 
 from __future__ import annotations
@@ -33,15 +29,12 @@ from contextlib import contextmanager
 from functools import wraps
 from typing import Any, Callable, Iterator, Optional, Union
 
-from ..query.options import warn_deprecated
 from ..runtime.instrumentation import Caliper, default_runtime
 
 __all__ = [
     "region",
     "function",
     "set",
-    "mark_begin",
-    "mark_end",
 ]
 
 
@@ -103,26 +96,3 @@ def set(  # noqa: A001 - deliberate: instrument.set(...) reads as intended
     """Set a key=value annotation on the current thread's blackboard."""
     cali = runtime if runtime is not None else default_runtime()
     cali.set(label, value)
-
-
-# -- deprecated raw spellings (early examples) ---------------------------------
-
-
-def mark_begin(name: str, attribute: str = "region") -> None:
-    """Deprecated: open a region by hand; prefer ``instrument.region``."""
-    warn_deprecated(
-        "instrument.mark_begin",
-        "instrument.mark_begin/mark_end are deprecated; use "
-        "'with instrument.region(...):' or '@instrument.function' instead",
-    )
-    default_runtime().begin(attribute, name)
-
-
-def mark_end(name: Optional[str] = None, attribute: str = "region") -> None:
-    """Deprecated: close a region by hand; prefer ``instrument.region``."""
-    warn_deprecated(
-        "instrument.mark_end",
-        "instrument.mark_begin/mark_end are deprecated; use "
-        "'with instrument.region(...):' or '@instrument.function' instead",
-    )
-    default_runtime().end(attribute)

@@ -60,7 +60,6 @@ def channel_config_aggregate(
     scheme: str,
     mode: str = "event",
     sampling_period: float = 0.01,
-    key_strategy: str = "tuple",
 ) -> dict[str, Any]:
     """Channel config for on-line aggregation in ``event`` or ``sample`` mode."""
     if mode == "event":
@@ -75,7 +74,6 @@ def channel_config_aggregate(
         {
             "services": services,
             "aggregate.config": scheme,
-            "aggregate.key_strategy": key_strategy,
         }
     )
     return config

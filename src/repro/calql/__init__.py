@@ -68,11 +68,10 @@ __all__ = [
 def parse_scheme(
     text: str,
     registry: Optional[OperatorRegistry] = None,
-    key_strategy: str = "tuple",
 ) -> AggregationScheme:
     """Parse CalQL text straight into an :class:`AggregationScheme`.
 
     >>> parse_scheme("AGGREGATE count GROUP BY kernel").key
     ('kernel',)
     """
-    return build_scheme(parse_query(text), registry, key_strategy)
+    return build_scheme(parse_query(text), registry)

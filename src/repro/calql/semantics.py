@@ -260,7 +260,6 @@ def compile_let(bindings: Sequence[LetBinding]) -> Optional[Callable[[Record], R
 def build_scheme(
     query: Query,
     registry: Optional[OperatorRegistry] = None,
-    key_strategy: str = "tuple",
 ) -> AggregationScheme:
     """Build the :class:`AggregationScheme` a query describes.
 
@@ -285,5 +284,4 @@ def build_scheme(
         ops=ops,
         key=key,
         predicate=predicate,
-        key_strategy=key_strategy,
     )

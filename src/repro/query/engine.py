@@ -37,7 +37,6 @@ from .columnar import (
     supports_scheme,
     unsupported_ops,
 )
-from .options import _UNSET as _OPT_UNSET
 
 if TYPE_CHECKING:  # pragma: no cover
     from .options import QueryOptions
@@ -176,7 +175,6 @@ class QueryEngine:
         self,
         query: Union[str, Query],
         registry: Optional[OperatorRegistry] = None,
-        key_strategy: str = "tuple",
     ) -> None:
         with observe.span("query.parse"):
             self.query = parse_query(query) if isinstance(query, str) else query
@@ -186,7 +184,7 @@ class QueryEngine:
             self._where: Optional[Callable[[Record], bool]]
             if self.query.is_aggregation:
                 # WHERE lives inside the scheme's predicate on the aggregation path.
-                self.scheme = build_scheme(self.query, registry, key_strategy)
+                self.scheme = build_scheme(self.query, registry)
                 self._where = None
             else:
                 self._where = compile_conditions(self.query.where)
@@ -419,17 +417,13 @@ def run_query(
     text: str,
     records: Iterable[Record],
     options: Union["QueryOptions", dict, None] = None,
-    backend: object = _OPT_UNSET,
 ) -> QueryResult:
     """Convenience one-liner: parse, validate, execute.
 
     ``options`` is a shared :class:`~repro.query.options.QueryOptions`
-    (only ``backend`` applies to an in-memory record stream).  The old
-    ``backend=`` keyword still works but emits one ``DeprecationWarning``.
+    (only ``backend`` applies to an in-memory record stream).
     """
     from .options import QueryOptions
 
-    opts = QueryOptions.coerce(options).with_legacy(
-        caller="run_query", backend=backend
-    )
+    opts = QueryOptions.coerce(options)
     return QueryEngine(text).run(records, backend=opts.backend)

@@ -2,38 +2,20 @@
 
 The repo grew several ways to run a query — :func:`repro.query.engine.run_query`,
 :meth:`QueryEngine.run`, :func:`~repro.query.parallel.parallel_query_files`,
-the ``repro-query`` CLI, and the :func:`repro.api.query` facade — and each
-had sprouted its own keyword list (``backend=``, ``workers=``, ``jobs=``,
-``stats=``…).  :class:`QueryOptions` is the single shared spelling: every
-entry point accepts one, the CLI builds one from its parsed arguments, and
-the old per-function keywords live on as deprecation shims that warn once
-and map onto it.
+the ``repro-query`` CLI, and the :func:`repro.api.query` facade.
+:class:`QueryOptions` is the single shared spelling of how to execute one:
+every entry point accepts one, and the CLI builds one from its parsed
+arguments.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 __all__ = ["QueryOptions", "BACKENDS"]
 
 BACKENDS = ("auto", "rows", "columnar")
-
-#: sentinel distinguishing "not passed" from an explicit None
-_UNSET = object()
-
-#: deprecation shims that already warned (exactly one warning per spelling
-#: per process — a shim in a hot loop must not flood stderr)
-_warned: set = set()
-
-
-def warn_deprecated(key: str, message: str, stacklevel: int = 3) -> None:
-    """Emit ``DeprecationWarning`` for ``key`` exactly once per process."""
-    if key in _warned:
-        return
-    _warned.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel + 1)
 
 
 @dataclass(frozen=True)
@@ -101,30 +83,3 @@ class QueryOptions:
             sampling=getattr(args, "sample", None),
             sampling_seed=getattr(args, "sample_seed", None),
         )
-
-    def with_legacy(
-        self,
-        *,
-        caller: str,
-        workers: object = _UNSET,
-        backend: object = _UNSET,
-    ) -> "QueryOptions":
-        """Fold deprecated per-function keywords in, warning once each."""
-        out = self
-        if workers is not _UNSET:
-            warn_deprecated(
-                f"{caller}:workers",
-                f"{caller}(workers=...) is deprecated; "
-                "pass QueryOptions(jobs=...) instead",
-                stacklevel=4,
-            )
-            out = replace(out, jobs=workers)  # type: ignore[arg-type]
-        if backend is not _UNSET:
-            warn_deprecated(
-                f"{caller}:backend",
-                f"{caller}(backend=...) is deprecated; "
-                "pass QueryOptions(backend=...) instead",
-                stacklevel=4,
-            )
-            out = replace(out, backend=str(backend))
-        return out

@@ -29,7 +29,7 @@ from ..common.util import chunk_evenly
 from ..common.variant import Variant
 from ..io.dataset import _load_source_timed, _resolve_workers
 from .engine import QueryEngine, QueryResult
-from .options import _UNSET, QueryOptions
+from .options import QueryOptions
 
 __all__ = ["parallel_query_files"]
 
@@ -72,9 +72,6 @@ def parallel_query_files(
     query: str,
     paths: Sequence[Union[str, os.PathLike]],
     options: Union[QueryOptions, dict, None] = None,
-    backend: object = _UNSET,
-    *,
-    workers: object = _UNSET,
 ) -> QueryResult:
     """Run an aggregation query over many files with real process parallelism.
 
@@ -86,19 +83,8 @@ def parallel_query_files(
     per CPU, degrading to serial on single-core machines or undersized
     inputs (recorded as ``parallel.fallback``); an explicit integer sets the
     pool size; 1 (or a single file) degrades to the serial path.
-
-    The pre-:class:`QueryOptions` spellings (``workers=``, ``backend=``,
-    including the old third-positional ``workers``) still work but emit one
-    :class:`DeprecationWarning` each.
     """
-    if options is not None and not isinstance(options, (QueryOptions, dict)):
-        # Legacy third positional: parallel_query_files(q, paths, 4) meant
-        # workers=4 before QueryOptions took that slot.
-        workers = options
-        options = None
-    opts = QueryOptions.coerce(options).with_legacy(
-        caller="parallel_query_files", workers=workers, backend=backend
-    )
+    opts = QueryOptions.coerce(options)
     pool_size = True if opts.jobs is None else opts.jobs
     path_list = [os.fspath(p) for p in paths]
     engine = QueryEngine(query)

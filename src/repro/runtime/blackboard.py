@@ -24,9 +24,8 @@ context-tree key update.  A :attr:`generation` counter increments on every
 mutation for cache invalidation.
 
 The mirror method :meth:`rebuild_entries` recomputes the full dict from the
-stacks (the pre-fast-path behaviour); it serves as the differential-testing
-oracle for the incremental maintenance and as the benchmark's "legacy path"
-emulation.
+stacks; it is the differential-testing oracle for the incremental
+maintenance (``tests/runtime/test_blackboard.py``).
 """
 
 from __future__ import annotations
@@ -231,9 +230,7 @@ class Blackboard:
         """Recompute the snapshot entries from the value stacks (a fresh dict).
 
         This is the reference implementation the incremental ``_entries``
-        maintenance is differentially tested against, and the cost model of
-        the pre-fast-path snapshot used by the hot-path benchmark's legacy
-        mode.
+        maintenance is differentially tested against.
         """
         entries: dict[str, Variant] = {}
         for attribute, stack in self._stacks.items():

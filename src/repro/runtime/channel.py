@@ -44,11 +44,10 @@ class Channel:
         registry = registry or default_service_registry()
         if self.config.get_bool("config_check", True):
             # Validate against the documented schema (repro.runtime.schema):
-            # unknown keys raise instead of being silently ignored, and
-            # deprecated spellings are folded into their current names.
+            # unknown keys raise instead of being silently ignored.
             from .schema import validate_config
 
-            self.config = ConfigSet(validate_config(self.config.as_dict(), registry))
+            validate_config(self.config.as_dict(), registry)
         self.active = True
         #: snapshot records pushed through this channel (Table I's "Snapshots");
         #: counts only snapshots actually processed — attempts while the
@@ -86,13 +85,6 @@ class Channel:
         #: account for them in expectation — see repro.sampling)
         self.num_sampled_out = 0
         self._sampler = self._make_sampler()
-        # Zero-copy snapshot fast path: legal when nothing contributes extra
-        # entries and every processor folds the record immediately without
-        # retaining it.  ``snapshot_fastpath=false`` restores the pre-fast-
-        # path snapshot build (a fresh dict rebuilt from the blackboard
-        # stacks) so benchmarks can measure the legacy cost.
-        self._fold_only = all(s.folds_immediately for s in self._processors)
-        self._fastpath_enabled = self.config.get_bool("snapshot_fastpath", True)
         #: snapshots served through the zero-copy fold-only path
         self.num_fast_snapshots = 0
         # Per-thread scratch record for fold-only snapshots that need
@@ -100,7 +92,9 @@ class Channel:
         # allocates nothing.
         self._scratch_tls = threading.local()
         self._finished = False
-        if self._fastpath_enabled and self._fold_only:
+        if all(s.folds_immediately for s in self._processors):
+            # Zero-copy snapshot fast path: legal because every processor
+            # folds the record immediately without retaining it.
             # Shadow the method with a closure specialized for this channel's
             # service mix: dispatch lists, blackboard accessor, and scratch
             # storage are bound once instead of re-read per snapshot.
@@ -204,12 +198,7 @@ class Channel:
                 if probe:
                     sampler.record_drop_probe(time.perf_counter() - t0)
                 return
-        if self._fastpath_enabled:
-            entries = dict(blackboard.snapshot_entries())
-        else:
-            # Legacy cost emulation for benchmarking: rebuild the snapshot
-            # from the value stacks like the pre-fast-path runtime did.
-            entries = blackboard.rebuild_entries()
+        entries = dict(blackboard.snapshot_entries())
         for service in self._contributors:
             service.contribute(entries, at)
         if extra:

@@ -3,18 +3,15 @@
 Every knob a built-in channel/service reads is declared here, in one place.
 :func:`validate_config` checks a configuration mapping against the schema at
 channel-creation time: unknown keys raise :class:`~repro.common.errors.ConfigError`
-(with a close-match suggestion) instead of being silently ignored, and
-superseded spellings are folded into their current names with a one-time
-:class:`DeprecationWarning`.
+(with a close-match suggestion) instead of being silently ignored.
 
 Channel-level keys
 ==================
 
-=====================  ========================================================
-``services``           list of service names to instantiate on the channel
-``snapshot_fastpath``  bool — zero-copy snapshot fast path (default true)
-``config_check``       bool — set false to skip this schema validation
-=====================  ========================================================
+================  =============================================================
+``services``      list of service names to instantiate on the channel
+``config_check``  bool — set false to skip this schema validation
+================  =============================================================
 
 The ``sampling.*`` keys are also channel-level (the sampling gate sits in
 the channel's snapshot path, ahead of every service — see
@@ -42,8 +39,7 @@ Service keys (``<service>.<key>``)
 
 ``aggregate``
     ``config`` (CalQL text), ``scheme`` (pre-parsed scheme object),
-    ``key_strategy`` (``tuple``/``string``), ``rename_count`` (bool),
-    ``fold_plan`` (``compiled``/``interpreted``), ``key_cache`` (bool)
+    ``rename_count`` (bool)
 ``event``
     ``trigger`` (attribute list), ``mark`` (bool), ``trigger_set`` (bool)
 ``netflush``
@@ -55,7 +51,7 @@ Service keys (``<service>.<key>``)
 ``sampler``
     ``period`` (seconds), ``max_catchup``
 ``timer``
-    ``offset`` (bool), ``inclusive`` (bool), ``trim_hooks`` (bool)
+    ``offset`` (bool), ``inclusive`` (bool)
 ``trace``
     ``buffer_limit``
 
@@ -67,24 +63,21 @@ the schema only constrains the services it knows about.
 from __future__ import annotations
 
 import difflib
-import warnings
 from typing import Any, Mapping, Optional
 
 from ..common.errors import ConfigError
 from .services.base import ServiceRegistry
 
-__all__ = ["ALIASES", "CHANNEL_KEYS", "SERVICE_KEYS", "validate_config"]
+__all__ = ["CHANNEL_KEYS", "SERVICE_KEYS", "validate_config"]
 
 #: keys read by the channel itself (not scoped to a service)
-CHANNEL_KEYS = frozenset({"services", "snapshot_fastpath", "config_check"})
+CHANNEL_KEYS = frozenset({"services", "config_check"})
 
 #: keys read by each built-in service, scoped as ``<service>.<key>``.
 #: ``sampling`` is not a service — the gate lives in the channel's push
 #: path — but its keys scope and validate the same way.
 SERVICE_KEYS: dict[str, frozenset] = {
-    "aggregate": frozenset(
-        {"config", "scheme", "key_strategy", "rename_count", "fold_plan", "key_cache"}
-    ),
+    "aggregate": frozenset({"config", "scheme", "rename_count"}),
     "event": frozenset({"trigger", "mark", "trigger_set"}),
     "netflush": frozenset(
         {
@@ -117,36 +110,9 @@ SERVICE_KEYS: dict[str, frozenset] = {
             "seed",
         }
     ),
-    "timer": frozenset({"offset", "inclusive", "trim_hooks"}),
+    "timer": frozenset({"offset", "inclusive"}),
     "trace": frozenset({"buffer_limit"}),
 }
-
-#: superseded spellings — accepted, folded into the current name, and
-#: reported once per process with a DeprecationWarning
-ALIASES: dict[str, str] = {
-    "fastpath": "snapshot_fastpath",
-    "aggregate.plan": "aggregate.fold_plan",
-    "aggregate.query": "aggregate.config",
-    "timer.trim": "timer.trim_hooks",
-    "netflush.batch": "netflush.batch_size",
-    "netflush.spool": "netflush.spool_dir",
-    "sampling.rate": "sampling.probability",
-    "sampling.interval": "sampling.control_interval",
-    "sampling.overhead_budget": "sampling.budget",
-}
-
-_warned_aliases: set = set()
-
-
-def _warn_alias(old: str, new: str) -> None:
-    if old in _warned_aliases:
-        return
-    _warned_aliases.add(old)
-    warnings.warn(
-        f"config key {old!r} is deprecated; use {new!r}",
-        DeprecationWarning,
-        stacklevel=4,
-    )
 
 
 def _suggest(key: str, candidates) -> str:
@@ -157,29 +123,16 @@ def _suggest(key: str, candidates) -> str:
 def validate_config(
     settings: Mapping[str, Any], registry: Optional[ServiceRegistry] = None
 ) -> dict[str, Any]:
-    """Check ``settings`` against the schema; return the normalized mapping.
+    """Check ``settings`` against the schema; return them as a plain dict.
 
-    Aliased keys are renamed to their current spelling (emitting a
-    once-per-process :class:`DeprecationWarning`); unknown keys raise
-    :class:`ConfigError` naming the key and the closest valid spelling.
-    Keys scoped to a custom (non-built-in) service known to ``registry``
-    pass through unchecked.
+    Unknown keys raise :class:`ConfigError` naming the key and the closest
+    valid spelling.  Keys scoped to a custom (non-built-in) service known to
+    ``registry`` pass through unchecked.
     """
     custom = set(registry.known()) - set(SERVICE_KEYS) if registry else set()
-    normalized: dict[str, Any] = {}
-    for key, value in settings.items():
-        target = ALIASES.get(key)
-        if target is not None:
-            _warn_alias(key, target)
-            key = target
-        if key in normalized:
-            raise ConfigError(
-                f"config key {key!r} given twice (directly and via a "
-                "deprecated alias)"
-            )
+    for key in settings:
         _check_key(key, custom)
-        normalized[key] = value
-    return normalized
+    return dict(settings)
 
 
 def _check_key(key: str, custom_services: set) -> None:

@@ -28,15 +28,6 @@ Config keys (prefix ``aggregate.``):
     ``"AGGREGATE count, sum(time.duration) GROUP BY function"``.  A
     pre-built :class:`AggregationScheme` may be passed instead via the
     ``scheme`` key.
-``key_strategy``
-    ``tuple`` (default) or ``interned`` — see :mod:`repro.aggregate.key`.
-``fold_plan``
-    ``compiled`` (default) or ``generic`` — the per-record fold strategy,
-    see :mod:`repro.aggregate.plan`.
-``key_cache``
-    Boolean (default true): the per-thread context-key cache described
-    above.  Disable to measure or to fall back to plain per-record key
-    extraction.
 ``rename_count``
     When true (default), the flushed ``count`` column is renamed to
     ``aggregate.count``.  This matches Caliper, whose two-stage workflows
@@ -51,7 +42,6 @@ import threading
 
 from ... import observe
 from ...aggregate.db import AggregationDB
-from ...aggregate.plan import FOLD_PLANS
 from ...aggregate.scheme import AggregationScheme
 from ...common.errors import ConfigError
 from ...common.record import Record
@@ -102,24 +92,17 @@ class AggregateService(Service):
                 )
             from ...calql import parse_scheme  # local import: calql builds on aggregate
 
-            scheme = parse_scheme(text, key_strategy=self.config.get_string("key_strategy", "tuple"))
+            scheme = parse_scheme(text)
         elif not isinstance(scheme, AggregationScheme):
             raise ConfigError(f"'aggregate.scheme' must be an AggregationScheme, got {scheme!r}")
         self.scheme: AggregationScheme = scheme
         self._rename_count = self.config.get_bool("rename_count", True)
-        self._fold_plan = self.config.get_string("fold_plan", "compiled")
-        if self._fold_plan not in FOLD_PLANS:
-            raise ConfigError(
-                f"'aggregate.fold_plan' must be one of {', '.join(FOLD_PLANS)}; "
-                f"got {self._fold_plan!r}"
-            )
-        self._key_cache_enabled = self.config.get_bool("key_cache", True)
         self._key_labels = tuple(scheme.key)
         self._predicate = scheme.predicate
         self._tls = threading.local()
-        # Shadow the method with a closure specialized for this service's
-        # configuration (key-cache on/off, single vs multi-label key,
-        # predicate presence) — the per-snapshot path re-reads none of it.
+        # A closure specialized for this service's scheme (single vs
+        # multi-label key, predicate presence) — the per-snapshot path
+        # re-reads none of it.
         self.process = self._make_process()
         # Keyed by a unique per-thread sequence number, NOT the OS thread
         # ident: idents are reused after a thread exits, and keying by them
@@ -134,7 +117,7 @@ class AggregateService(Service):
     def _state(self) -> _ThreadState:
         state = getattr(self._tls, "state", None)
         if state is None:
-            state = _ThreadState(AggregationDB(self.scheme, fold_plan=self._fold_plan))
+            state = _ThreadState(AggregationDB(self.scheme))
             self._tls.state = state
             # Registration takes the lock once per thread lifetime, not per
             # snapshot — the paper's "per-thread DB avoids thread locks".
@@ -144,29 +127,15 @@ class AggregateService(Service):
                 self._next_thread_seq += 1
         return state
 
-    def _db(self) -> AggregationDB:
-        return self._state().db
-
-    def process(self, record: Record) -> None:
-        # Class-level fallback; __init__ shadows this with the closure from
-        # _make_process, so normal dispatch never lands here.
-        self._make_process()(record)
+    def wants(self, hook: str) -> bool:
+        # ``process`` exists only as the per-instance closure bound in
+        # __init__, which the class-level override check cannot see.
+        return hook == "process" or super().wants(hook)
 
     def _make_process(self):
-        """Build the per-record fold entry point for this configuration."""
+        """Build the per-record fold entry point for this scheme."""
         tls = self._tls
         make_state = self._state
-
-        if not self._key_cache_enabled:
-
-            def process(record: Record) -> None:
-                state = getattr(tls, "state", None)
-                if state is None:
-                    state = make_state()
-                state.db.process(record)
-
-            return process
-
         predicate = self._predicate
         labels = self._key_labels
         single = labels[0] if len(labels) == 1 else None
@@ -261,8 +230,8 @@ class AggregateService(Service):
         Summed across the per-thread databases: unique entries, stream
         counters, state-cell memory footprint, estimated wire size, the
         number of entries whose key was only partially extractable
-        (records missing one or more GROUP BY attributes), plus the hot-path
-        knobs in effect and the context-key cache hit/miss counters.
+        (records missing one or more GROUP BY attributes), plus the
+        context-key cache hit/miss counters.
         """
         with self._dbs_lock:
             dbs = list(self._all_dbs.values())
@@ -275,8 +244,6 @@ class AggregateService(Service):
             "db.memory_footprint": sum(db.memory_footprint() for db in dbs),
             "db.wire_size": sum(db.wire_size() for db in dbs),
             "db.key_misses": sum(db.num_partial_keys for db in dbs),
-            "fold_plan": self._fold_plan,
-            "keycache.enabled": self._key_cache_enabled,
             "keycache.hits": sum(s.hits for s in states),
             "keycache.misses": sum(s.misses for s in states),
         }

@@ -42,10 +42,6 @@ class TimerService(Service):
         super().__init__(channel)
         self._with_offset = self.config.get_bool("offset", False)
         self._with_inclusive = self.config.get_bool("inclusive", False)
-        # ``timer.trim_hooks = false`` restores the legacy dispatch: begin/end
-        # hooks stay registered even without inclusive timing, as per-event
-        # no-op calls.  Only the hot-path benchmark's baseline uses this.
-        self._trim_hooks = self.config.get_bool("trim_hooks", True)
         # Bound once: three attribute hops per snapshot otherwise.  The clock
         # instance is fixed for the runtime's lifetime.
         self._now = channel.caliper.clock.now
@@ -56,19 +52,13 @@ class TimerService(Service):
         # The begin/end hooks only feed inclusive-time tracking; without
         # ``timer.inclusive`` they would be per-event no-op calls, so keep
         # them out of the channel's dispatch lists entirely.
-        if (
-            hook in ("on_begin", "on_end")
-            and not self._with_inclusive
-            and self._trim_hooks
-        ):
+        if hook in ("on_begin", "on_end") and not self._with_inclusive:
             return False
         return super().wants(hook)
 
-    # -- inclusive-time tracking (only active with timer.inclusive) -------------
+    # -- inclusive-time tracking (only dispatched with timer.inclusive) ---------
 
     def on_begin(self, attribute: Attribute, value: Variant) -> None:
-        if not self._with_inclusive:
-            return
         stacks = getattr(self._tls, "begin_stacks", None)
         if stacks is None:
             stacks = {}
@@ -76,8 +66,6 @@ class TimerService(Service):
         stacks.setdefault(attribute.id, []).append(self._now())
 
     def on_end(self, attribute: Attribute, value: Variant) -> None:
-        if not self._with_inclusive:
-            return
         stacks = getattr(self._tls, "begin_stacks", None)
         stack = stacks.get(attribute.id) if stacks else None
         if stack:

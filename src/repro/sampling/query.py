@@ -82,10 +82,7 @@ def scheme_with_moments(scheme: AggregationScheme) -> AggregationScheme:
             added = True
     if not added:
         return scheme
-    return AggregationScheme(
-        ops, key=scheme.key, predicate=scheme.predicate,
-        key_strategy=scheme.key_strategy,
-    )
+    return AggregationScheme(ops, key=scheme.key, predicate=scheme.predicate)
 
 
 def sample_records(
@@ -137,7 +134,6 @@ def sampled_query(
     probability: float,
     seed: Optional[int] = None,
     confidence: float = 0.90,
-    fold_plan: str = "compiled",
 ):
     """Run a CalQL aggregation over a Bernoulli sample of ``records``.
 
@@ -161,7 +157,7 @@ def sampled_query(
         )
 
     scheme = scheme_with_moments(engine.scheme)
-    db = AggregationDB(scheme, fold_plan)
+    db = AggregationDB(scheme)
     db.process_all(sample_records(engine._preprocess(records), p, seed))
 
     estimator = WindowEstimator(scheme, confidence)

@@ -77,9 +77,7 @@ def windowize_scheme(
                 changed = True
     if not changed:
         return scheme
-    return AggregationScheme(
-        ops, key=key, predicate=scheme.predicate, key_strategy=scheme.key_strategy
-    )
+    return AggregationScheme(ops, key=key, predicate=scheme.predicate)
 
 
 def dewindowize_scheme(scheme: AggregationScheme) -> AggregationScheme:
@@ -88,9 +86,7 @@ def dewindowize_scheme(scheme: AggregationScheme) -> AggregationScheme:
     ops = [op for op in scheme.ops if type(_unwrapped(op)) is not MomentsOp]
     if len(key) == len(scheme.key) and len(ops) == len(scheme.ops):
         return scheme
-    return AggregationScheme(
-        ops, key=key, predicate=scheme.predicate, key_strategy=scheme.key_strategy
-    )
+    return AggregationScheme(ops, key=key, predicate=scheme.predicate)
 
 
 def window_end_of(entries: Dict[str, Variant]) -> Optional[float]:
@@ -118,13 +114,12 @@ class WindowedAggregationDB:
         lateness: float = 0.0,
         time_attribute: str = DEFAULT_TIME_ATTRIBUTE,
         confidence: float = 0.90,
-        fold_plan: str = "compiled",
     ) -> None:
         self.assigner: WindowAssigner = make_assigner(window)
         self.base_scheme = dewindowize_scheme(scheme)
         self.scheme = windowize_scheme(scheme)
         self.time_attribute = time_attribute
-        self.db = AggregationDB(self.scheme, fold_plan=fold_plan)
+        self.db = AggregationDB(self.scheme)
         self._final = AggregationDB(self.scheme, fold_plan="generic")
         self.tracker = WatermarkTracker(lateness)
         self.estimator = WindowEstimator(self.scheme, confidence=confidence)

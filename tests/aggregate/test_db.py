@@ -10,12 +10,11 @@ from repro.common import AggregationError, Record
 from ..conftest import record_lists
 
 
-def scheme_count_sum(key=("function",), key_strategy="tuple", predicate=None):
+def scheme_count_sum(key=("function",), predicate=None):
     return AggregationScheme(
         ops=[make_op("count"), make_op("sum", ["time.duration"])],
         key=list(key),
         predicate=predicate,
-        key_strategy=key_strategy,
     )
 
 
@@ -117,16 +116,6 @@ class TestCombine:
         with pytest.raises(AggregationError):
             a.combine(b)
 
-    def test_combine_across_key_strategies(self):
-        a = AggregationDB(scheme_count_sum(key_strategy="tuple"))
-        b = AggregationDB(scheme_count_sum(key_strategy="interned"))
-        a.process(Record({"function": "x", "time.duration": 1}))
-        b.process(Record({"function": "x", "time.duration": 2}))
-        b.process(Record({"function": "z", "time.duration": 9}))
-        a.combine(b)
-        out = {r["function"].value: r["sum#time.duration"].value for r in a.flush()}
-        assert out == {"x": 3, "z": 9}
-
 
 @given(record_lists, st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
@@ -154,22 +143,11 @@ def test_partitioned_combine_equals_single_pass(recs, parts):
     assert plain(merged.flush()) == plain(single.flush())
 
 
-@given(record_lists)
-@settings(max_examples=40, deadline=None)
-def test_key_strategies_equal_results(recs):
-    out = {}
-    for strategy in ("tuple", "interned"):
-        db = AggregationDB(scheme_count_sum(key=("function", "mpi.rank"), key_strategy=strategy))
-        db.process_all(recs)
-        out[strategy] = plain(db.flush())
-    assert out["tuple"] == out["interned"]
-
-
 class TestStateTransfer:
     """export_states / load_states: the portable partial-result wire format."""
 
-    def seed(self, strategy="tuple"):
-        db = AggregationDB(scheme_count_sum(key_strategy=strategy))
+    def seed(self):
+        db = AggregationDB(scheme_count_sum())
         for name, t in [("foo", 1.0), ("foo", 2.0), ("bar", 4.0), (None, 8.0)]:
             entries = {"time.duration": t}
             if name is not None:
@@ -194,14 +172,6 @@ class TestStateTransfer:
         doubled = {r.get("function").to_string(): r for r in dst.flush()}
         assert doubled["foo"]["count"].value == 4
         assert doubled["foo"]["sum#time.duration"].value == 6.0
-
-    def test_roundtrip_across_key_strategies(self):
-        # keys are rendered to attribute entries, so the receiving DB may
-        # use a different key extractor than the sender
-        src = self.seed(strategy="tuple")
-        dst = AggregationDB(scheme_count_sum(key_strategy="interned"))
-        dst.load_states(src.export_states())
-        assert plain(dst.flush()) == plain(src.flush())
 
     def test_exported_states_are_copied_on_load(self):
         src = self.seed()

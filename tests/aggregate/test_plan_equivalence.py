@@ -1,16 +1,18 @@
-"""Equivalence properties for the compiled fold fast path.
+"""Equivalence properties for the per-event path.
 
-The hot-path optimization stack — compiled fold plans, context-key caching,
-and the channel's zero-copy snapshot path — is only admissible if it is
-*observationally identical* to the generic reference path.  These tests
-enforce that over randomized record streams:
+The per-event path — compiled fold plans, context-key caching, and the
+channel's zero-copy snapshot — is only admissible if it is *observationally
+identical* to the reference: records folded one by one through
+``AggregationDB(scheme, fold_plan="generic")``.  These tests enforce that
+over randomized inputs:
 
-* ``fold_plan="compiled"`` flushes the same records as ``"generic"``, for
-  both key strategies, off-line, on-line, and split across combine stages;
+* a default database flushes the same records as the reference one,
+  off-line, on-line, and split across combine stages;
 * grouped kernels (several fast ops sharing one argument label) and
   fallback kernels (ops without a monomorphic fast kernel) fold identically;
-* the runtime-level knobs (``aggregate.key_cache``, ``snapshot_fastpath``)
-  do not change flushed results, and the key cache survives epoch bumps.
+* an ``event,timer,aggregate`` channel flushes what an ``event,timer,trace``
+  channel on the same runtime retained, folded through the reference, and
+  the key cache survives epoch bumps.
 """
 
 import math
@@ -120,8 +122,8 @@ def assert_same_output(got, want):
                 assert gv == wv
 
 
-def run_db(ops, recs, key=("k",), fold_plan="compiled", key_strategy="tuple"):
-    scheme = AggregationScheme(ops, key=key, key_strategy=key_strategy)
+def run_db(ops, recs, key=("k",), fold_plan="compiled"):
+    scheme = AggregationScheme(ops, key=key)
     db = AggregationDB(scheme, fold_plan=fold_plan)
     db.process_all(recs)
     return db
@@ -131,13 +133,12 @@ def run_db(ops, recs, key=("k",), fold_plan="compiled", key_strategy="tuple"):
 
 
 class TestCompiledMatchesGeneric:
-    @pytest.mark.parametrize("key_strategy", ["tuple", "interned"])
     @pytest.mark.parametrize("key", [(), ("k",), ("k", "k2")], ids=["nokey", "k1", "k2"])
     @given(recs=streams())
     @settings(max_examples=8, deadline=None)
-    def test_offline_flush(self, key_strategy, key, recs):
-        got = run_db(FAST_OPS(), recs, key, "compiled", key_strategy).flush()
-        want = run_db(FAST_OPS(), recs, key, "generic", key_strategy).flush()
+    def test_offline_flush(self, key, recs):
+        got = run_db(FAST_OPS(), recs, key, "compiled").flush()
+        want = run_db(FAST_OPS(), recs, key, "generic").flush()
         assert_same_output(got, want)
 
     @given(recs=streams())
@@ -151,7 +152,7 @@ class TestCompiledMatchesGeneric:
     @settings(max_examples=15, deadline=None)
     def test_online_equals_offline(self, recs):
         scheme = AggregationScheme(FAST_OPS(), key=("k",))
-        stream = StreamAggregator(scheme, fold_plan="compiled")
+        stream = StreamAggregator(scheme)
         for r in recs:
             stream.push(r)
         want = run_db(FAST_OPS(), recs, ("k",), "generic").flush()
@@ -207,53 +208,84 @@ class TestGroupedKernels:
         assert plain["sum#x"] == pytest.approx(2.0)
 
 
-class TestRuntimeKnobEquivalence:
-    """The hot-path knobs change cost, never flushed results."""
+# -- the on-line path vs the off-line reference ---------------------------------
+
+#: one instrumentation call: ("begin", name) / ("end",) on the nested
+#: ``function`` attribute, ("set", value) on the plain ``phase`` attribute,
+#: ("snap",) an explicit snapshot, ("tick", seconds) a clock advance
+_program_steps = st.one_of(
+    st.tuples(st.just("begin"), st.sampled_from(["main", "solve", "io"])),
+    st.tuples(st.just("end")),
+    st.tuples(st.just("set"), st.sampled_from(["init", "run"])),
+    st.tuples(st.just("snap")),
+    st.tuples(st.just("tick"), st.sampled_from([0.25, 0.5, 2.0])),
+)
+
+
+class TestOnlineMatchesReference:
+    """The on-line per-event path changes cost, never flushed results."""
 
     SCHEME = (
         "AGGREGATE count, sum(time.duration), min(time.duration), "
         "max(time.duration) GROUP BY function"
     )
 
-    def run_channel(self, **overrides):
+    @pytest.mark.parametrize("inclusive", [False, True], ids=["exclusive", "inclusive"])
+    @given(program=st.lists(_program_steps, max_size=40))
+    @settings(max_examples=25, deadline=None)
+    def test_aggregate_channel_equals_trace_folded_offline(self, inclusive, program):
+        """Same events, two channels: fold on-line vs retain and fold later.
+
+        The trace channel retains records, so it takes the generic
+        ``push_snapshot`` (a copied dict per snapshot) and never touches the
+        key cache or a compiled plan.  ``phase`` is only set by some programs
+        and never before the first ``set``, so keys with a missing attribute
+        occur.
+        """
+        from repro.calql import parse_scheme
         from repro.runtime import Caliper, VirtualClock
 
+        text = (
+            "AGGREGATE count, sum(time.duration), max(time.duration), "
+            "sum(time.inclusive.duration) GROUP BY function, phase"
+        )
         clk = VirtualClock()
         cali = Caliper(clock=clk)
-        config = {
-            "services": ["event", "timer", "aggregate"],
-            "aggregate.config": self.SCHEME,
-        }
-        config.update(overrides)
-        chan = cali.create_channel("t", config)
-        for i in range(30):
-            cali.begin("function", f"f{i % 3}")
-            clk.advance(0.5)
-            with cali.region("function", "inner"):
-                clk.advance(0.25)
+        common = {"timer.inclusive": inclusive, "event.trigger_set": True}
+        online = cali.create_channel(
+            "online",
+            {"services": ["event", "timer", "aggregate"],
+             "aggregate.config": text, "aggregate.rename_count": False, **common},
+        )
+        trace = cali.create_channel(
+            "trace", {"services": ["event", "timer", "trace"], **common}
+        )
+        depth = 0
+        for step in program:
+            if step[0] == "begin":
+                cali.begin("function", step[1])
+                depth += 1
+            elif step[0] == "end":
+                if depth:
+                    cali.end("function")
+                    depth -= 1
+            elif step[0] == "set":
+                cali.set("phase", step[1])
+            elif step[0] == "snap":
+                cali.push_snapshot()
+            else:
+                clk.advance(step[1])
+        for _ in range(depth):
             cali.end("function")
-        return chan.finish()
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"aggregate.fold_plan": "generic"},
-            {"aggregate.key_cache": False},
-            {"snapshot_fastpath": False},
-            {"timer.trim_hooks": False},
-            {
-                "aggregate.fold_plan": "generic",
-                "aggregate.key_cache": False,
-                "snapshot_fastpath": False,
-                "timer.trim_hooks": False,
-            },
-        ],
-        ids=["generic-plan", "no-keycache", "no-fastpath", "no-trim", "all-legacy"],
-    )
-    def test_legacy_knobs_match_default(self, overrides):
-        want = self.run_channel()
-        got = self.run_channel(**overrides)
-        assert_same_output(got, want)
+        retained = trace.finish()
+        assert len(retained) == trace.num_snapshots == online.num_snapshots
+        assert online.num_fast_snapshots == online.num_snapshots
+        assert trace.num_fast_snapshots == 0
+        reference = AggregationDB(parse_scheme(text), fold_plan="generic")
+        for record in retained:
+            reference.process(record)
+        assert_same_output(online.finish(), reference.flush())
 
     def test_key_cache_invalidated_by_table_clear(self):
         from repro.runtime import Caliper, VirtualClock
@@ -282,18 +314,6 @@ class TestRuntimeKnobEquivalence:
         # (a stale key-cache hit would either crash or resurrect "warm").
         assert "warm" not in rows
         assert rows["after"] == 4
-
-    def test_invalid_fold_plan_rejected(self):
-        from repro.common import ConfigError
-        from repro.runtime import Caliper
-
-        with pytest.raises(ConfigError, match="fold_plan"):
-            Caliper().create_channel(
-                "t",
-                {"services": ["aggregate"],
-                 "aggregate.config": self.SCHEME,
-                 "aggregate.fold_plan": "turbo"},
-            )
 
 
 class TestPlanSelection:

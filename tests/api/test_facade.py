@@ -1,14 +1,10 @@
-"""The unified public entry point (repro.api.query) and deprecation shims.
+"""The unified public entry point (repro.api.query).
 
 Every source flavor the facade dispatches on must return results identical
-to calling the wrapped engine directly; the legacy keyword spellings on
-``run_query``/``parallel_query_files`` must keep working while emitting a
-``DeprecationWarning`` exactly once per process.
+to calling the wrapped engine directly.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -16,7 +12,7 @@ import repro
 from repro import api
 from repro.common import QueryError, Record
 from repro.io.dataset import Dataset, write_records
-from repro.query import QueryEngine, QueryOptions, parallel_query_files, run_query
+from repro.query import QueryEngine, QueryOptions, parallel_query_files
 
 QUERY = "AGGREGATE count, sum(x) GROUP BY k ORDER BY k"
 
@@ -140,55 +136,3 @@ class TestQueryOptions:
     def test_coerce_rejects_garbage(self):
         with pytest.raises(TypeError):
             QueryOptions.coerce(42)
-
-
-class TestDeprecationShims:
-    def _reset(self, *keys):
-        from repro.query.options import _warned
-
-        for key in keys:
-            _warned.discard(key)
-
-    def test_parallel_workers_keyword_warns_once(self, files):
-        self._reset("parallel_query_files:workers")
-        with pytest.warns(DeprecationWarning, match="workers"):
-            got = parallel_query_files(QUERY, files, workers=2)
-        want = parallel_query_files(QUERY, files, QueryOptions(jobs=2))
-        assert rows(got) == rows(want)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            parallel_query_files(QUERY, files, workers=2)
-
-    def test_parallel_legacy_positional_workers(self, files):
-        self._reset("parallel_query_files:workers")
-        with pytest.warns(DeprecationWarning, match="workers"):
-            got = parallel_query_files(QUERY, files, 2)
-        want = parallel_query_files(QUERY, files, QueryOptions(jobs=2))
-        assert rows(got) == rows(want)
-
-    def test_parallel_backend_keyword_warns(self, files):
-        self._reset("parallel_query_files:backend")
-        with pytest.warns(DeprecationWarning, match="backend"):
-            got = parallel_query_files(QUERY, files, backend="rows")
-        want = parallel_query_files(
-            QUERY, files, QueryOptions(backend="rows")
-        )
-        assert rows(got) == rows(want)
-
-    def test_run_query_backend_keyword_warns_once(self):
-        self._reset("run_query:backend")
-        records = make_records()
-        with pytest.warns(DeprecationWarning, match="backend"):
-            got = run_query(QUERY, records, backend="rows")
-        want = run_query(QUERY, records, QueryOptions(backend="rows"))
-        assert rows(got) == rows(want)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_query(QUERY, records, backend="rows")
-
-    def test_new_signatures_do_not_warn(self, files):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_query(QUERY, make_records())
-            parallel_query_files(QUERY, files, QueryOptions(jobs=2))
-            api.query(QUERY, files, jobs=2)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.api import instrument
@@ -134,22 +132,3 @@ class TestSet:
             clock.advance(1.0)
         records = cali.channels["test"].finish()
         assert records  # annotation routed without error
-
-
-class TestDeprecatedSpellings:
-    def test_mark_begin_end_work_and_warn_once(self, runtime):
-        cali, clock = runtime
-        import repro.query.options as options_mod
-
-        options_mod._warned.discard("instrument.mark_begin")
-        options_mod._warned.discard("instrument.mark_end")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                instrument.mark_begin("legacy", attribute="function")
-                clock.advance(1.0)
-                instrument.mark_end(attribute="function")
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 2  # one per spelling, not per call
-        got = by_group(cali.channels["test"].finish())
-        assert got["legacy"]["count"].value == 3

@@ -133,7 +133,3 @@ class TestBuildScheme:
     def test_pure_filter_query_rejected(self):
         with pytest.raises(CalQLSemanticError):
             build_scheme(parse_query("SELECT kernel WHERE kernel"))
-
-    def test_key_strategy_propagates(self):
-        scheme = parse_scheme("AGGREGATE count GROUP BY k", key_strategy="interned")
-        assert scheme.key_strategy == "interned"

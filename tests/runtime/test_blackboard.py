@@ -1,6 +1,8 @@
 """Tests for the per-thread blackboard."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import AttrProperty, AttributeRegistry, BlackboardError, Variant
 from repro.runtime import Blackboard
@@ -120,3 +122,42 @@ class TestSnapshotEntries:
         bb.begin(func, "a")
         bb.clear()
         assert len(bb) == 0 and bb.snapshot_entries() == {}
+
+
+#: one blackboard call on one of three attributes (two nested, one plain)
+_operations = st.tuples(
+    # begin-heavy so stacks get deep enough to exercise the path interning
+    st.sampled_from(["begin"] * 4 + ["end"] * 3 + ["set"] * 2 + ["unset", "clear"]),
+    st.sampled_from(["function", "loop", "iteration"]),
+    st.integers(0, 3),
+)
+
+
+@given(ops=st.lists(_operations, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_incremental_entries_match_rebuild_from_stacks(ops):
+    """``rebuild_entries`` is the oracle for the in-place ``_entries`` upkeep."""
+    reg = AttributeRegistry()
+    attributes = {
+        "function": reg.create("function", "string", AttrProperty.NESTED),
+        "loop": reg.create("loop", "string", AttrProperty.NESTED),
+        "iteration": reg.create("iteration", "int"),
+    }
+    bb = Blackboard()
+    for op, label, n in ops:
+        attribute = attributes[label]
+        value = n if label == "iteration" else f"r{n}"
+        if op == "begin":
+            bb.begin(attribute, value)
+        elif op == "end":
+            if bb.depth(attribute):
+                bb.end(attribute)
+        elif op == "set":
+            bb.set(attribute, value)
+        elif op == "unset":
+            bb.unset(attribute)
+        else:
+            bb.clear()
+        want = bb.rebuild_entries()
+        assert bb.snapshot_entries() == want
+        assert bb.snapshot_record().as_dict() == want

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common import ConfigError
 from repro.runtime import Caliper, VirtualClock, validate_config
-from repro.runtime.schema import ALIASES, CHANNEL_KEYS, SERVICE_KEYS
 from repro.runtime.services.base import Service, ServiceRegistry
 
 
@@ -12,9 +11,9 @@ class TestValidateConfig:
     def test_known_keys_pass_through(self):
         cfg = {
             "services": ["event", "timer", "aggregate"],
-            "snapshot_fastpath": False,
+            "config_check": True,
             "aggregate.config": "AGGREGATE count GROUP BY function",
-            "timer.trim_hooks": True,
+            "timer.inclusive": True,
             "netflush.batch_size": 64,
         }
         assert validate_config(cfg) == cfg
@@ -28,48 +27,30 @@ class TestValidateConfig:
             validate_config({"serivces": ["event"]})
 
     def test_unknown_service_option_raises(self):
-        with pytest.raises(ConfigError, match="service 'timer' has no option 'trims'"):
-            validate_config({"timer.trims": True})
+        with pytest.raises(ConfigError, match="service 'timer' has no option 'offsets'"):
+            validate_config({"timer.offsets": True})
 
     def test_unknown_service_option_suggests(self):
-        with pytest.raises(ConfigError, match="timer.trim_hooks"):
-            validate_config({"timer.trim_hook": True})
+        with pytest.raises(ConfigError, match="did you mean 'timer.inclusive'"):
+            validate_config({"timer.inclusiv": True})
 
-    def test_alias_renamed_with_deprecation_warning(self):
-        from repro.runtime import schema
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "snapshot_fastpath",
+            "aggregate.fold_plan",
+            "aggregate.key_cache",
+            "aggregate.key_strategy",
+            "timer.trim_hooks",
+        ],
+    )
+    def test_deleted_hot_path_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            validate_config({key: True})
 
-        schema._warned_aliases.discard("timer.trim")
-        with pytest.warns(DeprecationWarning, match="timer.trim"):
-            out = validate_config({"timer.trim": False})
-        assert out == {"timer.trim_hooks": False}
-
-    def test_alias_warns_once_per_process(self):
-        import warnings
-
-        from repro.runtime import schema
-
-        schema._warned_aliases.discard("fastpath")
-        with pytest.warns(DeprecationWarning):
-            validate_config({"fastpath": True})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = validate_config({"fastpath": True})
-        assert out == {"snapshot_fastpath": True}
-
-    def test_alias_and_new_spelling_together_raise(self):
-        with pytest.raises(ConfigError, match="given twice"):
-            with pytest.warns(DeprecationWarning):
-                validate_config(
-                    {"netflush.batch": 8, "netflush.batch_size": 16}
-                )
-
-    def test_every_alias_targets_a_schema_key(self):
-        valid = set(CHANNEL_KEYS)
-        for svc, keys in SERVICE_KEYS.items():
-            valid.update(f"{svc}.{k}" for k in keys)
-        for old, new in ALIASES.items():
-            assert new in valid, f"alias {old!r} -> unknown key {new!r}"
-            assert old not in valid
+    def test_old_spelling_gets_the_did_you_mean_error(self):
+        with pytest.raises(ConfigError, match="did you mean 'netflush.batch_size'"):
+            validate_config({"netflush.batch": 8})
 
     def test_custom_service_keys_allowed(self):
         class NullService(Service):
@@ -92,25 +73,6 @@ class TestChannelIntegration:
         cali = Caliper(clock=VirtualClock())
         with pytest.raises(ConfigError, match="aggregate"):
             cali.create_channel("bad", {"services": ["aggregate"], "aggregate.cfg": "x"})
-
-    def test_channel_accepts_alias(self):
-        from repro.runtime import schema
-
-        schema._warned_aliases.discard("aggregate.query")
-        cali = Caliper(clock=VirtualClock())
-        with pytest.warns(DeprecationWarning, match="aggregate.query"):
-            chan = cali.create_channel(
-                "aliased",
-                {
-                    "services": ["event", "aggregate"],
-                    "aggregate.query": "AGGREGATE count GROUP BY function",
-                },
-            )
-        assert chan.config.get_string("aggregate.config").startswith("AGGREGATE")
-        with cali.region("function", "f"):
-            pass
-        records = chan.finish()
-        assert any(r.get("function") is not None for r in records)
 
     def test_config_check_false_bypasses_validation(self):
         cali = Caliper(clock=VirtualClock())

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.common.errors import ConfigError
@@ -185,21 +183,6 @@ class TestSchema:
     def test_unknown_sampling_key_suggests(self):
         with pytest.raises(ConfigError, match="sampling.budget"):
             validate_config({"sampling.budgte": "200ns"})
-
-    def test_aliases_fold_with_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = validate_config({"sampling.rate": 0.5})
-        assert out == {"sampling.probability": 0.5}
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ) or True  # alias warnings are once-per-process; may have fired already
-
-    def test_alias_and_target_together_rejected(self):
-        with pytest.raises(ConfigError, match="twice"):
-            validate_config(
-                {"sampling.rate": 0.5, "sampling.probability": 0.25}
-            )
 
     def test_bad_budget_raises_config_error(self):
         with pytest.raises(ConfigError):
