@@ -10,11 +10,13 @@ what the *source* is —
 ====================================  =========================================
 path (``"run.cali"``)                 :meth:`Dataset.from_file(...).query`
 path (``"run.rcf"``)                  chunked out-of-core columnar scan
-glob (``"data/*.cali"``)              :meth:`Dataset.from_glob(...).query`
 ``Dataset``                           :meth:`Dataset.query`
 iterable of :class:`Record`           :func:`repro.query.run_query`
-list of files                         :func:`parallel_query_files` (auto-
-                                      parallel for aggregation queries)
+list of files, or a glob              :func:`parallel_query_files` for
+(``"data/*.rcf"`` = its sorted        aggregation queries (auto-parallel;
+matches)                              ``.rcf`` inputs stay columnar — no
+                                      ``Record`` is built), else
+                                      :meth:`Dataset.from_files(...).query`
 ``"host:port"`` / ``(host, port)``    :func:`repro.net.live_query` against a
                                       running :class:`AggregationServer`
 ====================================  =========================================
@@ -48,7 +50,7 @@ import os
 import re
 from typing import Iterable, Optional, Sequence, Union
 
-from ..common.errors import QueryError, ReproError
+from ..common.errors import DatasetError, QueryError
 from ..common.record import Record
 from ..io.dataset import Dataset
 from ..query.engine import QueryEngine, QueryResult
@@ -166,8 +168,10 @@ def _query_string_source(
 ) -> QueryResult:
     path = os.fspath(source)
     if _glob.has_magic(path):
-        dataset = Dataset.from_glob(path, parallel=opts.jobs)
-        return dataset.query(text, backend=opts.backend)
+        paths = sorted(_glob.glob(path))
+        if not paths:
+            raise DatasetError(f"no files match {path!r}")
+        return _query_collection(text, paths, opts)
     if os.path.exists(path):
         if path.endswith(".rcf"):
             return _query_colfile(text, path, opts)
@@ -181,43 +185,21 @@ def _query_string_source(
     )
 
 
-class _ChunkRecords:
-    """Lazy record view over one decoded chunk store.
-
-    Handed to :meth:`QueryEngine.feed` as the ``records`` iterable; the
-    columnar backend reads the store directly and never touches this, so
-    Record objects only materialize for LET queries or ``backend="rows"``.
-    """
-
-    def __init__(self, store) -> None:
-        self._store = store
-
-    def __iter__(self):
-        return iter(self._store.records)
-
-
 def _query_colfile(text: str, path: str, opts: QueryOptions) -> QueryResult:
     """Out-of-core scan of a ``.rcf`` file, one mmap'd chunk at a time.
 
     Aggregation queries stream every chunk through a partial
-    :class:`AggregationDB` — combine semantics make the result identical
-    to the in-memory path while peak memory stays one chunk.  Queries
-    without AGGREGATE need the full record stream anyway, so they take the
-    ordinary :meth:`Dataset.from_file` route.
+    :class:`AggregationDB` (:meth:`QueryEngine.feed_colfile`) — combine
+    semantics make the result identical to the in-memory path while peak
+    memory stays one chunk.  Queries without AGGREGATE need the full record
+    stream anyway, so they take the ordinary :meth:`Dataset.from_file` route.
     """
     engine = QueryEngine(text)
     if engine.scheme is None:
         return Dataset.from_file(path).query(text, backend=opts.backend)
-    from ..io.colfile import ColfileReader  # deferred: numpy-heavy module
-
-    reader = ColfileReader(path)
-    try:
-        db = engine.make_db()
-        for store in reader.iter_stores():
-            engine.feed(db, _ChunkRecords(store), backend=opts.backend, store=store)
-        return engine.finalize(db)
-    finally:
-        reader.close()
+    db = engine.make_db()
+    engine.feed_colfile(db, path, opts.backend)
+    return engine.finalize(db)
 
 
 def _query_live(
@@ -235,7 +217,7 @@ def _query_collection(text: str, source, opts: QueryOptions) -> QueryResult:
         paths = [os.fspath(i) for i in items]
         if len(paths) > 1 and QueryEngine(text).scheme is not None:
             # Aggregation over many files: partial states combine exactly,
-            # so fan the reads out over real cores by default.
+            # so fold each file where it is read (real cores by default).
             from ..query.parallel import parallel_query_files
 
             return parallel_query_files(text, paths, opts)

@@ -541,6 +541,24 @@ class ColfileStore(ColumnStore):
     def labels(self) -> list[str]:
         return sorted(self._columns)
 
+    def with_constants(self, entries: dict[str, Variant]) -> "ColfileStore":
+        """This store with every entry as a constant column on all rows.
+
+        How a file's globals are folded into its rows without leaving the
+        column form: an entry replaces a same-named column, exactly as
+        :meth:`Record.with_entries` overrides a same-named attribute.
+        """
+        if not entries:
+            return self
+        columns = dict(self._columns)
+        present = np.zeros(self._n, dtype=np.int64)  # code 0 on every row; shared
+        for label, value in entries.items():
+            if value.is_empty:  # an empty global hides the column, as in a Record
+                columns[label] = _DictColumn(np.full(self._n, -1, dtype=np.int64), [])
+            else:
+                columns[label] = _DictColumn(present, [value])
+        return ColfileStore(self._n, columns)
+
     def interned(self, label: str) -> tuple[np.ndarray, list[Variant]]:
         cached = self._interned.get(label)
         if cached is not None:
@@ -933,6 +951,12 @@ class ColfileReader:
                 self._map.close()
         except (BufferError, ValueError):
             pass
+
+    def __enter__(self) -> "ColfileReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def write_colfile(

@@ -227,30 +227,45 @@ def _load_source_packed(
 
 #: Auto-parallel heuristics (``parallel=True``): a process pool only pays off
 #: when each worker amortizes its fork/pickle cost over a meaningful share of
-#: the input.  Record counts are estimated from file sizes before parsing;
-#: module-level so tests and unusual deployments can tune them.
+#: the input.  Record counts come from the ``.rcf`` footer (exact) or are
+#: estimated from file sizes before parsing; module-level so tests and
+#: unusual deployments can tune them.  The threshold is sized for records
+#: that cost a text parse or a ``Record`` hydration each (4-9 us).
 MIN_PARALLEL_RECORDS_PER_WORKER = 10_000
 APPROX_BYTES_PER_RECORD = 48
 
 
-def _estimate_records(paths: Optional[Sequence[str]]) -> Optional[int]:
-    """Rough record count from file sizes; None when it cannot be estimated."""
+def _estimate_records(
+    paths: Optional[Sequence[str]], rcf_rows_per_record: int = 1
+) -> Optional[int]:
+    """Record count before parsing — exact from an ``.rcf`` footer (the
+    format is ~12 B/record, a byte estimate is 4x off), rough from a text
+    file's size; None when it cannot be estimated.  A caller that never
+    turns ``.rcf`` rows into records says how many of them cost what one
+    parsed record does (``rcf_rows_per_record``)."""
     if not paths:
         return None
-    total = 0
+    from .colfile import ColfileReader  # deferred: colfile imports this module
+
+    rows = text_bytes = 0
     for path in paths:
         try:
-            total += os.path.getsize(path)
-        except OSError:
+            if _format_of(path) == "rcf":
+                with ColfileReader(path) as reader:
+                    rows += reader.num_records
+            else:
+                text_bytes += os.path.getsize(path)
+        except (OSError, DatasetError):
             # Missing/unreadable file: let the reader raise its usual error.
             return None
-    return total // APPROX_BYTES_PER_RECORD
+    return rows // rcf_rows_per_record + text_bytes // APPROX_BYTES_PER_RECORD
 
 
 def _resolve_workers(
     parallel: Union[bool, int, None],
     n_items: int,
     paths: Optional[Sequence[str]] = None,
+    rcf_rows_per_record: int = 1,
 ) -> int:
     """Turn a ``parallel=`` argument into a worker count (1 = serial).
 
@@ -270,7 +285,7 @@ def _resolve_workers(
         observe.count("parallel.fallback", reason="single-core")
         return 1
     workers = min(cpus, n_items)
-    est_records = _estimate_records(paths)
+    est_records = _estimate_records(paths, rcf_rows_per_record)
     if est_records is not None:
         cap = max(1, int(est_records // MIN_PARALLEL_RECORDS_PER_WORKER))
         if cap < workers:
@@ -280,21 +295,23 @@ def _resolve_workers(
 
 
 class _DeferredRecords:
-    """Record iterable that hydrates a lazy dataset only when iterated.
+    """Record iterable that hydrates a lazy dataset, or one decoded ``.rcf``
+    chunk store, only when iterated.
 
-    Passed to :meth:`QueryEngine.run` in place of the record list so the
-    columnar fast path over an ``.rcf``-backed store never materializes
-    Record objects; row-engine fallbacks iterate it and hydrate on demand.
+    Passed to :meth:`QueryEngine.run` / ``feed`` in place of the record list
+    so the columnar fast path over an ``.rcf``-backed store never
+    materializes Record objects; row-engine fallbacks iterate it and hydrate
+    on demand.
     """
 
-    def __init__(self, dataset: "Dataset") -> None:
-        self._dataset = dataset
+    def __init__(self, source: Union["Dataset", ColumnStore]) -> None:
+        self._source = source
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self._dataset.records)
+        return iter(self._source.records)
 
     def __len__(self) -> int:
-        return len(self._dataset)
+        return len(self._source)
 
 
 class Dataset:

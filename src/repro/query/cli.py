@@ -66,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         metavar="N",
-        help="read + partially aggregate input files in N worker processes "
-        "(real cores; aggregation queries only)",
+        help="worker processes that read + partially aggregate the input "
+        "files (default: one per core when the input is large enough; 1 = "
+        "serial; filter/projection queries parallelize the reads only)",
     )
     parser.add_argument(
         "--parallel",
@@ -293,18 +294,15 @@ def _run(args) -> int:
             result = outcome.result
             if args.timing and not args.quiet:
                 print(outcome.timing_summary(), file=sys.stderr)
-        elif args.jobs and args.jobs > 1 and len(args.files) > 1:
+        elif len(args.files) > 1 and QueryEngine(args.query).scheme is not None:
+            # the one multi-file aggregation path: each file is folded where
+            # it is read (.rcf stays columnar), partial states are combined
             from .parallel import parallel_query_files
 
-            engine = QueryEngine(args.query)
-            if engine.scheme is not None:
-                result = parallel_query_files(args.query, args.files, opts)
-            else:
-                # pure filter/projection: parallelize the reads only
-                dataset = Dataset.from_files(args.files, parallel=args.jobs)
-                result = dataset.query(args.query, backend=opts.backend)
+            result = parallel_query_files(args.query, args.files, opts)
         else:
-            dataset = Dataset.from_files(args.files)
+            # pure filter/projection: --jobs parallelizes the reads only
+            dataset = Dataset.from_files(args.files, parallel=args.jobs)
             result = dataset.query(args.query, backend=opts.backend)
     except ReproError as exc:
         print(f"repro-query: error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ filtering, aggregation (when the query has operators), ORDER BY, LIMIT, and
 FORMAT rendering.  The aggregation stage reuses the exact
 :class:`AggregationDB` the on-line service uses — the engine also exposes
 the partial-aggregation steps (:meth:`QueryEngine.make_db`,
-:meth:`QueryEngine.feed`, :meth:`QueryEngine.finalize`) that the MPI-
-parallel query application composes with a reduction tree.
+:meth:`QueryEngine.feed`, :meth:`QueryEngine.feed_colfile`,
+:meth:`QueryEngine.finalize`) that the MPI-parallel query application and
+the process-pool workers compose with a reduction tree.
 
 Execution backends: aggregation queries run either through the streaming
 row engine or the vectorized columnar backend
@@ -18,6 +19,8 @@ columnar path automatically whenever every operator has a vector kernel;
 
 from __future__ import annotations
 
+import os
+import time
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
 from .. import observe
@@ -30,7 +33,8 @@ from ..calql.semantics import build_scheme, compile_conditions, compile_let, val
 from ..common.errors import QueryError
 from ..common.record import Record
 from ..common.variant import Variant
-from ..io.dataset import ColumnStore
+from ..io.colfile import ColfileReader
+from ..io.dataset import ColumnStore, _DeferredRecords
 from .columnar import (
     columnar_aggregate,
     columnar_feed,
@@ -244,6 +248,16 @@ class QueryEngine:
         observe.count("query.backend.decision", backend=chosen, reason=reason)
         return chosen
 
+    def reads_stores(self, backend: str = "auto") -> bool:
+        """Whether :meth:`feed` hands a column store to the vector kernels as
+        it is — False when it needs rows (rows backend, an operator without a
+        kernel, LET, WINDOW)."""
+        return (
+            self._pick_backend(backend)[0] == "columnar"
+            and self._let is None
+            and self._assigner is None
+        )
+
     def _columnar_source(
         self, records: Iterable[Record], store: Optional[ColumnStore]
     ) -> Union[ColumnStore, list[Record]]:
@@ -337,6 +351,33 @@ class QueryEngine:
                     )
                 else:
                     db.process_all(self._preprocess(records))
+
+    def feed_colfile(
+        self,
+        db: AggregationDB,
+        path: Union[str, os.PathLike],
+        backend: str = "auto",
+    ) -> tuple[int, float]:
+        """Fold one ``.rcf`` file into a partial DB, one chunk store at a time.
+
+        The one way an aggregation query reads an ``.rcf`` file: its globals
+        are overlaid on every decoded chunk as constant columns (a global
+        overrides a same-named column) and the chunk store goes straight to
+        :meth:`feed`, so peak memory stays one chunk and Records are only
+        hydrated — lazily, per chunk — where :meth:`feed` needs rows.
+
+        Returns ``(rows, seconds spent opening the file and decoding
+        chunks)`` — what "parse" time means for this format.
+        """
+        start = time.perf_counter()
+        with ColfileReader(path) as reader:
+            decode_seconds = time.perf_counter() - start
+            for index in range(reader.num_chunks):
+                start = time.perf_counter()
+                store = reader.chunk_store(index).with_constants(reader.globals)
+                decode_seconds += time.perf_counter() - start
+                self.feed(db, _DeferredRecords(store), backend=backend, store=store)
+            return reader.num_records, decode_seconds
 
     def finalize(self, db: AggregationDB) -> QueryResult:
         """Flush a (possibly combined) DB and apply ORDER BY / LIMIT / FORMAT."""

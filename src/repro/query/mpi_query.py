@@ -23,6 +23,7 @@ the paper's logarithmic tree structure.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -31,7 +32,7 @@ from .. import observe
 from ..common.errors import QueryError
 from ..common.record import Record
 from ..common.util import children_of, chunk_evenly, parent_of
-from ..io.dataset import read_records
+from ..io.dataset import _format_of, read_records
 from ..mpi.network import NetworkModel
 from ..mpi.simulator import Comm, SimWorld
 from .engine import QueryEngine, QueryResult
@@ -159,7 +160,7 @@ class MPIQueryRunner:
 
     # -- public API ------------------------------------------------------------
 
-    def run_files(self, paths: Sequence[Union[str, "os.PathLike"]]) -> MPIQueryOutcome:  # noqa: F821
+    def run_files(self, paths: Sequence[Union[str, os.PathLike]]) -> MPIQueryOutcome:
         """Distribute ``paths`` over the ranks and run the query."""
         assignments = chunk_evenly(list(paths), self.size)
         return self._run(assignments, from_files=True)
@@ -215,16 +216,19 @@ class MPIQueryRunner:
             for item in assignments[comm.rank]:
                 if from_files:
                     wall0 = time.perf_counter()
+                    if self.io_bandwidth:
+                        modeled_io += (
+                            self.io_latency
+                            + os.path.getsize(item) / self.io_bandwidth
+                        )
+                    if _format_of(item) == "rcf":
+                        # stays columnar: chunk stores feed the kernels
+                        num_fed += engine.feed_colfile(db, item)[0]
+                        measured_local += time.perf_counter() - wall0
+                        continue
                     records, globals_ = read_records(item)
                     if globals_:
                         records = [r.with_entries(globals_) for r in records]
-                    if self.io_bandwidth:
-                        import os as _os
-
-                        modeled_io += (
-                            self.io_latency
-                            + _os.path.getsize(item) / self.io_bandwidth
-                        )
                 elif isinstance(item, _Lazy):
                     # generation is workload synthesis, not query work: keep
                     # it outside the measured local time

@@ -4,10 +4,11 @@ The MPI query application (:mod:`repro.query.mpi_query`) realizes the
 paper's reduction tree on the *simulator* — deterministic, instrumented,
 and sized to thousands of virtual ranks.  This module realizes the same
 structure on actual cores: a :class:`~concurrent.futures.ProcessPoolExecutor`
-fans the input files out to worker processes, each worker reads and
+fans the input files out to worker processes, each worker
 **partially aggregates** its chunk with the regular
 :class:`~repro.query.engine.QueryEngine` (columnar-planned when the scheme
-qualifies), and only the small per-key operator states travel back to be
+qualifies; ``.rcf`` files are decoded into chunk stores and never turned
+into records), and only the small per-key operator states travel back to be
 merged through :meth:`AggregationDB.load_states` — the combine step of the
 paper's tree, flattened to one level because a process pool has no
 network hierarchy worth modelling.
@@ -24,41 +25,65 @@ import time
 from typing import Optional, Sequence, Union
 
 from .. import observe
+from ..aggregate.db import AggregationDB
 from ..common.errors import QueryError
 from ..common.util import chunk_evenly
 from ..common.variant import Variant
-from ..io.dataset import _load_source_timed, _resolve_workers
+from ..io.dataset import _format_of, _load_source_timed, _resolve_workers
 from .engine import QueryEngine, QueryResult
 from .options import QueryOptions
 
 __all__ = ["parallel_query_files"]
 
+#: Pool sizing counts work in parsed records (~9 us each, what
+#: ``MIN_PARALLEL_RECORDS_PER_WORKER`` was sized for).  Folding a decoded
+#: ``.rcf`` row through the column kernels costs ~0.2 us, so that many rows
+#: weigh one record: two workers tie with the serial loop near 250k rows each
+#: and win above it, below it the pool start is most of the wall.
+RCF_ROWS_PER_RECORD = 40
+
 #: per-file worker telemetry: (basename, parse seconds, feed seconds)
 _FileTiming = tuple[str, float, float]
+
+
+def _feed_files(
+    engine: QueryEngine, db: AggregationDB, paths: Sequence[str], backend: str
+) -> list[_FileTiming]:
+    """Partially aggregate ``paths`` into ``db``, one file at a time.
+
+    ``.rcf`` files stay columnar (parse = reader open + chunk decode); text
+    formats are parsed into records with their globals folded in.  Durations
+    are measured here — possibly in a worker process, out of reach of the
+    parent's metrics registry — and recorded by the caller.
+    """
+    timings: list[_FileTiming] = []
+    for path in paths:
+        start = time.perf_counter()
+        if _format_of(path) == "rcf":
+            _rows, parse_seconds = engine.feed_colfile(db, path, backend)
+        else:
+            records, _globals, parse_seconds = _load_source_timed(path)
+            engine.feed(db, records, backend=backend)
+            del records  # keep peak memory at one file per worker
+        feed_seconds = time.perf_counter() - start - parse_seconds
+        timings.append((os.path.basename(path), parse_seconds, feed_seconds))
+    return timings
 
 
 def _partial_worker(
     query_text: str, paths: list[str], backend: str
 ) -> tuple[list[tuple[dict[str, Variant], list[list]]], int, int, list[_FileTiming]]:
-    """Read + partially aggregate one chunk of files (runs in a worker).
+    """Partially aggregate one chunk of files (runs in a worker process).
 
     The query is compiled from text in the worker because compiled
     predicates (closures) do not pickle; schemes built from the same text
-    are equal, so the exported states merge cleanly at the parent.  Per-file
-    parse and feed durations are measured here and shipped back with the
-    states, so the parent's metrics registry can attribute worker time.
+    are equal, so the exported states merge cleanly at the parent.  The
+    per-file timings are shipped back with the states, so the parent's
+    metrics registry can attribute worker time.
     """
     engine = QueryEngine(query_text)
     db = engine.make_db()
-    timings: list[_FileTiming] = []
-    for path in paths:
-        records, _globals, parse_seconds = _load_source_timed(path)
-        feed_start = time.perf_counter()
-        engine.feed(db, records, backend=backend)
-        timings.append(
-            (os.path.basename(path), parse_seconds, time.perf_counter() - feed_start)
-        )
-        del records  # keep peak memory at one file per worker
+    timings = _feed_files(engine, db, paths, backend)
     return db.export_states(), db.num_offered, db.num_processed, timings
 
 
@@ -75,14 +100,18 @@ def parallel_query_files(
 ) -> QueryResult:
     """Run an aggregation query over many files with real process parallelism.
 
-    Equivalent to ``QueryEngine(query).run(Dataset.from_files(paths).records)``
-    for aggregation queries, but each worker process reads and aggregates its
-    file chunk locally and only partial aggregation states are merged in the
-    parent.  ``options`` is a :class:`~repro.query.options.QueryOptions`:
+    The oracle (not the implementation) is the rows backend over every
+    file's records with that file's globals folded in,
+    ``QueryEngine(query).run(Dataset.from_files(paths).records, backend="rows")``.
+    Here each worker process partially aggregates its file chunk — ``.rcf``
+    chunk stores go straight to the column kernels, no ``Record`` is built —
+    and only partial aggregation states are merged in the parent.
+    ``options`` is a :class:`~repro.query.options.QueryOptions`:
     ``jobs=None``/``True`` picks the pool size automatically — one worker
     per CPU, degrading to serial on single-core machines or undersized
-    inputs (recorded as ``parallel.fallback``); an explicit integer sets the
-    pool size; 1 (or a single file) degrades to the serial path.
+    inputs (recorded as ``parallel.fallback``; ``.rcf`` rows that stay
+    columnar count ``RCF_ROWS_PER_RECORD`` to a record); an explicit integer
+    sets the pool size; 1 (or a single file) degrades to the serial path.
     """
     opts = QueryOptions.coerce(options)
     pool_size = True if opts.jobs is None else opts.jobs
@@ -97,16 +126,17 @@ def parallel_query_files(
     if not path_list:
         # No inputs: an empty result of the right shape, no pool spin-up.
         return engine.finalize(db)
-    n_workers = _resolve_workers(pool_size, len(path_list), path_list)
+    n_workers = _resolve_workers(
+        pool_size,
+        len(path_list),
+        path_list,
+        RCF_ROWS_PER_RECORD if engine.reads_stores(opts.backend) else 1,
+    )
     with observe.span(
         "parallel.query_files", files=len(path_list), workers=n_workers
     ):
         if n_workers <= 1:
-            _states, _offered, _processed, timings = _partial_worker(
-                query, path_list, opts.backend
-            )
-            db.load_states(_states, offered=_offered, processed=_processed)
-            _record_worker_timings(timings)
+            _record_worker_timings(_feed_files(engine, db, path_list, opts.backend))
         else:
             from concurrent.futures import ProcessPoolExecutor
 

@@ -194,6 +194,29 @@ def test_chunked_query_merges_cross_type_keys_like_streaming(tmp_path):
     assert _shape(got.records) == _shape(want)
 
 
+def test_with_constants_overlays_like_record_with_entries(tmp_path):
+    # the columnar form of folding a file's globals into its rows: a constant
+    # replaces a same-named column (typed or dictionary), an empty one hides it
+    path = tmp_path / "g.rcf"
+    records = [
+        Record.from_variants({"k": Variant.of(f"s{i % 2}"), "n": Variant.of(i)})
+        for i in range(5)
+    ]
+    write_colfile(path, records)
+    extra = {"n": Variant.of("file"), "rank": Variant.of(3), "k": Variant.empty()}
+    with ColfileReader(path) as reader:
+        store = reader.chunk_store(0)
+        assert store.with_constants({}) is store
+        overlaid = store.with_constants(extra)
+        assert _shape(overlaid.records) == _shape(
+            [Record.from_variants({"n": extra["n"], "rank": extra["rank"]})] * 5
+        )
+        codes, values = overlaid.interned("rank")
+        assert codes.tolist() == [0] * 5 and values == [extra["rank"]]
+        assert overlaid.interned("k")[0].tolist() == [-1] * 5
+        assert _shape(store.records) == _shape(records)  # the source is untouched
+
+
 def test_writer_context_manager_partial_chunks(tmp_path):
     path = tmp_path / "w.rcf"
     with ColfileWriter(path) as writer:

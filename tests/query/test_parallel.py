@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common import QueryError, Record
-from repro.io import Dataset, write_records
+from repro.io import Dataset, write_colfile, write_records
 from repro.query import QueryEngine, QueryOptions, parallel_query_files
 from repro.query.parallel import _partial_worker
 
@@ -13,18 +13,34 @@ QUERY = (
 )
 
 
-@pytest.fixture
-def many_files(tmp_path):
+def write_parts(tmp_path, ext):
+    """Five per-process files, globals kept.  Every record carries
+    ``origin="row"`` and part 3's globals say ``origin="file"`` (a global
+    colliding with a column label); the ``.rcf`` part 2 has several chunks."""
     paths = []
     for i in range(5):
         recs = [
-            Record({"kernel": f"k{j % 3}", "time.duration": 0.5 * (i + j)})
+            Record({"kernel": f"k{j % 3}", "time.duration": 0.5 * (i + j), "origin": "row"})
             for j in range(20)
         ]
-        path = tmp_path / f"part-{i}.cali"
-        write_records(path, recs, globals_={"part": i})
+        globals_ = {"part": i, "origin": "file"} if i == 3 else {"part": i}
+        path = tmp_path / f"part-{i}{ext}"
+        if ext == ".rcf":
+            write_colfile(path, recs, globals_=globals_, chunk_rows=7 if i == 2 else 0)
+        else:
+            write_records(path, recs, globals_=globals_)
         paths.append(path)
     return paths
+
+
+@pytest.fixture
+def many_files(tmp_path):
+    return write_parts(tmp_path, ".cali")
+
+
+@pytest.fixture
+def rcf_files(tmp_path):
+    return write_parts(tmp_path, ".rcf")
 
 
 def serial_result(paths, query=QUERY):
@@ -54,6 +70,16 @@ class TestParallelQueryFiles:
         )
         assert res.rows(["part", "count"]) == [(i, 20) for i in range(5)]
 
+    def test_global_overrides_same_named_column(self, many_files):
+        # as Record.with_entries does: the file-level value wins in that file
+        for jobs in (1, 2):
+            res = parallel_query_files(
+                "AGGREGATE count GROUP BY origin ORDER BY origin",
+                many_files,
+                QueryOptions(jobs=jobs),
+            )
+            assert res.rows(["origin", "count"]) == [("file", 20), ("row", 80)]
+
     def test_rejects_pure_filter_query(self, many_files):
         with pytest.raises(QueryError):
             parallel_query_files("SELECT kernel", many_files, QueryOptions(jobs=2))
@@ -79,6 +105,20 @@ class TestWorker:
         want = serial_result(many_files)
         labels = ["kernel", "count", "sum#time.duration"]
         assert got.rows(labels) == pytest.approx(want.rows(labels))
+
+
+class TestParallelQueryFilesRcf(TestParallelQueryFiles):
+    """The same contract over ``.rcf`` inputs (folded columnar, per chunk)."""
+
+    @pytest.fixture
+    def many_files(self, rcf_files):
+        return rcf_files
+
+
+class TestWorkerRcf(TestWorker):
+    @pytest.fixture
+    def many_files(self, rcf_files):
+        return rcf_files
 
 
 class TestParallelDatasetLoading:
@@ -139,6 +179,18 @@ class TestIngestionTelemetry:
             parallel_query_files(QUERY, many_files, QueryOptions(jobs=1))
         assert reg.timer_stats("parallel.file.parse", file="part-0.cali")[0] == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rcf_files_report_decode_as_parse(self, rcf_files, jobs):
+        from repro import observe
+
+        with observe.collecting() as reg:
+            parallel_query_files(QUERY, rcf_files, QueryOptions(jobs=jobs))
+        for i in range(5):
+            # parse = reader open + chunk decode; feed = the column kernels
+            for name in ("parallel.file.parse", "parallel.file.feed"):
+                stats = reg.timer_stats(name, file=f"part-{i}.rcf")
+                assert stats is not None and stats[0] == 1 and stats[1] > 0.0
+
 
 class TestAutoParallelHeuristics:
     """``parallel=True`` clamps to serial when a pool cannot pay off."""
@@ -184,6 +236,61 @@ class TestAutoParallelHeuristics:
         monkeypatch.setattr(dataset_mod, "MIN_PARALLEL_RECORDS_PER_WORKER", 1)
         paths = [str(p) for p in many_files]
         assert dataset_mod._resolve_workers(True, len(paths), paths) == 5
+
+    def test_rcf_worker_count_uses_the_footer_row_count(
+        self, many_files, rcf_files, monkeypatch
+    ):
+        import os
+
+        from repro import observe
+        from repro.io import dataset as dataset_mod
+
+        # 100 rows exactly, whatever the files weigh (.rcf is ~12 B/record,
+        # not the 48 the byte estimate assumes for text formats).
+        rcf = [str(p) for p in rcf_files]
+        assert dataset_mod._estimate_records(rcf) == 100
+        cali = [str(p) for p in many_files]
+        assert dataset_mod._estimate_records(cali) == (
+            sum(os.path.getsize(p) for p in cali) // dataset_mod.APPROX_BYTES_PER_RECORD
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(dataset_mod, "MIN_PARALLEL_RECORDS_PER_WORKER", 40)
+        with observe.collecting() as reg:
+            assert dataset_mod._resolve_workers(True, len(rcf), rcf) == 2
+        assert (
+            reg.counter_value("parallel.fallback", reason="small-input", workers=2) == 1
+        )
+
+    def test_rcf_rows_that_stay_columnar_weigh_a_fraction_of_a_record(
+        self, rcf_files, monkeypatch
+    ):
+        import os
+
+        from repro import observe
+        from repro.io import dataset as dataset_mod
+        from repro.query import parallel as parallel_mod
+
+        # 100 rows over 5 files: a query that folds the chunk stores sizes its
+        # pool on 100 / RCF_ROWS_PER_RECORD records, one that hydrates rows
+        # (rows backend, LET) on all 100.
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(dataset_mod, "MIN_PARALLEL_RECORDS_PER_WORKER", 1)
+        monkeypatch.setattr(parallel_mod, "RCF_ROWS_PER_RECORD", 50)
+        let_query = "LET twice = time.duration * 2 " + QUERY
+        for query, backend, workers in (
+            (QUERY, "auto", 2),
+            (QUERY, "rows", 5),
+            (let_query, "auto", 5),
+        ):
+            with observe.collecting() as reg:
+                got = parallel_query_files(
+                    query, rcf_files, QueryOptions(jobs=True, backend=backend)
+                )
+            assert (
+                reg.timer_stats("parallel.query_files", files=5, workers=workers)[0] == 1
+            ), (query, backend)
+            labels = ["kernel", "count", "sum#time.duration", "variance#time.duration"]
+            assert got.rows(labels) == pytest.approx(serial_result(rcf_files).rows(labels))
 
     def test_explicit_workers_bypass_heuristics(self, many_files, monkeypatch):
         import os

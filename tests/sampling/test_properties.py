@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.aggregate.db import AggregationDB
@@ -124,17 +124,23 @@ class TestUnbiasedness:
         seed=st.integers(min_value=0, max_value=2**30),
         p=st.sampled_from([0.2, 0.5]),
     )
+    # a 3.5-sigma draw (g2 sum#x 2151 vs 2947) that a flat rel=0.25 rejected
+    @example(seed=5370, p=0.2)
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_point_estimates_near_truth(self, seed, p):
         records = make_records(3000, 3, seed)
         truth = rows(QueryEngine(QUERY).run(records))
         est = rows(sampled_query(QUERY, records, p, seed=seed + 13))
         for k, metrics in truth.items():
-            # group populations are ~1000; allow generous statistical slack
-            assert est[k]["count"] == pytest.approx(metrics["count"], rel=0.25)
-            assert est[k]["sum#x"] == pytest.approx(metrics["sum#x"], rel=0.25)
-            # avg is intensive: weights cancel, so it is much tighter
-            assert est[k]["avg#x"] == pytest.approx(metrics["avg#x"], rel=0.15)
+            for label in ("count", "sum#x", "avg#x"):
+                # An unbiased estimator is not a bounded one, so a flat
+                # relative tolerance is falsifiable: hypothesis finds the
+                # rare draw and replays it from its database ever after.
+                # Judge each draw by its own reported spread instead — the
+                # interval is a 90% CI, half-width 1.645 sigma; 8 sigma
+                # leaves room for a low draw also under-estimating sigma.
+                sigma = (est[k][f"est.hi#{label}"] - est[k][f"est.lo#{label}"]) / (2 * 1.645)
+                assert abs(est[k][label] - metrics[label]) <= 8 * sigma, (k, label)
 
     def test_mean_of_estimates_converges(self):
         # Unbiasedness proper: E[count-scaled sum] = true sum.  Average
