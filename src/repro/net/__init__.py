@@ -8,14 +8,14 @@ queryable aggregation daemon:
 * :mod:`.protocol` — a length-prefixed, versioned binary framing protocol
   carrying snapshot-record batches and exported partial-DB states as
   ``colbin1`` columnar sections;
-* :mod:`.server` — :class:`AggregationServer`, a daemon whose network
-  plane is a single asyncio event loop (10k+ concurrent clients, no
-  thread per socket) that
-  hash-routes incoming keys to N shard workers (one
-  :class:`~repro.aggregate.db.AggregationDB` per shard per tenant,
-  lock-free within a shard) and merges shards on demand for live CalQL
-  queries — with token-keyed tenant namespaces, per-tenant quotas, and
-  BUSY-frame admission control when shard queues back up;
+* :mod:`.server` — :class:`AggregationServer`, the daemon, composing
+  :mod:`.connection` (one asyncio event loop for 10k+ concurrent clients,
+  no thread per socket), :mod:`.admission` (token-keyed tenant namespaces,
+  per-tenant quotas, replay dedup, BUSY-frame shedding when shard queues
+  back up), :mod:`.shards` (keys hash-routed to N lock-free workers, one
+  :class:`~repro.aggregate.db.AggregationDB` per shard per tenant, merged
+  on demand through one barrier for live CalQL queries) and :mod:`.relay`
+  (forwarding partial states up a reduction tree, retraction on failover);
 * :mod:`.client` — :class:`FlushClient`, a batching transport with
   full-jitter retry/backoff, BUSY retry-after handling, timeouts, and a
   disk spool replayed on reconnect;

@@ -95,7 +95,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="JSON file mapping token -> tenant name or "
         '{"name": ..., "max_connections": ..., "max_queued": ..., '
-        '"max_entries": ...} quota spec',
+        '"max_db_entries": ...} quota spec',
     )
     tenancy.add_argument(
         "--require-token",

@@ -1,0 +1,259 @@
+"""The shard fold plane: N lock-free aggregation workers behind one barrier.
+
+Each :class:`Shard` is one :class:`~repro.aggregate.db.AggregationDB` per
+tenant plus one worker thread fed by a bounded queue, so the per-record hot
+path takes no locks (the same design that gives the runtime its per-thread
+databases).  A queue carries four item kinds: ``records``, ``states``,
+``call`` (the barrier) and ``stop``.  :class:`ShardPlane` owns the shards
+and what every other plane needs from them:
+
+* **Routing** — GROUP BY values are hashed with the process-stable FNV
+  hash; identical keys always land in the same shard, so shard databases
+  partition the key space and merge without overlap.
+* **The barrier** — :meth:`ShardPlane.call`, the only way another thread
+  reads or mutates shard state: snapshots, relay deltas and window
+  retirement each see everything acknowledged before them.
+"""
+
+from __future__ import annotations
+
+import queue
+import threading
+import time
+from concurrent.futures import Future, TimeoutError as FutureTimeout
+from typing import Callable, Optional
+
+from ..aggregate.db import AggregationDB
+from ..aggregate.scheme import AggregationScheme
+from ..common.errors import ReproError
+from ..common.util import stable_hash64
+from ..observe import MetricsRegistry
+
+__all__ = ["Shard", "ShardPlane", "copy_states", "DEFAULT_TENANT", "KEY_SEP"]
+
+KEY_SEP = "\x1f"
+
+#: the implicit namespace for token-less clients (quota-free by default)
+DEFAULT_TENANT = "default"
+
+#: how long a barrier caller waits for a wedged worker before giving up
+BARRIER_TIMEOUT = 30.0
+
+
+def copy_states(db: Optional[AggregationDB]) -> tuple[list, int, int]:
+    """``(states, offered, processed)`` of ``db``, deep-copied.
+
+    ``export_states`` returns the live state lists, so whoever reads them
+    after the owner resumes folding needs copies or the read tears.  Run it
+    where the owner cannot fold: on the shard worker, or under its lock.
+    """
+    if db is None:
+        return [], 0, 0
+    states = [(entries, [list(s) for s in cells]) for entries, cells in db.export_states()]
+    return states, db.num_offered, db.num_processed
+
+
+class Shard:
+    """One aggregation shard: a bounded queue feeding a worker thread.
+
+    Only the worker thread ever touches ``dbs`` while it runs, so
+    aggregation itself is lock-free; cross-shard reads happen exclusively
+    through barrier calls processed in queue order.
+    """
+
+    def __init__(
+        self, index: int, scheme: AggregationScheme, depth: int, metrics: MetricsRegistry
+    ) -> None:
+        self.index = index
+        self.scheme = scheme
+        #: tenant name -> that tenant's partition of this shard's key space.
+        #: Only the worker thread creates or folds into these while the
+        #: server runs (dict get/setdefault are GIL-atomic, so racy reads
+        #: from quota checks stay safe).
+        self.dbs: dict[str, AggregationDB] = {DEFAULT_TENANT: AggregationDB(scheme)}
+        self.queue: queue.Queue = queue.Queue(maxsize=depth)
+        self.thread: Optional[threading.Thread] = None
+        self.metrics = metrics
+        self.num_batches = 0
+
+    @property
+    def db(self) -> AggregationDB:
+        """The default tenant's DB — the whole shard for token-less servers."""
+        return self.dbs[DEFAULT_TENANT]
+
+    def db_for(self, tenant: str) -> AggregationDB:
+        db = self.dbs.get(tenant)
+        if db is None:
+            db = self.dbs.setdefault(tenant, AggregationDB(self.scheme))
+        return db
+
+    @property
+    def quiescent(self) -> bool:
+        """No worker is (any longer) folding: safe to touch ``dbs`` directly."""
+        return self.thread is None or not self.thread.is_alive()
+
+    def run_call(self, fn: Callable[["Shard"], object], future: Future) -> None:
+        """Run one barrier call; its outcome (or exception) lands in ``future``."""
+        try:
+            future.set_result(fn(self))
+        except Exception as exc:
+            self.metrics.count("net.errors", stage="shard")
+            future.set_exception(exc)
+
+    def run(self) -> None:
+        while True:
+            item = self.queue.get()
+            kind = item[0]
+            if kind == "stop":
+                return
+            if kind == "call":
+                self.run_call(item[1], item[2])
+                continue
+            tenant = item[1]  # a records/states batch: (kind, tenant state, payload...)
+            try:
+                db = self.db_for(tenant.name)
+                if kind == "records":
+                    for record in item[2]:
+                        db.process(record)
+                else:
+                    db.load_states(item[2], offered=item[3], processed=item[4])
+                self.num_batches += 1
+            except Exception:
+                # A poisoned batch must never take the shard worker down:
+                # the handler-side decoders validate shapes, but defence in
+                # depth keeps one bad item from stalling every connection.
+                self.metrics.count("net.errors", stage="shard")
+            finally:
+                tenant.release_batch()
+
+
+class ShardPlane:
+    """The shards of one server, their routing function and their barrier —
+    plus what every plane feeding them shares: ``metrics`` and ``stopping``."""
+
+    def __init__(
+        self, scheme: AggregationScheme, shards: int, depth: int, metrics: MetricsRegistry
+    ) -> None:
+        if shards < 1:
+            raise ValueError(f"need at least one shard, got {shards}")
+        self.scheme = scheme
+        self.metrics = metrics
+        self.stopping = threading.Event()
+        self._shards = [Shard(i, scheme, depth, metrics) for i in range(shards)]
+
+    def __len__(self) -> int:
+        return len(self._shards)
+
+    def __getitem__(self, index: int) -> Shard:
+        return self._shards[index]
+
+    def entries(self, tenant: str = DEFAULT_TENANT) -> int:
+        """How many entries ``tenant`` holds across the shards (a racy read)."""
+        return sum(s.dbs[tenant].num_entries for s in self._shards if tenant in s.dbs)
+
+    def start(self) -> None:
+        for shard in self._shards:
+            shard.thread = threading.Thread(
+                target=shard.run, name=f"repro-net-shard-{shard.index}", daemon=True
+            )
+            shard.thread.start()
+
+    def stop(self, timeout: Optional[float]) -> None:
+        """Ask every worker to exit after what is queued.  Waiting is the
+        graceful drain; ``timeout=None`` does not wait and abandons the state
+        with the daemon threads, as a crashed process would."""
+        for shard in self._shards:
+            try:
+                shard.queue.put(("stop",), block=timeout is not None)
+            except queue.Full:
+                pass
+        if timeout is not None:
+            for shard in self._shards:
+                if shard.thread is not None:
+                    shard.thread.join(timeout)
+
+    def every(self, interval: float, fn: Callable[[], object], stage: str):
+        """Run ``fn`` every ``interval`` seconds on a daemon thread until the
+        server stops (forward cycles, window retirement); a ``ReproError``
+        skips the cycle and counts as ``net.errors{stage}``.  Returns the
+        thread, or ``None`` when ``interval`` is not positive."""
+        if not interval or interval <= 0:
+            return None
+
+        def loop() -> None:
+            while not self.stopping.wait(timeout=interval):
+                try:
+                    fn()
+                except ReproError:
+                    self.metrics.count("net.errors", stage=stage)
+
+        thread = threading.Thread(target=loop, name=f"repro-net-{stage}", daemon=True)
+        thread.start()
+        return thread
+
+    # -- routing ----------------------------------------------------------------
+
+    def bucket(self, items: list, get_of: Callable) -> list[tuple[Shard, list]]:
+        """Split ``items`` by the shard their GROUP BY key hashes to.
+
+        ``get_of(item)`` is the ``label -> Variant`` getter of a record's or
+        a state group's entries; a missing label reads as empty.
+        """
+        n = len(self._shards)
+        if n == 1:
+            return [(self._shards[0], items)] if items else []
+        buckets: list[list] = [[] for _ in range(n)]
+        labels = self.scheme.key
+        for item in items:
+            get = get_of(item)
+            text = KEY_SEP.join(
+                "" if value is None else value.to_string() for value in map(get, labels)
+            )
+            buckets[stable_hash64(text.encode("utf-8")) % n].append(item)
+        return [(s, b) for s, b in zip(self._shards, buckets) if b]
+
+    # -- the barrier --------------------------------------------------------------
+
+    def call(self, fn: Callable[[Shard], object], timeout: float = BARRIER_TIMEOUT) -> list:
+        """Run ``fn(shard)`` on every shard in queue order; return the results.
+
+        Each call runs on its shard's worker after everything enqueued
+        before it.  A quiescent shard (never started, or drained by
+        ``stop()``) runs ``fn`` on the caller's thread instead: nothing else
+        touches its DBs anymore.  An exception from ``fn``, a worker that
+        does not reach the barrier within ``timeout`` seconds, and a shutdown
+        under a full queue all raise :class:`ReproError`.
+        """
+        deadline = time.monotonic() + timeout
+        futures = [Future() for _ in self._shards]
+        for shard, future in zip(self._shards, futures):
+            while not shard.quiescent:
+                try:
+                    shard.queue.put(("call", fn, future), timeout=0.2)
+                    break
+                except queue.Full:
+                    if self.stopping.is_set():
+                        raise ReproError("server is shutting down") from None
+                    _check(deadline)
+        for shard, future in zip(self._shards, futures):
+            while not future.done():
+                if shard.quiescent:
+                    # Never started, or the worker exited with the call
+                    # still queued (server stopping) — unless it answered
+                    # between the two checks.
+                    if not future.done():
+                        shard.run_call(fn, future)
+                    break
+                try:
+                    future.exception(timeout=0.2)
+                except FutureTimeout:
+                    _check(deadline)
+        try:
+            return [future.result() for future in futures]
+        except Exception as exc:
+            raise ReproError(f"shard barrier call failed: {exc!r}") from exc
+
+
+def _check(deadline: float) -> None:
+    if time.monotonic() > deadline:
+        raise ReproError("timed out waiting for a shard barrier")

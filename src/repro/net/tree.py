@@ -132,10 +132,9 @@ class LocalTree:
             ).start()
             self.levels.append([root])
             self.scheme = root.scheme
-            if root.windowed and window is None:
-                # The window came from the scheme text; relays get the
-                # built scheme object, so pass the assigner explicitly.
-                windowed_kwargs["window"] = root.window_assigner
+            # The window may have come from the scheme text; relays get the
+            # built scheme object, so pass the assigner explicitly.
+            windowed_kwargs["window"] = root.window_assigner
             for depth, size in enumerate(sizes[1:], start=1):
                 parents = self.levels[depth - 1]
                 nodes = []
@@ -188,12 +187,9 @@ class LocalTree:
         can be overridden.
         """
         host, port = self.leaf_address(index)
-        if self.root.windowed:
-            # Leaves speak the base scheme: they stream raw records and the
-            # relay stamps windows / tracks watermarks on arrival.
-            kwargs.setdefault("scheme", self.root._base_scheme_text)
-        else:
-            kwargs.setdefault("scheme", self.scheme.describe())
+        # On a windowed tree leaves speak the base scheme: they stream raw
+        # records and the relay stamps windows / tracks watermarks on arrival.
+        kwargs.setdefault("scheme", self.root.producer_scheme)
         kwargs.setdefault("failover_after", self.failover_after)
         kwargs.setdefault("client_id", f"leaf-{index}")
         return FlushClient(host, port, **kwargs)
@@ -214,7 +210,7 @@ class LocalTree:
         ok = True
         for level in reversed(self.levels[1:]):
             for node in level:
-                if node._stopping.is_set():
+                if node.stopping:
                     continue  # a killed relay: its children re-deliver
                 try:
                     ok = node.forward_now() and ok
@@ -245,7 +241,7 @@ class LocalTree:
                 try:
                     if kill:
                         node.kill()
-                    elif not node._stopping.is_set():
+                    elif not node.stopping:
                         node.stop(timeout=timeout)
                 except Exception:
                     pass

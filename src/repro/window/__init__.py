@@ -11,9 +11,9 @@ windows (``GROUP BY ... WINDOW tumbling(30s)``):
   many sources with monotone emission.
 - :mod:`repro.window.estimate` — PF-OLA-style online estimates: partial
   aggregates plus CLT confidence intervals for open windows.
-- :mod:`repro.window.db` — :class:`WindowedAggregationDB`, the
-  single-process composition; windowized/dewindowized scheme helpers for
-  the networked server.
+- :mod:`repro.window.db` — :class:`WindowFront`, the one place the
+  stamp/lateness/retire-floor rules are written, driven by both
+  :class:`WindowedAggregationDB` (single process) and the networked server.
 
 See ``docs/streaming.md`` for semantics and guarantees.
 """
@@ -35,6 +35,7 @@ from .assign import (
 )
 from .db import (
     WindowedAggregationDB,
+    WindowFront,
     dewindowize_scheme,
     window_end_of,
     windowize_scheme,
@@ -62,6 +63,7 @@ __all__ = [
     "FRACTION_LABEL",
     "SAMPLES_LABEL",
     "WindowedAggregationDB",
+    "WindowFront",
     "windowize_scheme",
     "dewindowize_scheme",
     "window_end_of",

@@ -1,5 +1,4 @@
-"""WindowedAggregationDB: per-window operator state behind the mergeable-op
-interface.
+"""Windowed aggregation state: the window front and the single-process DB.
 
 Windows are extra key attributes, so one ordinary
 :class:`~repro.aggregate.db.AggregationDB` over the *windowized* scheme
@@ -9,15 +8,16 @@ with plain ``combine`` semantics — so a straggler remnant that surfaces
 later (e.g. a record that raced a retirement barrier) merges into the same
 window exactly instead of duplicating it.
 
-This class is the standalone single-process subsystem; the networked
-:class:`~repro.net.server.AggregationServer` composes the same pieces
-(assigner, tracker, estimator, ``pop_entries``) across its shards and
-forwarded-state DBs.
+:class:`WindowFront` is the one place the window/lateness rules are written
+down.  :class:`WindowedAggregationDB` drives one front over a single table;
+the networked :class:`~repro.net.server.AggregationServer` drives one over
+its shards and forwarded-state DBs, holding :attr:`WindowFront.lock`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import threading
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..aggregate.db import AggregationDB
 from ..aggregate.ops import AvgOp, MomentsOp, SumOp
@@ -33,19 +33,17 @@ from .assign import (
     make_assigner,
     stamp_record,
 )
-from .estimate import WindowEstimator
+from .estimate import WindowEstimator, _unwrap
 from .watermark import WatermarkTracker
 
 __all__ = [
     "windowize_scheme",
     "dewindowize_scheme",
     "window_end_of",
+    "closed_below",
+    "WindowFront",
     "WindowedAggregationDB",
 ]
-
-
-def _unwrapped(op):
-    return getattr(op, "inner", op)
 
 
 def windowize_scheme(
@@ -65,12 +63,12 @@ def windowize_scheme(
     ops = list(scheme.ops)
     if with_moments:
         have = {
-            _unwrapped(op).args[0]
+            _unwrap(op).args[0]
             for op in ops
-            if type(_unwrapped(op)) is MomentsOp
+            if type(_unwrap(op)) is MomentsOp
         }
         for op in scheme.ops:
-            target = _unwrapped(op)
+            target = _unwrap(op)
             if type(target) in (SumOp, AvgOp) and target.args[0] not in have:
                 ops.append(MomentsOp([target.args[0]]))
                 have.add(target.args[0])
@@ -83,7 +81,7 @@ def windowize_scheme(
 def dewindowize_scheme(scheme: AggregationScheme) -> AggregationScheme:
     """Strip window key attributes and hidden moment ops (the base scheme)."""
     key = [k for k in scheme.key if k not in (WINDOW_START, WINDOW_END)]
-    ops = [op for op in scheme.ops if type(_unwrapped(op)) is not MomentsOp]
+    ops = [op for op in scheme.ops if type(_unwrap(op)) is not MomentsOp]
     if len(key) == len(scheme.key) and len(ops) == len(scheme.ops):
         return scheme
     return AggregationScheme(ops, key=key, predicate=scheme.predicate)
@@ -97,8 +95,119 @@ def window_end_of(entries: Dict[str, Variant]) -> Optional[float]:
     return None
 
 
-class WindowedAggregationDB:
-    """Single-process windowed aggregation with watermarks and estimates.
+def closed_below(mark: float) -> Callable[[Dict[str, Variant]], bool]:
+    """Predicate over exported key entries: window closed below ``mark``."""
+
+    def closed(entries) -> bool:
+        end = window_end_of(entries)
+        return end is not None and end <= mark
+
+    return closed
+
+
+class WindowFront:
+    """Stamping, watermarks and retirement for ``scheme`` over ``window``.
+
+    ``window`` is anything :func:`~repro.window.assign.make_assigner`
+    accepts; :attr:`scheme` is the windowized scheme the caller's tables
+    must aggregate, :attr:`base_scheme` the one record producers speak.
+    Not thread-safe: callers sharing a front between threads hold
+    :attr:`lock` around every call (the front never takes it itself).
+    """
+
+    def __init__(
+        self, scheme: AggregationScheme, window, *, lateness: float = 0.0,
+        time_attribute: Optional[str] = DEFAULT_TIME_ATTRIBUTE, confidence: float = 0.90,
+    ) -> None:
+        self.assigner: WindowAssigner = make_assigner(window)
+        self.scheme = windowize_scheme(scheme)
+        self.base_scheme = dewindowize_scheme(self.scheme)
+        self.time_attribute = time_attribute
+        self.tracker = WatermarkTracker(lateness)
+        self.estimator = WindowEstimator(self.scheme, confidence=confidence)
+        #: retired windows' merged final states — combine semantics, so a
+        #: straggler that raced a retirement barrier merges exactly into
+        #: its window instead of duplicating it
+        self.retired = AggregationDB(self.scheme, fold_plan="generic")
+        #: highest watermark retired so far; stamped copies at or below it
+        #: are dropped (the window's final result is immutable once emitted)
+        self.retire_floor: Optional[float] = None
+        self.num_late = 0
+        self.num_untimed = 0
+        self._clocks: Dict[str, EventClock] = {}
+        self.lock = threading.Lock()
+
+    def stamp(self, source: str, records: Iterable[Record]) -> Tuple[List[Record], int, int]:
+        """Assign ``records`` to windows, advancing ``source``'s watermark.
+
+        Returns ``(stamped copies to fold, late, un-timed)``.  Lateness is
+        judged per source (more than ``lateness`` behind that source's own
+        stream front) so a re-parented client replaying its spool after a
+        failover folds its history exactly; stamped copies for windows
+        already retired are dropped regardless — the replayed data is
+        already inside their final results.  Late and un-timed records are
+        counted, never folded.
+        """
+        clock = self._clocks.get(source)
+        if clock is None:
+            clock = self._clocks[source] = EventClock(self.time_attribute)
+        tracker, floor = self.tracker, self.retire_floor
+        stamped: List[Record] = []
+        late = untimed = 0
+        for record in records:
+            t = clock.event_time(record)
+            if t is None:
+                untimed += 1
+                continue
+            if tracker.is_late(t, source):
+                late += 1
+                continue
+            tracker.observe(source, t)
+            folded = False
+            for copy in stamp_record(record, t, self.assigner):
+                if floor is not None:
+                    end = copy.get(WINDOW_END)
+                    if end.is_numeric and float(end.value) <= floor:
+                        continue
+                stamped.append(copy)
+                folded = True
+            if not folded:
+                late += 1
+        self.num_late += late
+        self.num_untimed += untimed
+        return stamped, late, untimed
+
+    def watermark(self) -> Optional[float]:
+        """The global event-time watermark (``None`` before any event)."""
+        return self.tracker.watermark()
+
+    def forget_source(self, source: str) -> None:
+        """A dead source must stop holding the global watermark back."""
+        self.tracker.remove(source)
+        self._clocks.pop(source, None)
+
+    def finalize(self, mark: float, popped) -> List[Record]:
+        """Retire the ``(entries, states)`` groups popped as closed below
+        ``mark``: raise the retire floor, fold them into the retired-results
+        DB, return the *newly* retired windows' output records."""
+        if self.retire_floor is None or mark > self.retire_floor:
+            self.retire_floor = mark
+        if not popped:
+            return []
+        fresh = AggregationDB(self.scheme, fold_plan="generic")
+        fresh.load_states(popped)
+        self.retired.load_states(fresh.export_states())
+        return fresh.flush()
+
+    def retired_results(self) -> List[Record]:
+        """Final records for every window retired so far."""
+        return self.retired.flush()
+
+
+class WindowedAggregationDB(WindowFront):
+    """Single-process windowed aggregation: a window front over one table.
+
+    Takes :class:`WindowFront`'s arguments.
 
     >>> wdb = WindowedAggregationDB(scheme, "tumbling(30s)", lateness=5.0)
     >>> wdb.process(record)          # stamps, folds, advances the watermark
@@ -106,76 +215,20 @@ class WindowedAggregationDB:
     >>> wdb.estimates()              # partials + CIs for open windows
     """
 
-    def __init__(
-        self,
-        scheme: AggregationScheme,
-        window,
-        *,
-        lateness: float = 0.0,
-        time_attribute: str = DEFAULT_TIME_ATTRIBUTE,
-        confidence: float = 0.90,
-    ) -> None:
-        self.assigner: WindowAssigner = make_assigner(window)
-        self.base_scheme = dewindowize_scheme(scheme)
-        self.scheme = windowize_scheme(scheme)
-        self.time_attribute = time_attribute
+    def __init__(self, scheme: AggregationScheme, window, **front_options) -> None:
+        super().__init__(scheme, window, **front_options)
         self.db = AggregationDB(self.scheme)
-        self._final = AggregationDB(self.scheme, fold_plan="generic")
-        self.tracker = WatermarkTracker(lateness)
-        self.estimator = WindowEstimator(self.scheme, confidence=confidence)
-        self._clocks: Dict[str, EventClock] = {}
-        self._retire_floor: Optional[float] = None
-        self.num_late = 0
-        self.num_untimed = 0
-
-    # -- ingest --------------------------------------------------------------
-
-    def _clock(self, source: str) -> EventClock:
-        clock = self._clocks.get(source)
-        if clock is None:
-            clock = self._clocks[source] = EventClock(self.time_attribute)
-        return clock
 
     def process(self, record: Record, source: str = "local") -> bool:
-        """Stamp and fold one record; False when late/un-timed (not folded).
-
-        Lateness is judged against the record's own source stream; stamped
-        copies for windows that already retired are dropped regardless (the
-        window's final result is immutable once emitted).
-        """
-        t = self._clock(source).event_time(record)
-        if t is None:
-            self.num_untimed += 1
-            return False
-        if self.tracker.is_late(t, source):
-            self.num_late += 1
-            return False
-        self.tracker.observe(source, t)
-        floor = self._retire_floor
-        folded = False
-        for stamped in stamp_record(record, t, self.assigner):
-            if floor is not None:
-                end = stamped.get(WINDOW_END)
-                if end.is_numeric and float(end.value) <= floor:
-                    continue
-            self.db.process(stamped)
-            folded = True
-        if not folded:
-            self.num_late += 1
-        return folded
+        """Stamp and fold one record; False when late/un-timed (not folded)."""
+        return self.process_all((record,), source) == 1
 
     def process_all(self, records, source: str = "local") -> int:
         """Fold a record stream; returns how many records were folded."""
-        folded = 0
-        for record in records:
-            if self.process(record, source):
-                folded += 1
-        return folded
-
-    # -- watermarks and retirement ------------------------------------------
-
-    def watermark(self) -> Optional[float]:
-        return self.tracker.watermark()
+        records = list(records)
+        stamped, late, untimed = self.stamp(source, records)
+        self.db.process_all(stamped)
+        return len(records) - late - untimed
 
     def retire(self, watermark: Optional[float] = None) -> List[Record]:
         """Finalize every window closed below the watermark.
@@ -186,46 +239,24 @@ class WindowedAggregationDB:
         table; late arrivals for them are dropped by :meth:`process` (their
         event time is below the watermark by construction).
         """
-        mark = self.tracker.watermark() if watermark is None else watermark
+        mark = self.watermark() if watermark is None else watermark
         if mark is None:
             return []
-        def closed(entries) -> bool:
-            end = window_end_of(entries)
-            return end is not None and end <= mark
-
-        popped = self.db.pop_entries(closed)
-        if self._retire_floor is None or mark > self._retire_floor:
-            self._retire_floor = mark
-        if not popped:
-            return []
-        fresh = AggregationDB(self.scheme, fold_plan="generic")
-        fresh.load_states([(e, s) for e, s in popped])
-        self._final.load_states(fresh.export_states())
-        return fresh.flush()
-
-    @property
-    def retire_floor(self) -> Optional[float]:
-        return self._retire_floor
-
-    # -- results -------------------------------------------------------------
-
-    def retired_results(self) -> List[Record]:
-        """Final records for every window retired so far."""
-        return self._final.flush()
+        return self.finalize(mark, self.db.pop_entries(closed_below(mark)))
 
     def open_groups(self) -> List[Tuple[dict, Sequence[list]]]:
         return self.db.export_states()
 
     def estimates(self, watermark: Optional[float] = None) -> List[Record]:
         """Partial aggregates + confidence intervals for open windows."""
-        mark = self.tracker.watermark() if watermark is None else watermark
+        mark = self.watermark() if watermark is None else watermark
         return self.estimator.estimate_records(self.db.export_states(), mark)
 
     def results(self) -> List[Record]:
         """Every window's current output (open partials + retired finals)."""
         merged = AggregationDB(self.scheme, fold_plan="generic")
         merged.load_states(self.db.export_states())
-        merged.load_states(self._final.export_states())
+        merged.load_states(self.retired.export_states())
         return merged.flush()
 
     def __len__(self) -> int:

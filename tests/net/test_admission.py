@@ -16,7 +16,7 @@ import pytest
 
 from repro.common import Record
 from repro.common.errors import ReproError
-from repro.net import AggregationServer, FlushClient
+from repro.net import AggregationServer, FlushClient, TenantQuota
 
 SCHEME = "AGGREGATE count, sum(v) GROUP BY k"
 
@@ -167,13 +167,30 @@ def test_entries_quota_refuses_hard():
             client.abort()
 
 
+def test_quota_spec_takes_exactly_the_documented_keys():
+    name, quota = TenantQuota.from_spec(
+        {"name": "a", "max_connections": 2, "max_queued": 3, "max_db_entries": 4}
+    )
+    assert (name, quota.max_connections, quota.max_queued, quota.max_db_entries) == ("a", 2, 3, 4)
+    assert TenantQuota.from_spec("b")[1].max_db_entries == 0  # bare name: unlimited
+
+
+@pytest.mark.parametrize("key", ["max_entires", "max_entries", "max_queued_batches"])
+def test_quota_spec_rejects_unknown_keys(key):
+    """A misspelt (or retired alias) quota key must not mean "unlimited"."""
+    with pytest.raises(ValueError, match=key):
+        TenantQuota.from_spec({"name": "a", key: 3})
+    with pytest.raises(ValueError, match=key):
+        AggregationServer(SCHEME, tenants={"tok": {"name": "a", key: 3}})
+
+
 # -- admission control: shed, spool, replay -----------------------------------
 
 
 def test_shed_then_spool_replay_exactly_once():
     """A stalled shard sheds with BUSY; the spool replays exactly once.
 
-    The ("stall", event) queue item parks the single shard worker, so with
+    A barrier call that waits parks the single shard worker, so with
     ``queue_depth=1`` and ``admission_timeout=0`` the second batch finds
     the queue full and is shed.  Shed batches are never dedup-marked, so
     the replay after the stall lifts must fold every record exactly once.
@@ -185,12 +202,14 @@ def test_shed_then_spool_replay_exactly_once():
         admission_timeout=0.0,
         busy_retry_after=0.02,
     ) as srv:
-        release = threading.Event()
-        srv._shards[0].queue.put(("stall", release))
-        deadline = time.time() + 5
-        while not srv._shards[0].queue.empty():  # worker picked up the stall
-            assert time.time() < deadline
-            time.sleep(0.01)
+        release, parked = threading.Event(), threading.Event()
+
+        def park(shard) -> None:
+            parked.set()
+            release.wait(timeout=30)
+
+        threading.Thread(target=srv._shards.call, args=(park,), daemon=True).start()
+        assert parked.wait(timeout=5)  # the worker is inside the call
         client = FlushClient(
             *srv.address,
             batch_size=8,
@@ -205,7 +224,7 @@ def test_shed_then_spool_replay_exactly_once():
             assert not client.flush()  # stalled server: spooled, not lost
             assert client.counters["busy"] > 0
             assert client.num_spooled > 0
-            assert srv._tenants["default"].shed > 0
+            assert srv._admission.tenants["default"].shed > 0
 
             release.set()
             deadline = time.time() + 15
@@ -234,10 +253,10 @@ def test_dedup_state_pruned_after_idle_ttl():
         )
         client.push_all(recs("t", 4))
         assert client.flush()
-        assert "ttl-client" in srv._max_seq
+        assert "ttl-client" in srv._dedup
         client.abort()  # no BYE: only the TTL sweep can reclaim the entry
         deadline = time.time() + 10
-        while "ttl-client" in srv._max_seq:
+        while "ttl-client" in srv._dedup:
             assert time.time() < deadline, "dedup entry never pruned"
             time.sleep(0.05)
 
@@ -250,8 +269,8 @@ def test_bye_still_forgets_immediately():
         ) as client:
             client.push_all(recs("t", 4))
             assert client.flush()
-            assert "short-lived" in srv._max_seq
+            assert "short-lived" in srv._dedup
         deadline = time.time() + 5
-        while "short-lived" in srv._max_seq:
+        while "short-lived" in srv._dedup:
             assert time.time() < deadline, "BYE did not forget the client"
             time.sleep(0.02)

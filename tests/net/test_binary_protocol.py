@@ -24,7 +24,7 @@ from repro.aggregate import AggregationDB, StreamAggregator
 from repro.calql import parse_scheme
 from repro.common import Record, ValueType, Variant
 from repro.net import AggregationServer, FlushClient
-from repro.net import server as server_module
+from repro.net import connection as server_module
 from repro.net.protocol import (
     CAP_BINARY,
     FrameTooLarge,
@@ -225,8 +225,7 @@ def test_json_bodied_records_frame_is_refused_and_leaves_no_trace():
         assert mtype is MessageType.ERROR
         assert CAP_BINARY in body["reason"]
         assert server.merged_db().num_offered == 0
-        with server._seq_lock:
-            assert "rogue" not in server._max_seq
+        assert "rogue" not in server._dedup
 
 
 def test_binary_negotiated_through_hello_caps(tmp_path):

@@ -326,10 +326,10 @@ def test_export_barrier_returns_copies_not_live_state():
         with FlushClient(*srv.address, batch_size=10) as c:
             c.push_all(synth_records(21, 10))
             c.flush()
-            snapshot = srv._snapshot_states()
+            snapshot = srv._snapshot()
             frozen = [
                 (dict(entries), [list(s) for s in states])
-                for entries, states in snapshot[0]["states"]
+                for entries, states in snapshot[0][0]
             ]
             c.push_all(synth_records(21, 10))
             c.flush()
@@ -337,7 +337,7 @@ def test_export_barrier_returns_copies_not_live_state():
             assert srv.merged_db().num_processed == 20
         # ...while the first snapshot's states stayed untouched.
         assert [
-            (entries, states) for entries, states in snapshot[0]["states"]
+            (entries, states) for entries, states in snapshot[0][0]
         ] == frozen
 
 
@@ -345,14 +345,12 @@ def test_dedup_entry_pruned_after_bye(server):
     with FlushClient(*server.address, batch_size=4, client_id="short-lived") as c:
         c.push_all(synth_records(17, 4))
         c.flush()
-        with server._seq_lock:
-            assert "short-lived" in server._max_seq
+        assert "short-lived" in server._dedup
     # close() sends BYE; the handler thread prunes the entry shortly after.
     deadline = time.monotonic() + 5.0
     while time.monotonic() < deadline:
-        with server._seq_lock:
-            if "short-lived" not in server._max_seq:
-                return
+        if "short-lived" not in server._dedup:
+            return
         time.sleep(0.02)
     pytest.fail("dedup entry for a closed client was never pruned")
 

@@ -252,12 +252,12 @@ class TestTreeFailover:
                 for client in clients:
                     client.flush()
                 tree.sync()
-                failovers = [n._forward_client.counters["failovers"] for n in bottom]
+                failovers = [n._relay.client.counters["failovers"] for n in bottom]
                 if failovers[0] >= 1 and failovers[2] >= 1:
                     break
                 time.sleep(0.05)
-            assert bottom[0]._forward_client.counters["failovers"] >= 1
-            assert bottom[2]._forward_client.counters["failovers"] >= 1
+            assert bottom[0]._relay.client.counters["failovers"] >= 1
+            assert bottom[2]._relay.client.counters["failovers"] >= 1
 
             tree.sync()
             tree.sync()
