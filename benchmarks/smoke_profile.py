@@ -1,4 +1,4 @@
-"""Generate the smoke-bench profile the regression-gate CI step checks.
+"""Generate the smoke profile of the ``docs/regression.md`` demo.
 
 Runs a tiny fixed workload — four cleverleaf-flavored kernels, each a fixed
 numpy computation, repeated ``--reps`` times — and aggregates the measured
@@ -14,18 +14,17 @@ instead of single scalars.  The profile is written as an ``.rcf`` file
 metadata.
 
 ``--slowdown KERNEL:FRACTION`` injects a synthetic relative slowdown into
-one kernel's recorded durations — the knob the end-to-end degradation test
-(and ``docs/regression.md``'s demo) uses to produce a profile that *must*
-trip the checker::
+one kernel's recorded durations, which gives a profile that *must* trip the
+checker.  Absolute timings are machine-dependent, so both profiles of a
+comparison are taken on the same machine, back to back::
 
     python benchmarks/smoke_profile.py -o base.rcf
     python benchmarks/smoke_profile.py -o slow.rcf --slowdown calc-dt:0.30
     repro-query check base.rcf slow.rcf --key kernel   # exit 1, names calc-dt
 
-The committed baseline under ``benchmarks/baselines/`` was produced by this
-script; CI regenerates the head profile on its own hardware and compares
-warn-only (absolute timings are machine-dependent — the verdict JSON is
-uploaded as an artifact, not enforced).
+The checker's verdicts themselves (+30% => exit 1 naming the kernel,
+identical profiles => exit 0) are pinned on fixed inputs by
+``tests/store/test_cli.py::TestCheckFileMode``.
 """
 
 from __future__ import annotations

@@ -201,12 +201,6 @@ def _load_source_timed(
     return records, globals_, time.perf_counter() - start
 
 
-def _load_source(path: Union[str, os.PathLike]) -> tuple[list[Record], dict[str, Variant]]:
-    """Read one file with its globals folded into the records."""
-    records, globals_, _elapsed = _load_source_timed(path)
-    return records, globals_
-
-
 def _load_source_packed(
     path: Union[str, os.PathLike],
 ) -> tuple[bytes, dict[str, Variant], float, int]:
@@ -571,4 +565,4 @@ class Dataset:
         )
 
     def __repr__(self) -> str:
-        return f"Dataset({len(self.records)} records from {len(self.sources) or 'memory'} source(s))"
+        return f"Dataset({len(self)} records from {len(self.sources) or 'memory'} source(s))"

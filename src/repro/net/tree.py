@@ -19,8 +19,8 @@ partial states meet at a single root::
 Why a tree beats the star at scale: each relay *combines* its subtree's
 records into per-key partial states before anything crosses the next
 link, so the root receives O(keys × fan-in) wire bytes per cycle instead
-of O(records × leaves) — the Fig. 8 payload-reduction effect, measured by
-``benchmarks/bench_tree.py``.
+of O(records × leaves) — the Fig. 8 payload-reduction effect, measured as
+``net.tree.root_rx_bytes_per_record`` by ``benchmarks/suite``.
 
 :func:`plan_tree` does the arithmetic (level sizes for N leaves at
 fan-in k); :class:`LocalTree` launches a whole tree in-process — the unit

@@ -4,8 +4,7 @@ Three consumers, three shapes:
 
 * :func:`stats_table` — the human-readable ``--stats`` table the query CLI
   prints to stderr;
-* :func:`to_dict` — a JSON-able payload (``--json-stats``, and what
-  ``benchmarks/run_bench_json.py`` archives as ``BENCH_observability.json``);
+* :func:`to_dict` — a JSON-able payload (``--json-stats``);
 * :func:`to_records` — the headline: every metric becomes an ordinary
   snapshot :class:`~repro.common.record.Record` with ``observe.*`` labels,
   so the profiler's own telemetry is CalQL-queryable::

@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 
 from ..common.errors import ReproError
 from ..io.dataset import Dataset
-from .engine import QueryEngine
 from .mpi_query import MPIQueryRunner
 
 __all__ = ["main", "build_parser"]
@@ -262,48 +261,36 @@ def _run(args) -> int:
         return 2
     try:
         if args.list_attributes or args.show_globals:
-            from ..io.dataset import read_records
-
-            if args.list_attributes:
-                labels: set[str] = set()
-                for path in args.files:
-                    for record in read_records(path)[0]:
-                        labels.update(record.labels())
-                print("\n".join(sorted(labels)))
-            if args.show_globals:
-                for path in args.files:
-                    _, globals_ = read_records(path)
+            labels: set[str] = set()
+            globals_lines = []
+            for path in args.files:
+                # an .rcf answers both from its schema and footer
+                dataset = Dataset.from_file(path)
+                if args.list_attributes:
+                    labels.update(dataset.labels())
+                if args.show_globals:
                     pairs = ", ".join(
-                        f"{k}={v.to_string()}" for k, v in sorted(globals_.items())
+                        f"{k}={v.to_string()}"
+                        for k, v in sorted(dataset.globals.items())
                     )
-                    print(f"{path}: {pairs or '(none)'}")
+                    globals_lines.append(f"{path}: {pairs or '(none)'}")
+            if args.list_attributes:
+                print("\n".join(sorted(labels)))
+            if globals_lines:
+                print("\n".join(globals_lines))
             return 0
-        if opts.sampling is not None and opts.sampling < 1.0:
-            if args.parallel:
+        if args.parallel:
+            if opts.sampling is not None and opts.sampling < 1.0:
                 raise ReproError("--sample cannot combine with --parallel")
-            from ..sampling import sampled_query
-
-            dataset = Dataset.from_files(args.files, parallel=args.jobs)
-            result = sampled_query(
-                args.query, dataset.records, opts.sampling,
-                seed=opts.sampling_seed,
-            )
-        elif args.parallel:
             runner = MPIQueryRunner(args.query, size=args.parallel, fanout=args.fanout)
             outcome = runner.run_files(args.files)
             result = outcome.result
             if args.timing and not args.quiet:
                 print(outcome.timing_summary(), file=sys.stderr)
-        elif len(args.files) > 1 and QueryEngine(args.query).scheme is not None:
-            # the one multi-file aggregation path: each file is folded where
-            # it is read (.rcf stays columnar), partial states are combined
-            from .parallel import parallel_query_files
-
-            result = parallel_query_files(args.query, args.files, opts)
         else:
-            # pure filter/projection: --jobs parallelizes the reads only
-            dataset = Dataset.from_files(args.files, parallel=args.jobs)
-            result = dataset.query(args.query, backend=opts.backend)
+            from ..api import query  # deferred: api sits above query
+
+            result = query(args.query, args.files, opts)
     except ReproError as exc:
         print(f"repro-query: error: {exc}", file=sys.stderr)
         return 1

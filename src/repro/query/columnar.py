@@ -19,8 +19,8 @@ states* the streaming kernels would hold (``np.bincount`` accumulates
 weights in input order, so float sums are bit-identical), and the final
 values are rendered by each operator's own ``results()`` — the exact code
 path :meth:`AggregationDB.flush` uses.  ``QueryEngine`` auto-dispatches
-here via :func:`supports_scheme`; ``bench_columnar.py`` and
-``benchmarks/run_bench_json.py`` quantify the speedup.
+here via :func:`supports_scheme`; ``bench_columnar.py`` and the
+``offline_query`` workload of ``benchmarks/suite`` quantify the speedup.
 
 Pipeline:
 

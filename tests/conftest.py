@@ -61,6 +61,17 @@ record_lists = st.lists(records(), max_size=40)
 
 
 @pytest.fixture
+def no_record_hydration(monkeypatch):
+    """Fail the test if an ``.rcf`` store is turned into ``Record`` objects."""
+    from repro.io import colfile
+
+    def refuse(store):
+        raise AssertionError("an .rcf store was hydrated into Records")
+
+    monkeypatch.setattr(colfile, "records_from_store", refuse)
+
+
+@pytest.fixture
 def small_profile_records() -> list[Record]:
     """A small, deterministic profile-like record set."""
     out = []

@@ -136,6 +136,11 @@ class TestRcfDataset:
         assert back._records is not None
         assert str(rows) == str(ds.query(self.QUERY))
 
+    def test_repr_of_a_lazy_dataset_builds_no_record(self, tmp_path, no_record_hydration):
+        path = tmp_path / "lazy.rcf"
+        self._dataset().save(path)
+        assert repr(Dataset.from_file(path)) == "Dataset(200 records from 1 source(s))"
+
     def test_chunked_query_matches_in_memory(self, tmp_path):
         """Acceptance: the out-of-core chunked scan == the in-memory path."""
         import repro.api as api

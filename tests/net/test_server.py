@@ -121,6 +121,36 @@ def test_concurrent_clients_equivalence(server):
     assert_equivalent(got, reference(union))
 
 
+def test_many_clients_at_once_lose_nothing_and_are_never_shed():
+    """A fleet holding its connections open together: every acked record is
+    folded, and at the default queue depth no batch is answered BUSY."""
+    K, per_client, batch = 16, 120, 20
+    connected = threading.Barrier(K)
+    clients, errors = [], []
+
+    def stream(index):
+        try:
+            with FlushClient(*server.address, scheme=SCHEME, batch_size=batch) as c:
+                clients.append(c)
+                c.push_all(synth_records(index, batch))  # first batch connects
+                connected.wait(timeout=30)
+                c.push_all(synth_records(100 + index, per_client - batch))
+                c.flush()
+        except Exception as exc:  # surfaces in the main thread below
+            errors.append(exc)
+
+    with AggregationServer(SCHEME, shards=3) as server:
+        threads = [threading.Thread(target=stream, args=(i,)) for i in range(K)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert server.merged_db().num_processed == K * per_client
+    assert [c.counters["busy"] for c in clients] == [0] * K
+    assert [c.counters["acked"] for c in clients] == [per_client // batch] * K
+
+
 def test_live_query_during_ingestion(server):
     """Queries observe a consistent snapshot while ingestion continues."""
     records = synth_records(7, 600)

@@ -113,6 +113,25 @@ class TestTreeExactness:
                 client.close()
         assert got == reference(all_records)
 
+    def test_tree_root_receives_fewer_bytes_than_flat_star(self):
+        """What the tree is for: relays forward per-key partial states, so
+        the root's inbound bytes stop growing with the record count."""
+        per_leaf = [synth(i * 31, 200) for i in range(8)]
+        want = reference([r for records in per_leaf for r in records])
+        root_rx = {}
+        for name, sizes in (("star", [1]), ("tree", plan_tree(8))):
+            with LocalTree(SCHEME, n_leaves=8, level_sizes=sizes) as tree:
+                for i, records in enumerate(per_leaf):
+                    client = tree.leaf_client(i, batch_size=50)
+                    assert client.send_records(records)
+                    client.close()
+                assert tree.sync()
+                root_rx[name] = tree.root.metrics.counter_value("net.bytes.rx")
+                assert result_keys(tree.root.drain_results()) == want, name
+        # Under half, not merely under: a relay passing its records through
+        # unfolded would still save the root six leaf handshakes.
+        assert 0 < 2 * root_rx["tree"] < root_rx["star"], root_rx
+
     def test_sync_waits_for_the_periodic_forwarders_inflight_cycle(self):
         """sync() must not return while a relay's own forwarder thread still
         holds a detached delta: the first root answer is complete, no polling."""

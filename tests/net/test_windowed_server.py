@@ -148,6 +148,27 @@ class TestWindowedServer:
             )
             assert {r.get("k").to_string() for r in ret.records} == {"k0", "k1", "k2"}
 
+    def test_uniform_stream_estimates_land_within_10pct_of_final(self):
+        """One open window over a time-uniform stream: at every observed
+        fraction the extrapolated count and sum are close to the final ones."""
+        n = 2000
+        records = [rec("a", i * 0.5, 0.25 * (i % 8)) for i in range(n)]  # [0, 1000)
+        truth_sum = sum(r.get("v").value for r in records)
+        scheme = "AGGREGATE count, sum(v) GROUP BY k WINDOW tumbling(1000s)"
+        with AggregationServer(scheme, shards=2, lateness=0.0) as server:
+            client = FlushClient(*server.address, scheme=BASE_SCHEME, client_id="p0")
+            sent = 0
+            for fraction in (0.1, 0.25, 0.5, 0.75, 0.9):
+                cut = int(n * fraction)
+                assert client.send_records(records[sent:cut])
+                sent = cut
+                (est,) = server.estimate_results()
+                cols = {k_: v.value for k_, v in est.items()}
+                assert cols["est.fraction"] == pytest.approx(fraction, abs=0.01)
+                assert cols["est#count"] == pytest.approx(n, rel=0.10)
+                assert cols["est#sum#v"] == pytest.approx(truth_sum, rel=0.10)
+            client.close()
+
     def test_estimate_target_on_plain_server_errors(self):
         from repro.common.errors import ReproError
 

@@ -59,6 +59,48 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
 
+class TestCliIsApiQuery:
+    """The CLI has no source dispatch of its own: it prints what
+    ``repro.api.query`` returns for the same query, files and options."""
+
+    @pytest.fixture
+    def two_files(self, tmp_path):
+        paths = []
+        for rank in range(2):
+            path = tmp_path / f"rank{rank}.cali"
+            write_records(
+                path,
+                [Record({"kernel": f"k{i % 3}", "time.duration": 0.25 * (i + rank)})
+                 for i in range(40)],
+                globals_={"mpi.rank": rank},
+            )
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize(
+        "query, n_files, flags, options",
+        [
+            ("AGGREGATE count, sum(time.duration) GROUP BY kernel, mpi.rank "
+             "ORDER BY kernel, mpi.rank", 2, [], {}),
+            ("AGGREGATE count, sum(time.duration) GROUP BY kernel ORDER BY kernel",
+             2, ["--jobs", "2", "--backend", "rows"], {"jobs": 2, "backend": "rows"}),
+            ("SELECT kernel, mpi.rank WHERE time.duration > 9 FORMAT csv", 2, [], {}),
+            ("AGGREGATE sum(time.duration) GROUP BY kernel ORDER BY kernel", 1, [], {}),
+            ("AGGREGATE count, sum(time.duration) GROUP BY kernel ORDER BY kernel",
+             2, ["--sample", "0.5", "--sample-seed", "3"],
+             {"sampling": 0.5, "sampling_seed": 3}),
+        ],
+    )
+    def test_prints_what_api_query_returns(
+        self, two_files, capsys, query, n_files, flags, options
+    ):
+        from repro import api
+
+        files = two_files[:n_files]
+        assert main(["-q", query, *flags, *files]) == 0
+        assert capsys.readouterr().out == str(api.query(query, files, **options)) + "\n"
+
+
 class TestStatsFlags:
     QUERY = "AGGREGATE sum(time.duration) GROUP BY kernel"
 
@@ -139,6 +181,21 @@ class TestInspectionFlags:
         code = main(["--globals", str(path)])
         assert code == 0
         assert "mpi.rank=7" in capsys.readouterr().out
+
+    def test_rcf_inspection_builds_no_record(self, tmp_path, capsys, no_record_hydration):
+        from repro.io import write_colfile
+
+        path = str(tmp_path / "g.rcf")
+        write_colfile(
+            path,
+            [Record({"kernel": "hot", "time.duration": 3.0}), Record({"level": 1})],
+            globals_={"mpi.rank": 7},
+            chunk_rows=1,
+        )
+        assert main(["--list-attributes", "--globals", path]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "kernel", "level", "time.duration", f"{path}: mpi.rank=7",
+        ]
 
     def test_query_required_without_flags(self, data_file, capsys):
         import pytest

@@ -98,15 +98,10 @@ def two_files(tmp_path):
     return write_files(str(tmp_path), files)
 
 
-def test_auto_backend_never_hydrates_a_record(two_files, monkeypatch, capsys):
+def test_auto_backend_never_hydrates_a_record(two_files, no_record_hydration, capsys):
     paths, folded = two_files
     query = QUERIES[1]
     want = QueryEngine(query).run(folded, backend="rows")
-
-    def refuse(store):
-        raise AssertionError("an aggregation over .rcf files built Records")
-
-    monkeypatch.setattr(colfile, "records_from_store", refuse)
     glob_source = os.path.join(os.path.dirname(paths[0]), "part-*.rcf")
     for got in (
         api.query(query, paths, jobs=1),
