@@ -189,7 +189,7 @@ def _query_colfile(text: str, path: str, opts: QueryOptions) -> QueryResult:
     """Out-of-core scan of a ``.rcf`` file, one mmap'd chunk at a time.
 
     Aggregation queries stream every chunk through a partial
-    :class:`AggregationDB` (:meth:`QueryEngine.feed_colfile`) — combine
+    :class:`AggregationDB` (:meth:`QueryEngine.feed_file`) — combine
     semantics make the result identical to the in-memory path while peak
     memory stays one chunk.  Queries without AGGREGATE need the full record
     stream anyway, so they take the ordinary :meth:`Dataset.from_file` route.
@@ -198,7 +198,7 @@ def _query_colfile(text: str, path: str, opts: QueryOptions) -> QueryResult:
     if engine.scheme is None:
         return Dataset.from_file(path).query(text, backend=opts.backend)
     db = engine.make_db()
-    engine.feed_colfile(db, path, opts.backend)
+    engine.feed_file(db, path, opts.backend)
     return engine.finalize(db)
 
 

@@ -1,10 +1,14 @@
 """Datasets: in-memory record collections, columnar caching, multi-file loading.
 
-A :class:`Dataset` is what off-line analysis works on: records plus run
+A :class:`Dataset` is what off-line analysis works on: rows plus run
 globals, loadable from one or many files (the per-process files a parallel
 run produces).  It offers the pandas-like conveniences the analytical
-workflow wants — ``query`` with CalQL text, column access, iteration — while
-staying a thin list-of-records wrapper underneath.
+workflow wants — ``query`` with CalQL text, column access, iteration.
+Underneath it holds either a record list (built in memory, or parsed from
+text files) or a column store: every ``.rcf`` source stays the decoded
+column store it is on disk, one file or many, and a ``Record`` is built only
+when something row-oriented asks — ``.records``, iteration, a rows-backend /
+LET / WINDOW query.
 
 Two performance layers live here as well:
 
@@ -12,9 +16,9 @@ Two performance layers live here as well:
   record list, built lazily per attribute and cached across queries.  The
   row→column convert step is the dominant cost of vectorized aggregation;
   caching it is what makes repeated interactive queries on one dataset fast.
-* process-parallel loading — ``from_files(paths, parallel=N)`` parses input
-  files in a :class:`~concurrent.futures.ProcessPoolExecutor`, the paper's
-  reduction-tree idea applied to real cores for the ingest phase.
+* process-parallel loading — ``from_files(paths, parallel=N)`` parses text
+  input files in a :class:`~concurrent.futures.ProcessPoolExecutor`, the
+  paper's reduction-tree idea applied to real cores for the ingest phase.
 """
 
 from __future__ import annotations
@@ -288,33 +292,14 @@ def _resolve_workers(
     return workers
 
 
-class _DeferredRecords:
-    """Record iterable that hydrates a lazy dataset, or one decoded ``.rcf``
-    chunk store, only when iterated.
-
-    Passed to :meth:`QueryEngine.run` / ``feed`` in place of the record list
-    so the columnar fast path over an ``.rcf``-backed store never
-    materializes Record objects; row-engine fallbacks iterate it and hydrate
-    on demand.
-    """
-
-    def __init__(self, source: Union["Dataset", ColumnStore]) -> None:
-        self._source = source
-
-    def __iter__(self) -> Iterator[Record]:
-        return iter(self._source.records)
-
-    def __len__(self) -> int:
-        return len(self._source)
-
-
 class Dataset:
     """Records + globals, with query and export conveniences.
 
-    Datasets opened from ``.rcf`` columnar files are *lazy*: the mmap-backed
-    :class:`~repro.io.colfile.ColfileStore` is attached immediately and
-    Record objects are only materialized if something row-oriented touches
-    ``.records`` — vectorized queries run straight off the store.
+    Datasets opened from ``.rcf`` columnar files — one or several — are
+    *lazy*: the decoded :class:`~repro.io.colfile.ColfileStore` is attached
+    immediately and Record objects are only materialized if something
+    row-oriented touches ``.records`` — vectorized queries run straight off
+    the store.
     """
 
     def __init__(
@@ -352,15 +337,22 @@ class Dataset:
         return cls(records, globals_, [path])
 
     @classmethod
+    def _lazy(
+        cls, store: ColumnStore, globals_: dict[str, Variant], sources: Sequence[str]
+    ) -> "Dataset":
+        """A dataset over a decoded column store; no ``Record`` exists yet."""
+        dataset = cls((), globals_, sources)
+        dataset._store = store
+        dataset._records = None
+        return dataset
+
+    @classmethod
     def _from_colfile(cls, path: str) -> "Dataset":
         """Open an ``.rcf`` file as a lazy, mmap-backed dataset."""
         from .colfile import ColfileReader  # deferred: colfile imports this module
 
         reader = ColfileReader(path)
-        dataset = cls((), reader.globals, [path])
-        dataset._store = reader.store()
-        dataset._records = None
-        return dataset
+        return cls._lazy(reader.store(), reader.globals, [path])
 
     @classmethod
     def from_files(
@@ -370,55 +362,76 @@ class Dataset:
     ) -> "Dataset":
         """Concatenate several files (e.g. one per process).
 
-        Per-file globals are folded into the records of that file so
-        cross-file attributes (like the producing rank) stay distinguishable,
-        then dropped from the dataset-level globals when files disagree.
+        Per-file globals are folded into the rows of that file so cross-file
+        attributes (like the producing rank) stay distinguishable, then
+        dropped from the dataset-level globals when files disagree.
 
-        ``parallel`` parses files in a process pool: ``True`` picks the pool
-        size automatically (one worker per CPU, falling back to serial on
-        single-core machines or when the per-worker share of the input is
-        too small to amortize the pool); an integer is an explicit worker
-        count.  The result is identical to the serial path (files are merged
-        in argument order).  For
+        ``.rcf`` files are mapped and stay column stores (their globals
+        overlaid as constant columns); text files are parsed.  The result is
+        lazy — no ``Record`` until something asks for rows — unless a text
+        file was parsed in this process, whose records already exist.
+
+        ``parallel`` parses the text files in a process pool: ``True`` picks
+        the pool size automatically (one worker per CPU, falling back to
+        serial on single-core machines or when the per-worker share of the
+        text input is too small to amortize the pool); an integer is an
+        explicit worker count.  The result is identical to the serial path
+        (files are merged in argument order).  For
         aggregation queries over many files, prefer
         :func:`repro.query.parallel_query_files`, which also *aggregates* in
         the workers and only ships small partial states back.
         """
+        from .colfile import ColfileReader, decode_batch_store, merge_stores
+
         path_list = [os.fspath(p) for p in paths]
         if not path_list:
             return cls()
-        workers = _resolve_workers(parallel, len(path_list), path_list)
+        text = [p for p in path_list if _format_of(p) != "rcf"]
+        workers = _resolve_workers(parallel, len(text), text)
         with observe.span("ingest.from_files", files=len(path_list), workers=workers):
+            packed: dict[str, tuple] = {}
             if workers > 1:
                 from concurrent.futures import ProcessPoolExecutor
 
-                from .colfile import decode_batch_store
-
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    packed = list(pool.map(_load_source_packed, path_list))
-                loaded = [
-                    (decode_batch_store(batch).records, globals_, seconds)
-                    for batch, globals_, seconds, _count in packed
-                ]
-            else:
-                loaded = [_load_source_timed(p) for p in path_list]
-            all_records: list[Record] = []
+                    packed = dict(zip(text, pool.map(_load_source_packed, text)))
+            # one part per file: a column store, or the records of a text
+            # file parsed here
+            parts: list[Union[ColumnStore, list[Record]]] = []
             merged_globals: dict[str, Variant] = {}
             conflicting: set[str] = set()
-            for path, (records, globals_, parse_seconds) in zip(path_list, loaded):
+            for path in path_list:
+                if _format_of(path) == "rcf":
+                    start = time.perf_counter()
+                    with ColfileReader(path) as reader:
+                        globals_ = reader.globals
+                        part = reader.store().with_constants(globals_)
+                    parse_seconds = time.perf_counter() - start
+                elif packed:
+                    batch, globals_, parse_seconds, _count = packed[path]
+                    part = decode_batch_store(batch)  # globals folded in by the worker
+                else:
+                    part, globals_, parse_seconds = _load_source_timed(path)
                 # Worker-measured parse time, attributed per file (the span
                 # above holds the end-to-end ingest wall time).
                 observe.timing(
                     "ingest.file.parse", parse_seconds, file=os.path.basename(path)
                 )
-                observe.count("ingest.records", len(records))
+                observe.count("ingest.records", len(part))
                 for key, value in globals_.items():
                     if key in merged_globals and merged_globals[key] != value:
                         conflicting.add(key)
                     merged_globals.setdefault(key, value)
-                all_records.extend(records)
+                parts.append(part)
             for key in conflicting:
                 merged_globals.pop(key, None)
+            if all(isinstance(part, ColumnStore) for part in parts):
+                return cls._lazy(merge_stores(parts), merged_globals, path_list)
+            all_records: list[Record] = []
+            for part in parts:
+                all_records.extend(
+                    part.records if isinstance(part, ColumnStore) else part
+                )
             return cls(all_records, merged_globals, path_list)
 
     @classmethod
@@ -496,16 +509,13 @@ class Dataset:
         from ..query.engine import QueryEngine  # deferred: query sits above io
 
         engine = QueryEngine(text)
-        store = (
-            self.column_store()
-            if (backend != "rows" and engine.scheme is not None)
-            else None
+        # The vectorized path reads the store only, so a lazy .rcf dataset
+        # never materializes Record objects; whatever falls back to rows
+        # hydrates the store's records on demand.
+        columnar = backend != "rows" and engine.scheme is not None
+        return engine.run(
+            self.column_store() if columnar else self.records, backend=backend
         )
-        # With a store attached, hand the engine a deferred iterable: the
-        # vectorized path reads the store only, so a lazy .rcf dataset never
-        # materializes Record objects; fallback paths hydrate on iteration.
-        source = self.records if store is None else _DeferredRecords(self)
-        return engine.run(source, backend=backend, store=store)
 
     def summary(self) -> str:
         """Per-attribute overview: occurrence count, types, value span.

@@ -203,15 +203,20 @@ def _equality_classes(values: Sequence[Variant]) -> tuple[np.ndarray, int]:
     return classes, len(table) + 1
 
 
+#: Mixed-radix packed group ids stay below this, clear of int64 overflow.
+_PACK_LIMIT = 2**62
+
+
 class _Groups:
     """Selected rows collapsed to dense group ids, with reduceat views."""
 
-    __slots__ = ("sel", "inverse", "count", "order", "starts", "key_entries")
+    __slots__ = ("sel", "inverse", "count", "key_entries", "_runs")
 
     def __init__(self, store: ColumnStore, scheme: AggregationScheme, sel: np.ndarray):
         self.sel = sel
         n = len(sel)
-        group = np.zeros(n, dtype=np.int64)
+        packed = np.zeros(n, dtype=np.int64)
+        span = 1  # every packed id is in range(span)
         key_codes: list[tuple[str, np.ndarray, list[Variant]]] = []
         for label in scheme.key:
             codes, values = store.interned(label)
@@ -221,18 +226,21 @@ class _Groups:
             # interning keeps int 1 / double 1.0 as distinct codes, but the
             # streaming engine merges them into one group.
             classes, radix = _equality_classes(values)
-            # Re-encode after every column so composite ids stay < n and the
-            # packing can never overflow, regardless of key width/cardinality.
-            group = np.unique(group * radix + classes[codes + 1], return_inverse=True)[1]
-        unique_ids, inverse = np.unique(group, return_inverse=True)
+            if span * radix > _PACK_LIMIT:
+                # Wide, high-cardinality keys: rank the ids so far (order
+                # kept, at most n of them) so the packing cannot overflow.
+                packed = np.unique(packed, return_inverse=True)[1]
+                span = int(packed.max()) + 1
+            packed *= radix
+            packed += classes[codes + 1]
+            span *= radix
+        # Dense ids in sorted order of the packed value, i.e. lexicographic
+        # in the per-column classes: this fixes the output row order.
+        unique_ids, inverse = np.unique(packed, return_inverse=True)
         count = len(unique_ids)
         self.inverse = inverse
         self.count = count
-        # pre-sorted view for reduceat-style per-group reductions
-        self.order = np.argsort(inverse, kind="stable")
-        sorted_inverse = inverse[self.order]
-        boundaries = np.flatnonzero(np.diff(sorted_inverse)) + 1
-        self.starts = np.concatenate(([0], boundaries))
+        self._runs: Optional[tuple[np.ndarray, np.ndarray]] = None
         # one representative (first) row per group, to reconstruct key entries
         representatives = np.full(count, -1, dtype=np.int64)
         representatives[inverse[::-1]] = np.arange(n - 1, -1, -1)
@@ -245,6 +253,16 @@ class _Groups:
                 if code >= 0:
                     entries[label] = values[code]
             self.key_entries.append(entries)
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, starts)``: the rows stably sorted by group and where each
+        group's run starts — what ``reduceat`` needs.  Only min/max/first
+        reduce that way, so the sort waits until one of them asks."""
+        if self._runs is None:
+            order = np.argsort(self.inverse, kind="stable")
+            boundaries = np.flatnonzero(np.diff(self.inverse[order])) + 1
+            self._runs = (order, np.concatenate(([0], boundaries)))
+        return self._runs
 
 
 # -- vectorized operator kernels --------------------------------------------------
@@ -315,9 +333,9 @@ def _op_states(
     if t in (MinOp, MaxOp):
         values, mask = _metric(store, sel, kernel.args[0])
         fill = np.inf if t is MinOp else -np.inf
-        sorted_vals = np.where(mask, values, fill)[groups.order]
+        order, starts = groups.runs()
         reducer = np.minimum if t is MinOp else np.maximum
-        extrema = reducer.reduceat(sorted_vals, groups.starts)
+        extrema = reducer.reduceat(np.where(mask, values, fill)[order], starts)
         counts = np.bincount(inverse[mask], minlength=n_groups)
         return [
             [float(extrema[g])] if counts[g] else [None] for g in range(n_groups)
@@ -337,7 +355,8 @@ def _op_states(
         n = len(sel)
         # position of the first non-empty value per group, in input order
         position = np.where(codes >= 0, np.arange(n), n)
-        firsts = np.minimum.reduceat(position[groups.order], groups.starts)
+        order, starts = groups.runs()
+        firsts = np.minimum.reduceat(position[order], starts)
         return [
             [values[codes[f]]] if f < n else [None] for f in firsts
         ]

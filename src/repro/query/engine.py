@@ -5,7 +5,7 @@ filtering, aggregation (when the query has operators), ORDER BY, LIMIT, and
 FORMAT rendering.  The aggregation stage reuses the exact
 :class:`AggregationDB` the on-line service uses — the engine also exposes
 the partial-aggregation steps (:meth:`QueryEngine.make_db`,
-:meth:`QueryEngine.feed`, :meth:`QueryEngine.feed_colfile`,
+:meth:`QueryEngine.feed`, :meth:`QueryEngine.feed_file`,
 :meth:`QueryEngine.finalize`) that the MPI-parallel query application and
 the process-pool workers compose with a reduction tree.
 
@@ -34,8 +34,9 @@ from ..common.errors import QueryError
 from ..common.record import Record
 from ..common.variant import Variant
 from ..io.colfile import ColfileReader
-from ..io.dataset import ColumnStore, _DeferredRecords
+from ..io.dataset import ColumnStore, _format_of, _load_source_timed
 from .columnar import (
+    Source,
     columnar_aggregate,
     columnar_feed,
     supports_scheme,
@@ -258,35 +259,27 @@ class QueryEngine:
             and self._assigner is None
         )
 
-    def _columnar_source(
-        self, records: Iterable[Record], store: Optional[ColumnStore]
-    ) -> Union[ColumnStore, list[Record]]:
+    def _columnar_source(self, source: Source) -> Source:
         """What the columnar backend should read.
 
-        A cached store is only valid for the raw records it interned — LET
-        and WINDOW queries derive per-record attributes, so they materialize
-        the transformed rows and intern those transiently instead.
+        A column store is only valid for the raw rows it holds — LET and
+        WINDOW queries derive per-record attributes, so they materialize the
+        transformed rows and intern those transiently instead.
         """
         if self._let is not None or self._assigner is not None:
-            return list(self._preprocess(records))
-        if store is not None:
-            return store
-        return records if isinstance(records, list) else list(records)
+            return list(self._preprocess(source))
+        return source
 
     # -- one-shot execution ------------------------------------------------------
 
-    def run(
-        self,
-        records: Iterable[Record],
-        backend: str = "auto",
-        store: Optional[ColumnStore] = None,
-    ) -> QueryResult:
-        """Execute the full pipeline over ``records``.
+    def run(self, source: Source, backend: str = "auto") -> QueryResult:
+        """Execute the full pipeline over ``source``.
 
-        ``backend`` selects the aggregation engine (``auto``/``rows``/
-        ``columnar``); ``store`` optionally supplies a cached
-        :class:`~repro.io.dataset.ColumnStore` over the same records so the
-        columnar path skips the row→column conversion.
+        ``source`` is a record iterable or a
+        :class:`~repro.io.dataset.ColumnStore`; the columnar path reads a
+        store as it is (no row→column conversion, no ``Record`` built) and
+        everything row-oriented hydrates its records on demand.  ``backend``
+        selects the aggregation engine (``auto``/``rows``/``columnar``).
         """
         with observe.span("query.run", backend=backend):
             chosen = self._plan(backend)
@@ -294,7 +287,7 @@ class QueryEngine:
                 if chosen == "columnar":
                     with observe.span("query.scan", backend="columnar"):
                         out = columnar_aggregate(
-                            self._columnar_source(records, store),
+                            self._columnar_source(source),
                             self.scheme,
                             where=self.query.where,
                         )
@@ -305,11 +298,11 @@ class QueryEngine:
                         )
                 db = self.make_db()
                 with observe.span("query.scan", backend="rows"):
-                    db.process_all(self._preprocess(records))
+                    db.process_all(self._preprocess(source))
                 return self.finalize(db)
             with observe.span("query.scan", backend="rows"):
                 out = []
-                for record in self._preprocess(records):
+                for record in self._preprocess(source):
                     if self._where is not None and not self._where(record):
                         continue
                     if self.query.select:
@@ -328,14 +321,8 @@ class QueryEngine:
             raise ValueError("query has no aggregation; make_db() needs AGGREGATE")
         return AggregationDB(self.scheme)
 
-    def feed(
-        self,
-        db: AggregationDB,
-        records: Iterable[Record],
-        backend: str = "auto",
-        store: Optional[ColumnStore] = None,
-    ) -> None:
-        """Fold records (after LET preprocessing) into a partial DB.
+    def feed(self, db: AggregationDB, source: Source, backend: str = "auto") -> None:
+        """Fold a source (after LET preprocessing) into a partial DB.
 
         The planner applies here too: supported schemes aggregate the batch
         vectorized and merge the partial states into ``db`` (combine
@@ -347,28 +334,34 @@ class QueryEngine:
             with observe.span("query.scan", backend=chosen):
                 if chosen == "columnar":
                     columnar_feed(
-                        db, self._columnar_source(records, store), where=self.query.where
+                        db, self._columnar_source(source), where=self.query.where
                     )
                 else:
-                    db.process_all(self._preprocess(records))
+                    db.process_all(self._preprocess(source))
 
-    def feed_colfile(
+    def feed_file(
         self,
         db: AggregationDB,
         path: Union[str, os.PathLike],
         backend: str = "auto",
     ) -> tuple[int, float]:
-        """Fold one ``.rcf`` file into a partial DB, one chunk store at a time.
+        """Fold one file into a partial DB, its globals folded into its rows.
 
-        The one way an aggregation query reads an ``.rcf`` file: its globals
-        are overlaid on every decoded chunk as constant columns (a global
-        overrides a same-named column) and the chunk store goes straight to
-        :meth:`feed`, so peak memory stays one chunk and Records are only
-        hydrated — lazily, per chunk — where :meth:`feed` needs rows.
+        The one per-file fold of every multi-file runner.  An ``.rcf`` file
+        goes one chunk store at a time: the globals are overlaid on every
+        decoded chunk as constant columns (a global overrides a same-named
+        column) and the chunk store goes straight to :meth:`feed`, so peak
+        memory stays one chunk and Records are only hydrated — lazily, per
+        chunk — where :meth:`feed` needs rows.  Text formats are parsed into
+        records first.
 
-        Returns ``(rows, seconds spent opening the file and decoding
-        chunks)`` — what "parse" time means for this format.
+        Returns ``(rows, parse seconds)``; for ``.rcf`` "parse" is opening
+        the file and decoding its chunks.
         """
+        if _format_of(path) != "rcf":
+            records, _globals, parse_seconds = _load_source_timed(path)
+            self.feed(db, records, backend)
+            return len(records), parse_seconds
         start = time.perf_counter()
         with ColfileReader(path) as reader:
             decode_seconds = time.perf_counter() - start
@@ -376,7 +369,7 @@ class QueryEngine:
                 start = time.perf_counter()
                 store = reader.chunk_store(index).with_constants(reader.globals)
                 decode_seconds += time.perf_counter() - start
-                self.feed(db, _DeferredRecords(store), backend=backend, store=store)
+                self.feed(db, store, backend)
             return reader.num_records, decode_seconds
 
     def finalize(self, db: AggregationDB) -> QueryResult:
@@ -388,7 +381,10 @@ class QueryEngine:
 
     # -- helpers -------------------------------------------------------------------
 
-    def _preprocess(self, records: Iterable[Record]) -> Iterable[Record]:
+    def _preprocess(self, source: Source) -> Iterable[Record]:
+        """The source's records (a store hydrates them on demand) after LET
+        and WINDOW stamping."""
+        records = source.records if isinstance(source, ColumnStore) else source
         if self._let is not None:
             let = self._let
             records = (let(r) for r in records)

@@ -32,7 +32,6 @@ from .. import observe
 from ..common.errors import QueryError
 from ..common.record import Record
 from ..common.util import children_of, chunk_evenly, parent_of
-from ..io.dataset import _format_of, read_records
 from ..mpi.network import NetworkModel
 from ..mpi.simulator import Comm, SimWorld
 from .engine import QueryEngine, QueryResult
@@ -221,15 +220,11 @@ class MPIQueryRunner:
                             self.io_latency
                             + os.path.getsize(item) / self.io_bandwidth
                         )
-                    if _format_of(item) == "rcf":
-                        # stays columnar: chunk stores feed the kernels
-                        num_fed += engine.feed_colfile(db, item)[0]
-                        measured_local += time.perf_counter() - wall0
-                        continue
-                    records, globals_ = read_records(item)
-                    if globals_:
-                        records = [r.with_entries(globals_) for r in records]
-                elif isinstance(item, _Lazy):
+                    # .rcf stays columnar: chunk stores feed the kernels
+                    num_fed += engine.feed_file(db, item)[0]
+                    measured_local += time.perf_counter() - wall0
+                    continue
+                if isinstance(item, _Lazy):
                     # generation is workload synthesis, not query work: keep
                     # it outside the measured local time
                     records = item.materialize()

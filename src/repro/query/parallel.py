@@ -29,7 +29,7 @@ from ..aggregate.db import AggregationDB
 from ..common.errors import QueryError
 from ..common.util import chunk_evenly
 from ..common.variant import Variant
-from ..io.dataset import _format_of, _load_source_timed, _resolve_workers
+from ..io.dataset import _resolve_workers
 from .engine import QueryEngine, QueryResult
 from .options import QueryOptions
 
@@ -49,22 +49,16 @@ _FileTiming = tuple[str, float, float]
 def _feed_files(
     engine: QueryEngine, db: AggregationDB, paths: Sequence[str], backend: str
 ) -> list[_FileTiming]:
-    """Partially aggregate ``paths`` into ``db``, one file at a time.
-
-    ``.rcf`` files stay columnar (parse = reader open + chunk decode); text
-    formats are parsed into records with their globals folded in.  Durations
-    are measured here — possibly in a worker process, out of reach of the
-    parent's metrics registry — and recorded by the caller.
+    """Partially aggregate ``paths`` into ``db``, one file at a time
+    (:meth:`QueryEngine.feed_file`: ``.rcf`` files stay columnar, parse =
+    reader open + chunk decode; text formats are parsed into records).
+    Durations are measured here — possibly in a worker process, out of
+    reach of the parent's metrics registry — and recorded by the caller.
     """
     timings: list[_FileTiming] = []
     for path in paths:
         start = time.perf_counter()
-        if _format_of(path) == "rcf":
-            _rows, parse_seconds = engine.feed_colfile(db, path, backend)
-        else:
-            records, _globals, parse_seconds = _load_source_timed(path)
-            engine.feed(db, records, backend=backend)
-            del records  # keep peak memory at one file per worker
+        _rows, parse_seconds = engine.feed_file(db, path, backend)
         feed_seconds = time.perf_counter() - start - parse_seconds
         timings.append((os.path.basename(path), parse_seconds, feed_seconds))
     return timings

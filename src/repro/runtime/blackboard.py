@@ -20,8 +20,7 @@ Nested path values are interned per ``(label, parent-path, segment)``, which
 makes re-entering the same region return the *identical* ``Variant`` object
 — the property the aggregation service's context-key cache keys on (it memos
 extracted keys by value identity).  This mirrors Caliper's incremental
-context-tree key update.  A :attr:`generation` counter increments on every
-mutation for cache invalidation.
+context-tree key update.
 
 The mirror method :meth:`rebuild_entries` recomputes the full dict from the
 stacks; it is the differential-testing oracle for the incremental
@@ -55,7 +54,6 @@ class Blackboard:
         "_entries",
         "_record",
         "_path_intern",
-        "generation",
     )
 
     def __init__(self) -> None:
@@ -72,9 +70,6 @@ class Blackboard:
         # cache, or an earlier entry here), so identity keys are stable; the
         # value tuple holds strong refs, which is what makes id keys sound.
         self._path_intern: dict[tuple[int, int], tuple[Variant, Variant, Variant]] = {}
-        #: bumped on every mutation; snapshot consumers use it to invalidate
-        #: caches keyed on blackboard state
-        self.generation = 0
 
     # -- updates ------------------------------------------------------------
 
@@ -120,7 +115,6 @@ class Blackboard:
                 self._entries[attribute.label] = display
             else:
                 self._entries[attribute.label] = v
-        self.generation += 1
 
     def end(self, attribute: Attribute, value: RawValue | Variant | None = None) -> Variant:
         """Pop the attribute's stack; returns the popped value.
@@ -151,7 +145,6 @@ class Blackboard:
             self._entries[attribute.label] = displays[-1]
         else:
             self._entries[attribute.label] = stack[-1]
-        self.generation += 1
         return top
 
     def set(self, attribute: Attribute, value: RawValue | Variant) -> None:
@@ -174,14 +167,12 @@ class Blackboard:
             if attribute.is_nested:
                 self._displays[attribute] = [v]
             self._entries[attribute.label] = v
-        self.generation += 1
 
     def unset(self, attribute: Attribute) -> None:
         """Remove the attribute entirely (all stacked values)."""
         if self._stacks.pop(attribute, None) is not None:
             self._displays.pop(attribute, None)
             self._entries.pop(attribute.label, None)
-        self.generation += 1
 
     # -- reads ---------------------------------------------------------------
 
@@ -245,7 +236,6 @@ class Blackboard:
         self._stacks.clear()
         self._displays.clear()
         self._entries.clear()
-        self.generation += 1
 
     def __repr__(self) -> str:
         inner = ", ".join(

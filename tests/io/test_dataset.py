@@ -1,9 +1,15 @@
 """Tests for the Dataset container and multi-file loading."""
 
-import pytest
+import os
+import tempfile
 
-from repro.common import DatasetError, Record
-from repro.io import Dataset, read_records, write_records
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.common import DatasetError, Record, Variant
+from repro.io import Dataset, read_records, write_colfile, write_records
+from repro.query import QueryEngine
 
 
 @pytest.fixture
@@ -175,3 +181,191 @@ class TestRcfDataset:
         key = lambda r: sorted((k, v.type, v.value) for k, v in r.items())
         assert [key(r) for r in parallel.records] == [key(r) for r in serial.records]
         assert str(parallel.query(self.QUERY)) == str(serial.query(self.QUERY))
+
+
+# -- multi-file loading: .rcf parts stay column stores --------------------------------
+
+#: every ORDER BY is total over its GROUP BY, so row lists compare in order.
+#: ``rank`` only exists as a per-file global, ``origin`` is a column and (in
+#: some files) a global, ``tag`` is a column some files hide with an empty
+#: global, ``n`` mixes int and double spellings of the same numbers
+MULTIFILE_QUERIES = [
+    "AGGREGATE count, sum(t) WHERE level>0 GROUP BY kernel ORDER BY kernel",
+    "AGGREGATE count, sum(t) GROUP BY rank, origin ORDER BY rank, origin",
+    "AGGREGATE count GROUP BY n, tag ORDER BY n, tag",
+    "AGGREGATE min(t), max(t), first(kernel) GROUP BY level ORDER BY level",
+    "AGGREGATE percent_total(t) GROUP BY kernel ORDER BY kernel",
+]
+
+#: durations are multiples of 0.25, so sums (and percent_total's global
+#: denominator) are exact in any summation order
+multifile_record_st = st.builds(
+    lambda kernel, level, n, quarter: Record(
+        {
+            key: value
+            for key, value in (
+                ("kernel", kernel),
+                ("level", level),
+                ("n", n),
+                ("t", quarter * 0.25),
+                ("origin", "row"),
+                ("tag", "x"),
+            )
+            if value is not None
+        }
+    ),
+    kernel=st.sampled_from([None, "k0", "k1", "k2"]),
+    level=st.sampled_from([None, 0, 1, 2]),
+    n=st.sampled_from([None, 1, 1.0, 2, 2.0]),
+    quarter=st.integers(min_value=0, max_value=400),
+)
+
+multifile_file_st = st.tuples(
+    st.lists(multifile_record_st, max_size=25),
+    st.integers(min_value=1, max_value=9),  # chunk_rows
+    st.booleans(),  # a global overrides the ``origin`` column
+    st.booleans(),  # an empty global hides the ``tag`` column
+)
+
+
+def exact(records) -> list:
+    """(label, type, value) of every non-empty entry, record order kept.  An
+    empty global hides a column; whether the hidden entry is absent (a
+    hydrated store) or present-but-empty (``with_entries``) is not observable
+    through ``Record.get``."""
+    return [
+        sorted((k, v.type, v.value) for k, v in r.items() if not v.is_empty)
+        for r in records
+    ]
+
+
+def write_parts(directory, files, cali_at=None):
+    """One file per entry (``.rcf``; ``.cali`` at index ``cali_at``); returns
+    the paths and the in-memory records with each file's globals folded in."""
+    paths, folded = [], []
+    for rank, (records, chunk_rows, collides, hides) in enumerate(files):
+        globals_ = {"rank": Variant.of(rank)}
+        if collides:
+            globals_["origin"] = Variant.of("file")
+        if hides:
+            globals_["tag"] = Variant.empty()
+        if rank == cali_at:
+            path = os.path.join(directory, f"part-{rank}.cali")
+            write_records(path, records, globals_=globals_)
+        else:
+            path = os.path.join(directory, f"part-{rank}.rcf")
+            write_colfile(path, records, globals_=globals_, chunk_rows=chunk_rows)
+        paths.append(path)
+        folded.extend(r.with_entries(globals_) for r in records)
+    return paths, folded
+
+
+@given(
+    files=st.lists(multifile_file_st, min_size=2, max_size=4),
+    cali_at=st.sampled_from([None, None, 0, 1]),
+)
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_from_files_answers_and_hydrates_like_the_per_file_reader(files, cali_at):
+    with tempfile.TemporaryDirectory() as directory:
+        paths, _folded = write_parts(directory, files, cali_at)
+        oracle = []
+        for path in paths:
+            records, globals_ = read_records(path)
+            oracle.extend(r.with_entries(globals_) for r in records)
+        dataset = Dataset.from_files(paths)
+        # all-.rcf lists stay column stores; a text file parsed here hydrates
+        assert (dataset._records is None) == (cali_at is None)
+        assert len(dataset) == len(oracle) and dataset.sources == paths
+        for query in MULTIFILE_QUERIES:
+            want = QueryEngine(query).run(oracle, backend="rows")
+            assert exact(dataset.query(query)) == exact(want), query
+        assert exact(dataset.records) == exact(oracle)
+        by_glob = Dataset.from_glob(os.path.join(directory, "part-*"))
+        assert exact(by_glob.records) == exact(oracle)
+
+
+@given(files=st.lists(multifile_file_st, min_size=2, max_size=4))
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_all_rcf_from_files_and_auto_queries_build_no_record(files, no_record_hydration):
+    with tempfile.TemporaryDirectory() as directory:
+        paths, folded = write_parts(directory, files)
+        dataset = Dataset.from_files(paths, parallel=2)  # nothing to parse: no pool
+        assert len(dataset) == len(folded) and "rank" in dataset.labels()
+        for query in MULTIFILE_QUERIES:
+            want = QueryEngine(query).run(folded, backend="rows")
+            assert exact(dataset.query(query)) == exact(want), query
+
+
+class TestFromFilesPoolSizing:
+    """Only files that need a text parse count as (and go to) pool work."""
+
+    def _write(self, tmp_path, n_cali):
+        big = [Record({"kernel": f"k{i % 3}", "t": 0.25 * i}) for i in range(1000)]
+        write_colfile(tmp_path / "big.rcf", big, globals_={"rank": 0})
+        paths = [str(tmp_path / "big.rcf")]
+        for i in range(n_cali):
+            path = tmp_path / f"small-{i}.cali"
+            write_records(path, big[: 3 + i], globals_={"rank": i + 1})
+            paths.append(str(path))
+        return paths
+
+    @pytest.fixture
+    def many_cores(self, monkeypatch):
+        from repro.io import dataset as dataset_mod
+
+        # at 40 records a worker the .rcf's 1000 footer rows alone would
+        # justify every worker the file count allows
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(dataset_mod, "MIN_PARALLEL_RECORDS_PER_WORKER", 40)
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    def test_one_small_text_file_beside_a_large_rcf_forks_nothing(
+        self, tmp_path, many_cores, no_pool
+    ):
+        from repro import observe
+
+        paths = self._write(tmp_path, n_cali=1)
+        with observe.collecting() as reg:
+            dataset = Dataset.from_files(paths, parallel=True)
+        assert len(dataset) == 1003
+        assert reg.timer_stats("ingest.from_files", files=2, workers=1)[0] == 1
+        assert reg.counter_value("parallel.fallback") == 0  # one item: no decision
+
+    def test_auto_pool_is_sized_from_the_text_files_only(
+        self, tmp_path, many_cores, no_pool
+    ):
+        from repro import observe
+
+        paths = self._write(tmp_path, n_cali=2)
+        with observe.collecting() as reg:
+            Dataset.from_files(paths, parallel=True)
+        assert reg.timer_stats("ingest.from_files", files=3, workers=1)[0] == 1
+        assert (
+            reg.counter_value("parallel.fallback", reason="small-input", workers=1) == 1
+        )
+
+    def test_pooled_text_parts_keep_their_place_and_stay_columnar(self, tmp_path):
+        from repro import observe
+
+        paths = self._write(tmp_path, n_cali=2)
+        paths = [paths[1], paths[0], paths[2]]  # text, .rcf, text
+        serial = Dataset.from_files(paths)
+        with observe.collecting() as reg:
+            pooled = Dataset.from_files(paths, parallel=2)
+        assert reg.timer_stats("ingest.from_files", files=3, workers=2)[0] == 1
+        assert reg.counter_value("ingest.records") == 1000 + 3 + 4
+        assert pooled._records is None and serial._records is not None
+        assert pooled.sources == serial.sources == paths
+        assert exact(pooled.records) == exact(serial.records)

@@ -1,5 +1,6 @@
 """Tests: the columnar backend must match the streaming engine exactly."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -17,6 +18,23 @@ def canonical(records):
         (tuple(sorted((k, v.to_string()) for k, v in r.items())) for r in records),
         key=repr,
     )
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """Counts of the ``np.unique`` / ``np.argsort`` calls made while active."""
+    calls = {"unique": 0, "argsort": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    return calls
 
 
 class _CustomSum(SumOp):
@@ -86,7 +104,7 @@ class TestEquivalence:
         assert row["total"].value == 5
 
     def test_wide_key_no_overflow(self):
-        # many distinct values in several key columns: packing must re-encode
+        # many distinct values in several key columns (radix product ~6e7)
         records = [
             Record({"a": i % 97, "b": f"v{i % 89}", "c": i % 83, "d": i % 79, "t": 1})
             for i in range(500)
@@ -95,6 +113,64 @@ class TestEquivalence:
         assert canonical(columnar_aggregate(records, scheme)) == canonical(
             aggregate_records(records, scheme)
         )
+
+    def test_key_wider_than_int64_packing_is_re_encoded(self, numpy_calls):
+        # eight key columns of ~1000 distinct values each: the radix product
+        # (1001**8 ~ 1e24) passes 2**62 at the seventh column, so the packed
+        # ids must be ranked mid-way; groups still differ after that point
+        def value(i, j):
+            return (i * (2 * j + 3)) % 1000
+
+        records = []
+        for i in range(2000):
+            entries = {f"c{j}": value(i % 1000, j) for j in range(7)}
+            entries["c7"] = value(i % 1000, 7) if i % 3 else value(i, 7) + 1000
+            entries["t"] = 0.25 * (i % 17)
+            records.append(Record(entries))
+        scheme = parse_scheme(
+            "AGGREGATE count, sum(t) GROUP BY " + ", ".join(f"c{j}" for j in range(8))
+        )
+        got = columnar_aggregate(records, scheme)
+        assert numpy_calls["unique"] == 2  # the guard, once, and the final densify
+        want = aggregate_records(records, scheme)
+        assert 1000 < len(want) < 2000
+        assert canonical(got) == canonical(want)
+        # ... and in the order a narrow key gets: lexicographic in each
+        # column's first-seen values (a wrapped int64 would scramble it)
+        keys = [tuple(r.get(f"c{j}").value for j in range(8)) for r in records]
+        seen = [{} for _ in range(8)]
+        for key in keys:
+            for j, v in enumerate(key):
+                seen[j].setdefault(v, len(seen[j]))
+        in_order = sorted(set(keys), key=lambda k: [seen[j][v] for j, v in enumerate(k)])
+        assert [tuple(r.get(f"c{j}").value for j in range(8)) for r in got] == in_order
+
+    def test_one_unique_and_no_sort_unless_an_operator_reduces_runs(self, numpy_calls):
+        records = [
+            Record({"a": i % 7, "b": f"v{i % 5}", "t": 0.5 * i}) for i in range(200)
+        ]
+        columnar_aggregate(
+            records, parse_scheme("AGGREGATE count, sum(t), avg(t) GROUP BY a, b")
+        )
+        assert numpy_calls == {"unique": 1, "argsort": 0}
+        columnar_aggregate(
+            records, parse_scheme("AGGREGATE min(t), max(t), first(b) GROUP BY a, b")
+        )
+        assert numpy_calls == {"unique": 2, "argsort": 1}  # one sort, shared by the three
+
+    def test_two_key_output_order_is_lexicographic_in_first_seen_values(self):
+        # group numbering (hence the order of un-ORDERed output) is part of
+        # the contract: missing first, then each key column's values in
+        # first-seen order, the first key column most significant
+        rows = [("b", 2), ("a", 2), ("b", 1), (None, 1), ("a", 1), ("b", 2)]
+        records = [
+            Record({k: v for k, v in (("x", x), ("y", y)) if v is not None})
+            for x, y in rows
+        ]
+        out = columnar_aggregate(records, parse_scheme("AGGREGATE count GROUP BY x, y"))
+        assert [(r.get("x").value, r.get("y").value) for r in out] == [
+            (None, 1), ("b", 2), ("b", 1), ("a", 2), ("a", 1),
+        ]
 
 
 @given(record_lists)
