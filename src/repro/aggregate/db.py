@@ -151,7 +151,11 @@ class AggregationDB:
         context and skip key extraction entirely on cache hits.  Stream
         counters are *not* touched here — cache-owning callers maintain them.
         """
-        key = self._extract(record)
+        return self.states_at(self._extract(record))
+
+    def states_at(self, key: tuple) -> list[list]:
+        """The (created-if-missing) state lists under an already extracted
+        ``key`` — the column fold builds keys from code columns, no Record."""
         states = self._table.get(key)
         if states is None:
             states = self._plan.init_states()
@@ -237,9 +241,9 @@ class AggregationDB:
             if seq <= self._source_seqs.get(ident, -1):
                 return False
             self._source_seqs[ident] = seq
-        extract = self._extractor.extract
+        key_of = self._extractor.from_entries
         for entries, in_states in groups:
-            key = extract(Record.from_variants(dict(entries)))
+            key = key_of(entries)
             states = self._table.get(key)
             if states is None:
                 self._table[key] = [list(s) for s in in_states]

@@ -13,7 +13,7 @@ from the tuple itself at flush time.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from ..common.record import Record
 from ..common.variant import Variant
@@ -35,6 +35,15 @@ class TupleKeyExtractor:
         empty = Variant.empty()
         return tuple(
             v if (v := get(lbl, empty)) is not empty and not v.is_empty else None
+            for lbl in self.key_labels
+        )
+
+    def from_entries(self, entries: Mapping[str, Variant]) -> tuple:
+        """:meth:`extract` over bare ``label -> Variant`` entries (an
+        exported group's), same rule: a missing or empty value is ``None``."""
+        get = entries.get
+        return tuple(
+            v if (v := get(lbl)) is not None and not v.is_empty else None
             for lbl in self.key_labels
         )
 

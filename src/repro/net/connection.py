@@ -68,6 +68,13 @@ class ConnectionPlane:
         self._tasks: set = set()
         self._writers: set = set()
         self._executor: Optional[ThreadPoolExecutor] = None
+        self._blocking_threads: list[threading.Thread] = []
+
+    @property
+    def threads(self) -> dict[str, list[threading.Thread]]:
+        """The plane's threads by role: ``loop`` and the ``blocking`` pool."""
+        loop = self._thread
+        return {"loop": [loop] if loop is not None else [], "blocking": self._blocking_threads}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -82,8 +89,10 @@ class ConnectionPlane:
 
     def start(self) -> None:
         """Start the event loop on the bound listener; raises what boot raised."""
+        self._blocking_threads = started = []
         self._executor = ThreadPoolExecutor(
-            max_workers=4, thread_name_prefix="repro-net-blocking"
+            max_workers=4, thread_name_prefix="repro-net-blocking",
+            initializer=lambda: started.append(threading.current_thread()),
         )
         booted: Future = Future()
         self._thread = threading.Thread(

@@ -69,6 +69,7 @@ __all__ = [
     "decode_binary_body",
     "records_to_binary",
     "records_from_binary",
+    "store_from_binary",
     "states_to_binary",
     "states_from_binary",
 ]
@@ -487,17 +488,24 @@ def records_to_binary(records: Iterable[Record]) -> bytes:
     return encode_batch(records)
 
 
-def records_from_binary(
-    blob: Union[bytes, memoryview], max_decoded: int = MAX_DECODED
-) -> list[Record]:
-    """Decode a binary record batch, mapping codec errors to protocol errors."""
+def store_from_binary(blob: Union[bytes, memoryview], max_decoded: int = MAX_DECODED):
+    """Decode a binary record batch into the column store it is — a
+    :class:`~repro.io.colfile.ColfileStore`, no ``Record`` built — mapping
+    codec errors to protocol errors."""
     from ..common.errors import DatasetError
     from ..io.colfile import decode_batch_store
 
     try:
-        return decode_batch_store(blob, _decode_limits(max_decoded)).records
+        return decode_batch_store(blob, _decode_limits(max_decoded))
     except DatasetError as exc:
         raise ProtocolError(f"malformed binary record batch: {exc}") from None
+
+
+def records_from_binary(
+    blob: Union[bytes, memoryview], max_decoded: int = MAX_DECODED
+) -> list[Record]:
+    """:func:`store_from_binary`, hydrated into records."""
+    return store_from_binary(blob, max_decoded).records
 
 
 def states_to_binary(

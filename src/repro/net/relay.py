@@ -87,7 +87,7 @@ class RelayPlane:
             failover_after=failover_after, retries=1, backoff=0.05, backoff_max=0.5,
         )
         self.client: Optional[FlushClient] = None
-        self._thread: Optional[threading.Thread] = None
+        self.forward_thread: Optional[threading.Thread] = None
         #: held across a whole forward cycle (collect -> send -> flush), so a
         #: forward_now() caller waits for the periodic forwarder's in-flight
         #: delta instead of returning while it is still detached
@@ -118,13 +118,13 @@ class RelayPlane:
         # A failed cycle (closed client during shutdown, a hard refusal from
         # the parent) is only counted: the spool has the delta, and hammering
         # the parent helps nobody this cycle.
-        self._thread = self._shards.every(self.forward_interval, self.forward_now, "forward")
+        self.forward_thread = self._shards.every(self.forward_interval, self.forward_now, "forward")
 
     def stop(self, timeout: float) -> None:
         """Join the forwarder, ship the residue upstream, say goodbye."""
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            self._thread = None
+        if self.forward_thread is not None:
+            self.forward_thread.join(timeout=timeout)
+            self.forward_thread = None
         if self.client is not None:
             # Final forward: the shards are quiescent now, so this ships the
             # residue (and any pending retraction) upstream before goodbye.

@@ -40,6 +40,7 @@ from ..common.errors import ReproError
 from ..common.record import Record
 from ..common.variant import Variant
 from ..observe import MetricsRegistry, to_records as _metrics_to_records
+from ..query.columnar import supports_scheme
 from ..window.db import WindowFront, closed_below
 from .admission import Admission, Refused, TenantQuota
 from .connection import ConnectionPlane
@@ -49,10 +50,10 @@ from .protocol import (
     MessageType,
     ProtocolError,
     origin_from_wire,
-    records_from_binary,
     records_to_wire,
     require,
     states_from_binary,
+    store_from_binary,
 )
 from .relay import RelayPlane
 from .shards import DEFAULT_TENANT, ShardPlane, copy_states
@@ -131,6 +132,13 @@ class AggregationServer:
         self.retire_interval = retire_interval
         self._retire_thread: Optional[threading.Thread] = None
         self.scheme = scheme
+        #: whether shards fold the decoded wire batch as columns.  Window
+        #: stamping reads records in arrival order, a compiled WHERE is an
+        #: opaque per-record callable and an operator without a vector kernel
+        #: needs its own ``update``: those servers hydrate every batch.
+        self._folds_stores = (
+            self._window is None and scheme.predicate is None and supports_scheme(scheme)
+        )
         self._accepted_schemes = {scheme.describe(), self.producer_scheme}
         self._state_widths = [op.state_width() for op in scheme.ops]
         self.host = host
@@ -338,19 +346,28 @@ class AggregationServer:
 
     async def _on_records(self, tenant, client_id: str, body: dict, sections: dict):
         seq = int(require(body, "seq", (int,)))
-        records = records_from_binary(_section(sections, "records"), self.max_decoded)
+        store = store_from_binary(_section(sections, "records"), self.max_decoded)
 
         def route() -> list:
-            routed = records if self._window is None else self._stamp(client_id, records)
+            if self._folds_stores:
+                # The batch stays the column store the wire delivered: each
+                # shard worker folds its rows of it, no Record is built.
+                return [
+                    (shard, ("store", tenant, store, rows))
+                    for shard, rows in self._shards.route_store(store)
+                ]
+            records = store.records
+            if self._window is not None:
+                records = self._stamp(client_id, records)
             return [
                 (shard, ("records", tenant, bucket))
-                for shard, bucket in self._shards.bucket(routed, attrgetter("get"))
+                for shard, bucket in self._shards.bucket(records, attrgetter("get"))
             ]
 
         # Windowed stamping already advanced the watermark, so a windowed
         # batch can no longer be shed — it waits for queue space instead.
         return await self._admission.admit(
-            tenant, client_id, seq, "records", len(records), route, shed=self._window is None
+            tenant, client_id, seq, "records", len(store), route, shed=self._window is None
         )
 
     async def _on_states(self, tenant, client_id: str, body: dict, sections: dict):
@@ -562,6 +579,10 @@ class AggregationServer:
             self.metrics.gauge("net.shard.depth", shard.queue.qsize(), shard=shard.index)
             self.metrics.gauge("net.shard.entries", shard.db.num_entries, shard=shard.index)
         self._admission.publish_gauges()
+        for name, threads in self._threads().items():
+            seconds = [cpu for cpu in map(_thread_cpu_seconds, threads) if cpu is not None]
+            if seconds:
+                self.metrics.gauge("net.thread.cpu_seconds", sum(seconds), thread=name)
         records = _metrics_to_records(self.metrics)
         summary = {
             "observe.kind": Variant.of("server"),
@@ -582,11 +603,32 @@ class AggregationServer:
         records.append(Record.from_variants(summary))
         return records + self._relay.tree_records()
 
+    def _threads(self) -> dict[str, list]:
+        """The server's own threads by role: ``loop``, ``blocking`` (the
+        executor pool), ``forward`` and one ``shard-N`` per shard."""
+        threads = dict(self._conn.threads)
+        threads["forward"] = [self._relay.forward_thread]
+        for shard in self._shards:
+            threads[f"shard-{shard.index}"] = [shard.thread]
+        return threads
+
     def __repr__(self) -> str:
         return (
             f"AggregationServer({self.scheme.describe()!r}, "
             f"addr={self.address}, shards={len(self._shards)})"
         )
+
+
+def _thread_cpu_seconds(thread: Optional[threading.Thread]) -> Optional[float]:
+    """CPU seconds ``thread`` has burned so far, read from outside it — the
+    thread itself pays nothing.  ``None`` for a thread that is not running
+    and on a platform without per-thread CPU clocks."""
+    if thread is None or not thread.is_alive():
+        return None
+    try:
+        return time.clock_gettime(time.pthread_getcpuclockid(thread.ident))
+    except (AttributeError, OSError):
+        return None
 
 
 def _result_frame(records, columns, fmt) -> tuple[MessageType, dict]:

@@ -1,15 +1,25 @@
 """The shard fold plane: N lock-free aggregation workers behind one barrier.
 
 Each :class:`Shard` is one :class:`~repro.aggregate.db.AggregationDB` per
-tenant plus one worker thread fed by a bounded queue, so the per-record hot
-path takes no locks (the same design that gives the runtime its per-thread
-databases).  A queue carries four item kinds: ``records``, ``states``,
-``call`` (the barrier) and ``stop``.  :class:`ShardPlane` owns the shards
-and what every other plane needs from them:
+tenant plus one worker thread fed by a bounded queue, so the fold takes no
+locks (the same design that gives the runtime its per-thread databases).
+A queue carries five item kinds: ``store`` (a decoded wire batch and the
+rows of it this shard owns, folded by the column kernels), ``records``
+(hydrated rows, for servers that need them: window stamping, an operator
+without a vector kernel, a compiled WHERE), ``states``, ``call`` (the
+barrier) and ``stop``.  A store is shared by every shard its rows went to:
+workers only read it — its lazily filled ``interned``/``numeric`` caches
+are pure functions of the immutable columns, stored with one GIL-atomic
+dict assignment, so two workers filling the same entry at once both end up
+with equal arrays and nobody sees a partial one.  :class:`ShardPlane` owns
+the shards and what every other plane needs from them:
 
-* **Routing** — GROUP BY values are hashed with the process-stable FNV
-  hash; identical keys always land in the same shard, so shard databases
-  partition the key space and merge without overlap.
+* **Routing** — each GROUP BY value's text is hashed with the
+  process-stable FNV hash and the hashes of a key's values are mixed in
+  64-bit arithmetic (:func:`_shard_of`, the one definition of "the shard
+  of a key"); identical keys always land in the same shard whichever frame
+  kind carried them, so shard databases partition the key space and merge
+  without overlap.
 * **The barrier** — :meth:`ShardPlane.call`, the only way another thread
   reads or mutates shard state: snapshots, relay deltas and window
   retirement each see everything acknowledged before them.
@@ -23,11 +33,16 @@ import time
 from concurrent.futures import Future, TimeoutError as FutureTimeout
 from typing import Callable, Optional
 
+import numpy as np
+
 from ..aggregate.db import AggregationDB
 from ..aggregate.scheme import AggregationScheme
 from ..common.errors import ReproError
 from ..common.util import stable_hash64
+from ..common.variant import Variant
+from ..io.dataset import ColumnStore
 from ..observe import MetricsRegistry
+from ..query.columnar import ColumnFold
 
 __all__ = ["Shard", "ShardPlane", "copy_states", "DEFAULT_TENANT", "KEY_SEP"]
 
@@ -71,6 +86,9 @@ class Shard:
         #: server runs (dict get/setdefault are GIL-atomic, so racy reads
         #: from quota checks stay safe).
         self.dbs: dict[str, AggregationDB] = {DEFAULT_TENANT: AggregationDB(scheme)}
+        #: tenant name -> the column fold over that tenant's DB (its interned
+        #: key values and slot cache live as long as the DB does)
+        self._folds: dict[str, ColumnFold] = {}
         self.queue: queue.Queue = queue.Queue(maxsize=depth)
         self.thread: Optional[threading.Thread] = None
         self.metrics = metrics
@@ -86,6 +104,12 @@ class Shard:
         if db is None:
             db = self.dbs.setdefault(tenant, AggregationDB(self.scheme))
         return db
+
+    def fold_for(self, tenant: str) -> ColumnFold:
+        fold = self._folds.get(tenant)
+        if fold is None:
+            fold = self._folds[tenant] = ColumnFold(self.db_for(tenant))
+        return fold
 
     @property
     def quiescent(self) -> bool:
@@ -109,10 +133,12 @@ class Shard:
             if kind == "call":
                 self.run_call(item[1], item[2])
                 continue
-            tenant = item[1]  # a records/states batch: (kind, tenant state, payload...)
+            tenant = item[1]  # a data batch: (kind, tenant state, payload...)
             try:
                 db = self.db_for(tenant.name)
-                if kind == "records":
+                if kind == "store":
+                    self.fold_for(tenant.name).feed(item[2], rows=item[3])
+                elif kind == "records":
                     for record in item[2]:
                         db.process(record)
                 else:
@@ -140,6 +166,9 @@ class ShardPlane:
         self.metrics = metrics
         self.stopping = threading.Event()
         self._shards = [Shard(i, scheme, depth, metrics) for i in range(shards)]
+        #: (type, value) of a key value -> the hash of its text; filled by
+        #: whichever thread routes (GIL-atomic gets and sets), emptied when full
+        self._value_hashes: dict[tuple, int] = {}
 
     def __len__(self) -> int:
         return len(self._shards)
@@ -193,6 +222,24 @@ class ShardPlane:
 
     # -- routing ----------------------------------------------------------------
 
+    def route_store(self, store: ColumnStore) -> list[tuple[Shard, Optional[np.ndarray]]]:
+        """Split a decoded batch by the shard each row's GROUP BY key hashes
+        to: ``(shard, row indices)`` pairs, ``None`` for "every row" on a
+        one-shard plane.  One hash per distinct key value, none per row."""
+        n = len(self._shards)
+        if not len(store):
+            return []
+        if n == 1:
+            return [(self._shards[0], None)]
+        columns = []
+        for label in self.scheme.key:
+            codes, values = store.interned(label)
+            table = np.array([_EMPTY_HASH, *map(self._value_hash, values)], dtype=np.uint64)
+            columns.append(table[codes + 1])
+        target = _shard_of(columns, len(store), n)
+        selections = ((shard, np.flatnonzero(target == shard.index)) for shard in self._shards)
+        return [(shard, rows) for shard, rows in selections if len(rows)]
+
     def bucket(self, items: list, get_of: Callable) -> list[tuple[Shard, list]]:
         """Split ``items`` by the shard their GROUP BY key hashes to.
 
@@ -200,17 +247,32 @@ class ShardPlane:
         a state group's entries; a missing label reads as empty.
         """
         n = len(self._shards)
+        if not items:
+            return []
         if n == 1:
-            return [(self._shards[0], items)] if items else []
+            return [(self._shards[0], items)]
+        getters = [get_of(item) for item in items]
+        value_hash = self._value_hash
+        columns = [
+            np.array([value_hash(get(label)) for get in getters], dtype=np.uint64)
+            for label in self.scheme.key
+        ]
         buckets: list[list] = [[] for _ in range(n)]
-        labels = self.scheme.key
-        for item in items:
-            get = get_of(item)
-            text = KEY_SEP.join(
-                "" if value is None else value.to_string() for value in map(get, labels)
-            )
-            buckets[stable_hash64(text.encode("utf-8")) % n].append(item)
+        for item, index in zip(items, _shard_of(columns, len(items), n).tolist()):
+            buckets[index].append(item)
         return [(s, b) for s, b in zip(self._shards, buckets) if b]
+
+    def _value_hash(self, value: Optional[Variant]) -> int:
+        """The process-stable hash of one key value's text (missing = empty)."""
+        if value is None:
+            return _EMPTY_HASH
+        key = (value.type, value.value)
+        cached = self._value_hashes.get(key)
+        if cached is None:
+            if len(self._value_hashes) >= _HASH_CACHE_SIZE:
+                self._value_hashes.clear()
+            cached = self._value_hashes[key] = stable_hash64(value.to_string().encode("utf-8"))
+        return cached
 
     # -- the barrier --------------------------------------------------------------
 
@@ -252,6 +314,23 @@ class ShardPlane:
             return [future.result() for future in futures]
         except Exception as exc:
             raise ReproError(f"shard barrier call failed: {exc!r}") from exc
+
+
+_EMPTY_HASH = stable_hash64(b"")
+_FNV_PRIME = np.uint64(0x100000001B3)
+_HASH_CACHE_SIZE = 1 << 16
+
+
+def _shard_of(columns: list[np.ndarray], keys: int, shards: int) -> np.ndarray:
+    """The shard index of each of ``keys`` keys, from its values' text
+    hashes (one ``uint64`` column per GROUP BY label): the one definition of
+    where a key lives, shared by the rows of a store and by state groups."""
+    mixed = np.full(keys, _EMPTY_HASH, dtype=np.uint64)
+    for column in columns:
+        mixed *= _FNV_PRIME  # wraps modulo 2**64
+        mixed += column
+    mixed ^= mixed >> np.uint64(32)  # the modulus only sees low bits
+    return mixed % np.uint64(shards)
 
 
 def _check(deadline: float) -> None:

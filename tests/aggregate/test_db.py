@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregate import AggregationDB, AggregationScheme, make_op
-from repro.common import AggregationError, Record
+from repro.common import AggregationError, Record, ValueType, Variant
 
 from ..conftest import record_lists
 
@@ -180,6 +180,33 @@ class TestStateTransfer:
         dst.process(Record({"function": "foo", "time.duration": 100.0}))
         foo = {r.get("function").to_string(): r for r in src.flush()}["foo"]
         assert foo["sum#time.duration"].value == 3.0  # source unaffected
+
+    def test_loaded_groups_land_on_the_keys_records_would(self):
+        # load_states builds keys from the bare entries: a missing and an
+        # empty key attribute are one key, Variant-equal numbers another, and
+        # the first Variant seen stays the key — all exactly as extract() has it
+        def states_of(entries):
+            db = AggregationDB(scheme_count_sum(key=("function", "rank")))
+            db.process(Record.from_variants(dict(entries)))
+            ((_key, states),) = db.export_states()
+            return states
+
+        groups = [
+            {"function": Variant.of("f"), "rank": Variant.of(1)},
+            {"function": Variant.of("f"), "rank": Variant.of(1.0)},
+            {"function": Variant.of("f")},
+            {"function": Variant.of("f"), "rank": Variant.empty()},
+            {"rank": Variant.of(1), "other": Variant.of("ignored")},
+        ]
+        loaded = AggregationDB(scheme_count_sum(key=("function", "rank")))
+        processed = AggregationDB(scheme_count_sum(key=("function", "rank")))
+        for entries in groups:
+            loaded.load_states([(entries, states_of(entries))])
+            processed.process(Record.from_variants(dict(entries)))
+        assert loaded.export_states() == processed.export_states()
+        assert len(loaded) == 3
+        rank = loaded.export_states()[0][0]["rank"]
+        assert (rank.type, rank.value) == (ValueType.INT, 1)
 
 
 def test_wire_size_uses_cached_cell_count():

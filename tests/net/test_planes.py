@@ -17,8 +17,9 @@ import pytest
 
 from repro.aggregate import AggregationDB
 from repro.calql import parse_scheme
-from repro.common import Record
+from repro.common import Record, Variant
 from repro.common.errors import ReproError
+from repro.io.colfile import decode_batch_store, encode_batch
 from repro.net import AggregationServer
 from repro.net.admission import Admission, Refused
 from repro.net.protocol import MessageType
@@ -108,18 +109,27 @@ def test_failed_export_is_a_repro_error_at_the_server():
 
 def test_records_and_their_states_route_to_the_same_shard():
     plane = make_shards(n=3)
-    records = recs(40)
+    records = recs(40) + [Record({"v": 1.0})]  # the last one has no key attribute
     by_record = {
         r.get("k").value: shard.index
         for shard, bucket in plane.bucket(records, attrgetter("get"))
         for r in bucket
     }
     by_group = {
-        g[0]["k"].value: shard.index
+        g[0].get("k", Variant.empty()).value: shard.index
         for shard, bucket in plane.bucket(groups_of(records), lambda g: g[0].get)
         for g in bucket
     }
-    assert by_record == by_group and len(by_group) == 4
+    # ... and so do the rows of the column store the wire delivers
+    by_row = {
+        records[row].get("k").value: shard.index
+        for shard, rows in plane.route_store(decode_batch_store(encode_batch(records)))
+        for row in rows.tolist()
+    }
+    assert by_record == by_group == by_row and len(by_group) == 5
+    # an empty key value is a missing one, as the key extractor has it
+    ((shard, _bucket),) = plane.bucket([{"k": Variant.empty()}], attrgetter("get"))
+    assert shard.index == by_group[None]
 
 
 # -- admission plane: the one data-frame sequence -----------------------------------

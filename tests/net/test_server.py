@@ -236,6 +236,32 @@ def test_stats_records_cover_the_core_metrics(server):
         assert name in metrics, f"missing {name}"
 
 
+@pytest.mark.skipif(
+    not hasattr(time, "pthread_getcpuclockid"), reason="no per-thread CPU clocks here"
+)
+def test_stats_publish_each_server_threads_cpu_seconds():
+    def cpu_seconds(node):
+        return {
+            r.get("observe.thread").value: r.get("observe.value").value
+            for r in node.stats_records()
+            if r.get("observe.metric").value == "net.thread.cpu_seconds"
+        }
+
+    with AggregationServer(SCHEME, shards=2) as root:
+        with AggregationServer(SCHEME, shards=1, upstream=root.address) as relay:
+            with FlushClient(*relay.address) as c:
+                c.push_all(synth_records(4, 2000))
+                c.flush()
+                c.stats_records()  # a frame the blocking pool answers
+            assert relay.forward_now()
+            before, after = cpu_seconds(relay), cpu_seconds(relay)
+            at_root = cpu_seconds(root)
+    assert set(before) == {"loop", "blocking", "forward", "shard-0"}
+    assert set(at_root) == {"loop", "blocking", "shard-0", "shard-1"}  # nothing to forward to
+    assert all(seconds > 0 for seconds in before.values())
+    assert all(after[name] >= before[name] for name in before)
+
+
 def test_scheme_mismatch_is_rejected(server):
     client = FlushClient(*server.address, scheme="AGGREGATE count GROUP BY other")
     client.push(Record({"other": "x"}))
