@@ -183,20 +183,24 @@ def compile_conditions(conds: Sequence[Condition]) -> Optional[Callable[[Record]
     """Compile a WHERE list into one predicate (comma means AND).
 
     Returns ``None`` for an empty list so callers can skip the call entirely.
+    The predicate keeps what it was compiled from as ``predicate.conditions``
+    (a tuple), so a holder of the scheme alone — a shard worker folding a
+    column batch — can evaluate the same filter as column masks; a
+    hand-written predicate callable has no such attribute.
     """
     if not conds:
         return None
-    compiled = [_compile_one(c) for c in conds]
-    if len(compiled) == 1:
-        return compiled[0]
+    compiled = tuple(_compile_one(c) for c in conds)
 
-    def conjunction(record: Record, _compiled=tuple(compiled)) -> bool:
-        for check in _compiled:
+    def conjunction(record: Record) -> bool:
+        for check in compiled:
             if not check(record):
                 return False
         return True
 
-    return conjunction
+    predicate = compiled[0] if len(compiled) == 1 else conjunction
+    predicate.conditions = tuple(conds)  # type: ignore[attr-defined]
+    return predicate
 
 
 # -- LET compilation --------------------------------------------------------------

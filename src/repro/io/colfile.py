@@ -559,6 +559,29 @@ class ColfileStore(ColumnStore):
                 columns[label] = _DictColumn(present, [value])
         return ColfileStore(self._n, columns)
 
+    def with_doubles(
+        self, columns: dict[str, np.ndarray], present: Optional[np.ndarray] = None
+    ) -> "ColfileStore":
+        """This store with ``float64`` columns added, each replacing a
+        same-named column as :meth:`Record.with_entries` would; ``present``
+        masks the rows that have them (``None``: every row; the values are
+        0.0 elsewhere).  The other columns are shared, not copied."""
+        merged = dict(self._columns)
+        for label, values in columns.items():
+            merged[label] = _NumColumn(ValueType.DOUBLE, values, present)
+        return ColfileStore(self._n, merged)
+
+    def take(self, rows: np.ndarray) -> "ColfileStore":
+        """The store of ``rows`` of this one, in that order; a row may repeat."""
+        columns: dict[str, _Column] = {}
+        for label, col in self._columns.items():
+            if isinstance(col, _DictColumn):
+                columns[label] = _DictColumn(col.codes[rows], col.values)
+            else:
+                mask = None if col.mask is None else col.mask[rows]
+                columns[label] = _NumColumn(col.vtype, col.values[rows], mask)
+        return ColfileStore(len(rows), columns)
+
     def interned(self, label: str) -> tuple[np.ndarray, list[Variant]]:
         cached = self._interned.get(label)
         if cached is not None:
@@ -631,31 +654,31 @@ def _intern_num_column(
     return codes, values
 
 
-def records_from_store(store: ColfileStore) -> list[Record]:
-    """Materialize plain :class:`Record` rows from a columnar store."""
-    nrows = len(store)
-    rows: list[dict[str, Variant]] = [{} for _ in range(nrows)]
+def records_from_store(store: ColfileStore, rows: Optional[np.ndarray] = None) -> list[Record]:
+    """Materialize plain :class:`Record` rows from a columnar store: every
+    row, or just ``rows`` of it (in that order)."""
+    nrows = len(store) if rows is None else len(rows)
+    out: list[dict[str, Variant]] = [{} for _ in range(nrows)]
     for label, col in store.columns.items():
         if isinstance(col, _DictColumn):
             values = col.values
-            present = np.nonzero(col.codes >= 0)[0]
-            codes = col.codes
-            for i in present.tolist():
-                rows[i][label] = values[codes[i]]
+            codes = col.codes if rows is None else col.codes[rows]
+            for i in np.nonzero(codes >= 0)[0].tolist():
+                out[i][label] = values[codes[i]]
         else:
             vtype = col.vtype
-            vals = col.values.tolist()
-            if col.mask is None:
-                idx: Iterable[int] = range(nrows)
-            else:
-                idx = np.nonzero(col.mask)[0].tolist()
+            vals, mask = col.values, col.mask
+            if rows is not None:
+                vals, mask = vals[rows], None if mask is None else mask[rows]
+            vals = vals.tolist()
+            idx: Iterable[int] = range(nrows) if mask is None else np.nonzero(mask)[0].tolist()
             if vtype is ValueType.BOOL:
                 for i in idx:
-                    rows[i][label] = Variant(vtype, bool(vals[i]))
+                    out[i][label] = Variant(vtype, bool(vals[i]))
             else:
                 for i in idx:
-                    rows[i][label] = Variant(vtype, vals[i])
-    return [Record.from_variants(r) for r in rows]
+                    out[i][label] = Variant(vtype, vals[i])
+    return [Record.from_variants(r) for r in out]
 
 
 def decode_batch_store(

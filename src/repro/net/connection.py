@@ -47,6 +47,11 @@ __all__ = ["ConnectionPlane"]
 _DATA_FRAMES = (MessageType.RECORDS, MessageType.STATES, MessageType.FORWARD)
 
 
+class _PeerGone(Exception):
+    """A socket read or write failed: the peer vanished, or our own shutdown
+    closed the socket under it."""
+
+
 class ConnectionPlane:
     """Listener, event-loop thread, frame I/O and the blocking executor."""
 
@@ -202,9 +207,8 @@ class ConnectionPlane:
             await self._serve_connection(reader, writer)
         except asyncio.CancelledError:
             pass  # kill() or shutdown cancelled us mid-frame
-        except (Truncated, OSError, ValueError, ConnectionError):
-            # Peer vanished (or our own shutdown closed the socket):
-            # nothing to report to — drop the connection.
+        except (Truncated, _PeerGone):
+            # Nothing to report to — drop the connection.
             self.metrics.count("net.disconnects", reason="io")
         except ProtocolError as exc:
             self.metrics.count("net.errors", stage="protocol")
@@ -212,6 +216,16 @@ class ConnectionPlane:
         except ReproError as exc:
             self.metrics.count("net.errors", stage="request")
             await self._send_error(writer, exc, "request")
+        except Exception as exc:
+            # A bug in a callback, not the peer's doing: the traceback goes to
+            # the loop's exception handler (asyncio's log) and the peer is told
+            # instead of left waiting.  Only this connection ends; the loop and
+            # every other session carry on.
+            self.metrics.count("net.errors", stage="handler")
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": "connection handler raised", "exception": exc}
+            )
+            await self._send_error(writer, f"{type(exc).__name__}: {exc}", "internal")
         finally:
             self._writers.discard(writer)
             self._tasks.discard(task)
@@ -224,7 +238,7 @@ class ConnectionPlane:
         try:
             writer.write(message_bytes(MessageType.ERROR, error_body(str(exc), code=code)))
             await writer.drain()
-        except (OSError, ConnectionError):
+        except (OSError, ValueError):
             pass
 
     async def _serve_connection(self, reader, writer) -> None:
@@ -245,19 +259,11 @@ class ConnectionPlane:
 
     async def _read(self, reader) -> tuple[MessageType, dict, dict]:
         """Incremental frame parse off the stream buffer (no thread, no poll)."""
-        try:
-            header = await reader.readexactly(HEADER.size)
-        except asyncio.IncompleteReadError as exc:
-            if exc.partial:
-                raise Truncated("connection closed mid-frame") from None
-            raise Truncated("connection closed") from None
+        header = await _read_exactly(reader, HEADER.size)
         mtype, flags, length = parse_frame_header(header, self.max_payload)
         payload = b""
         if length:
-            try:
-                payload = await reader.readexactly(length)
-            except asyncio.IncompleteReadError:
-                raise Truncated("connection closed mid-frame") from None
+            payload = await _read_exactly(reader, length)
         nbytes = HEADER.size + len(payload)
         self.metrics.count("net.bytes.rx", nbytes)
         if mtype is MessageType.FORWARD:
@@ -275,6 +281,18 @@ class ConnectionPlane:
 
     async def _write(self, writer, mtype: MessageType, body: dict) -> None:
         data = message_bytes(mtype, body)
-        writer.write(data)
-        await writer.drain()
+        try:
+            writer.write(data)
+            await writer.drain()
+        except (OSError, ValueError) as exc:
+            raise _PeerGone(str(exc)) from exc
         self.metrics.count("net.bytes.tx", len(data))
+
+
+async def _read_exactly(reader, n: int) -> bytes:
+    try:
+        return await reader.readexactly(n)
+    except asyncio.IncompleteReadError:
+        raise Truncated("connection closed") from None
+    except (OSError, ValueError) as exc:
+        raise _PeerGone(str(exc)) from exc

@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from operator import attrgetter
 from typing import Optional, Union
 
 from ..aggregate.db import AggregationDB
@@ -40,7 +39,6 @@ from ..common.errors import ReproError
 from ..common.record import Record
 from ..common.variant import Variant
 from ..observe import MetricsRegistry, to_records as _metrics_to_records
-from ..query.columnar import supports_scheme
 from ..window.db import WindowFront, closed_below
 from .admission import Admission, Refused, TenantQuota
 from .connection import ConnectionPlane
@@ -121,7 +119,7 @@ class AggregationServer:
             raise ValueError("tenants are not supported on windowed servers")
         #: windowed streaming mode: the shards aggregate the front's
         #: *windowized* scheme.  Producers may still HELLO with the plain
-        #: base scheme — they stream raw records and this server stamps them.
+        #: base scheme — they stream raw batches and this server stamps them.
         self._window: Optional[WindowFront] = None
         if window is not None:
             self._window = WindowFront(
@@ -132,13 +130,6 @@ class AggregationServer:
         self.retire_interval = retire_interval
         self._retire_thread: Optional[threading.Thread] = None
         self.scheme = scheme
-        #: whether shards fold the decoded wire batch as columns.  Window
-        #: stamping reads records in arrival order, a compiled WHERE is an
-        #: opaque per-record callable and an operator without a vector kernel
-        #: needs its own ``update``: those servers hydrate every batch.
-        self._folds_stores = (
-            self._window is None and scheme.predicate is None and supports_scheme(scheme)
-        )
         self._accepted_schemes = {scheme.describe(), self.producer_scheme}
         self._state_widths = [op.state_width() for op in scheme.ops]
         self.host = host
@@ -349,19 +340,20 @@ class AggregationServer:
         store = store_from_binary(_section(sections, "records"), self.max_decoded)
 
         def route() -> list:
-            if self._folds_stores:
-                # The batch stays the column store the wire delivered: each
-                # shard worker folds its rows of it, no Record is built.
-                return [
-                    (shard, ("store", tenant, store, rows))
-                    for shard, rows in self._shards.route_store(store)
-                ]
-            records = store.records
-            if self._window is not None:
-                records = self._stamp(client_id, records)
+            # The batch stays the column store the wire delivered: stamped as
+            # columns under the front's lock, split by key hash, and each
+            # shard worker folds its rows of it.  No Record is built here.
+            batch, rows, window = store, None, self._window
+            if window is not None:
+                with window.lock:
+                    batch, rows, late, untimed = window.stamp_store(client_id, store)
+                if late:
+                    self.metrics.count("window.late", late, what="records")
+                if untimed:
+                    self.metrics.count("window.untimed", untimed)
             return [
-                (shard, ("records", tenant, bucket))
-                for shard, bucket in self._shards.bucket(records, attrgetter("get"))
+                (shard, ("store", tenant, batch, picked))
+                for shard, picked in self._shards.route_store(batch, rows)
             ]
 
         # Windowed stamping already advanced the watermark, so a windowed
@@ -380,7 +372,7 @@ class AggregationServer:
             # Stream counters are global, not per-key; attribute them to the
             # first bucket (or to shard 0 when the batch carries nothing
             # else) so totals stay exact after merging.
-            buckets = self._shards.bucket(groups, lambda group: group[0].get)
+            buckets = self._shards.bucket(groups)
             if not buckets and (offered or processed):
                 buckets = [(self._shards[0], [])]
             puts, counters = [], (offered, processed)
@@ -425,16 +417,6 @@ class AggregationServer:
                 f"scheme mismatch: server aggregates {self.scheme.describe()!r}, "
                 f"client sent {theirs.describe()!r}"
             )
-
-    def _stamp(self, source: str, records: list[Record]) -> list[Record]:
-        """Window-stamp one client's batch under the front's lock."""
-        with self._window.lock:
-            stamped, late, untimed = self._window.stamp(source, records)
-        if late:
-            self.metrics.count("window.late", late, what="records")
-        if untimed:
-            self.metrics.count("window.untimed", untimed)
-        return stamped
 
     # -- merged views ------------------------------------------------------------
 

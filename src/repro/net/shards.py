@@ -3,16 +3,18 @@
 Each :class:`Shard` is one :class:`~repro.aggregate.db.AggregationDB` per
 tenant plus one worker thread fed by a bounded queue, so the fold takes no
 locks (the same design that gives the runtime its per-thread databases).
-A queue carries five item kinds: ``store`` (a decoded wire batch and the
-rows of it this shard owns, folded by the column kernels), ``records``
-(hydrated rows, for servers that need them: window stamping, an operator
-without a vector kernel, a compiled WHERE), ``states``, ``call`` (the
-barrier) and ``stop``.  A store is shared by every shard its rows went to:
-workers only read it — its lazily filled ``interned``/``numeric`` caches
-are pure functions of the immutable columns, stored with one GIL-atomic
-dict assignment, so two workers filling the same entry at once both end up
-with equal arrays and nobody sees a partial one.  :class:`ShardPlane` owns
-the shards and what every other plane needs from them:
+A queue carries four item kinds: ``store`` (a decoded wire batch — window-
+stamped as columns on a windowed server — and the rows of it this shard
+owns), ``states``, ``call`` (the barrier) and ``stop``.  A worker folds its
+rows through the column kernels, WHERE evaluated as column masks; only for a
+scheme with an operator that has no vector kernel, or a hand-written
+predicate callable, does it hydrate *its* rows into records and fold those.
+A store, stamped or not, is shared by every shard its rows went to: workers
+only read it — its lazily filled ``interned``/``numeric`` caches are pure
+functions of the immutable columns, stored with one GIL-atomic dict
+assignment, so two workers filling the same entry at once both end up with
+equal arrays and nobody sees a partial one.  :class:`ShardPlane` owns the
+shards and what every other plane needs from them:
 
 * **Routing** — each GROUP BY value's text is hashed with the
   process-stable FNV hash and the hashes of a key's values are mixed in
@@ -40,9 +42,10 @@ from ..aggregate.scheme import AggregationScheme
 from ..common.errors import ReproError
 from ..common.util import stable_hash64
 from ..common.variant import Variant
+from ..io import colfile
 from ..io.dataset import ColumnStore
 from ..observe import MetricsRegistry
-from ..query.columnar import ColumnFold
+from ..query.columnar import ColumnFold, supports_scheme
 
 __all__ = ["Shard", "ShardPlane", "copy_states", "DEFAULT_TENANT", "KEY_SEP"]
 
@@ -89,6 +92,10 @@ class Shard:
         #: tenant name -> the column fold over that tenant's DB (its interned
         #: key values and slot cache live as long as the DB does)
         self._folds: dict[str, ColumnFold] = {}
+        #: whether a routed batch folds as columns (see the module docstring)
+        self._columnar = supports_scheme(scheme) and (
+            scheme.predicate is None or hasattr(scheme.predicate, "conditions")
+        )
         self.queue: queue.Queue = queue.Queue(maxsize=depth)
         self.thread: Optional[threading.Thread] = None
         self.metrics = metrics
@@ -105,11 +112,17 @@ class Shard:
             db = self.dbs.setdefault(tenant, AggregationDB(self.scheme))
         return db
 
-    def fold_for(self, tenant: str) -> ColumnFold:
+    def fold_store(self, tenant: str, store: ColumnStore, rows: Optional[np.ndarray]) -> None:
+        """Fold this shard's ``rows`` of a routed batch (``None``: all of it)."""
+        if not self._columnar:
+            process = self.db_for(tenant).process
+            for record in colfile.records_from_store(store, rows):
+                process(record)
+            return
         fold = self._folds.get(tenant)
         if fold is None:
             fold = self._folds[tenant] = ColumnFold(self.db_for(tenant))
-        return fold
+        fold.feed(store, rows=rows)
 
     @property
     def quiescent(self) -> bool:
@@ -135,14 +148,12 @@ class Shard:
                 continue
             tenant = item[1]  # a data batch: (kind, tenant state, payload...)
             try:
-                db = self.db_for(tenant.name)
                 if kind == "store":
-                    self.fold_for(tenant.name).feed(item[2], rows=item[3])
-                elif kind == "records":
-                    for record in item[2]:
-                        db.process(record)
+                    self.fold_store(tenant.name, item[2], item[3])
                 else:
-                    db.load_states(item[2], offered=item[3], processed=item[4])
+                    self.db_for(tenant.name).load_states(
+                        item[2], offered=item[3], processed=item[4]
+                    )
                 self.num_batches += 1
             except Exception:
                 # A poisoned batch must never take the shard worker down:
@@ -222,44 +233,50 @@ class ShardPlane:
 
     # -- routing ----------------------------------------------------------------
 
-    def route_store(self, store: ColumnStore) -> list[tuple[Shard, Optional[np.ndarray]]]:
-        """Split a decoded batch by the shard each row's GROUP BY key hashes
-        to: ``(shard, row indices)`` pairs, ``None`` for "every row" on a
-        one-shard plane.  One hash per distinct key value, none per row."""
+    def route_store(
+        self, store: ColumnStore, rows: Optional[np.ndarray] = None
+    ) -> list[tuple[Shard, Optional[np.ndarray]]]:
+        """Split ``rows`` of a decoded batch (``None``: every row) by the
+        shard each row's GROUP BY key hashes to: ``(shard, row indices)``
+        pairs, the caller's ``rows`` untouched on a one-shard plane.  One
+        hash per distinct key value, none per row."""
         n = len(self._shards)
-        if not len(store):
+        count = len(store) if rows is None else len(rows)
+        if not count:
             return []
         if n == 1:
-            return [(self._shards[0], None)]
+            return [(self._shards[0], rows)]
         columns = []
         for label in self.scheme.key:
             codes, values = store.interned(label)
+            if rows is not None:
+                codes = codes[rows]
             table = np.array([_EMPTY_HASH, *map(self._value_hash, values)], dtype=np.uint64)
             columns.append(table[codes + 1])
-        target = _shard_of(columns, len(store), n)
-        selections = ((shard, np.flatnonzero(target == shard.index)) for shard in self._shards)
-        return [(shard, rows) for shard, rows in selections if len(rows)]
+        target = _shard_of(columns, count, n)
+        routed = []
+        for shard in self._shards:
+            picked = np.flatnonzero(target == shard.index)
+            if len(picked):
+                routed.append((shard, picked if rows is None else rows[picked]))
+        return routed
 
-    def bucket(self, items: list, get_of: Callable) -> list[tuple[Shard, list]]:
-        """Split ``items`` by the shard their GROUP BY key hashes to.
-
-        ``get_of(item)`` is the ``label -> Variant`` getter of a record's or
-        a state group's entries; a missing label reads as empty.
-        """
+    def bucket(self, groups: list) -> list[tuple[Shard, list]]:
+        """Split exported ``(entries, states)`` groups by the shard their
+        GROUP BY key hashes to; a missing label reads as empty."""
         n = len(self._shards)
-        if not items:
+        if not groups:
             return []
         if n == 1:
-            return [(self._shards[0], items)]
-        getters = [get_of(item) for item in items]
+            return [(self._shards[0], groups)]
         value_hash = self._value_hash
         columns = [
-            np.array([value_hash(get(label)) for get in getters], dtype=np.uint64)
+            np.array([value_hash(entries.get(label)) for entries, _ in groups], dtype=np.uint64)
             for label in self.scheme.key
         ]
         buckets: list[list] = [[] for _ in range(n)]
-        for item, index in zip(items, _shard_of(columns, len(items), n).tolist()):
-            buckets[index].append(item)
+        for group, index in zip(groups, _shard_of(columns, len(groups), n).tolist()):
+            buckets[index].append(group)
         return [(s, b) for s, b in zip(self._shards, buckets) if b]
 
     def _value_hash(self, value: Optional[Variant]) -> int:

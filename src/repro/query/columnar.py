@@ -142,50 +142,61 @@ def _as_store(source: Source) -> ColumnStore:
 # -- vectorized WHERE -------------------------------------------------------------
 
 
-def _condition_mask(cond: Condition, store: ColumnStore) -> np.ndarray:
-    """Boolean row mask for one WHERE condition (predicate pushdown).
+def _condition_mask(
+    cond: Condition, store: ColumnStore, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Boolean mask over ``rows`` of the store (default: every row) for one
+    WHERE condition (predicate pushdown).
 
     Compare/Exists evaluate per distinct interned value, then broadcast
     through the code column; a missing attribute (code -1) is always False
     for them, and ``not(...)`` is plain mask negation — exactly the row
     semantics of :func:`repro.calql.semantics.compile_conditions`.
     """
-    if isinstance(cond, Exists):
-        codes, _values = store.interned(cond.label)
-        return codes >= 0
     if isinstance(cond, NotCond):
-        return ~_condition_mask(cond.inner, store)
-    if isinstance(cond, Compare):
-        codes, values = store.interned(cond.label)
-        truth = np.zeros(len(values) + 1, dtype=bool)  # slot 0 = missing
-        for i, v in enumerate(values):
-            truth[i + 1] = compare_variants(v, cond.op, cond.value)
-        return truth[codes + 1]
-    raise QueryError(f"unknown condition type {type(cond).__name__}")
+        return ~_condition_mask(cond.inner, store, rows)
+    if not isinstance(cond, (Exists, Compare)):
+        raise QueryError(f"unknown condition type {type(cond).__name__}")
+    codes, values = store.interned(cond.label)
+    if rows is not None:
+        codes = codes[rows]
+    if isinstance(cond, Exists):
+        return codes >= 0
+    truth = np.zeros(len(values) + 1, dtype=bool)  # slot 0 = missing
+    for i, v in enumerate(values):
+        truth[i + 1] = compare_variants(v, cond.op, cond.value)
+    return truth[codes + 1]
 
 
 def _select_rows(
     store: ColumnStore,
     scheme: AggregationScheme,
     where: Optional[Sequence[Condition]],
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Indices of the rows the aggregation folds (WHERE applied)."""
-    n = len(store)
-    if where is not None:
-        mask: Optional[np.ndarray] = None
-        for cond in where:
-            m = _condition_mask(cond, store)
-            mask = m if mask is None else mask & m
-        if mask is None:
-            return np.arange(n, dtype=np.int64)
-        return np.flatnonzero(mask)
-    if scheme.predicate is not None:
-        predicate = scheme.predicate
-        records = store.records
-        return np.fromiter(
-            (i for i in range(n) if predicate(records[i])), dtype=np.int64
-        )
-    return np.arange(n, dtype=np.int64)
+    """Indices of the rows the aggregation folds: those of ``rows`` (default:
+    every row) that pass the filter.
+
+    ``where`` is the query's AST condition list; ``None`` falls back to the
+    conditions the scheme's predicate was compiled from, and for a
+    hand-written predicate callable to calling it row by row on hydrated
+    records.  When both exist they are the same filter (the scheme's
+    predicate is compiled from the WHERE clause), so only one is applied.
+    """
+    predicate = scheme.predicate
+    if where is None and predicate is not None:
+        where = getattr(predicate, "conditions", None)
+        if where is None:
+            records = store.records
+            offered = range(len(store)) if rows is None else rows.tolist()
+            return np.fromiter((i for i in offered if predicate(records[i])), dtype=np.int64)
+    mask: Optional[np.ndarray] = None
+    for cond in where or ():
+        m = _condition_mask(cond, store, rows)
+        mask = m if mask is None else mask & m
+    if mask is None:
+        return np.arange(len(store), dtype=np.int64) if rows is None else rows
+    return np.flatnonzero(mask) if rows is None else rows[mask]
 
 
 # -- grouping ---------------------------------------------------------------------
@@ -468,18 +479,15 @@ def _fold_store(
     back.  Returns ``(groups, those state lists, offered, processed)``;
     ``groups`` is ``None`` when no row was left to fold.
 
-    ``where`` is the query's AST condition list for vectorized evaluation;
-    ``None`` falls back to the scheme's compiled predicate, row-wise.  When
-    both exist they are the same filter (the scheme's predicate is compiled
-    from the WHERE clause), so only one is applied.  A caller that picked
-    ``rows`` itself has offered exactly those.
+    ``rows`` (default: every row) are the rows offered — a shard's share of a
+    routed batch; the ones that pass the filter (see :func:`_select_rows`)
+    are processed.
     """
     with observe.span("columnar.convert", cached=isinstance(source, ColumnStore)):
         store = _as_store(source)
     offered = len(store) if rows is None else len(rows)
-    if rows is None:
-        with observe.span("columnar.where"):
-            rows = _select_rows(store, scheme, where)
+    with observe.span("columnar.where"):
+        rows = _select_rows(store, scheme, where, rows)
     if not len(rows):
         return None, [], offered, 0
     with observe.span("columnar.group"):
@@ -528,8 +536,9 @@ class ColumnFold:
         where: Optional[Sequence[Condition]] = None,
         rows: Optional[np.ndarray] = None,
     ) -> None:
-        """Fold ``rows`` of ``source`` (default: those passing the filter,
-        see :func:`_fold_store`) and count them into the DB's stream counters."""
+        """Fold the rows of ``source`` (of ``rows``, when given) that pass the
+        filter, and count offered and processed into the DB's stream counters
+        as ``db.process`` would, row by row."""
         db = self.db
         if db.table_epoch != self._epoch:
             self._forget()

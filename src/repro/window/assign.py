@@ -20,10 +20,15 @@ Window sizes are wall-clock durations in seconds; the CalQL surface accepts
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from ..common.errors import ReproError
 from ..common.record import Record
+
+if TYPE_CHECKING:
+    from ..io.dataset import ColumnStore
 
 __all__ = [
     "WindowError",
@@ -98,6 +103,21 @@ class WindowAssigner:
     def assign(self, event_time: float) -> List[Tuple[float, float]]:
         raise NotImplementedError
 
+    def assign_all(
+        self, times: np.ndarray
+    ) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+        """:meth:`assign` over a column of event times: ``(event, starts,
+        ends)``, one element per window copy, grouped by event in input order
+        and ascending in start within one event.  ``event`` indexes ``times``;
+        ``None`` says every event has exactly one window.  The built-in
+        assigners override this with array arithmetic that performs the same
+        IEEE operations as their ``assign``, so the bounds are bit-identical.
+        """
+        windows = [self.assign(t) for t in times.tolist()]
+        event = np.repeat(np.arange(len(windows)), [len(w) for w in windows])
+        bounds = np.array([b for w in windows for b in w], dtype=np.float64).reshape(-1, 2)
+        return event, bounds[:, 0], bounds[:, 1]
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -132,6 +152,10 @@ class TumblingWindows(WindowAssigner):
         if start > event_time:
             start -= self.size
         return [(start, start + self.size)]
+
+    def assign_all(self, times: np.ndarray):
+        start = _slot_start(times, self.size)
+        return None, start, start + self.size
 
     def describe(self) -> str:
         return f"tumbling({format_duration(self.size)})"
@@ -174,11 +198,38 @@ class SlidingWindows(WindowAssigner):
         windows.reverse()
         return windows
 
+    def assign_all(self, times: np.ndarray):
+        size, slide = self.size, self.slide
+        start = _slot_start(times, slide)
+        levels, alive = [], []
+        inside = start + size > times
+        while inside.any():  # at most ceil(size / slide) + 1 rounds
+            levels.append(start)
+            alive.append(inside)
+            start = start - slide  # repeated subtraction, as assign() does
+            inside = inside & (start + size > times)
+        if not levels:
+            return np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0)
+        # events down, latest start first -> flip: row-major order is then
+        # each event's windows in ascending start
+        alive_by_event = np.stack(alive[::-1], axis=1)
+        starts = np.stack(levels[::-1], axis=1)[alive_by_event]
+        return np.nonzero(alive_by_event)[0], starts, starts + size
+
     def describe(self) -> str:
         return (
             f"sliding({format_duration(self.size)}, "
             f"{format_duration(self.slide)})"
         )
+
+
+def _slot_start(times: np.ndarray, step: float) -> np.ndarray:
+    """``floor(t / step) * step``, nudged back where float floor landed above
+    ``t`` — the array form of the first lines of both ``assign`` methods."""
+    # math.floor gives an int, so a quotient of -0.0 multiplies as +0: the
+    # "+ 0.0" turns numpy's floor(-0.0) = -0.0 into the same +0.0
+    start = (np.floor(times / step) + 0.0) * step
+    return np.where(start > times, start - step, start)
 
 
 def make_assigner(spec) -> WindowAssigner:
@@ -217,7 +268,10 @@ class EventClock:
     event time.  Otherwise, if it carries ``time.duration``, the clock
     advances by that duration and the *accumulated* offset is the event
     time — a deterministic total order for pure duration streams.  Records
-    with neither attribute are un-timed (``None``).
+    with neither attribute are un-timed (``None``), and so is a record whose
+    time value (or whose duration, on the relative clock) is ``nan`` or
+    ``±inf``: it is never shown to the clock, so one bad value cannot push a
+    source's front to infinity (rule 2 in ``docs/streaming.md``).
 
     One clock is per-source state; keep one per stream.
     """
@@ -232,15 +286,64 @@ class EventClock:
         value = record.get(self.attribute)
         if value and value.is_numeric:
             t = float(value.value)
+            if not math.isfinite(t):
+                return None
             if t > self._offset:
                 self._offset = t
             return t
         duration = record.get(DURATION_ATTRIBUTE)
         if duration and duration.is_numeric:
+            step = float(duration.value)
+            if not math.isfinite(step):
+                return None
             t = self._offset
-            self._offset = t + float(duration.value)
+            self._offset = t + step
             return t
         return None
+
+    def event_times(self, store: "ColumnStore") -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`event_time` over the rows of a column store, in row order:
+        ``(times, timed)`` — ``times`` means something only where ``timed``.
+        Leaves the clock exactly where the per-record calls would."""
+        times, has_time = store.numeric(self.attribute, include_bool=False)
+        by_time = has_time & np.isfinite(times)
+        if has_time.all():
+            by_step = None
+        else:
+            steps, has_step = store.numeric(DURATION_ATTRIBUTE, include_bool=False)
+            by_step = ~has_time & has_step & np.isfinite(steps)
+            if not by_step.any():
+                by_step = None
+        if by_step is None:
+            if by_time.any():
+                newest = float(times[by_time].max())
+                if newest > self._offset:
+                    self._offset = newest
+            return times, by_time
+        out = np.zeros(len(times))
+        if not by_time.any():
+            # np.cumsum adds left to right, one rounding per row, as the
+            # running ``offset + step`` does
+            running = np.cumsum(np.concatenate(([self._offset], steps[by_step])))
+            out[by_step] = running[:-1]
+            self._offset = float(running[-1])
+            return out, by_step
+        # Time stamps and durations interleaved: each row's time depends on
+        # every row before it, so run the clock itself — over floats.
+        timed = by_time | by_step
+        offset, stamps = self._offset, []
+        for t, step, stamped in zip(
+            times[timed].tolist(), steps[timed].tolist(), by_time[timed].tolist()
+        ):
+            if stamped:
+                if t > offset:
+                    offset = t
+            else:
+                t, offset = offset, offset + step
+            stamps.append(t)
+        self._offset = offset
+        out[timed] = stamps
+        return out, timed
 
 
 def stamp_record(

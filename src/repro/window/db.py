@@ -17,7 +17,9 @@ its shards and forwarded-state DBs, holding :attr:`WindowFront.lock`.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..aggregate.db import AggregationDB
 from ..aggregate.ops import AvgOp, MomentsOp, SumOp
@@ -35,6 +37,9 @@ from .assign import (
 )
 from .estimate import WindowEstimator, _unwrap
 from .watermark import WatermarkTracker
+
+if TYPE_CHECKING:
+    from ..io.colfile import ColfileStore
 
 __all__ = [
     "windowize_scheme",
@@ -137,6 +142,12 @@ class WindowFront:
         self._clocks: Dict[str, EventClock] = {}
         self.lock = threading.Lock()
 
+    def _clock(self, source: str) -> EventClock:
+        clock = self._clocks.get(source)
+        if clock is None:
+            clock = self._clocks[source] = EventClock(self.time_attribute)
+        return clock
+
     def stamp(self, source: str, records: Iterable[Record]) -> Tuple[List[Record], int, int]:
         """Assign ``records`` to windows, advancing ``source``'s watermark.
 
@@ -147,10 +158,12 @@ class WindowFront:
         already retired are dropped regardless — the replayed data is
         already inside their final results.  Late and un-timed records are
         counted, never folded.
+
+        This loop is the "window / lateness / retirement rule" of
+        ``docs/streaming.md`` written out record by record;
+        :meth:`stamp_store` is the same rule as column operations.
         """
-        clock = self._clocks.get(source)
-        if clock is None:
-            clock = self._clocks[source] = EventClock(self.time_attribute)
+        clock = self._clock(source)
         tracker, floor = self.tracker, self.retire_floor
         stamped: List[Record] = []
         late = untimed = 0
@@ -176,6 +189,55 @@ class WindowFront:
         self.num_late += late
         self.num_untimed += untimed
         return stamped, late, untimed
+
+    def stamp_store(
+        self, source: str, store: "ColfileStore"
+    ) -> Tuple["ColfileStore", Optional[np.ndarray], int, int]:
+        """:meth:`stamp` over a decoded column batch, without building a
+        :class:`Record`: ``(stamped store, rows, late, un-timed)``.
+
+        The stamped store is ``store``'s columns plus ``window.start`` /
+        ``window.end`` (replacing same-named columns, as ``with_entries``
+        does) and ``rows`` the indices of the rows to fold, ``None`` for all
+        of them: ``records_from_store(stamped, rows)`` equals ``stamp``'s
+        list, in order and bit for bit, and the clock, the tracker and the
+        counters end where ``stamp`` leaves them.  A tumbling batch shares
+        ``store``'s columns (dropped rows stay, outside ``rows``); a batch
+        under an assigner with several windows per event is the row-repeated
+        copy.  The rule itself is the numbered "window / lateness /
+        retirement rule" of ``docs/streaming.md``.
+        """
+        n = len(store)
+        times, timed = self._clock(source).event_times(store)  # rules 1 and 2
+        rows = np.flatnonzero(timed)
+        untimed = n - len(rows)
+        times = times[rows]
+        on_time = ~self.tracker.observe_all(source, times)  # rule 3
+        rows, times = rows[on_time], times[on_time]
+        event, starts, ends = self.assigner.assign_all(times)  # rule 4
+        one_each = event is None
+        if one_each:
+            event = np.arange(len(rows))
+        if self.retire_floor is not None:  # rule 5
+            still_open = ends > self.retire_floor
+            event, starts, ends = event[still_open], starts[still_open], ends[still_open]
+        folded = len(event) if one_each else len(np.unique(event))
+        late = n - untimed - folded  # rule 6: behind the front, or every copy retired
+        self.num_late += late
+        self.num_untimed += untimed
+        rows = rows[event]  # the input row behind each copy to fold
+        if not one_each:
+            stamped = store.take(rows).with_doubles({WINDOW_START: starts, WINDOW_END: ends})
+            return stamped, None, late, untimed
+        if len(rows) == n:
+            return store.with_doubles({WINDOW_START: starts, WINDOW_END: ends}), None, late, untimed
+        present = np.zeros(n, dtype=bool)
+        present[rows] = True
+        bounds = {}
+        for label, values in ((WINDOW_START, starts), (WINDOW_END, ends)):
+            bounds[label] = np.zeros(n)
+            bounds[label][rows] = values
+        return store.with_doubles(bounds, present), rows, late, untimed
 
     def watermark(self) -> Optional[float]:
         """The global event-time watermark (``None`` before any event)."""

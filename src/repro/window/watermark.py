@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+import numpy as np
+
 __all__ = ["WatermarkTracker"]
 
 
@@ -41,6 +43,26 @@ class WatermarkTracker:
         current = self._sources.get(source)
         if current is None or mark > current:
             self._sources[source] = mark
+
+    def observe_all(self, source: str, event_times: np.ndarray) -> np.ndarray:
+        """``is_late(t, source)`` then, if not, ``observe(source, t)`` for each
+        of one source's event times in order; returns the late mask.
+
+        Row *i* is late when it is below the front the rows before it left:
+        ``max(mark, max over j < i of t_j - lateness)``.  That maximum may run
+        over every earlier row, late ones included: a late row has
+        ``t - lateness <= t < front``, so it never raises the front — which
+        is what makes the rule a prefix maximum instead of a loop.
+        """
+        if not len(event_times):
+            return np.zeros(0, dtype=bool)
+        mark = self._sources.get(source)
+        front = np.empty(len(event_times))
+        front[0] = -np.inf if mark is None else mark
+        np.maximum.accumulate(event_times[:-1] - self.lateness, out=front[1:])
+        np.maximum(front, front[0], out=front)
+        self.observe(source, float(event_times.max()))
+        return event_times < front
 
     def update(self, source: str, watermark: float) -> None:
         """Fold a directly reported watermark (relay FORWARD piggyback)."""

@@ -130,6 +130,11 @@ class TestBuildScheme:
         assert scheme.predicate(Record({"k": "x"}))
         assert not scheme.predicate(Record({"mpi.function": "MPI_Send"}))
 
+    def test_predicate_keeps_the_conditions_it_was_compiled_from(self):
+        for where in ("not(mpi.function)", "k=a, v>2"):
+            query = parse_query(f"AGGREGATE count WHERE {where} GROUP BY k")
+            assert build_scheme(query).predicate.conditions == tuple(query.where)
+
     def test_pure_filter_query_rejected(self):
         with pytest.raises(CalQLSemanticError):
             build_scheme(parse_query("SELECT kernel WHERE kernel"))

@@ -9,10 +9,11 @@ forward -> fence -> zombie -> retraction story.
 from __future__ import annotations
 
 import asyncio
+import io
 import sys
 import threading
-from operator import attrgetter
 
+import numpy as np
 import pytest
 
 from repro.aggregate import AggregationDB
@@ -22,7 +23,8 @@ from repro.common.errors import ReproError
 from repro.io.colfile import decode_batch_store, encode_batch
 from repro.net import AggregationServer
 from repro.net.admission import Admission, Refused
-from repro.net.protocol import MessageType
+from repro.net.connection import ConnectionPlane
+from repro.net.protocol import MAX_PAYLOAD, MessageType, message_bytes, read_message
 from repro.net.relay import RelayPlane
 from repro.net.shards import DEFAULT_TENANT, ShardPlane, copy_states
 from repro.observe import MetricsRegistry
@@ -110,25 +112,30 @@ def test_failed_export_is_a_repro_error_at_the_server():
 def test_records_and_their_states_route_to_the_same_shard():
     plane = make_shards(n=3)
     records = recs(40) + [Record({"v": 1.0})]  # the last one has no key attribute
-    by_record = {
-        r.get("k").value: shard.index
-        for shard, bucket in plane.bucket(records, attrgetter("get"))
-        for r in bucket
+    store = decode_batch_store(encode_batch(records))
+    by_row = {
+        records[row].get("k").value: shard.index
+        for shard, rows in plane.route_store(store)
+        for row in rows.tolist()
     }
     by_group = {
         g[0].get("k", Variant.empty()).value: shard.index
-        for shard, bucket in plane.bucket(groups_of(records), lambda g: g[0].get)
+        for shard, bucket in plane.bucket(groups_of(records))
         for g in bucket
     }
-    # ... and so do the rows of the column store the wire delivers
-    by_row = {
-        records[row].get("k").value: shard.index
-        for shard, rows in plane.route_store(decode_batch_store(encode_batch(records)))
+    assert by_row == by_group and len(by_group) == 5
+    # routing a subset of the rows routes exactly those, to the same shards
+    odd = np.arange(1, len(records), 2)
+    routed = plane.route_store(store, odd)
+    assert sorted(row for _shard, rows in routed for row in rows.tolist()) == odd.tolist()
+    assert all(
+        by_row[records[row].get("k").value] == shard.index
+        for shard, rows in routed
         for row in rows.tolist()
-    }
-    assert by_record == by_group == by_row and len(by_group) == 5
+    )
+    assert plane.route_store(store, odd[:0]) == []
     # an empty key value is a missing one, as the key extractor has it
-    ((shard, _bucket),) = plane.bucket([{"k": Variant.empty()}], attrgetter("get"))
+    ((shard, _bucket),) = plane.bucket([({"k": Variant.empty()}, [])])
     assert shard.index == by_group[None]
 
 
@@ -136,12 +143,14 @@ def test_records_and_their_states_route_to_the_same_shard():
 
 
 def admit(admission, tenant, client, seq, records, shed=True, calls=None):
+    store = decode_batch_store(encode_batch(records))
+
     def route():
         if calls is not None:
             calls.append(seq)
         return [
-            (shard, ("records", tenant, bucket))
-            for shard, bucket in admission._shards.bucket(records, attrgetter("get"))
+            (shard, ("store", tenant, store, rows))
+            for shard, rows in admission._shards.route_store(store)
         ]
 
     return admission.admit(tenant, client, seq, "records", len(records), route, shed)
@@ -177,8 +186,8 @@ def test_batch_with_one_bucket_committed_is_never_shed():
     admission = Admission(shards, admission_timeout=0.0)
     tenant = admission.connect(None)
     records = recs(16)
-    assert len(shards.bucket(records, attrgetter("get"))) == 2
-    shards[1].queue.put(("records", tenant, []))  # shard 1 is backed up
+    assert len(shards.route_store(decode_batch_store(encode_batch(records)))) == 2
+    shards[1].queue.put(("states", tenant, [], 0, 0))  # shard 1 is backed up
 
     async def scenario():
         task = asyncio.ensure_future(admit(admission, tenant, "c", 0, records))
@@ -230,6 +239,87 @@ def test_connect_refuses_by_policy():
     assert [e.value.code for e in (unknown, missing, full)] == ["auth", "auth", "quota"]
     admission.release(tenant)
     assert admission.connect("tok") is tenant
+
+
+# -- connection plane: what a callback's own bug does ----------------------------------
+
+
+class PipeWriter:
+    """The writer half of a connection, kept in memory."""
+
+    transport = None
+
+    def __init__(self):
+        self.sent = bytearray()
+
+    def write(self, data):
+        self.sent += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+
+def converse(plane, *frames) -> list:
+    """Serve one in-memory connection that sends ``frames`` then EOF; the
+    frames the plane answered with."""
+    writer = PipeWriter()
+
+    async def connection():
+        reader = asyncio.StreamReader()
+        for mtype, body in frames:
+            reader.feed_data(message_bytes(mtype, body))
+        reader.feed_eof()
+        await plane._client_connected(reader, writer)
+
+    asyncio.run(connection())
+    stream, replies = io.BytesIO(bytes(writer.sent)), []
+    while stream.tell() < len(writer.sent):
+        replies.append(read_message(stream))
+    return replies
+
+
+def test_a_handler_bug_reaches_the_peer_as_an_error_frame_and_others_are_still_served():
+    ended = []
+
+    async def handle(session, mtype, body, sections):
+        if session == "unlucky":
+            raise RuntimeError("index out of the handler's mind")
+        if mtype is MessageType.BYE:
+            return None
+        return MessageType.RESULT, {"records": [], "columns": [], "format": None}
+
+    metrics = MetricsRegistry()
+    plane = ConnectionPlane(
+        "127.0.0.1", 0, 8, MAX_PAYLOAD, 4 * MAX_PAYLOAD, metrics,
+        hello=lambda body: (body["client"], {"epoch": "e"}), handle=handle, goodbye=ended.append,
+    )
+    (ack, _), (error, body) = converse(
+        plane, (MessageType.HELLO, {"client": "unlucky"}), (MessageType.STATS, {})
+    )
+    assert ack is MessageType.HELLO_ACK and error is MessageType.ERROR
+    assert body["code"] == "internal" and "RuntimeError" in body["reason"]
+    assert metrics.counter_value("net.errors", stage="handler") == 1
+    assert metrics.counter_value("net.disconnects", reason="io") == 0
+    replies = converse(
+        plane, (MessageType.HELLO, {"client": "next"}), (MessageType.STATS, {}),
+        (MessageType.BYE, {}),
+    )
+    assert [mtype for mtype, _ in replies] == [MessageType.HELLO_ACK, MessageType.RESULT]
+    assert ended == ["unlucky", "next"] and metrics.counter_value("net.errors") == 1
+
+    # a handler's ValueError is a bug too, not a vanished peer
+    async def picky(session, mtype, body, sections):
+        raise ValueError("not a socket's doing")
+
+    plane._handle = picky
+    _ack, (_error, body) = converse(
+        plane, (MessageType.HELLO, {"client": "c"}), (MessageType.STATS, {})
+    )
+    assert body["code"] == "internal"
+    assert metrics.counter_value("net.disconnects", reason="io") == 0
 
 
 # -- relay plane: forward -> fence -> zombie -> retraction ----------------------------

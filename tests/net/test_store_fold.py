@@ -1,11 +1,11 @@
-"""A plain server's shards fold the column batch they were sent.
+"""A server's shards fold the column batch they were sent.
 
-The wire delivers a ``colbin1`` chunk store; a server with no window front,
-a vector kernel for every operator and no compiled WHERE keeps it one: rows
-are routed by a vectorized key hash and each shard worker folds its rows
-through the column kernels.  No ``Record`` is built on that path; the
-servers that need records (window stamping, a user-subclassed operator)
-still hydrate every batch.
+The wire delivers a ``colbin1`` chunk store and every server keeps it one:
+a windowed server stamps it as columns, rows are routed by a vectorized key
+hash and each shard worker folds its rows through the column kernels, a
+compiled WHERE applied as column masks.  No ``Record`` is built on the event
+loop, ever; a shard worker hydrates its own routed rows only for a scheme
+with a user-subclassed operator or a hand-written predicate callable.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.net.admission import Admission
 from repro.net.protocol import MessageType
 from repro.net.shards import DEFAULT_TENANT, ShardPlane
 from repro.observe import MetricsRegistry
+from repro.query import QueryEngine
 
 SCHEME = (
     "AGGREGATE count, sum(time.duration), min(time.duration), "
@@ -92,13 +93,13 @@ def stream(server, tmp_path, token=None, scheme=SCHEME) -> list[Record]:
 
 @pytest.fixture
 def hydrations(monkeypatch):
-    """How many stores were turned into records while active."""
+    """``(thread name, rows)`` of every hydration of a store while active."""
     calls = []
     real = colfile.records_from_store
 
-    def counting(store):
-        calls.append(len(store))
-        return real(store)
+    def counting(store, rows=None):
+        calls.append((threading.current_thread().name, len(store) if rows is None else len(rows)))
+        return real(store, rows)
 
     monkeypatch.setattr(colfile, "records_from_store", counting)
     return calls
@@ -118,32 +119,61 @@ def test_plain_server_builds_no_record(tmp_path, no_record_hydration, tenants, t
     assert (merged.num_offered, merged.num_processed) == (len(records), len(records))
 
 
-def test_windowed_server_still_stamps_records(tmp_path, hydrations):
-    with AggregationServer(f"{SCHEME} WINDOW tumbling(50s)", shards=2, lateness=1e9) as server:
-        assert not server._folds_stores
-        records = stream(server, tmp_path)
-        counted = sum(r.get("count").value for r in server.drain_results())
-    assert counted == len(records)
-    assert sum(hydrations) == len(records)  # every fresh batch, no duplicate
+def test_windowed_server_stamps_columns_and_builds_no_record(tmp_path, no_record_hydration):
+    for window in ("tumbling(50s)", "sliding(50s, 25s)"):
+        text = f"{SCHEME} WINDOW {window}"
+        with AggregationServer(text, shards=2, lateness=1e9) as server:
+            records = stream(server, tmp_path / window)
+            got = server.drain_results()
+            assert server.metrics.counter_value("net.duplicates") == 5
+            assert server.metrics.counter_value("net.errors") == 0
+            assert server._window.num_late == server._window.num_untimed == 0
+        want = QueryEngine(text).run(records, backend="rows").records
+        columns = [*parse_scheme(text).key, *parse_scheme(SCHEME).output_labels]
+        project = lambda rs: sorted(  # noqa: E731 - the server adds hidden moments
+            tuple((c, repr(r.get(c).value)) for c in columns) for r in rs
+        )
+        assert project(got) == project(want) and len(got) == len(want)
 
 
-def test_server_without_a_kernel_for_its_scheme_still_folds_records(tmp_path, hydrations):
-    scheme = AggregationScheme(
-        ops=[make_op("count"), _CustomSum(["time.duration"])], key=["kernel", "mpi.rank"]
-    )
+@pytest.mark.parametrize("custom", ["operator", "predicate"])
+def test_kernel_less_scheme_hydrates_only_routed_rows_on_the_shard_workers(
+    tmp_path, hydrations, custom
+):
+    if custom == "operator":
+        ops, predicate = [make_op("count"), _CustomSum(["time.duration"])], None
+    else:  # a hand-written callable: nothing to evaluate as column masks
+        ops = [make_op("count"), make_op("sum", ["time.duration"])]
+        predicate = lambda record: record.get("time.duration").value > 2.0  # noqa: E731
+    scheme = AggregationScheme(ops=ops, key=["kernel", "mpi.rank"], predicate=predicate)
     with AggregationServer(scheme, shards=2) as server:
-        assert not server._folds_stores
         records = stream(server, tmp_path, scheme=None)
         got = sorted(map(result_key, server.drain_results()))
+        merged = server.merged_db()
     assert got == reference(scheme, records)
-    assert sum(hydrations) == len(records)
+    kept = len(records) if predicate is None else sum(map(predicate, records))
+    assert (merged.num_offered, merged.num_processed) == (len(records), kept)
+    # each routed row once (no duplicate batch, no row of another shard), and
+    # never on the event loop
+    assert sum(rows for _thread, rows in hydrations) == len(records)
+    assert {thread for thread, _rows in hydrations} == {"repro-net-shard-0", "repro-net-shard-1"}
 
 
-def test_server_with_a_compiled_where_still_folds_records():
-    keeps = parse_scheme("AGGREGATE count WHERE kernel=io GROUP BY kernel")
-    assert keeps.predicate is not None
-    assert not AggregationServer(keeps)._folds_stores
-    assert AggregationServer(SCHEME)._folds_stores
+def test_where_server_masks_columns_and_builds_no_record(tmp_path, no_record_hydration):
+    text = (
+        "AGGREGATE count, sum(time.duration) WHERE kernel, not(kernel=io), mpi.rank>0, "
+        "time.duration<8 GROUP BY kernel, mpi.rank"
+    )
+    scheme = parse_scheme(text)
+    with AggregationServer(text, shards=2) as server:
+        records = stream(server, tmp_path, scheme=text)
+        got = sorted(map(result_key, server.drain_results()))
+        merged = server.merged_db()
+    by_row = AggregationDB(scheme)
+    by_row.process_all(records)
+    assert got == sorted(map(result_key, by_row.flush())) and got
+    assert (merged.num_offered, merged.num_processed) == (len(records), by_row.num_processed)
+    assert 0 < by_row.num_processed < len(records)
 
 
 def test_same_keys_as_records_and_as_states_share_a_shard(tmp_path):

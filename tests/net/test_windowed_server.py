@@ -12,6 +12,7 @@ exact: a mismatch is a lost or double-counted record, never rounding.
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
@@ -130,6 +131,26 @@ class TestWindowedServer:
             )
             client.close()
             assert sum(v[0] for v in summarize(server.drain_results()).values()) == 1
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_event_time_is_untimed_and_poisons_nothing(self, bad):
+        # Used to raise out of the assigner after the tracker had seen it: the
+        # source's front at inf, the batch never ACKed and spooled forever.
+        with AggregationServer(SCHEME) as server:
+            host, port = server.address
+            with FlushClient(host, port, scheme=BASE_SCHEME, client_id="p0") as client:
+                assert client.send_records([rec("a", 1.5, 1.0), rec("a", bad, 1.0)])
+                assert math.isfinite(server.watermark())
+                assert client.send_records([rec("a", 2.5, 1.0), rec("b", 11.0, 1.0)])
+                assert client.counters["reconnects"] == 1  # the first connect, never again
+            assert summarize(server.drain_results()) == {
+                ("a", 0.0, 10.0): (2, 2.0),
+                ("b", 10.0, 20.0): (1, 1.0),
+            }
+            assert server.watermark() == 11.0
+            assert server.metrics.counter_value("window.untimed") == 1
+            assert server.metrics.counter_value("net.errors") == 0
+            assert server.metrics.counter_value("net.disconnects", reason="io") == 0
 
     def test_live_query_estimate_and_retired_targets(self):
         records = synth(100)

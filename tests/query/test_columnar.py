@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.aggregate import AggregationScheme, SumOp, aggregate_records, make_op
+from repro.aggregate import AggregationDB, AggregationScheme, SumOp, aggregate_records, make_op
 from repro.aggregate.ops import AliasedOp
 from repro.calql import parse_scheme
 from repro.common import Record, Variant
-from repro.query.columnar import columnar_aggregate, columnar_db, supports_scheme
+from repro.io.colfile import decode_batch_store, encode_batch
+from repro.query.columnar import ColumnFold, columnar_aggregate, columnar_db, supports_scheme
 
 from ..conftest import record_lists
 
@@ -94,6 +95,20 @@ class TestEquivalence:
         scheme = parse_scheme('AGGREGATE sum(t) WHERE k!="skip" GROUP BY k')
         out = columnar_aggregate(records, scheme)
         assert len(out) == 1 and out[0]["k"].value == "a"
+
+    def test_scheme_where_is_masked_over_the_offered_rows_without_a_record(
+        self, no_record_hydration
+    ):
+        records = [Record({"k": "ab"[i % 2], "t": float(i)}) for i in range(40)]
+        scheme = parse_scheme("AGGREGATE count, sum(t) WHERE k=a, t>=10 GROUP BY k")
+        store = decode_batch_store(encode_batch(records))
+        offered = np.arange(4, 40, 3)
+        db, by_row = AggregationDB(scheme), AggregationDB(scheme)
+        ColumnFold(db).feed(store, rows=offered)
+        by_row.process_all(records[i] for i in offered.tolist())
+        assert canonical(db.flush()) == canonical(by_row.flush())
+        assert (db.num_offered, db.num_processed) == (by_row.num_offered, by_row.num_processed)
+        assert 0 < db.num_processed < len(offered)
 
     def test_aliased_output_label(self):
         records = [Record({"k": "a", "t": 2}), Record({"k": "a", "t": 3})]

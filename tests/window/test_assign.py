@@ -185,6 +185,16 @@ class TestEventClock:
         clock = EventClock()
         assert clock.event_time(Record.from_variants({"k": Variant.of("a")})) is None
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_values_are_untimed_and_never_reach_the_clock(self, bad):
+        clock = EventClock()
+        assert clock.event_time(Record({"time.start": 3.0})) == 3.0
+        # a bad time is not replaced by the duration beside it either
+        assert clock.event_time(Record({"time.start": bad, "time.duration": 1.0})) is None
+        assert clock.event_time(Record({"time.duration": bad})) is None
+        assert clock.event_time(Record({"time.duration": 1.0})) == 3.0
+        assert clock.event_time(Record({"time.duration": 1.0})) == 4.0
+
 
 class TestStamping:
     def test_stamp_record_adds_window_keys(self):
