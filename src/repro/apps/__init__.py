@@ -1,51 +1,7 @@
-"""Workload applications: CleverLeaf/ParaDiS simulators, a request/response
-service, a fuzz-style randomized workload generator, and toy examples.
+"""Workload applications: the paper's CleverLeaf and ParaDiS simulators and
+its Listing 1 example."""
 
-Submodules load lazily so ``python -m repro.apps.fuzzgen`` (and friends)
-runs without the package import pre-registering the module runpy is about
-to execute.
-"""
-
-from importlib import import_module
-
+from . import cleverleaf, paradis
 from .listing1 import DEFAULT_SCHEME, run_listing1
 
-_SUBMODULES = ("cleverleaf", "fuzzgen", "paradis", "service_sim")
-_LAZY_NAMES = {
-    "FuzzConfig": "fuzzgen",
-    "run_fuzz": "fuzzgen",
-    "ServiceSimConfig": "service_sim",
-    "run_service": "service_sim",
-    "latency_quantiles": "service_sim",
-}
-
-__all__ = [
-    "cleverleaf",
-    "paradis",
-    "fuzzgen",
-    "service_sim",
-    "run_listing1",
-    "DEFAULT_SCHEME",
-    "FuzzConfig",
-    "run_fuzz",
-    "ServiceSimConfig",
-    "run_service",
-    "latency_quantiles",
-]
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        module = import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    if name in _LAZY_NAMES:
-        module = import_module(f".{_LAZY_NAMES[name]}", __name__)
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__all__ = ["cleverleaf", "paradis", "run_listing1", "DEFAULT_SCHEME"]

@@ -63,11 +63,7 @@ def to_dict(reg: Optional[MetricsRegistry] = None) -> dict:
     }
 
 
-def to_records(
-    reg: Optional[MetricsRegistry] = None,
-    run_info: Optional[dict] = None,
-    run_seq: Optional[int] = None,
-) -> list[Record]:
+def to_records(reg: Optional[MetricsRegistry] = None) -> list[Record]:
     """One snapshot record per metric, in the system's own data model.
 
     Shared labels: ``observe.kind`` (timer/counter/gauge), ``observe.phase``
@@ -75,18 +71,8 @@ def to_records(
     ``observe.<tag>`` entry per tag.  Timers add ``observe.path`` (the full
     nesting path), ``observe.count``, ``observe.time`` (total seconds) and
     min/max; counters and gauges add ``observe.metric``/``observe.value``.
-
-    ``run_info`` (see :func:`repro.observe.run_info`) stamps its ``run.*``
-    labels onto every record so multi-run telemetry datasets stay
-    attributable; ``run_seq`` adds a caller-supplied monotonic ``run.seq``
-    so records from successive exports order deterministically.
     """
     snap = (reg or registry()).snapshot()
-    stamp: dict[str, Variant] = {
-        k: Variant.of(v) for k, v in (run_info or {}).items()
-    }
-    if run_seq is not None:
-        stamp["run.seq"] = Variant.of(int(run_seq))
     out: list[Record] = []
     for (path, tags), (n, total, mn, mx) in snap["timers"].items():
         entries: dict[str, Variant] = {
@@ -100,8 +86,6 @@ def to_records(
         }
         for key, value in tags:
             entries[f"observe.{key}"] = Variant.of(value)
-        if stamp:
-            entries.update(stamp)
         out.append(Record.from_variants(entries))
     for kind, table in (("counter", snap["counters"]), ("gauge", snap["gauges"])):
         for (name, tags), value in table.items():
@@ -113,8 +97,6 @@ def to_records(
             }
             for key, value_ in tags:
                 entries[f"observe.{key}"] = Variant.of(value_)
-            if stamp:
-                entries.update(stamp)
             out.append(Record.from_variants(entries))
     return out
 
@@ -182,8 +164,6 @@ def flush_to_channel(
     caliper: Optional["Caliper"] = None,
     channel_name: str = "observe.telemetry",
     reg: Optional[MetricsRegistry] = None,
-    run_info: Optional[dict] = None,
-    run_seq: Optional[int] = None,
 ) -> list[Record]:
     """Push the collected metrics through a real runtime channel.
 
@@ -191,9 +171,7 @@ def flush_to_channel(
     instance by default), takes one snapshot per metric record, and returns
     the channel's flushed output — the profiler's telemetry delivered by the
     very snapshot pipeline it measures.  The channel is finished (and the
-    name freed) before returning.  ``run_info``/``run_seq`` stamp run
-    metadata and a monotonic sequence number onto the records (see
-    :func:`to_records`).
+    name freed) before returning.
     """
     from ..runtime.instrumentation import Caliper  # deferred: observe sits below runtime
 
@@ -205,7 +183,7 @@ def flush_to_channel(
         suffix += 1
     channel = cali.create_channel(name, {"services": ["trace"]})
     try:
-        for record in to_records(reg, run_info=run_info, run_seq=run_seq):
+        for record in to_records(reg):
             channel.push_snapshot(record.as_dict())
         return channel.flush()
     finally:

@@ -1,17 +1,15 @@
-"""Run metadata capture: who produced this profile, and from what tree.
+"""Run metadata capture: what ran, and from what tree.
 
-A profile is only comparable to another profile if you know *what ran*:
-which commit, whether the tree was dirty, which interpreter and numpy, how
-many cores.  :func:`run_info` gathers exactly that as flat ``run.*`` labels
-— the :mod:`repro.store` profile store persists them as ``.rcf`` globals,
-and the exporters in :mod:`.export` can stamp them onto telemetry snapshot
-records so multi-run telemetry datasets stay attributable.
+A measurement is only comparable to another if you know *what ran*: which
+commit, whether the tree was dirty, which interpreter and numpy, how many
+cores.  :func:`run_info` gathers exactly that as flat ``run.*`` labels; the
+benchmark suite (``benchmarks/suite/run.py``) stamps every result file with
+them.
 
 Everything here is best-effort and cheap: git questions are answered by one
 subprocess call per repository path per process (cached), and a tree that
-is not a git checkout simply yields no ``run.commit``.  Timestamps are
-**caller-supplied** — this module never reads the wall clock, so tests and
-deterministic pipelines stay reproducible.
+is not a git checkout simply yields no ``run.commit``.  Nothing here reads
+the wall clock.
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ from typing import Any, Mapping, Optional
 
 __all__ = ["config_fingerprint", "git_state", "run_info"]
 
-#: cache of ``git_state`` answers per absolute repository path — run metadata
-#: is captured once per save, but benchmark loops may save dozens of profiles
+#: cache of ``git_state`` answers per absolute repository path — a benchmark
+#: run labels one result per workload from the same checkout
 _git_cache: dict[str, tuple[Optional[str], Optional[bool]]] = {}
 
 
@@ -77,7 +75,7 @@ def config_fingerprint(config: Optional[Mapping[str, Any]]) -> Optional[str]:
     Canonical JSON (sorted keys, no whitespace) hashed with sha256, so the
     fingerprint is insensitive to dict ordering and stable across processes.
     Non-JSON-able values are folded in via ``repr``.  ``None`` in, ``None``
-    out — "no config" is a valid profile key.
+    out — a run without a config gets no ``run.config_hash``.
     """
     if config is None:
         return None
@@ -91,17 +89,13 @@ def run_info(
     repo: Optional[str] = None,
     workload: Optional[str] = None,
     config: Optional[Mapping[str, Any]] = None,
-    timestamp: Optional[float] = None,
-    extra: Optional[Mapping[str, Any]] = None,
 ) -> dict[str, Any]:
     """Flat ``run.*`` metadata labels describing the current run.
 
     Always present: ``run.python``, ``run.cpu_count``, and ``run.numpy``
     (when numpy imports).  Present when derivable/supplied: ``run.commit``
     and ``run.dirty`` (git state of ``repo``, default cwd),
-    ``run.workload``, ``run.config_hash`` (fingerprint of ``config``), and
-    ``run.timestamp`` (caller-supplied epoch seconds — never read from the
-    clock here).  ``extra`` entries are added under ``run.<key>``.
+    ``run.workload``, and ``run.config_hash`` (fingerprint of ``config``).
     """
     info: dict[str, Any] = {
         "run.python": sys.version.split()[0],
@@ -123,9 +117,4 @@ def run_info(
     fingerprint = config_fingerprint(config)
     if fingerprint is not None:
         info["run.config_hash"] = fingerprint
-    if timestamp is not None:
-        info["run.timestamp"] = float(timestamp)
-    if extra:
-        for key, value in extra.items():
-            info[f"run.{key}"] = value
     return info

@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: subcommand names dispatched before classic file-query parsing
-SUBCOMMANDS = ("serve", "live", "tree", "convert", "check", "store")
+SUBCOMMANDS = ("serve", "live", "tree", "convert")
 
 
 def _suggest_subcommand(word: str) -> Optional[str]:
@@ -151,14 +151,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return net_main(argv)
     if argv and argv[0] == "convert":
         return _convert(argv[1:])
-    if argv and argv[0] == "check":
-        from ..store.cli import check_main
-
-        return check_main(argv[1:])
-    if argv and argv[0] == "store":
-        from ..store.cli import store_main
-
-        return store_main(argv[1:])
     if argv:
         suggestion = _suggest_subcommand(argv[0])
         if suggestion is not None:

@@ -57,9 +57,6 @@ class Channel:
         self.num_suppressed = 0
         #: cumulative wall time spent in :meth:`flush` (Table I's flush cost)
         self.flush_seconds = 0.0
-        #: number of completed :meth:`flush` calls (the default ``run.seq``
-        #: a caller would stamp on the *next* flush)
-        self.num_flushes = 0
         #: global (per-run) metadata records attached at flush
         self.globals: dict[str, Variant] = {}
 
@@ -344,29 +341,18 @@ class Channel:
         """Attach run-wide metadata (emitted with flushed output)."""
         self.globals[label] = Variant.of(value)  # type: ignore[arg-type]
 
-    def flush(self, run_seq: Optional[int] = None) -> list[Record]:
+    def flush(self) -> list[Record]:
         """Collect output records from every service.
 
         Global metadata entries are added to each output record, which is how
         per-process identity (e.g. rank) survives into multi-file datasets.
-
-        ``run_seq`` stamps a caller-supplied monotonic sequence number onto
-        this flush's records as ``run.seq``: a run that flushes several
-        times (periodic exports, long services) produces batches whose
-        records would otherwise interleave indistinguishably once merged
-        into one dataset — ordering by ``run.seq`` restores flush order
-        deterministically.  ``None`` (the default) stamps nothing.
         """
         start = time.perf_counter()
         records: list[Record] = []
         for service in self.services:
             records.extend(service.flush())
-        extra: dict[str, Variant] = dict(self.globals)
-        if run_seq is not None:
-            extra["run.seq"] = Variant.of(int(run_seq))
-        if extra:
-            records = [r.with_entries(extra) for r in records]
-        self.num_flushes += 1
+        if self.globals:
+            records = [r.with_entries(self.globals) for r in records]
         elapsed = time.perf_counter() - start
         self.flush_seconds += elapsed
         observe.timing("channel.flush", elapsed, channel=self.name)

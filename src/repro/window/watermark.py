@@ -61,7 +61,9 @@ class WatermarkTracker:
         front[0] = -np.inf if mark is None else mark
         np.maximum.accumulate(event_times[:-1] - self.lateness, out=front[1:])
         np.maximum(front, front[0], out=front)
-        self.observe(source, float(event_times.max()))
+        # the first maximal time, as the loop's strict ``>`` keeps it: max()
+        # may hand back a later -0.0 / 0.0 twin
+        self.observe(source, float(event_times[np.argmax(event_times)]))
         return event_times < front
 
     def update(self, source: str, watermark: float) -> None:

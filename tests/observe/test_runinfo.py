@@ -4,8 +4,7 @@ import subprocess
 
 import pytest
 
-from repro.observe import config_fingerprint, git_state, run_info, to_records
-from repro.observe.registry import MetricsRegistry
+from repro.observe import config_fingerprint, git_state, run_info
 from repro.observe.runinfo import reset_git_cache
 
 
@@ -89,40 +88,13 @@ class TestRunInfo:
             repo=str(git_repo),
             workload="bench.smoke",
             config={"reps": 10},
-            timestamp=1234.5,
-            extra={"host": "ci"},
         )
         assert info["run.commit"] == git(git_repo, "rev-parse", "HEAD")
         assert info["run.dirty"] is False
         assert info["run.workload"] == "bench.smoke"
         assert info["run.config_hash"] == config_fingerprint({"reps": 10})
-        assert info["run.timestamp"] == 1234.5
-        assert info["run.host"] == "ci"
 
     def test_no_timestamp_unless_supplied(self, tmp_path):
-        # The module never reads the clock: timestamps are caller-supplied.
+        # The module never reads the clock.
         assert "run.timestamp" not in run_info(repo=str(tmp_path))
 
-
-class TestSnapshotStamping:
-    def sample_registry(self):
-        reg = MetricsRegistry()
-        reg.count("events", 3)
-        with reg.span("phase.a"):
-            pass
-        return reg
-
-    def test_run_info_stamps_every_record(self, tmp_path):
-        reg = self.sample_registry()
-        info = run_info(repo=str(tmp_path), workload="w", timestamp=7.0)
-        records = to_records(reg, run_info=info, run_seq=2)
-        assert records
-        for record in records:
-            assert record.get("run.workload").to_string() == "w"
-            assert record.get("run.timestamp").to_double() == 7.0
-            assert record.get("run.seq").value == 2
-
-    def test_unstamped_records_carry_no_run_labels(self):
-        for record in to_records(self.sample_registry()):
-            assert record.get("run.seq").is_empty
-            assert record.get("run.workload").is_empty

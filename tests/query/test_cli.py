@@ -4,7 +4,7 @@ import pytest
 
 from repro.common import Record
 from repro.io import write_records
-from repro.query.cli import main
+from repro.query.cli import _suggest_subcommand, main
 
 
 @pytest.fixture
@@ -202,3 +202,42 @@ class TestInspectionFlags:
 
         with pytest.raises(SystemExit):
             main([data_file])
+
+
+class TestSubcommandSuggestions:
+    def test_typo_suggests_convert(self, capsys):
+        assert main(["conver"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown subcommand 'conver'" in err
+        assert "did you mean 'convert'?" in err
+
+    def test_typo_suggests_serve(self, capsys):
+        assert main(["sevre"]) == 2
+        assert "did you mean 'serve'?" in capsys.readouterr().err
+
+    def test_flags_files_and_gibberish_are_not_typos(self, tmp_path, monkeypatch):
+        assert _suggest_subcommand("-q") is None
+        assert _suggest_subcommand("data.cali") is None
+        assert _suggest_subcommand("zzzzqqq") is None
+        (tmp_path / "servee").write_text("")
+        monkeypatch.chdir(tmp_path)
+        assert _suggest_subcommand("servee") is None
+
+    @pytest.mark.parametrize(
+        "argv", [["check", "a.rcf", "b.rcf"], ["store", "list", "--store", "profiles"]]
+    )
+    def test_removed_subcommands_are_usage_errors(self, tmp_path, monkeypatch, capsys, argv):
+        from repro.io import write_colfile
+
+        monkeypatch.chdir(tmp_path)
+        for name in ("a.rcf", "b.rcf"):
+            write_colfile(name, [Record({"kernel": "hot", "time.duration": 3.0})])
+        (tmp_path / "profiles").mkdir()
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse's usage error
+            code = exit_.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(("usage: repro-query", "repro-query: unknown subcommand"))
+        assert "Traceback" not in err

@@ -171,44 +171,3 @@ class TestChannelSelfProfiling:
         )
         assert res.rows(["sum#observe.snapshots"]) == [(2,)]
 
-
-class TestFlushRunSeq:
-    """Caller-supplied run.seq stamps order multi-flush output batches."""
-
-    def make_channel(self):
-        cali = Caliper(clock=VirtualClock())
-        return cali.create_channel("seq", {"services": ["trace"]})
-
-    def test_run_seq_stamps_every_flushed_record(self):
-        chan = self.make_channel()
-        batches = []
-        for seq in range(3):
-            chan.push_snapshot({"kernel": f"k{seq}"})
-            batches.append(chan.flush(run_seq=seq))
-        assert chan.num_flushes == 3
-        for seq, batch in enumerate(batches):
-            assert batch
-            assert all(r.get("run.seq").value == seq for r in batch)
-
-    def test_merged_batches_reorder_deterministically(self):
-        import random
-
-        chan = self.make_channel()
-        merged = []
-        for seq in range(4):
-            chan.push_snapshot({"kernel": f"k{seq}"})
-            merged.extend(
-                (r.get("run.seq").value, r) for r in chan.flush(run_seq=seq)
-            )
-        want = [seq for seq, _ in merged]
-        random.Random(7).shuffle(merged)
-        merged.sort(key=lambda pair: pair[0])
-        assert [seq for seq, _ in merged] == sorted(want)
-
-    def test_default_flush_stamps_nothing(self):
-        chan = self.make_channel()
-        chan.push_snapshot({"kernel": "k"})
-        records = chan.flush()
-        assert records
-        assert all(r.get("run.seq").is_empty for r in records)
-        assert chan.num_flushes == 1

@@ -105,6 +105,17 @@ def test_stamp_store_is_stamp(schedule, window, lateness):
         assert math.isfinite(by_column._clocks[source]._offset)
 
 
+def test_signed_zero_twins_leave_the_tracker_where_stamp_does():
+    """The first of two equal maxima sets the front, as the loop's strict
+    ``>`` keeps it — numpy's ``max`` may return the later twin."""
+    for first, second in ((0.0, -0.0), (-0.0, 0.0), (0, -0.0), (-0.0, 0)):
+        batch = [Record({"k": "k0", "v": 0.0, "time.start": t}) for t in (first, second)]
+        by_record, by_column = WindowFront(SCHEME, "tumbling(10s)"), WindowFront(SCHEME, "tumbling(10s)")
+        by_record.stamp("p0", batch)
+        by_column.stamp_store("p0", decode_batch_store(encode_batch(batch)))
+        assert state(by_column) == state(by_record)
+
+
 def test_a_custom_assigner_is_stamped_through_its_own_assign():
     class EveryOther(WindowAssigner):
         """Even seconds get a window, odd ones none: not a built-in shape."""
