@@ -323,12 +323,13 @@ def encode_batch(records: Sequence[Record]) -> bytes:
             col_meta.append(meta)
             continue
         # dictionary encoding: exact (type, value) interning keeps e.g.
-        # int 1 and double 1.0 distinct so round-trips preserve types
+        # int 1 and double 1.0 distinct so round-trips preserve types;
+        # doubles key by their bits, so 0.0 and -0.0 stay two entries
         table: dict[object, int] = {}
         values: list[Variant] = []
         codes_present = []
         for v in vals:
-            key = (v.type, v.value)
+            key = (v.type, _F64.pack(v.value) if v.type is ValueType.DOUBLE else v.value)
             j = table.get(key)
             if j is None:
                 j = table[key] = len(values)

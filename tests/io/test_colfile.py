@@ -103,6 +103,18 @@ def test_batch_roundtrip_exact_types():
     assert _shape(out) == _shape(records)
 
 
+def test_batch_roundtrip_keeps_signed_zeros_in_a_mixed_column():
+    """0.0 == -0.0 as dictionary keys; the encoded dictionary keeps both."""
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        records = [
+            Record.from_variants({"d": Variant(ValueType.DOUBLE, first)}),
+            Record.from_variants({"d": Variant(ValueType.BOOL, False)}),
+            Record.from_variants({"d": Variant(ValueType.DOUBLE, second)}),
+        ]
+        out = records_from_store(decode_batch_store(encode_batch(records)))
+        assert [repr(r["d"].value) for r in out] == [repr(first), "False", repr(second)]
+
+
 def test_batch_roundtrip_huge_ints():
     """Integers outside 64 bits take the text fallback, not an overflow."""
     records = [
