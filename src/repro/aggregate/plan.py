@@ -34,7 +34,7 @@ Fast kernels must match the generic semantics *exactly*:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from ..common.errors import AggregationError
 from ..common.record import Record
@@ -382,16 +382,6 @@ _GROUP_KINDS: dict[type, str] = {
 }
 
 
-def _fast_kernel_for(op: AggregateOp, index: int) -> Optional[Kernel]:
-    # AliasedOp delegates init/update to its inner kernel, so the inner
-    # operator's fast kernel is fold-equivalent for it.
-    target = op.inner if isinstance(op, AliasedOp) else op
-    factory = _FAST_KERNELS.get(type(target))
-    if factory is None:
-        return None
-    return factory(target, index)
-
-
 def _fallback_kernel(op: AggregateOp, index: int) -> Kernel:
     def kernel(states: list, entries: dict, record: Record,
                _op=op, _i=index) -> None:
@@ -552,9 +542,10 @@ class CompiledFoldPlan(FoldPlan):
     def __init__(self, ops: Sequence[AggregateOp]) -> None:
         super().__init__(ops)
         # Classify each op: groupable fast ops are collected per argument
-        # label; everything else (count, fallbacks, single fast ops) gets an
-        # individual kernel.  Kernel order may differ from op order — every
-        # op folds into its own state cell, so order cannot matter.
+        # label, counts ride along with them; every other op has no fast
+        # kernel and folds through its own ``update``.  Kernel order may
+        # differ from op order — every op folds into its own state cell, so
+        # order cannot matter.
         by_label: dict[str, dict[str, list[int]]] = {}
         counts: list[int] = []
         singles: list[tuple[int, AggregateOp]] = []
@@ -573,15 +564,8 @@ class CompiledFoldPlan(FoldPlan):
         wkernels: list[WeightedKernel] = []
         n_fast = len(counts)
         for i, op in singles:
-            kernel = _fast_kernel_for(op, i)
-            if kernel is None:
-                kernels.append(_fallback_kernel(op, i))
-                wkernels.append(_fallback_kernel_w(op, i))
-            else:
-                n_fast += 1
-                kernels.append(kernel)
-                target = op.inner if isinstance(op, AliasedOp) else op
-                wkernels.append(_FAST_WEIGHTED[type(target)](target, i))
+            kernels.append(_fallback_kernel(op, i))
+            wkernels.append(_fallback_kernel_w(op, i))
         grouped_counts = counts if by_label else []
         for label, groups in by_label.items():
             indices = [i for idx in groups.values() for i in idx]

@@ -3,8 +3,8 @@
 from .calformat import CaliReader, CaliWriter, iter_records, read_cali, write_cali
 from .colfile import (
     ColfileReader,
-    ColfileStore,
     ColfileWriter,
+    ColumnStore,
     read_colfile,
     write_colfile,
 )
@@ -24,7 +24,7 @@ __all__ = [
     "write_json",
     "ColfileReader",
     "ColfileWriter",
-    "ColfileStore",
+    "ColumnStore",
     "read_colfile",
     "write_colfile",
     "Dataset",

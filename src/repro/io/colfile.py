@@ -1,9 +1,10 @@
 """``.rcf`` — the repro columnar file: zero-copy binary columnar encoding.
 
 Everything the system moves today is text: ``.cali`` files are parsed
-line-by-line into rows before a :class:`~repro.io.dataset.ColumnStore` is
-built, and wire/spool payloads carry JSON.  This module provides the shared
-binary columnar representation that removes that tax in all three places:
+line-by-line into rows before a :class:`ColumnStore` is built, and
+wire/spool payloads carry JSON.  This module provides the shared binary
+columnar representation that removes that tax in all three places, and the
+one :class:`ColumnStore` every vectorized query path reads:
 
 * **column batches** — the unit codec (:func:`encode_batch` /
   :func:`decode_batch`): a magic + JSON schema header followed by typed
@@ -13,7 +14,7 @@ binary columnar representation that removes that tax in all three places:
 * **files** — :class:`ColfileWriter` / :class:`ColfileReader`: a sequence of
   column-batch chunks plus a JSON footer directory at the end (so chunks
   stream out without buffering the whole dataset), ``mmap``-ed on read.  A
-  single-chunk file loads straight into a :class:`ColfileStore` whose
+  single-chunk file loads straight into a :class:`ColumnStore` whose
   numeric columns are views into the mapping.
 * **operator states** — :func:`states_to_binary` / :func:`states_from_binary`
   encode the ``(key entries, operator states)`` pairs that FORWARD frames
@@ -33,19 +34,20 @@ import json
 import mmap
 import os
 import struct
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from .. import observe
 from ..common.errors import DatasetError
 from ..common.record import Record
 from ..common.variant import ValueType, Variant
-from .dataset import ColumnStore
 
 __all__ = [
     "ColfileError",
     "DecodeLimits",
-    "ColfileStore",
+    "ColumnStore",
     "ColfileWriter",
     "ColfileReader",
     "write_colfile",
@@ -109,6 +111,7 @@ _NUM_DTYPE = {
 }
 _CODE_DTYPES = ("<i1", "|i1", "<i2", "<i4", "<i8")
 
+_INV, _DOUBLE = ValueType.INV, ValueType.DOUBLE
 _INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
 _UINT_MAX = 2**64 - 1
 
@@ -254,6 +257,48 @@ def _decode_dictionary(
     return values
 
 
+class _Dictionary:
+    """Value → code table: how every dictionary column is built.
+
+    The batch encoder, a records-built store and :func:`merge_stores` all
+    intern through this class, so "are these two values one dictionary
+    entry?" has one answer: only when type and payload are identical —
+    doubles by bit pattern, so ``0.0`` / ``-0.0`` and NaNs with different
+    payloads stay apart, and ``int 1``, ``double 1.0`` and ``True`` are three
+    entries.  Codes are handed out in first-seen order.  GROUP BY identity
+    under :class:`Variant` equality is decided per distinct value above this
+    (``columnar._equality_classes``), never here.
+    """
+
+    __slots__ = ("values", "_codes")
+
+    def __init__(self) -> None:
+        self.values: list[Variant] = []
+        self._codes: dict[tuple, int] = {}
+
+    def encode(self, entries: Iterable[Optional[Variant]]) -> list[int]:
+        """The code of each entry, adding values not seen before; an absent
+        (``None``) or ``INV`` entry is -1."""
+        values, table = self.values, self._codes
+        lookup = table.get
+        out: list[int] = []
+        append = out.append
+        for v in entries:
+            if v is None or v.type is _INV:
+                append(-1)
+                continue
+            t, x = v.type, v.value
+            # A tuple hashes several times faster than a Variant.  Doubles
+            # equal by value yet not by bits (signed zeros, NaNs) key by bits.
+            key = (t, _F64.pack(x)) if t is _DOUBLE and (x == 0.0 or x != x) else (t, x)
+            code = lookup(key)
+            if code is None:
+                code = table[key] = len(values)
+                values.append(v)
+            append(code)
+        return out
+
+
 def _column_arrays(
     records: Sequence[Record],
 ) -> dict[str, tuple[list[int], list[Variant]]]:
@@ -322,22 +367,14 @@ def encode_batch(records: Sequence[Record]) -> bytes:
                 meta["nulls"] = buffers.add(nulls)
             col_meta.append(meta)
             continue
-        # dictionary encoding: exact (type, value) interning keeps e.g.
-        # int 1 and double 1.0 distinct so round-trips preserve types;
-        # doubles key by their bits, so 0.0 and -0.0 stay two entries
-        table: dict[object, int] = {}
-        values: list[Variant] = []
-        codes_present = []
-        for v in vals:
-            key = (v.type, _F64.pack(v.value) if v.type is ValueType.DOUBLE else v.value)
-            j = table.get(key)
-            if j is None:
-                j = table[key] = len(values)
-                values.append(v)
-            codes_present.append(j)
+        # dictionary encoding, exact: int 1 and double 1.0 (and 0.0 and
+        # -0.0) stay distinct entries, so round-trips preserve every value
+        dictionary = _Dictionary()
+        present = dictionary.encode(vals)
+        values = dictionary.values
         cdt = _min_code_dtype(len(values))
         codes = np.full(nrows, -1, dtype=cdt)
-        codes[idx] = codes_present
+        codes[idx] = present
         tags, offsets, blob = _encode_dictionary(values)
         col_meta.append(
             {
@@ -506,28 +543,42 @@ def decode_batch(
 
 
 # ---------------------------------------------------------------------------
-# ColumnStore over decoded columns
+# the column store
 
 
-class ColfileStore(ColumnStore):
-    """A :class:`ColumnStore` served directly from decoded column buffers.
+class ColumnStore:
+    """Rows held as columns: the one store every vectorized query path reads.
 
-    Dictionary columns drop straight into the interned-column cache
-    (zero-copy codes); typed numeric columns satisfy :meth:`numeric` as
-    views and intern lazily (via ``np.unique``) only if a query groups or
-    filters on them.  Records are materialized on demand — the vectorized
-    aggregation path never touches them.
+    Built from decoded column buffers (an ``.rcf`` chunk, a wire batch,
+    :func:`merge_stores`), or with :meth:`from_records`, whose dictionary
+    columns are built one label at a time on first use.  :meth:`interned`
+    and :meth:`numeric` read any column as codes or as float64 values,
+    cached; a typed column answers :meth:`numeric` with views and is
+    interned only when a query groups or filters on it.  Records exist only
+    for a records-built store or once something row-oriented asks.
+    Instances are immutable snapshots: :class:`~repro.io.dataset.Dataset`
+    drops its cached store when the record list changes.
     """
 
     def __init__(self, nrows: int, columns: dict[str, _Column]) -> None:
-        self._records: Optional[list[Record]] = None  # type: ignore[assignment]
         self._n = nrows
         self._columns = columns
+        self._records: Optional[list[Record]] = None
+        #: a records-built store whose columns are not all built yet
+        self._partial = False
         self._interned: dict[str, tuple[np.ndarray, list[Variant]]] = {}
         self._numeric: dict[tuple[str, bool], tuple[np.ndarray, np.ndarray]] = {}
-        for label, col in columns.items():
-            if isinstance(col, _DictColumn):
-                self._interned[label] = (col.codes, col.values)
+
+    @classmethod
+    def from_records(cls, records: Iterable[Record]) -> "ColumnStore":
+        """A store over ``records`` (kept, not copied, when a list)."""
+        records = records if isinstance(records, list) else list(records)
+        store = cls(len(records), {})
+        store._records, store._partial = records, True
+        return store
+
+    def __len__(self) -> int:
+        return self._n
 
     @property
     def records(self) -> list[Record]:
@@ -537,12 +588,83 @@ class ColfileStore(ColumnStore):
 
     @property
     def columns(self) -> dict[str, _Column]:
+        if self._partial:
+            records = self._records or ()
+            for label in dict.fromkeys(chain.from_iterable(r._entries for r in records)):
+                self._column(label)
+            self._partial = False
         return self._columns
 
-    def labels(self) -> list[str]:
-        return sorted(self._columns)
+    def _column(self, label: str) -> Optional[_Column]:
+        col = self._columns.get(label)
+        if col is None and self._partial:
+            dictionary = _Dictionary()
+            codes = dictionary.encode([r._entries.get(label) for r in self._records or ()])
+            if dictionary.values:  # else no record has a value for it
+                col = self._columns[label] = _DictColumn(
+                    np.array(codes, dtype=np.int64), dictionary.values
+                )
+        return col
 
-    def with_constants(self, entries: dict[str, Variant]) -> "ColfileStore":
+    def labels(self) -> list[str]:
+        return sorted(self.columns)
+
+    def interned(self, label: str) -> tuple[np.ndarray, list[Variant]]:
+        """``(codes, values)`` for one attribute: codes index into ``values``,
+        -1 marks rows without it.  A dictionary column as it is (first-seen
+        order when records-built); a typed one via :func:`_intern_num_column`."""
+        cached = self._interned.get(label)
+        if cached is not None:
+            observe.count("columnstore.intern", result="hit", label=label)
+            return cached
+        observe.count("columnstore.intern", result="miss", label=label)
+        col = self._column(label)
+        if col is None:
+            cached = (np.full(self._n, -1, dtype=np.int64), [])
+        elif isinstance(col, _DictColumn):
+            cached = (col.codes, col.values)
+        else:
+            cached = _intern_num_column(col, self._n)
+        self._interned[label] = cached
+        return cached
+
+    def numeric(
+        self, label: str, include_bool: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, mask)`` float64/bool arrays for one attribute.
+
+        ``mask`` is True exactly where the streaming kernels would fold the
+        value (see :func:`repro.aggregate.ops.numeric_or_none`); ``values``
+        is 0.0 elsewhere.  A typed column answers with a view; any other is
+        read per distinct value and broadcast through its codes.
+        """
+        key = (label, include_bool)
+        cached = self._numeric.get(key)
+        if cached is not None:
+            return cached
+        col = self._column(label)
+        if isinstance(col, _NumColumn) and (include_bool or col.vtype is not ValueType.BOOL):
+            values = col.values if col.values.dtype == np.float64 else col.values.astype(np.float64)
+            # the contract says values are 0.0 where the mask is False; the
+            # writer zero-fills missing slots, so the view stays zero-copy
+            cached = (values, np.ones(self._n, dtype=bool) if col.mask is None else col.mask)
+        else:
+            from ..aggregate.ops import numeric_or_none  # deferred: aggregate sits above io
+
+            codes, values = self.interned(label)
+            # Slot 0 stands for "missing" (code -1); distinct value i maps to i+1.
+            table = np.zeros(len(values) + 1, dtype=np.float64)
+            ok = np.zeros(len(values) + 1, dtype=bool)
+            for i, v in enumerate(values):
+                x = numeric_or_none(v, include_bool)
+                if x is not None:
+                    table[i + 1] = x
+                    ok[i + 1] = True
+            cached = (table[codes + 1], ok[codes + 1])
+        self._numeric[key] = cached
+        return cached
+
+    def with_constants(self, entries: dict[str, Variant]) -> "ColumnStore":
         """This store with every entry as a constant column on all rows.
 
         How a file's globals are folded into its rows without leaving the
@@ -551,111 +673,83 @@ class ColfileStore(ColumnStore):
         """
         if not entries:
             return self
-        columns = dict(self._columns)
+        columns = dict(self.columns)
         present = np.zeros(self._n, dtype=np.int64)  # code 0 on every row; shared
         for label, value in entries.items():
             if value.is_empty:  # an empty global hides the column, as in a Record
                 columns[label] = _DictColumn(np.full(self._n, -1, dtype=np.int64), [])
             else:
                 columns[label] = _DictColumn(present, [value])
-        return ColfileStore(self._n, columns)
+        return ColumnStore(self._n, columns)
 
     def with_doubles(
         self, columns: dict[str, np.ndarray], present: Optional[np.ndarray] = None
-    ) -> "ColfileStore":
+    ) -> "ColumnStore":
         """This store with ``float64`` columns added, each replacing a
         same-named column as :meth:`Record.with_entries` would; ``present``
         masks the rows that have them (``None``: every row; the values are
         0.0 elsewhere).  The other columns are shared, not copied."""
-        merged = dict(self._columns)
+        merged = dict(self.columns)
         for label, values in columns.items():
             merged[label] = _NumColumn(ValueType.DOUBLE, values, present)
-        return ColfileStore(self._n, merged)
+        return ColumnStore(self._n, merged)
 
-    def take(self, rows: np.ndarray) -> "ColfileStore":
+    def take(self, rows: np.ndarray) -> "ColumnStore":
         """The store of ``rows`` of this one, in that order; a row may repeat."""
         columns: dict[str, _Column] = {}
-        for label, col in self._columns.items():
+        for label, col in self.columns.items():
             if isinstance(col, _DictColumn):
                 columns[label] = _DictColumn(col.codes[rows], col.values)
             else:
                 mask = None if col.mask is None else col.mask[rows]
                 columns[label] = _NumColumn(col.vtype, col.values[rows], mask)
-        return ColfileStore(len(rows), columns)
+        return ColumnStore(len(rows), columns)
 
-    def interned(self, label: str) -> tuple[np.ndarray, list[Variant]]:
-        cached = self._interned.get(label)
-        if cached is not None:
-            return cached
-        col = self._columns.get(label)
-        if col is None:
-            out: tuple[np.ndarray, list[Variant]] = (
-                np.full(self._n, -1, dtype=np.int64),
-                [],
-            )
-        else:
-            out = _intern_num_column(col, self._n)
-        self._interned[label] = out
-        return out
 
-    def numeric(
-        self, label: str, include_bool: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        key = (label, include_bool)
-        cached = self._numeric.get(key)
-        if cached is not None:
-            return cached
-        col = self._columns.get(label)
-        if not isinstance(col, _NumColumn):
-            return super().numeric(label, include_bool)  # dict / missing column
-        if col.vtype is ValueType.BOOL and not include_bool:
-            out = (
-                np.zeros(self._n, dtype=np.float64),
-                np.zeros(self._n, dtype=bool),
-            )
-        else:
-            values = (
-                col.values
-                if col.values.dtype == np.float64
-                else col.values.astype(np.float64)
-            )
-            # the contract says values are 0.0 where the mask is False; the
-            # writer zero-fills missing slots, so the view stays zero-copy
-            mask = np.ones(self._n, dtype=bool) if col.mask is None else col.mask
-            out = (values, mask)
-        self._numeric[key] = out
-        return out
+#: the low 63 bits of an int64: flipping them turns float64 bit patterns
+#: into IEEE 754 totalOrder keys (and the keys back into bit patterns)
+_LOW63 = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _total_order(bits: np.ndarray) -> np.ndarray:
+    return bits ^ ((bits >> 63) & _LOW63)
 
 
 def _intern_num_column(
     col: _NumColumn, nrows: int
 ) -> tuple[np.ndarray, list[Variant]]:
-    """First-class interned view of a typed column (vectorized).
+    """Interned view of a typed column, vectorized: one ``np.unique``.
 
-    Distinct values come out in sorted rather than first-seen order — every
-    consumer of ``interned()`` (grouping, predicates, ``first``) is
-    insensitive to dictionary order, so this is observationally equivalent
-    and avoids a per-row Python loop.
+    Identity is the dictionary builder's (:class:`_Dictionary`): doubles are
+    told apart by bit pattern, so ``0.0`` and ``-0.0`` — equal to
+    ``np.unique`` — are two entries, and so are NaNs with different payloads.
+    Distinct values come out sorted rather than first-seen (doubles in IEEE
+    754 totalOrder: ``-0.0`` just before ``0.0``, NaNs at the ends); the
+    order only numbers the groups of an un-ORDERed query, and avoids a
+    per-row Python loop.
     """
+    present = col.values if col.mask is None else col.values[col.mask]
+    vtype = col.vtype
+    if vtype is ValueType.DOUBLE:
+        keys, inv = np.unique(_total_order(present.view(np.int64)), return_inverse=True)
+        uniq = _total_order(keys).view(np.float64)
+    else:
+        uniq, inv = np.unique(present, return_inverse=True)
     if col.mask is None:
-        uniq, inv = np.unique(col.values, return_inverse=True)
         codes = inv.astype(np.int64)
     else:
-        present = col.values[col.mask]
-        uniq, inv = np.unique(present, return_inverse=True)
         codes = np.full(nrows, -1, dtype=np.int64)
         codes[col.mask] = inv
-    vtype = col.vtype
     if vtype is ValueType.BOOL:
         values = [Variant(vtype, bool(x)) for x in uniq.tolist()]
     elif vtype is ValueType.DOUBLE:
-        values = [Variant(vtype, float(x)) for x in uniq.tolist()]
+        values = [Variant(vtype, x) for x in uniq.tolist()]
     else:
         values = [Variant(vtype, int(x)) for x in uniq.tolist()]
     return codes, values
 
 
-def records_from_store(store: ColfileStore, rows: Optional[np.ndarray] = None) -> list[Record]:
+def records_from_store(store: ColumnStore, rows: Optional[np.ndarray] = None) -> list[Record]:
     """Materialize plain :class:`Record` rows from a columnar store: every
     row, or just ``rows`` of it (in that order)."""
     nrows = len(store) if rows is None else len(rows)
@@ -684,30 +778,19 @@ def records_from_store(store: ColfileStore, rows: Optional[np.ndarray] = None) -
 
 def decode_batch_store(
     buf: Union[bytes, memoryview], limits: Optional[DecodeLimits] = None
-) -> ColfileStore:
-    """Decode a batch straight into a query-ready :class:`ColfileStore`."""
+) -> ColumnStore:
+    """Decode a batch straight into a query-ready :class:`ColumnStore`."""
     nrows, columns = decode_batch(buf, limits)
-    return ColfileStore(nrows, columns)
+    return ColumnStore(nrows, columns)
 
 
-def _to_dict_form(
-    col: Optional[_Column], nrows: int
-) -> tuple[np.ndarray, list[Variant]]:
-    """Any column (or a missing one) as exact ``(codes, values)``."""
-    if col is None:
-        return np.full(nrows, -1, dtype=np.int64), []
-    if isinstance(col, _DictColumn):
-        return col.codes, col.values
-    return _intern_num_column(col, nrows)
-
-
-def merge_stores(stores: Sequence[ColfileStore]) -> ColfileStore:
+def merge_stores(stores: Sequence[ColumnStore]) -> ColumnStore:
     """One store over the concatenation of several chunk stores.
 
     Columns that keep one typed encoding across chunks concatenate
-    directly; mixed or dictionary columns merge through a shared value
-    table with per-chunk code remapping.  A single chunk passes through
-    untouched (fully zero-copy).
+    directly; mixed or dictionary columns merge through one shared
+    :class:`_Dictionary`, each chunk's codes remapped through it.  A single
+    chunk passes through untouched (fully zero-copy).
     """
     if len(stores) == 1:
         return stores[0]
@@ -745,23 +828,14 @@ def merge_stores(stores: Sequence[ColfileStore]) -> ColfileStore:
                 None if dense else np.concatenate(masks),
             )
             continue
-        table: dict[object, int] = {}
-        values: list[Variant] = []
+        dictionary = _Dictionary()
         parts = []
-        for c, s in zip(cols, stores):
-            codes, vals = _to_dict_form(c, len(s))
-            lookup = np.empty(len(vals) + 1, dtype=np.int64)
-            lookup[0] = -1
-            for j, v in enumerate(vals):
-                key = (v.type, v.value)
-                idx = table.get(key)
-                if idx is None:
-                    idx = table[key] = len(values)
-                    values.append(v)
-                lookup[j + 1] = idx
+        for s in stores:
+            codes, vals = s.interned(label)
+            lookup = np.array([-1, *dictionary.encode(vals)], dtype=np.int64)
             parts.append(lookup[codes + 1])
-        merged[label] = _DictColumn(np.concatenate(parts), values)
-    return ColfileStore(total, merged)
+        merged[label] = _DictColumn(np.concatenate(parts), dictionary.values)
+    return ColumnStore(total, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -928,7 +1002,7 @@ class ColfileReader:
         self.globals: dict[str, Variant] = _globals_from_jsonable(
             footer.get("globals", {})
         )
-        self._store: Optional[ColfileStore] = None
+        self._store: Optional[ColumnStore] = None
 
     @property
     def num_chunks(self) -> int:
@@ -940,7 +1014,7 @@ class ColfileReader:
         c = self.chunks[index]
         return self._data[c["offset"] : c["offset"] + c["length"]]
 
-    def chunk_store(self, index: int) -> ColfileStore:
+    def chunk_store(self, index: int) -> ColumnStore:
         """Decode one chunk into a query-ready store (numpy views)."""
         c = self.chunks[index]
         store = decode_batch_store(self.chunk_bytes(index), self._limits)
@@ -950,15 +1024,15 @@ class ColfileReader:
             )
         return store
 
-    def iter_stores(self) -> Iterator[ColfileStore]:
+    def iter_stores(self) -> Iterator[ColumnStore]:
         for i in range(len(self.chunks)):
             yield self.chunk_store(i)
 
-    def store(self) -> ColfileStore:
+    def store(self) -> ColumnStore:
         """One store over the whole file (chunks merged; cached)."""
         if self._store is None:
             if not self.chunks:
-                self._store = ColfileStore(0, {})
+                self._store = ColumnStore(0, {})
             else:
                 self._store = merge_stores([self.chunk_store(i) for i in range(len(self.chunks))])
         return self._store
@@ -1302,7 +1376,7 @@ def states_from_binary(
     if 9 + entries_len > len(mv):
         raise ColfileError("state batch key section exceeds payload")
     nrows, columns = decode_batch(mv[9 : 9 + entries_len], limits)
-    key_store = ColfileStore(nrows, columns)
+    key_store = ColumnStore(nrows, columns)
     entries = [dict(r._entries) for r in key_store.records]
     pos = 9 + entries_len
     if mode == _MODE_GENERIC:

@@ -12,10 +12,13 @@ LET / WINDOW query.
 
 Two performance layers live here as well:
 
-* :class:`ColumnStore` — dictionary-encoded (interned) columns over the
-  record list, built lazily per attribute and cached across queries.  The
-  row→column convert step is the dominant cost of vectorized aggregation;
-  caching it is what makes repeated interactive queries on one dataset fast.
+* :meth:`Dataset.column_store` — the dataset as a
+  :class:`~repro.io.colfile.ColumnStore`: the decoded ``.rcf`` columns, or
+  ``ColumnStore.from_records`` over the record list, whose dictionary
+  columns are built per attribute on first use and cached across queries.
+  The row→column convert step is the dominant cost of vectorized
+  aggregation; caching it is what makes repeated interactive queries on one
+  dataset fast.
 * process-parallel loading — ``from_files(paths, parallel=N)`` parses text
   input files in a :class:`~concurrent.futures.ProcessPoolExecutor`, the
   paper's reduction-tree idea applied to real cores for the ingest phase.
@@ -28,20 +31,27 @@ import os
 import time
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
-import numpy as np
-
 from .. import observe
 from ..common.errors import DatasetError
 from ..common.record import Record
-from ..common.variant import ValueType, Variant
+from ..common.variant import Variant
 from .calformat import read_cali, write_cali
+from .colfile import (
+    ColfileReader,
+    ColumnStore,
+    decode_batch_store,
+    encode_batch,
+    merge_stores,
+    read_colfile,
+    write_colfile,
+)
 from .csvio import write_csv
 from .jsonio import read_json, write_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..query.engine import QueryResult
 
-__all__ = ["ColumnStore", "Dataset", "write_records", "read_records"]
+__all__ = ["Dataset", "write_records", "read_records"]
 
 
 def _format_of(path: Union[str, os.PathLike]) -> str:
@@ -69,8 +79,6 @@ def write_records(
     if fmt == "json":
         return write_json(path, records, globals_=globals_)
     if fmt == "rcf":
-        from .colfile import write_colfile  # deferred: colfile imports this module
-
         return write_colfile(path, records, globals_=globals_)
     return write_csv(path, records)
 
@@ -85,106 +93,10 @@ def read_records(path: Union[str, os.PathLike]) -> tuple[list[Record], dict[str,
         records, globals_ = read_json(path, with_globals=True)
         return records, globals_
     if fmt == "rcf":
-        from .colfile import read_colfile  # deferred: colfile imports this module
-
         return read_colfile(path)
     from .csvio import read_csv
 
     return read_csv(path), {}
-
-
-class ColumnStore:
-    """Dictionary-encoded columns over a fixed record list.
-
-    Each attribute is interned once into an ``int64`` code array (-1 =
-    missing) plus a small table of distinct :class:`Variant` values; numeric
-    readings are then derived per *distinct* value and broadcast through the
-    codes, so the per-record Python work happens exactly once per attribute
-    regardless of how many queries run.  Instances are immutable snapshots:
-    :class:`Dataset` drops its cached store when the record list changes.
-    """
-
-    def __init__(self, records: Sequence[Record]) -> None:
-        self._records: list[Record] = (
-            records if isinstance(records, list) else list(records)
-        )
-        self._n = len(self._records)
-        self._interned: dict[str, tuple[np.ndarray, list[Variant]]] = {}
-        self._numeric: dict[tuple[str, bool], tuple[np.ndarray, np.ndarray]] = {}
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def records(self) -> list[Record]:
-        return self._records
-
-    def interned(self, label: str) -> tuple[np.ndarray, list[Variant]]:
-        """``(codes, values)`` for one attribute: codes index into ``values``
-        (first-seen order); -1 marks records without the attribute."""
-        cached = self._interned.get(label)
-        if cached is not None:
-            observe.count("columnstore.intern", result="hit", label=label)
-            return cached
-        observe.count("columnstore.intern", result="miss", label=label)
-        codes = np.empty(self._n, dtype=np.int64)
-        # Keyed by plain (type, value) tuples rather than Variants: hashing a
-        # small tuple is several times cheaper than Variant.__hash__, and this
-        # loop runs once per record.  Interning is *exact* — ``int 1`` and
-        # ``double 1.0`` under one label stay distinct codes — so group
-        # representatives and ``first()`` preserve each record's actual
-        # Variant.  Variant-equality collapsing for GROUP BY identity happens
-        # per *distinct* value in the grouping layer, never per record.
-        table: dict[object, int] = {}
-        values: list[Variant] = []
-        missing = (ValueType.INV, None)
-        table_get = table.get
-        for i, record in enumerate(self._records):
-            v = record._entries.get(label)
-            t = None if v is None else v.type
-            if t in missing:
-                codes[i] = -1
-                continue
-            key = (t, v.value)
-            idx = table_get(key)
-            if idx is None:
-                idx = len(values)
-                table[key] = idx
-                values.append(v)
-            codes[i] = idx
-        cached = (codes, values)
-        self._interned[label] = cached
-        return cached
-
-    def numeric(
-        self, label: str, include_bool: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, mask)`` float64/bool arrays for one attribute.
-
-        ``mask`` is True exactly where the streaming kernels would fold the
-        value (see :func:`repro.aggregate.ops.numeric_or_none`); ``values``
-        is 0.0 elsewhere.  Derived from the interned column via a
-        per-distinct-value lookup table.
-        """
-        key = (label, include_bool)
-        cached = self._numeric.get(key)
-        if cached is not None:
-            return cached
-        from ..aggregate.ops import numeric_or_none
-
-        codes, values = self.interned(label)
-        # Slot 0 stands for "missing" (code -1); distinct value i maps to i+1.
-        table = np.zeros(len(values) + 1, dtype=np.float64)
-        ok = np.zeros(len(values) + 1, dtype=bool)
-        for i, v in enumerate(values):
-            x = numeric_or_none(v, include_bool)
-            if x is not None:
-                table[i + 1] = x
-                ok[i + 1] = True
-        shifted = codes + 1
-        cached = (table[shifted], ok[shifted])
-        self._numeric[key] = cached
-        return cached
 
 
 def _load_source_timed(
@@ -217,8 +129,6 @@ def _load_source_packed(
     identical to :func:`_load_source_timed` (globals are folded in before
     encoding, and the batch codec round-trips records exactly).
     """
-    from .colfile import encode_batch  # deferred: colfile imports this module
-
     records, globals_, elapsed = _load_source_timed(path)
     return encode_batch(records), globals_, elapsed, len(records)
 
@@ -243,8 +153,6 @@ def _estimate_records(
     parsed record does (``rcf_rows_per_record``)."""
     if not paths:
         return None
-    from .colfile import ColfileReader  # deferred: colfile imports this module
-
     rows = text_bytes = 0
     for path in paths:
         try:
@@ -296,7 +204,7 @@ class Dataset:
     """Records + globals, with query and export conveniences.
 
     Datasets opened from ``.rcf`` columnar files — one or several — are
-    *lazy*: the decoded :class:`~repro.io.colfile.ColfileStore` is attached
+    *lazy*: the decoded :class:`~repro.io.colfile.ColumnStore` is attached
     immediately and Record objects are only materialized if something
     row-oriented touches ``.records`` — vectorized queries run straight off
     the store.
@@ -349,8 +257,6 @@ class Dataset:
     @classmethod
     def _from_colfile(cls, path: str) -> "Dataset":
         """Open an ``.rcf`` file as a lazy, mmap-backed dataset."""
-        from .colfile import ColfileReader  # deferred: colfile imports this module
-
         reader = ColfileReader(path)
         return cls._lazy(reader.store(), reader.globals, [path])
 
@@ -381,8 +287,6 @@ class Dataset:
         :func:`repro.query.parallel_query_files`, which also *aggregates* in
         the workers and only ships small partial states back.
         """
-        from .colfile import ColfileReader, decode_batch_store, merge_stores
-
         path_list = [os.fspath(p) for p in paths]
         if not path_list:
             return cls()
@@ -456,8 +360,8 @@ class Dataset:
 
     def labels(self) -> list[str]:
         """Union of attribute labels across all records, sorted."""
-        if self._records is None and hasattr(self._store, "labels"):
-            return self._store.labels()  # lazy: straight from the column schema
+        if self._records is None:  # lazy: straight from the columns
+            return self._store.labels()  # type: ignore[union-attr]
         seen: set[str] = set()
         for record in self.records:
             seen.update(record.labels())
@@ -492,7 +396,7 @@ class Dataset:
             or store.records is not self.records
             or len(store) != len(self.records)
         ):
-            store = ColumnStore(self.records)
+            store = ColumnStore.from_records(self.records)
             self._store = store
         return store
 
@@ -568,8 +472,6 @@ class Dataset:
         chunk (0 = default), which is also the granularity at which
         ``repro.api.query`` later streams the file for out-of-core scans.
         """
-        from .colfile import write_colfile  # deferred: colfile imports this module
-
         return write_colfile(
             path, self.records, globals_=self.globals, chunk_rows=chunk_rows
         )

@@ -7,9 +7,9 @@ Everything that decides whether a frame may fold, before any shard sees it:
   cross-tenant queries can never observe each other's records) and a
   :class:`TenantQuota` bounding connections, queued batches and DB entries.
 * **Exactly-once** — batches carry client-assigned sequence numbers; the
-  :class:`DedupWindow` remembers the highest one folded per client *within
-  this server epoch* and duplicates are acknowledged but skipped, so a
-  client replaying after a lost ACK cannot double-count.
+  :class:`DedupWindow` remembers the highest one folded per client stream
+  *within this server epoch* and duplicates are acknowledged but skipped,
+  so a client replaying after a lost ACK cannot double-count.
 * **Admission control** — when shard queues back up (or a tenant is over
   its queued-batch quota) the answer is ``BUSY`` with a ``retry_after``
   instead of a blocked event loop; the batch is *not* folded and not
@@ -116,54 +116,59 @@ def ack(seq: int, count: int, duplicate: bool) -> tuple[MessageType, dict]:
 
 
 class DedupWindow:
-    """Highest sequence folded per client, pruned after ``ttl`` idle seconds."""
+    """Highest sequence folded per client stream, pruned after ``ttl`` idle
+    seconds.  A stream is one client instance (HELLO's ``stream`` id): each
+    numbers its batches from 0, so a client restarted under the same id is
+    a new stream, not a replay."""
 
     def __init__(self, ttl: float, metrics: MetricsRegistry) -> None:
         self.ttl = float(ttl)
         self._metrics = metrics
         self._lock = threading.Lock()
-        self._max_seq: dict[str, int] = {}
-        #: dedup key -> monotonic time of last frame; idle entries past
-        #: ``ttl`` are pruned so unclean disconnects (no BYE) cannot grow
-        #: the map forever under client churn
-        self._touched: dict[str, float] = {}
+        self._max_seq: dict[tuple[str, str], int] = {}
+        #: (dedup key, stream) -> monotonic time of last frame; idle entries
+        #: past ``ttl`` are pruned so unclean disconnects (no BYE) cannot
+        #: grow the map forever under client churn
+        self._touched: dict[tuple[str, str], float] = {}
 
     def __contains__(self, key: str) -> bool:
+        """Whether any stream of this client has a batch folded (a scan: for
+        inspection, not the frame path)."""
         with self._lock:
-            return key in self._max_seq
+            return any(client == key for client, _stream in self._max_seq)
 
-    def seen(self, key: str, seq: int) -> bool:
+    def seen(self, key: str, seq: int, stream: str = "") -> bool:
         """True if this batch was already folded (ACK but skip).  Peek only:
         the seq is *marked* after the batch commits, so a shed (BUSY) leaves
         no trace and the client's redelivery folds normally."""
         with self._lock:
-            self._touched[key] = time.monotonic()
-            return seq <= self._max_seq.get(key, -1)
+            self._touched[(key, stream)] = time.monotonic()
+            return seq <= self._max_seq.get((key, stream), -1)
 
-    def mark(self, key: str, seq: int) -> None:
+    def mark(self, key: str, seq: int, stream: str = "") -> None:
         with self._lock:
-            if seq > self._max_seq.get(key, -1):
-                self._max_seq[key] = seq
+            if seq > self._max_seq.get((key, stream), -1):
+                self._max_seq[(key, stream)] = seq
 
-    def once(self, key: str, seq: int, count: int, apply: Callable[[], int]):
-        """Run ``apply`` unless ``(key, seq)`` already folded; ACK what it
-        returns, or ``count`` for a duplicate.  For never-shed tree traffic."""
-        duplicate = self.seen(key, seq)
+    def once(self, key: str, seq: int, count: int, apply: Callable[[], int], stream: str = ""):
+        """Run ``apply`` unless ``(key, stream, seq)`` already folded; ACK what
+        it returns, or ``count`` for a duplicate.  For never-shed tree traffic."""
+        duplicate = self.seen(key, seq, stream)
         if duplicate:
             self._metrics.count("net.duplicates")
         else:
             count = apply()
-            self.mark(key, seq)
+            self.mark(key, seq, stream)
         return ack(seq, count, duplicate)
 
-    def forget(self, key: str) -> None:
+    def forget(self, key: str, stream: str = "") -> None:
         """The client said BYE: its replay window ends with its session."""
         with self._lock:
-            self._max_seq.pop(key, None)
-            self._touched.pop(key, None)
+            self._max_seq.pop((key, stream), None)
+            self._touched.pop((key, stream), None)
 
     def prune(self) -> None:
-        """Drop the state of clients idle past ``ttl``.  A pruned client that
+        """Drop the state of streams idle past ``ttl``.  A pruned stream that
         replays after sitting idle longer re-folds — the TTL is the
         documented replay-window bound."""
         now = time.monotonic()
@@ -247,7 +252,7 @@ class Admission:
 
     async def admit(
         self, tenant: _TenantState, client_id: str, seq: int, kind: str, count: int,
-        route: Callable[[], list], shed: bool = True,
+        route: Callable[[], list], shed: bool = True, stream: str = "",
     ) -> tuple[MessageType, dict]:
         """Fold one decoded data frame exactly once, or shed it with BUSY.
 
@@ -257,7 +262,7 @@ class Admission:
         ``shed=False`` the batch waits for queue space instead.
         """
         key = tenant.dedup_key(client_id)
-        if self.dedup.seen(key, seq):
+        if self.dedup.seen(key, seq, stream):
             self._metrics.count("net.duplicates")
             return ack(seq, count, True)
         self._check_entries_quota(tenant)
@@ -267,7 +272,7 @@ class Admission:
                 tenant.shed += 1
             self._metrics.count("net.shed", tenant=tenant.name)
             return (MessageType.BUSY, busy_body(seq, self.busy_retry_after))
-        self.dedup.mark(key, seq)
+        self.dedup.mark(key, seq, stream)
         self._metrics.count("net.batches", kind=kind)
         self._metrics.count("net.records" if kind == "records" else "net.groups", count)
         return ack(seq, count, False)

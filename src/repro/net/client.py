@@ -20,8 +20,9 @@ server does not:
   order (one batch in memory at a time) before new data is sent; a
   replayed frame is byte-identical to its first delivery.
 * **Exactly-once** — batches carry monotonically increasing sequence
-  numbers.  Within one server epoch the server skips sequences it has
-  already folded, so a replay after a lost ACK cannot double-count.  When
+  numbers per instance (``stream_id``, sent in HELLO).  Within one server
+  epoch the server skips sequences that stream has already folded, so a
+  replay after a lost ACK cannot double-count.  When
   a reconnect reveals a *new* epoch (the server was restarted and its
   state died), every previously acknowledged batch is put back on the
   pending list and replayed from the spool — no update is lost to a
@@ -38,7 +39,7 @@ crash-restartable server; see ``docs/service.md`` for the trade-off
 discussion.
 
 Clients sharing one configured ``spool_dir`` (several channels, several
-processes) each spool into a per-``client_id`` subdirectory, so their
+processes, restarts) each spool into a per-instance subdirectory, so their
 write-ahead batches never collide.
 
 **Failover (reduction trees).**  A relay server advertises its own parent
@@ -146,6 +147,9 @@ class FlushClient:
             scheme.describe() if isinstance(scheme, AggregationScheme) else scheme
         )
         self.client_id = client_id or uuid.uuid4().hex
+        #: this instance's sequence stream: a restart under the same
+        #: ``client_id`` counts from seq 0 again, as a new stream
+        self.stream_id = uuid.uuid4().hex
         self.batch_size = batch_size
         self.timeout = timeout
         self.retries = max(0, retries)
@@ -164,10 +168,10 @@ class FlushClient:
         if spool_dir is None:
             self.spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
         else:
-            # Shared spool dirs are namespaced per client: batch files are
-            # keyed only by this client's sequence counter and would
-            # otherwise overwrite another client's write-ahead batches.
-            self.spool_dir = os.path.join(spool_dir, self.client_id)
+            # Shared spool dirs are namespaced per client instance: batch
+            # files are keyed only by this instance's sequence counter and
+            # would otherwise overwrite another instance's write-ahead batches.
+            self.spool_dir = os.path.join(spool_dir, f"{self.client_id}.{self.stream_id}")
         os.makedirs(self.spool_dir, exist_ok=True)
 
         #: serialises buffering, delivery, and the socket protocol — stream
@@ -538,7 +542,7 @@ class FlushClient:
         rfile = sock.makefile("rb")
         wfile = sock.makefile("wb")
         try:
-            hello = {"client": self.client_id, "caps": [CAP_BINARY]}
+            hello = {"client": self.client_id, "stream": self.stream_id, "caps": [CAP_BINARY]}
             if self.scheme_text is not None:
                 hello["scheme"] = self.scheme_text
             if self.token is not None:

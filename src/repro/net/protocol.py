@@ -490,7 +490,7 @@ def records_to_binary(records: Iterable[Record]) -> bytes:
 
 def store_from_binary(blob: Union[bytes, memoryview], max_decoded: int = MAX_DECODED):
     """Decode a binary record batch into the column store it is — a
-    :class:`~repro.io.colfile.ColfileStore`, no ``Record`` built — mapping
+    :class:`~repro.io.colfile.ColumnStore`, no ``Record`` built — mapping
     codec errors to protocol errors."""
     from ..common.errors import DatasetError
     from ..io.colfile import decode_batch_store

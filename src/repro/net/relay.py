@@ -222,7 +222,7 @@ class RelayPlane:
 
     # -- receiving side ------------------------------------------------------------
 
-    def on_forward(self, client_id: str, body: dict, groups: list):
+    def on_forward(self, client_id: str, body: dict, groups: list, stream: str = ""):
         """Fold a downstream relay's decoded delta, segregated per (sender, origin).
 
         Tree traffic always lives in the default namespace (relay mode
@@ -233,7 +233,7 @@ class RelayPlane:
         sender = (client_id, str(require(body, "from_epoch", (str,))))
         origin = origin_from_wire(require(body, "origin", (list,)))
         fold = lambda: self._fold_forward(sender, origin, seq, groups, body)  # noqa: E731
-        return self._dedup.once(client_id, seq, len(groups), fold)
+        return self._dedup.once(client_id, seq, len(groups), fold, stream)
 
     def _fold_forward(self, sender, origin, seq: int, groups: list, body: dict) -> int:
         window = self._window
@@ -283,7 +283,7 @@ class RelayPlane:
                 window.tracker.update(sender[0], float(watermark))
         return len(groups)
 
-    def on_retract(self, client_id: str, body: dict):
+    def on_retract(self, client_id: str, body: dict, stream: str = ""):
         """Drop forwarded origins a downstream relay declared dead."""
         seq = int(require(body, "seq", (int,)))
         sender = (client_id, str(require(body, "from_epoch", (str,))))
@@ -296,7 +296,7 @@ class RelayPlane:
             self._metrics.count("net.retracts", len(origins))
             return len(origins)
 
-        return self._dedup.once(client_id, seq, len(origins), apply)
+        return self._dedup.once(client_id, seq, len(origins), apply, stream)
 
     def _drop_origins(self, origins) -> None:
         """Remove every segregated DB holding these origins (lock held).

@@ -255,8 +255,10 @@ class AggregationServer:
 
     def _hello(self, body: dict) -> tuple[tuple, dict]:
         """HELLO: capability, auth and quota checks, then the ack.  On success
-        the tenant's connection slot is taken; ``goodbye`` gives it back."""
+        the tenant's connection slot is taken; ``goodbye`` gives it back.
+        The session's dedup stream is the client instance's ``stream`` id."""
         client_id = str(require(body, "client", (str,)))
+        stream = str(require(body, "stream", (str,)))
         client_caps = body.get("caps")
         if not isinstance(client_caps, list) or CAP_BINARY not in client_caps:
             raise Refused(
@@ -295,7 +297,7 @@ class AggregationServer:
         except BaseException:
             self._admission.release(tenant)
             raise
-        return (tenant, client_id), ack
+        return (tenant, client_id, stream), ack
 
     async def _handle(self, session, mtype, body: dict, sections: dict):
         """One frame of an established session; ``None`` ends it (BYE).
@@ -304,25 +306,26 @@ class AggregationServer:
         block (relay folds take the relay lock, queries and drains run shard
         barriers) and hops to the executor so the loop keeps absorbing reads.
         """
-        tenant, client_id = session
+        tenant, client_id, stream = session
         if mtype is MessageType.RECORDS:
-            return await self._on_records(tenant, client_id, body, sections)
+            return await self._on_records(tenant, client_id, stream, body, sections)
         if mtype is MessageType.STATES:
-            return await self._on_states(tenant, client_id, body, sections)
+            return await self._on_states(tenant, client_id, stream, body, sections)
         if mtype is MessageType.BYE:
             # The client session is over and its replay window with it:
             # drop its dedup entry so unbounded client churn (one-shot
             # producers, live_query probes) cannot grow the map forever.
-            self._dedup.forget(tenant.dedup_key(client_id))
+            self._dedup.forget(tenant.dedup_key(client_id), stream)
             return None
         return await self._conn.offload(self._handle_blocking, session, mtype, body, sections)
 
     def _handle_blocking(self, session, mtype, body: dict, sections: dict):
-        tenant, client_id = session
+        tenant, client_id, stream = session
         if mtype is MessageType.FORWARD:
-            return self._relay.on_forward(client_id, body, self._decode_states(body, sections))
+            groups = self._decode_states(body, sections)
+            return self._relay.on_forward(client_id, body, groups, stream)
         if mtype is MessageType.RETRACT:
-            return self._relay.on_retract(client_id, body)
+            return self._relay.on_retract(client_id, body, stream)
         if mtype is MessageType.QUERY:
             text = str(require(body, "q", (str,)))
             target = str(body.get("target", "aggregate"))
@@ -335,7 +338,7 @@ class AggregationServer:
             return _result_frame(records, self.scheme.output_labels, None)
         raise ProtocolError(f"unexpected {mtype.name} frame")
 
-    async def _on_records(self, tenant, client_id: str, body: dict, sections: dict):
+    async def _on_records(self, tenant, client_id: str, stream: str, body: dict, sections: dict):
         seq = int(require(body, "seq", (int,)))
         store = store_from_binary(_section(sections, "records"), self.max_decoded)
 
@@ -359,10 +362,11 @@ class AggregationServer:
         # Windowed stamping already advanced the watermark, so a windowed
         # batch can no longer be shed — it waits for queue space instead.
         return await self._admission.admit(
-            tenant, client_id, seq, "records", len(store), route, shed=self._window is None
+            tenant, client_id, seq, "records", len(store), route,
+            shed=self._window is None, stream=stream,
         )
 
-    async def _on_states(self, tenant, client_id: str, body: dict, sections: dict):
+    async def _on_states(self, tenant, client_id: str, stream: str, body: dict, sections: dict):
         seq = int(require(body, "seq", (int,)))
         groups = self._decode_states(body, sections)
         offered = int(body.get("offered", 0))
@@ -381,7 +385,9 @@ class AggregationServer:
                 counters = (0, 0)
             return puts
 
-        return await self._admission.admit(tenant, client_id, seq, "states", len(groups), route)
+        return await self._admission.admit(
+            tenant, client_id, seq, "states", len(groups), route, stream=stream
+        )
 
     def _decode_states(self, body: dict, sections: dict) -> list:
         """Decode and shape-check a STATES/FORWARD frame's ``groups`` section.

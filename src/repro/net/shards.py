@@ -43,7 +43,7 @@ from ..common.errors import ReproError
 from ..common.util import stable_hash64
 from ..common.variant import Variant
 from ..io import colfile
-from ..io.dataset import ColumnStore
+from ..io.colfile import ColumnStore
 from ..observe import MetricsRegistry
 from ..query.columnar import ColumnFold, supports_scheme
 

@@ -27,7 +27,9 @@ of ``benchmarks/suite`` quantify the speedup.
 
 Pipeline:
 
-1. intern each attribute once (:class:`~repro.io.dataset.ColumnStore`,
+1. read each attribute as a dictionary column of a
+   :class:`~repro.io.colfile.ColumnStore` — decoded from ``.rcf`` or the
+   wire, or built once per attribute from records (``from_records``,
    cached per :class:`~repro.io.dataset.Dataset`);
 2. evaluate WHERE vectorized over the code columns;
 3. collapse the key-code matrix into one composite group id per record
@@ -71,7 +73,7 @@ from ..calql.semantics import compare_variants
 from ..common.errors import QueryError
 from ..common.record import Record
 from ..common.variant import ValueType, Variant
-from ..io.dataset import ColumnStore
+from ..io.colfile import ColumnStore
 
 __all__ = [
     "ColumnFold",
@@ -136,7 +138,7 @@ def unsupported_ops(scheme: AggregationScheme) -> list[str]:
 def _as_store(source: Source) -> ColumnStore:
     if isinstance(source, ColumnStore):
         return source
-    return ColumnStore(source if isinstance(source, list) else list(source))
+    return ColumnStore.from_records(source)
 
 
 # -- vectorized WHERE -------------------------------------------------------------
@@ -360,6 +362,16 @@ def _add_into(cells: list[list], index: int, inverse: np.ndarray, values: np.nda
     _set_cells(cells, index, running)
 
 
+def _keep_first_zero(extrema: np.ndarray, ordered: np.ndarray, starts: np.ndarray) -> None:
+    """Give each zero extremum the sign of its run's first zero: the row
+    engine keeps the first of equal extrema, ``np.minimum`` may not."""
+    zero = np.flatnonzero(extrema == 0)
+    if len(zero):
+        n = len(ordered)
+        position = np.where(ordered == 0, np.arange(n), n)
+        extrema[zero] = ordered[np.minimum.reduceat(position, starts)[zero]]
+
+
 def _fold_op(
     kernel: AggregateOp,
     store: ColumnStore,
@@ -394,7 +406,9 @@ def _fold_op(
         fill = np.inf if t is MinOp else -np.inf
         order, starts = groups.runs()
         reducer = np.minimum if t is MinOp else np.maximum
-        extrema = reducer.reduceat(np.where(mask, values, fill)[order], starts)
+        ordered = np.where(mask, values, fill)[order]
+        extrema = reducer.reduceat(ordered, starts)
+        _keep_first_zero(extrema, ordered, starts)
         seen = np.bincount(inverse[mask], minlength=n_groups)
         for cell, extremum, n in zip(cells, extrema.tolist(), seen.tolist()):
             if n:
@@ -567,7 +581,7 @@ def columnar_aggregate(
     """Aggregate ``source`` under ``scheme`` with numpy group-by.
 
     ``source`` is a record iterable or a prebuilt (cached)
-    :class:`~repro.io.dataset.ColumnStore`.  Raises
+    :class:`~repro.io.colfile.ColumnStore`.  Raises
     :class:`NotImplementedError` for schemes :func:`supports_scheme`
     rejects; results match :func:`repro.aggregate.aggregate_records` exactly
     (up to record order, with float reductions subject only to the global

@@ -33,8 +33,8 @@ from ..calql.semantics import build_scheme, compile_conditions, compile_let, val
 from ..common.errors import QueryError
 from ..common.record import Record
 from ..common.variant import Variant
-from ..io.colfile import ColfileReader
-from ..io.dataset import ColumnStore, _format_of, _load_source_timed
+from ..io.colfile import ColfileReader, ColumnStore
+from ..io.dataset import _format_of, _load_source_timed
 from .columnar import (
     Source,
     columnar_aggregate,
@@ -276,7 +276,7 @@ class QueryEngine:
         """Execute the full pipeline over ``source``.
 
         ``source`` is a record iterable or a
-        :class:`~repro.io.dataset.ColumnStore`; the columnar path reads a
+        :class:`~repro.io.colfile.ColumnStore`; the columnar path reads a
         store as it is (no row→column conversion, no ``Record`` built) and
         everything row-oriented hydrates its records on demand.  ``backend``
         selects the aggregation engine (``auto``/``rows``/``columnar``).

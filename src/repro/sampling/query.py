@@ -34,11 +34,10 @@ from ..aggregate.ops import (
     VarianceOp,
     WEIGHT_LABEL,
 )
-from ..aggregate.scheme import AggregationScheme
 from ..common.errors import QueryError
 from ..common.record import Record
 from ..common.variant import Variant
-from ..window.estimate import WindowEstimator
+from ..window.estimate import WindowEstimator, scheme_with_moments
 
 __all__ = ["sample_records", "sampled_query", "scheme_with_moments"]
 
@@ -60,29 +59,6 @@ _LINEAR_STATE = (
     MomentsOp,
     RatioOp,
 )
-
-
-def scheme_with_moments(scheme: AggregationScheme) -> AggregationScheme:
-    """``scheme`` plus hidden ``est_moments`` ops for every sum/avg input.
-
-    The same augmentation :func:`repro.window.db.windowize_scheme` applies,
-    minus the window key attributes: the moment states feed the confidence
-    intervals for ``sum``/``avg`` estimates.  Idempotent.
-    """
-    ops = list(scheme.ops)
-    have = {
-        _unwrap(op).args[0] for op in ops if type(_unwrap(op)) is MomentsOp
-    }
-    added = False
-    for op in scheme.ops:
-        target = _unwrap(op)
-        if type(target) in (SumOp, AvgOp) and target.args[0] not in have:
-            ops.append(MomentsOp([target.args[0]]))
-            have.add(target.args[0])
-            added = True
-    if not added:
-        return scheme
-    return AggregationScheme(ops, key=scheme.key, predicate=scheme.predicate)
 
 
 def sample_records(

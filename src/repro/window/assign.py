@@ -28,7 +28,7 @@ from ..common.errors import ReproError
 from ..common.record import Record
 
 if TYPE_CHECKING:
-    from ..io.dataset import ColumnStore
+    from ..io.colfile import ColumnStore
 
 __all__ = [
     "WindowError",

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 import numpy as np
 
 from ..aggregate.db import AggregationDB
-from ..aggregate.ops import AvgOp, MomentsOp, SumOp
+from ..aggregate.ops import MomentsOp
 from ..aggregate.scheme import AggregationScheme
 from ..common.record import Record
 from ..common.variant import Variant
@@ -35,11 +35,11 @@ from .assign import (
     make_assigner,
     stamp_record,
 )
-from .estimate import WindowEstimator, _unwrap
+from .estimate import WindowEstimator, _unwrap, scheme_with_moments
 from .watermark import WatermarkTracker
 
 if TYPE_CHECKING:
-    from ..io.colfile import ColfileStore
+    from ..io.colfile import ColumnStore
 
 __all__ = [
     "windowize_scheme",
@@ -51,36 +51,19 @@ __all__ = [
 ]
 
 
-def windowize_scheme(
-    scheme: AggregationScheme, with_moments: bool = True
-) -> AggregationScheme:
-    """``scheme`` with window key attributes (and hidden moment ops) added.
+def windowize_scheme(scheme: AggregationScheme) -> AggregationScheme:
+    """``scheme`` with window key attributes and the hidden moment ops
+    (:func:`~repro.window.estimate.scheme_with_moments`) added.
 
     Idempotent: an already-windowized scheme comes back unchanged, so a
     relay constructed from its parent's augmented scheme does not stack a
     second window key.
     """
-    key = list(scheme.key)
-    changed = False
-    if WINDOW_START not in key:
-        key += [WINDOW_START, WINDOW_END]
-        changed = True
-    ops = list(scheme.ops)
-    if with_moments:
-        have = {
-            _unwrap(op).args[0]
-            for op in ops
-            if type(_unwrap(op)) is MomentsOp
-        }
-        for op in scheme.ops:
-            target = _unwrap(op)
-            if type(target) in (SumOp, AvgOp) and target.args[0] not in have:
-                ops.append(MomentsOp([target.args[0]]))
-                have.add(target.args[0])
-                changed = True
-    if not changed:
+    scheme = scheme_with_moments(scheme)
+    if WINDOW_START in scheme.key:
         return scheme
-    return AggregationScheme(ops, key=key, predicate=scheme.predicate)
+    key = [*scheme.key, WINDOW_START, WINDOW_END]
+    return AggregationScheme(scheme.ops, key=key, predicate=scheme.predicate)
 
 
 def dewindowize_scheme(scheme: AggregationScheme) -> AggregationScheme:
@@ -191,8 +174,8 @@ class WindowFront:
         return stamped, late, untimed
 
     def stamp_store(
-        self, source: str, store: "ColfileStore"
-    ) -> Tuple["ColfileStore", Optional[np.ndarray], int, int]:
+        self, source: str, store: "ColumnStore"
+    ) -> Tuple["ColumnStore", Optional[np.ndarray], int, int]:
         """:meth:`stamp` over a decoded column batch, without building a
         :class:`Record`: ``(stamped store, rows, late, un-timed)``.
 

@@ -43,6 +43,7 @@ from .assign import WINDOW_END, WINDOW_START
 
 __all__ = [
     "z_for_confidence",
+    "scheme_with_moments",
     "WindowEstimator",
     "FRACTION_LABEL",
     "SAMPLES_LABEL",
@@ -86,6 +87,26 @@ def z_for_confidence(confidence: float) -> float:
 
 def _unwrap(op: AggregateOp) -> AggregateOp:
     return op.inner if isinstance(op, AliasedOp) else op
+
+
+def scheme_with_moments(scheme: AggregationScheme) -> AggregationScheme:
+    """``scheme`` plus a hidden ``est_moments`` op for every sum/avg input.
+
+    The moment states :class:`WindowEstimator` reads for the ``sum`` /
+    ``avg`` confidence intervals — of an open window, or of a Bernoulli
+    sample (:func:`repro.sampling.sampled_query`).  Idempotent: a scheme
+    that already has them comes back unchanged.
+    """
+    ops = list(scheme.ops)
+    have = {_unwrap(op).args[0] for op in ops if type(_unwrap(op)) is MomentsOp}
+    for op in scheme.ops:
+        target = _unwrap(op)
+        if type(target) in (SumOp, AvgOp) and target.args[0] not in have:
+            ops.append(MomentsOp([target.args[0]]))
+            have.add(target.args[0])
+    if len(ops) == len(scheme.ops):
+        return scheme
+    return AggregationScheme(ops, key=scheme.key, predicate=scheme.predicate)
 
 
 class WindowEstimator:

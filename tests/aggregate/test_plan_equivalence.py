@@ -36,6 +36,7 @@ from repro.aggregate.ops import (
     SumOp,
     VarianceOp,
 )
+from repro.aggregate.ops import default_registry
 from repro.aggregate.plan import CompiledFoldPlan, make_plan
 from repro.common import AggregationError, Record
 
@@ -326,3 +327,22 @@ class TestPlanSelection:
         assert isinstance(plan, CompiledFoldPlan)
         # histogram / ratio / first use the fallback kernel
         assert 0 < plan.num_fast_ops < len(MIXED_OPS())
+
+    #: fast kernels a plan of one built-in operator gets, aliased or not
+    FAST_ALONE = {
+        "any": 0, "avg": 1, "count": 1, "est_moments": 0, "first": 0, "histogram": 0,
+        "max": 1, "mean": 1, "min": 1, "percent_total": 1, "ratio": 0, "scale": 1,
+        "stddev": 1, "sum": 1, "variance": 1,
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAST_ALONE))
+    def test_each_builtin_alone_counts_its_fast_kernel(self, name):
+        registry = default_registry()
+        assert sorted(self.FAST_ALONE) == registry.known()
+        args = {"count": [], "ratio": ["x", "y"], "scale": ["x", "2"]}.get(name, ["x"])
+        op = registry.create(name, args)
+        plans = [(op,)]
+        if len(op.output_labels()) == 1:  # AS renames a single column only
+            plans.append((AliasedOp(op, "alias"),))
+        for ops in plans:
+            assert make_plan(ops, "compiled").num_fast_ops == self.FAST_ALONE[name]

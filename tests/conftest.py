@@ -4,8 +4,22 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 import pytest
+from hypothesis import settings
 
 from repro.common import Record, Variant
+
+# -- hypothesis profiles -------------------------------------------------------
+
+#: ``--hypothesis-profile=fuzz`` (the CI property-fuzz job, which also draws
+#: a fresh ``--hypothesis-seed``) runs each property sized with
+#: :func:`examples` ten times longer than tier-1 does
+settings.register_profile("fuzz", max_examples=1000)
+
+
+def examples(n: int) -> int:
+    """``n`` examples under the default profile, scaled by the loaded one."""
+    return max(1, n * settings.default.max_examples // 100)
+
 
 # -- hypothesis strategies ---------------------------------------------------
 

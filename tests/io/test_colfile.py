@@ -19,21 +19,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import Record, ValueType, Variant
+from repro.io import Dataset
 from repro.io.colfile import (
     BATCH_MAGIC,
     ColfileError,
     ColfileReader,
     ColfileWriter,
+    ColumnStore,
     DecodeLimits,
     decode_batch,
     decode_batch_store,
     encode_batch,
+    merge_stores,
     pack_value,
     read_colfile,
     records_from_store,
     unpack_value,
     write_colfile,
 )
+
+from ..conftest import examples
 
 # -- strategies -------------------------------------------------------------------
 
@@ -83,7 +88,7 @@ def _shape(records):
 # -- batch round trips ------------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(_record_lists())
 def test_batch_roundtrip_property(records):
     out = records_from_store(decode_batch_store(encode_batch(records)))
@@ -139,7 +144,7 @@ def test_batch_with_all_null_rows():
 # -- file round trips -------------------------------------------------------------
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(_record_lists(max_records=40), st.integers(min_value=1, max_value=7))
 def test_file_roundtrip_multichunk_property(tmp_path_factory, records, chunk_rows):
     path = tmp_path_factory.mktemp("rcf") / "t.rcf"
@@ -229,6 +234,74 @@ def test_with_constants_overlays_like_record_with_entries(tmp_path):
         assert _shape(store.records) == _shape(records)  # the source is untouched
 
 
+# -- merged stores: one dictionary builder, exact value identity ------------------
+
+#: values equal under ``==`` that are not the same value: signed zeros, the
+#: int / double / bool twins of 0 and 1, and strings that force a
+#: dictionary column
+_twins = st.sampled_from(
+    [
+        Variant(ValueType.DOUBLE, 0.0),
+        Variant(ValueType.DOUBLE, -0.0),
+        Variant(ValueType.DOUBLE, 1.0),
+        Variant(ValueType.INT, 0),
+        Variant(ValueType.INT, 1),
+        Variant(ValueType.UINT, 1),
+        Variant(ValueType.BOOL, False),
+        Variant(ValueType.BOOL, True),
+        Variant(ValueType.STRING, "0"),
+    ]
+)
+
+
+def _exact_shape(records):
+    """:func:`_shape` with doubles by bit pattern (``-0.0`` is not ``0.0``)."""
+    return [
+        sorted(
+            (label, v.type, struct.pack("<d", v.value) if v.type is ValueType.DOUBLE else v.value)
+            for label, v in rec.items()
+        )
+        for rec in records
+    ]
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.dictionaries(st.sampled_from(["a", "b"]), _twins, max_size=2).map(
+                Record.from_variants
+            ),
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_merge_stores_round_trips_signed_zero_twins_exactly(chunks, from_records):
+    # each part a decoded batch or a records-built store; one label may be a
+    # typed column in one part and a dictionary column in the next
+    parts = [
+        ColumnStore.from_records(chunk) if built else decode_batch_store(encode_batch(chunk))
+        for chunk, built in zip(chunks, from_records)
+    ]
+    merged = merge_stores(parts)
+    rows = [record for chunk in chunks for record in chunk]
+    assert len(merged) == len(rows)
+    assert _exact_shape(records_from_store(merged)) == _exact_shape(rows)
+
+
+def test_from_files_keeps_the_sign_of_a_zero_across_parts(tmp_path):
+    # x is a dictionary column of 0.0 and "s" in one file, of -0.0 and "t" in
+    # the other: merging the two dictionaries must not make -0.0 a 0.0
+    paths = [str(tmp_path / "a.rcf"), str(tmp_path / "b.rcf")]
+    write_colfile(paths[0], [Record({"x": 0.0}), Record({"x": "s"})])
+    write_colfile(paths[1], [Record({"x": -0.0}), Record({"x": "t"})])
+    x = Dataset.from_files(paths).records[2]["x"]
+    assert x.type is ValueType.DOUBLE and struct.pack("<d", x.value) == struct.pack("<d", -0.0)
+
+
 def test_writer_context_manager_partial_chunks(tmp_path):
     path = tmp_path / "w.rcf"
     with ColfileWriter(path) as writer:
@@ -282,7 +355,7 @@ def test_future_version_rejected(tmp_path):
         ColfileReader(target)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @given(st.binary(max_size=200))
 def test_decode_batch_never_crashes_on_garbage(data):
     try:
@@ -291,7 +364,7 @@ def test_decode_batch_never_crashes_on_garbage(data):
         pass  # the only acceptable failure mode
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.binary(min_size=1, max_size=40))
 def test_decode_batch_never_crashes_on_corrupted_valid_batch(noise):
     records = [
@@ -357,7 +430,7 @@ def test_decoded_size_limits_scale_from_bytes():
 # -- value packing (operator-state cells) -----------------------------------------
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(
     st.recursive(
         st.one_of(
@@ -378,7 +451,7 @@ def test_pack_value_roundtrip(obj):
     assert out == obj and type(out) is type(obj)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(st.binary(max_size=60))
 def test_unpack_value_never_crashes(data):
     try:

@@ -191,7 +191,7 @@ def test_hello_without_colbin1_is_refused_and_releases_its_slot():
     tenants = {"tok": {"name": "solo", "max_connections": 1}}
     with AggregationServer(SCHEME, shards=1, tenants=tenants) as server:
         sock, rfile, _wfile = raw_hello(
-            server, {"client": "old", "scheme": SCHEME, "token": "tok"}
+            server, {"client": "old", "stream": "s", "scheme": SCHEME, "token": "tok"}
         )
         try:
             mtype, body = read_message(rfile)
@@ -209,7 +209,7 @@ def test_hello_without_colbin1_is_refused_and_releases_its_slot():
 def test_json_bodied_records_frame_is_refused_and_leaves_no_trace():
     with AggregationServer(SCHEME, shards=1) as server:
         sock, rfile, wfile = raw_hello(
-            server, {"client": "rogue", "scheme": SCHEME, "caps": [CAP_BINARY]}
+            server, {"client": "rogue", "stream": "s", "scheme": SCHEME, "caps": [CAP_BINARY]}
         )
         try:
             mtype, _ack = read_message(rfile)

@@ -341,7 +341,7 @@ def test_malformed_states_rejected_without_killing_shards(server):
     wfile = sock.makefile("wb")
     rfile = sock.makefile("rb")
     write_message(
-        wfile, MessageType.HELLO, {"client": "evil", "caps": [CAP_BINARY]}
+        wfile, MessageType.HELLO, {"client": "evil", "stream": "s", "caps": [CAP_BINARY]}
     )
     mtype, _ = read_message(rfile)
     assert mtype is MessageType.HELLO_ACK

@@ -62,7 +62,7 @@ def test_windowed_db_and_sharded_server_agree(schedule, window, lateness):
     wdb = WindowedAggregationDB(parse_scheme(BASE), window, lateness=lateness)
     server = AggregationServer(BASE, shards=2, window=window, lateness=lateness)
     sessions = {
-        source: server._hello({"client": source, "caps": ["colbin1"]})[0] for source in SOURCES
+        source: server._hello({"client": source, "stream": "s", "caps": ["colbin1"]})[0] for source in SOURCES
     }
     server._shards.start()
     try:

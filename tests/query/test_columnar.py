@@ -11,7 +11,7 @@ from repro.common import Record, Variant
 from repro.io.colfile import decode_batch_store, encode_batch
 from repro.query.columnar import ColumnFold, columnar_aggregate, columnar_db, supports_scheme
 
-from ..conftest import record_lists
+from ..conftest import examples, record_lists
 
 
 def canonical(records):
@@ -189,7 +189,7 @@ class TestEquivalence:
 
 
 @given(record_lists)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 def test_matches_streaming_engine(recs):
     scheme = parse_scheme(
         "AGGREGATE count, sum(mpi.rank), min(mpi.rank), max(mpi.rank) "
@@ -281,7 +281,7 @@ NEW_OPERATORS = [
 
 @pytest.mark.parametrize("op_text", NEW_OPERATORS)
 @given(recs=record_lists)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 def test_new_operator_matches_streaming(op_text, recs):
     # mixed-type, missing-value columns come straight from the strategy
     assert_backends_equivalent(
@@ -302,7 +302,7 @@ WHERE_CLAUSES = [
 
 @pytest.mark.parametrize("where_text", WHERE_CLAUSES)
 @given(recs=record_lists)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 def test_vectorized_where_matches_streaming(where_text, recs):
     assert_backends_equivalent(
         recs,
@@ -311,7 +311,7 @@ def test_vectorized_where_matches_streaming(where_text, recs):
 
 
 @given(record_lists)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 def test_columnar_db_interchangeable_with_streaming_db(recs):
     """A columnar-filled DB must combine/flush like a streamed one."""
     scheme = parse_scheme(
@@ -351,7 +351,7 @@ def test_columnar_db_interchangeable_with_streaming_db(recs):
 
 
 @given(record_lists)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_avg_matches_streaming_engine(recs):
     scheme = parse_scheme("AGGREGATE avg(time.duration) GROUP BY function")
     col = {

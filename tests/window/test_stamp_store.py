@@ -22,6 +22,8 @@ from repro.common import Record
 from repro.io.colfile import decode_batch_store, encode_batch, records_from_store
 from repro.window import SlidingWindows, TumblingWindows, WindowAssigner, WindowFront
 
+from ..conftest import examples
+
 SCHEME = parse_scheme("AGGREGATE count, sum(v) GROUP BY k")
 SOURCES = ("p0", "p1", "p2")
 
@@ -77,7 +79,7 @@ def state(front: WindowFront) -> tuple:
     return (front.num_late, front.num_untimed, sources, repr(front.watermark()), offsets)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(
     schedule=st.lists(steps, min_size=1, max_size=12),
     window=st.sampled_from(["tumbling(10s)", "sliding(10s, 5s)", "sliding(7s, 2s)", "tumbling(300ms)"]),

@@ -46,7 +46,7 @@ def batch_reference(records) -> dict:
     """Serial batch aggregation with windows as plain key attributes."""
     from repro.window import stamp_records, make_assigner
 
-    scheme = windowize_scheme(parse_scheme(SCHEME_TEXT), with_moments=False)
+    scheme = windowize_scheme(parse_scheme(SCHEME_TEXT))
     db = AggregationDB(scheme)
     for stamped in stamp_records(records, make_assigner("tumbling(10s)")):
         db.process(stamped)
