@@ -3,7 +3,10 @@
 This package is the paper's primary contribution rendered as a library:
 user-composable aggregation schemes (operators + key + predicate) that run
 identically on-line (streaming snapshot records), off-line (querying stored
-datasets), and across processes (combining partial databases).
+datasets), and across processes (combining partial databases).  The
+per-record :class:`AggregationDB` and the columnar :class:`StateTable` (the
+server path: vector folds, column merges, the state codec) hold the same
+partial states.
 """
 
 from .db import AggregationDB
@@ -29,10 +32,12 @@ from .ops import (
 from .plan import CompiledFoldPlan, FoldPlan, GenericFoldPlan, make_plan
 from .scheme import AggregationScheme
 from .stream import StreamAggregator, aggregate_records, combine_partials
+from .table import StateTable
 
 __all__ = [
     "AggregationDB",
     "AggregationScheme",
+    "StateTable",
     "FoldPlan",
     "CompiledFoldPlan",
     "GenericFoldPlan",

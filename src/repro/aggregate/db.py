@@ -15,6 +15,15 @@ loop does one dict lookup plus one fused fold (see
 builds the reference per-operator dispatch loop instead: the equivalence
 tests fold through it, and merge-only databases (which never see a record)
 use it to skip plan compilation.
+
+This is the per-record form of the state.  Where state moves in batches —
+a server's shards, relays and root, and the column kernels off-line — it
+lives in a :class:`~repro.aggregate.table.StateTable` instead, one numpy
+array per operator state cell; :meth:`export_states` and
+:meth:`load_states` are the list form both sides convert through
+(``StateTable.export_states`` / ``StateTable.from_states``), and the one
+the MPI reduction, the off-line process pool and the windowed
+single-process DB still merge in.
 """
 
 from __future__ import annotations
@@ -161,6 +170,11 @@ class AggregationDB:
             states = self._plan.init_states()
             self._table[key] = states
         return states
+
+    def existing_states(self, key: tuple) -> Optional[list[list]]:
+        """The state lists under an already extracted ``key``, or ``None``
+        when the DB holds none: :meth:`states_at` without creating."""
+        return self._table.get(key)
 
     @property
     def plan(self):

@@ -6,20 +6,24 @@ wire/spool payloads carry JSON.  This module provides the shared binary
 columnar representation that removes that tax in all three places, and the
 one :class:`ColumnStore` every vectorized query path reads:
 
-* **column batches** — the unit codec (:func:`encode_batch` /
-  :func:`decode_batch`): a magic + JSON schema header followed by typed
-  little-endian column buffers with packed null bitmaps, strings and mixed
-  columns dictionary-encoded.  Buffers are 8-byte aligned so decoding is
+* **column batches** — the unit codec (:func:`encode_columns` /
+  :func:`decode_batch`; :func:`encode_batch` for records): a magic + JSON
+  schema header followed by typed little-endian column buffers with packed
+  null bitmaps, strings and mixed columns dictionary-encoded.  Buffers are 8-byte aligned so decoding is
   ``np.frombuffer`` views into the source bytes — no parsing, no copies.
 * **files** — :class:`ColfileWriter` / :class:`ColfileReader`: a sequence of
   column-batch chunks plus a JSON footer directory at the end (so chunks
   stream out without buffering the whole dataset), ``mmap``-ed on read.  A
   single-chunk file loads straight into a :class:`ColumnStore` whose
   numeric columns are views into the mapping.
-* **operator states** — :func:`states_to_binary` / :func:`states_from_binary`
-  encode the ``(key entries, operator states)`` pairs that FORWARD frames
-  and flush batches ship: group keys as a column batch, state cells
-  column-by-column (varint ints, raw float64, generic fallback).
+* **operator states** — :func:`encode_states` / :func:`decode_states`, the
+  ``RSB1`` batch STATES and FORWARD frames ship: group keys as a column
+  batch (:func:`encode_columns`), state cells column-by-column (zigzag varints
+  for int cells and raw float64 for float cells, both vectorized; a generic
+  packed fallback).  A :class:`~repro.aggregate.table.StateTable` hands its
+  columns over as they are; :func:`states_to_binary` /
+  :func:`states_from_binary` are the list-form wrappers over the same codec
+  for ``(key entries, operator states)`` pairs.
 
 Decoding is defensive everywhere: all offsets/lengths are validated against
 the payload before any allocation, dictionary and row counts are capped by
@@ -56,6 +60,11 @@ __all__ = [
     "decode_batch",
     "decode_batch_store",
     "records_from_store",
+    "encode_columns",
+    "entry_columns",
+    "encode_states",
+    "decode_states",
+    "slot_cells",
     "states_to_binary",
     "states_from_binary",
     "pack_value",
@@ -112,6 +121,7 @@ _NUM_DTYPE = {
 _CODE_DTYPES = ("<i1", "|i1", "<i2", "<i4", "<i8")
 
 _INV, _DOUBLE = ValueType.INV, ValueType.DOUBLE
+_STRING, _INT = ValueType.STRING, ValueType.INT
 _INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
 _UINT_MAX = 2**64 - 1
 
@@ -267,14 +277,19 @@ class _Dictionary:
     payloads stay apart, and ``int 1``, ``double 1.0`` and ``True`` are three
     entries.  Codes are handed out in first-seen order.  GROUP BY identity
     under :class:`Variant` equality is decided per distinct value above this
-    (``columnar._equality_classes``), never here.
+    (``aggregate.table._equality_classes``), never here.
     """
 
     __slots__ = ("values", "_codes")
 
     def __init__(self) -> None:
         self.values: list[Variant] = []
-        self._codes: dict[tuple, int] = {}
+        self._codes: dict[object, int] = {}
+
+    def copy(self) -> "_Dictionary":
+        out = _Dictionary()
+        out.values, out._codes = list(self.values), dict(self._codes)
+        return out
 
     def encode(self, entries: Iterable[Optional[Variant]]) -> list[int]:
         """The code of each entry, adding values not seen before; an absent
@@ -288,9 +303,19 @@ class _Dictionary:
                 append(-1)
                 continue
             t, x = v.type, v.value
-            # A tuple hashes several times faster than a Variant.  Doubles
-            # equal by value yet not by bits (signed zeros, NaNs) key by bits.
-            key = (t, _F64.pack(x)) if t is _DOUBLE and (x == 0.0 or x != x) else (t, x)
+            # Keys hash without the type where they can (an Enum member
+            # hashes in Python): a string is the bare str, a double the bare
+            # float and an int a 1-tuple, which no other key equals; any
+            # other type keys as (type, value).  Doubles equal by value yet
+            # not by bits (signed zeros, NaNs) key by bits.
+            if t is _STRING:
+                key = x
+            elif t is _DOUBLE:
+                key = (t, _F64.pack(x)) if x == 0.0 or x != x else x
+            elif t is _INT:
+                key = (x,)
+            else:
+                key = (t, x)
             code = lookup(key)
             if code is None:
                 code = table[key] = len(values)
@@ -299,94 +324,110 @@ class _Dictionary:
         return out
 
 
-def _column_arrays(
-    records: Sequence[Record],
-) -> dict[str, tuple[list[int], list[Variant]]]:
-    """``label -> (present row indices, values)`` over a record batch.
-
-    ``INV``-typed entries are normalized to absent — the same reading every
-    query path already applies (``Record.get`` defaults empty, the
-    ColumnStore interns them as missing).
-    """
-    cols: dict[str, tuple[list[int], list[Variant]]] = {}
-    for i, record in enumerate(records):
-        for label, v in record._entries.items():
-            if v.type is ValueType.INV:
-                continue
-            col = cols.get(label)
-            if col is None:
-                col = cols[label] = ([], [])
-            col[0].append(i)
-            col[1].append(v)
-    return cols
-
-
-def _pack_mask(idx: list[int], nrows: int) -> Optional[bytes]:
-    """Packed presence bitmap, or None when every row is present."""
-    if len(idx) == nrows:
-        return None
-    mask = np.zeros(nrows, dtype=bool)
-    mask[idx] = True
-    return np.packbits(mask).tobytes()
+def entry_columns(
+    entries: Sequence[dict[str, Variant]], labels: Optional[Iterable[str]] = None
+) -> list[tuple[str, np.ndarray, list[Variant]]]:
+    """``(label, codes, values)`` per label over a list of entry dicts (the
+    records of a batch, or exported group keys): a :class:`_Dictionary`
+    per label interns its values in first-seen order, and an entry without
+    the label (or with an ``INV`` value) has code -1.  ``labels`` defaults
+    to every label the entries hold a value for, in the order the entries
+    first hold one (:func:`encode_columns`' column order)."""
+    if labels is None:
+        labels = dict.fromkeys(
+            label for entry in entries for label, v in entry.items() if v.type is not _INV
+        )
+    columns = []
+    for label in labels:
+        dictionary = _Dictionary()
+        codes = dictionary.encode([entry.get(label) for entry in entries])
+        columns.append((label, np.array(codes, dtype=np.int64), dictionary.values))
+    return columns
 
 
 def encode_batch(records: Sequence[Record]) -> bytes:
-    """Encode a record batch into the ``RCB1`` binary columnar form.
+    """Encode a record batch into the ``RCB1`` binary columnar form:
+    :func:`encode_columns` of the records' :func:`entry_columns`.
 
-    Columns whose present values share one numeric/bool type become typed
-    little-endian buffers (plus a packed null bitmap unless fully dense);
-    everything else — strings, USR blobs, mixed-type columns, integers that
-    overflow 64 bits — is dictionary-encoded with exact type fidelity.
     Decoding reproduces the records exactly (INV entries excepted: they are
     normalized to absent, matching query semantics).
     """
     if not isinstance(records, (list, tuple)):
         records = list(records)
-    nrows = len(records)
+    return encode_columns(len(records), entry_columns([r._entries for r in records]))
+
+
+def encode_columns(
+    nrows: int, columns: Sequence[tuple[str, np.ndarray, Sequence[Variant]]]
+) -> bytes:
+    """Encode ``nrows`` rows given as columns into the ``RCB1`` form.
+
+    A column is ``(label, codes, values)``: codes index ``values`` (-1: the
+    row has no value), whose entries are distinct by exact identity, as a
+    :class:`_Dictionary` builds them; columns are listed in the order each
+    row lists its labels.  A column whose present values share one
+    numeric/bool type becomes a typed little-endian buffer (plus a packed
+    null bitmap unless fully dense); any other — strings, USR blobs, mixed
+    types, integers that overflow 64 bits — is dictionary-encoded with exact
+    type fidelity: ``int 1`` and ``double 1.0`` (and ``0.0`` and ``-0.0``)
+    stay distinct entries, so round trips preserve every value.
+
+    The bytes depend only on what the rows hold: a column comes where the
+    first row holding it lists it, and a dictionary lists the values in the
+    order the rows first use them (unused values are left out).  The work
+    is per distinct value, none per row in Python.
+    """
+    order = []
+    for position, (label, codes, values) in enumerate(columns):
+        idx = np.flatnonzero(codes >= 0)
+        if len(idx):
+            order.append((int(idx[0]), position, label, codes[idx], values, idx))
+    order.sort(key=lambda column: column[:2])
     buffers = _BufferBuilder()
     col_meta: list[dict] = []
-    for label, (idx, vals) in _column_arrays(records).items():
-        vtypes = {v.type for v in vals}
-        dtype = _NUM_DTYPE.get(next(iter(vtypes))) if len(vtypes) == 1 else None
-        arr = None
-        if dtype is not None:
+    for _first, _position, label, codes, values, idx in order:
+        # the values in the order the rows first use them
+        used, first = np.unique(codes, return_index=True)
+        used = used[np.argsort(first, kind="stable")]
+        renumber = np.zeros(len(values), dtype=np.int64)
+        renumber[used] = np.arange(len(used))
+        present = renumber[codes]
+        used_values = [values[i] for i in used.tolist()]
+        nulls = None
+        if len(idx) < nrows:
+            mask = np.zeros(nrows, dtype=bool)
+            mask[idx] = True
+            nulls = np.packbits(mask).tobytes()
+        vtype = used_values[0].type
+        if any(v.type is not vtype for v in used_values):
+            vtype = None
+        table = None
+        if vtype in _NUM_DTYPE:
             try:
-                arr = np.zeros(nrows, dtype=dtype)
-                arr[idx] = [v.value for v in vals]
-            except (OverflowError, ValueError):
-                arr = None  # int outside 64 bits: fall back to dictionary
-        if arr is not None:
-            meta = {
-                "name": label,
-                "enc": "num",
-                "t": _TYPE_TAG[next(iter(vtypes))],
-                "data": buffers.add(arr.tobytes()),
-            }
-            nulls = _pack_mask(idx, nrows)
+                table = np.array([v.value for v in used_values], dtype=_NUM_DTYPE[vtype])
+            except (OverflowError, ValueError):  # an int outside 64 bits
+                pass
+        if table is not None:
+            arr = np.zeros(nrows, dtype=table.dtype)
+            arr[idx] = table[present]
+            meta = {"name": label, "enc": "num", "t": _TYPE_TAG[vtype], "data": buffers.add(arr.tobytes())}
             if nulls is not None:
                 meta["nulls"] = buffers.add(nulls)
-            col_meta.append(meta)
-            continue
-        # dictionary encoding, exact: int 1 and double 1.0 (and 0.0 and
-        # -0.0) stay distinct entries, so round-trips preserve every value
-        dictionary = _Dictionary()
-        present = dictionary.encode(vals)
-        values = dictionary.values
-        cdt = _min_code_dtype(len(values))
-        codes = np.full(nrows, -1, dtype=cdt)
-        codes[idx] = present
-        tags, offsets, blob = _encode_dictionary(values)
-        col_meta.append(
-            {
+        else:
+            cdt = _min_code_dtype(len(used_values))
+            all_codes = np.full(nrows, -1, dtype=cdt)
+            all_codes[idx] = present
+            tags, offsets, blob = _encode_dictionary(used_values)
+            meta = {
                 "name": label,
                 "enc": "dict",
                 "cdt": cdt,
-                "codes": buffers.add(codes.tobytes()),
+                "codes": buffers.add(all_codes.tobytes()),
                 "tags": buffers.add(tags),
                 "offsets": buffers.add(offsets),
                 "blob": buffers.add(blob),
             }
-        )
+        col_meta.append(meta)
     header = json.dumps(
         {"rows": nrows, "cols": col_meta}, separators=(",", ":")
     ).encode("utf-8")
@@ -577,6 +618,13 @@ class ColumnStore:
         store._records, store._partial = records, True
         return store
 
+    @classmethod
+    def from_codes(
+        cls, nrows: int, columns: dict[str, tuple[np.ndarray, list[Variant]]]
+    ) -> "ColumnStore":
+        """A store of dictionary columns, ``label -> (codes, values)``."""
+        return cls(nrows, {label: _DictColumn(c, v) for label, (c, v) in columns.items()})
+
     def __len__(self) -> int:
         return self._n
 
@@ -608,6 +656,15 @@ class ColumnStore:
 
     def labels(self) -> list[str]:
         return sorted(self.columns)
+
+    def present(self, label: str) -> Optional[np.ndarray]:
+        """Which rows hold a value for ``label``; ``None`` when none can."""
+        col = self._column(label)
+        if col is None:
+            return None
+        if isinstance(col, _DictColumn):
+            return col.codes >= 0
+        return np.ones(self._n, dtype=bool) if col.mask is None else col.mask
 
     def interned(self, label: str) -> tuple[np.ndarray, list[Variant]]:
         """``(codes, values)`` for one attribute: codes index into ``values``,
@@ -1244,10 +1301,56 @@ def unpack_value(
 
 
 # ---------------------------------------------------------------------------
-# operator-state batches (FORWARD deltas, flushed snapshots)
+# operator-state batches (STATES / FORWARD sections, flushed snapshots)
+#
+# One codec for both callers: a state table hands over its columns, and the
+# list-form wrappers (states_to_binary / states_from_binary) convert exported
+# ``(entries, states)`` groups to and from the same *slots*.  A slot is one
+# state cell across every group:
+#
+#   ("i", int64 values, presence mask or None)   zigzag varints
+#   ("f", float64 values, presence mask or None) raw float64
+#   ("o", list of Python cells)                  classified cell by cell
 
 _SLOT_INT, _SLOT_FLOAT, _SLOT_GENERIC = 0, 1, 2
 _MODE_COLUMNAR, _MODE_GENERIC = 0, 1
+_SLOT_LETTER = {_SLOT_INT: "i", _SLOT_FLOAT: "f"}
+
+#: the shift of each of a 64-bit varint's (at most) ten 7-bit groups
+_SHIFTS = np.arange(10, dtype=np.uint64) * np.uint64(7)
+_GROUP = np.arange(10)
+
+
+def _varints(values: np.ndarray) -> bytes:
+    """What ``_write_varint(out, _zigzag(x))`` appends for each int64 of
+    ``values`` in turn, vectorized."""
+    if not len(values):
+        return b""
+    x = values.astype(np.int64, copy=False)
+    zigzag = (x.view(np.uint64) << np.uint64(1)) ^ (x >> 63).view(np.uint64)
+    length = 1 + np.count_nonzero(zigzag[:, None] >> _SHIFTS[1:], axis=1)
+    groups = ((zigzag[:, None] >> _SHIFTS) & np.uint64(0x7F)).astype(np.uint8)
+    groups[_GROUP < (length - 1)[:, None]] |= 0x80
+    return groups[_GROUP < length[:, None]].tobytes()
+
+
+def _read_varints(seg: memoryview, count: int) -> np.ndarray:
+    """Exactly ``count`` zigzag varints filling ``seg``, as int64; one
+    outside 64 bits is an error."""
+    raw = np.frombuffer(seg, dtype=np.uint8)
+    ends = np.flatnonzero(raw < 0x80)
+    if len(ends) != count or (len(raw) and (not count or ends[-1] != len(raw) - 1)):
+        raise ColfileError("bad int state slot size")
+    if not count:
+        return np.zeros(0, dtype=np.int64)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts + 1
+    if lengths.max() > 10 or raw[ends[lengths == 10]].max(initial=0) > 1:
+        raise ColfileError("int state cell outside 64 bits")
+    position = (np.arange(len(raw)) - np.repeat(starts, lengths)).astype(np.uint64)
+    parts = (raw & 0x7F).astype(np.uint64) << (position * np.uint64(7))
+    zigzag = np.bitwise_or.reduceat(parts, starts)
+    return (zigzag >> np.uint64(1)).view(np.int64) ^ -(zigzag & np.uint64(1)).view(np.int64)
 
 
 def _classify_slot(cells: list[object]) -> int:
@@ -1266,105 +1369,106 @@ def _classify_slot(cells: list[object]) -> int:
     return _SLOT_FLOAT if has_float else _SLOT_INT
 
 
-def _encode_slot(cells: list[object], kind: int) -> bytes:
-    n = len(cells)
-    if kind == _SLOT_GENERIC:
-        return bytes(pack_value(list(cells)))
+def _typed_slot(cells: list[object], kind: int) -> Optional[tuple]:
+    """A list slot of ints or floats (``None`` = absent) as its typed slot;
+    ``None`` for an int outside 64 bits."""
     mask = np.array([c is not None for c in cells], dtype=bool)
-    out = bytearray(np.packbits(mask).tobytes() if n else b"")
     present = [c for c in cells if c is not None]
-    if kind == _SLOT_FLOAT:
-        out += np.array(present, dtype="<f8").tobytes()
+    dtype = np.float64 if kind == _SLOT_FLOAT else np.int64
+    values = np.zeros(len(cells), dtype=dtype)
+    try:
+        values[mask] = present
+    except OverflowError:
+        return None
+    return (_SLOT_LETTER[kind], values, mask)
+
+
+def _encode_slot(slot: tuple) -> tuple[int, bytes]:
+    """``(kind, bytes)`` of one slot: a list slot is classified cell by cell,
+    and one whose cells are all ints or all floats is written like the typed
+    slot it then is; a typed slot with no cell present is an empty int slot."""
+    if slot[0] == "o":
+        cells = slot[1]
+        kind = _classify_slot(cells)
+        typed = None if kind == _SLOT_GENERIC else _typed_slot(cells, kind)
+        if typed is None:
+            return _SLOT_GENERIC, bytes(pack_value(list(cells)))
+        slot = typed
+    letter, values, mask = slot
+    if mask is None:
+        mask = np.ones(len(values), dtype=bool)
     else:
-        for x in present:
-            _write_varint(out, _zigzag(x))
-    return bytes(out)
+        values = values[mask]
+    out = np.packbits(mask).tobytes()
+    if letter == "f" and len(values):
+        return _SLOT_FLOAT, out + values.astype("<f8", copy=False).tobytes()
+    return _SLOT_INT, out + _varints(values)
 
 
-def _decode_slot(seg: memoryview, kind: int, n: int) -> list[object]:
+def _decode_slot(seg: memoryview, kind: int, n: int) -> tuple:
     if kind == _SLOT_GENERIC:
         value, pos = unpack_value(seg, 0)
         if pos != len(seg) or not isinstance(value, list) or len(value) != n:
             raise ColfileError("bad generic state slot")
-        return value
+        return ("o", value)
     nbytes = (n + 7) // 8
     if len(seg) < nbytes:
         raise ColfileError("truncated state slot bitmap")
-    mask = np.unpackbits(
-        np.frombuffer(seg[:nbytes], dtype=np.uint8), count=n
-    ).astype(bool)
+    mask = np.unpackbits(np.frombuffer(seg[:nbytes], dtype=np.uint8), count=n).astype(bool)
     npresent = int(mask.sum())
-    cells: list[object] = [None] * n
-    idx = np.nonzero(mask)[0].tolist()
     if kind == _SLOT_FLOAT:
         if len(seg) != nbytes + 8 * npresent:
             raise ColfileError("bad float state slot size")
-        vals = np.frombuffer(seg[nbytes:], dtype="<f8").tolist()
-        for i, x in zip(idx, vals):
-            cells[i] = x
+        values = np.zeros(n, dtype=np.float64)
+        values[mask] = np.frombuffer(seg[nbytes:], dtype="<f8")
     else:
-        pos = nbytes
-        for i in idx:
-            raw, pos = _read_varint(seg, pos)
-            cells[i] = _unzigzag(raw)
-        if pos != len(seg):
-            raise ColfileError("bad int state slot size")
+        values = np.zeros(n, dtype=np.int64)
+        values[mask] = _read_varints(seg[nbytes:], npresent)
+    return (_SLOT_LETTER[kind], values, None if npresent == n else mask)
+
+
+def slot_cells(slot: tuple) -> list[object]:
+    """A slot's cells as Python values, ``None`` where absent."""
+    if slot[0] == "o":
+        return slot[1]
+    _letter, values, mask = slot
+    cells = values.tolist()
+    if mask is not None:
+        for i in np.flatnonzero(~mask).tolist():
+            cells[i] = None
     return cells
 
 
-def states_to_binary(
-    groups: Sequence[tuple[dict[str, Variant], list[list]]]
+def encode_states(
+    nrows: int,
+    keys: Sequence[tuple[str, np.ndarray, Sequence[Variant]]],
+    ops: Sequence[Sequence[tuple]],
 ) -> bytes:
-    """Encode exported operator states (``AggregationDB.export_states``).
-
-    Group-key entries ride as a column batch; state cells are laid out
-    column-by-column per ``(operator, slot)`` — presence bitmap + zigzag
-    varints for integer slots, bitmap + raw float64 for float slots, the
-    generic packed codec for everything else.  Falls back to a fully
-    generic layout when operator widths differ between groups (a malformed
-    but representable input).
-    """
-    groups = list(groups)
-    key_records = [Record.from_variants(dict(entries)) for entries, _ in groups]
-    entries_batch = encode_batch(key_records)
-    n = len(groups)
-    out = bytearray()
-    out += STATES_MAGIC
-    widths: Optional[list[int]] = None
-    if n:
-        first = [len(s) for s in groups[0][1]]
-        if all(
-            len(states) == len(first)
-            and all(len(s) == w for s, w in zip(states, first))
-            for _, states in groups
-        ):
-            widths = first
-    if widths is None and n:
-        out.append(_MODE_GENERIC)
-        out += _U32.pack(len(entries_batch))
-        out += entries_batch
-        out += bytes(pack_value([states for _, states in groups]))
-        return bytes(out)
+    """The ``RSB1`` batch of ``nrows`` groups: ``keys`` as for
+    :func:`encode_columns`, then each operator's slots in order."""
+    out = bytearray(STATES_MAGIC)
     out.append(_MODE_COLUMNAR)
+    entries_batch = encode_columns(nrows, keys)
     out += _U32.pack(len(entries_batch))
     out += entries_batch
-    out += _U32.pack(len(widths or []))
-    for op_i, width in enumerate(widths or []):
-        out += _U32.pack(width)
-        for slot_j in range(width):
-            cells = [states[op_i][slot_j] for _, states in groups]
-            kind = _classify_slot(cells)
-            seg = _encode_slot(cells, kind)
+    ops = ops if nrows else []
+    out += _U32.pack(len(ops))
+    for slots in ops:
+        out += _U32.pack(len(slots))
+        for slot in slots:
+            kind, seg = _encode_slot(slot)
             out.append(kind)
             out += _U32.pack(len(seg))
             out += seg
     return bytes(out)
 
 
-def states_from_binary(
+def decode_states(
     buf: Union[bytes, memoryview], limits: Optional[DecodeLimits] = None
-) -> list[tuple[dict[str, Variant], list[list]]]:
-    """Decode :func:`states_to_binary` output (defensively validated)."""
+) -> tuple[ColumnStore, Optional[list[list[tuple]]], Optional[list]]:
+    """Decode an ``RSB1`` batch (defensively validated) into ``(key store,
+    slots per operator, None)`` — or, for a batch whose groups have
+    different state widths, ``(key store, None, each group's states)``."""
     limits = limits or _DEFAULT_LIMITS
     mv = memoryview(buf)
     if len(mv) < len(STATES_MAGIC) + 1 + 4:
@@ -1377,16 +1481,12 @@ def states_from_binary(
         raise ColfileError("state batch key section exceeds payload")
     nrows, columns = decode_batch(mv[9 : 9 + entries_len], limits)
     key_store = ColumnStore(nrows, columns)
-    entries = [dict(r._entries) for r in key_store.records]
     pos = 9 + entries_len
     if mode == _MODE_GENERIC:
         value, end = unpack_value(mv, pos)
         if end != len(mv) or not isinstance(value, list) or len(value) != nrows:
             raise ColfileError("bad generic state batch")
-        return [
-            (e, [list(s) if isinstance(s, list) else [s] for s in states])
-            for e, states in zip(entries, value)
-        ]
+        return key_store, None, value
     if mode != _MODE_COLUMNAR:
         raise ColfileError(f"unknown state batch mode {mode}")
     if pos + 4 > len(mv):
@@ -1395,7 +1495,7 @@ def states_from_binary(
     pos += 4
     if n_ops > 4096:
         raise ColfileError("implausible operator count in state batch")
-    states: list[list[list]] = [[] for _ in range(nrows)]
+    ops: list[list[tuple]] = []
     for _op in range(n_ops):
         if pos + 4 > len(mv):
             raise ColfileError("truncated state batch")
@@ -1403,7 +1503,7 @@ def states_from_binary(
         pos += 4
         if width > 4096:
             raise ColfileError("implausible state width in state batch")
-        slots: list[list[object]] = []
+        slots: list[tuple] = []
         for _slot in range(width):
             if pos + 5 > len(mv):
                 raise ColfileError("truncated state batch")
@@ -1416,8 +1516,60 @@ def states_from_binary(
                 raise ColfileError("state slot exceeds payload")
             slots.append(_decode_slot(mv[pos : pos + seg_len], kind, nrows))
             pos += seg_len
-        for g in range(nrows):
-            states[g].append([slots[j][g] for j in range(width)])
+        ops.append(slots)
     if pos != len(mv):
         raise ColfileError("trailing bytes after state batch")
-    return list(zip(entries, states))
+    return key_store, ops, None
+
+
+def states_to_binary(
+    groups: Sequence[tuple[dict[str, Variant], list[list]]]
+) -> bytes:
+    """Encode exported operator states (``AggregationDB.export_states``).
+
+    The list form of :func:`encode_states`: group-key entries ride as a
+    column batch; state cells are laid out column-by-column per
+    ``(operator, slot)`` — presence bitmap + zigzag varints for integer
+    slots, bitmap + raw float64 for float slots, the generic packed codec
+    for everything else (an int outside 64 bits included).  Falls back to a
+    fully generic layout when operator widths differ between groups (a
+    malformed but representable input).
+    """
+    groups = list(groups)
+    n = len(groups)
+    keys = entry_columns([entries for entries, _ in groups])
+    widths = [len(s) for s in groups[0][1]] if n else []
+    if any(
+        len(states) != len(widths) or any(len(s) != w for s, w in zip(states, widths))
+        for _, states in groups
+    ):
+        out = bytearray(STATES_MAGIC)
+        out.append(_MODE_GENERIC)
+        entries_batch = encode_columns(n, keys)
+        out += _U32.pack(len(entries_batch))
+        out += entries_batch
+        out += pack_value([states for _, states in groups])
+        return bytes(out)
+    ops = [
+        [("o", [states[i][j] for _, states in groups]) for j in range(width)]
+        for i, width in enumerate(widths)
+    ]
+    return encode_states(n, keys, ops)
+
+
+def states_from_binary(
+    buf: Union[bytes, memoryview], limits: Optional[DecodeLimits] = None
+) -> list[tuple[dict[str, Variant], list[list]]]:
+    """Decode :func:`states_to_binary` output: :func:`decode_states` in
+    list form."""
+    key_store, ops, generic = decode_states(buf, limits)
+    entries = [dict(r._entries) for r in key_store.records]
+    if generic is not None:
+        return [
+            (e, [list(s) if isinstance(s, list) else [s] for s in states])
+            for e, states in zip(entries, generic)
+        ]
+    cells = [[slot_cells(slot) for slot in slots] for slots in ops]
+    return [
+        (e, [[column[g] for column in op] for op in cells]) for g, e in enumerate(entries)
+    ]

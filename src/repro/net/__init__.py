@@ -13,9 +13,10 @@ queryable aggregation daemon:
   no thread per socket), :mod:`.admission` (token-keyed tenant namespaces,
   per-tenant quotas, replay dedup, BUSY-frame shedding when shard queues
   back up), :mod:`.shards` (keys hash-routed to N lock-free workers, one
-  :class:`~repro.aggregate.db.AggregationDB` per shard per tenant, merged
-  on demand through one barrier for live CalQL queries) and :mod:`.relay`
-  (forwarding partial states up a reduction tree, retraction on failover);
+  columnar :class:`~repro.aggregate.table.StateTable` per shard per tenant,
+  merged on demand through one barrier for live CalQL queries) and
+  :mod:`.relay` (forwarding partial states up a reduction tree, merged by
+  column at every level, retraction on failover);
 * :mod:`.client` — :class:`FlushClient`, a batching transport with
   full-jitter retry/backoff, BUSY retry-after handling, timeouts, and a
   disk spool replayed on reconnect;
@@ -27,10 +28,10 @@ queryable aggregation daemon:
   level-by-level to a single root (the paper's Fig. 6 MPI tree over TCP),
   with spool-backed failover when a mid-tree relay dies.
 
-The mergeable transport unit is exactly what
-:meth:`AggregationDB.export_states`/:meth:`load_states` already provide —
-clients may pre-aggregate locally and ship per-key partial states whose
-size is proportional to the number of *groups*, not input records.
+The mergeable transport unit is the per-key partial state — a producer's
+:meth:`AggregationDB.export_states`, a relay's
+:meth:`StateTable.to_binary` — whose size is proportional to the number of
+*groups*, not input records.
 """
 
 from .client import FlushClient, live_query

@@ -88,6 +88,7 @@ from .protocol import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..aggregate.table import StateTable
     from ..query.engine import QueryResult
 
 __all__ = ["FlushClient", "live_query"]
@@ -311,25 +312,26 @@ class FlushClient:
             "offered": db.num_offered,
             "processed": db.num_processed,
         }
-        return self._spool_and_deliver(MessageType.STATES, body, db.export_states())
+        return self._spool_and_deliver(
+            MessageType.STATES, body, states_to_binary(db.export_states())
+        )
 
     def send_forward(
         self,
-        groups: list,
+        table: "StateTable",
         *,
         origin: tuple[str, str],
         from_epoch: str,
         level: int = -1,
-        offered: int = 0,
-        processed: int = 0,
         telemetry: Optional[list[dict]] = None,
         scheme: Optional[str] = None,
         watermark: Optional[float] = None,
     ) -> bool:
         """Ship a reduction-tree FORWARD delta.
 
-        The relay-to-parent transport unit: ``groups`` is
-        :meth:`AggregationDB.export_states` output, ``origin``
+        The relay-to-parent transport unit: ``table`` is the partial state
+        (encoded straight from its columns, its stream counters in the
+        body), ``origin``
         identifies whose partial aggregates these are (``(id, epoch)`` of
         the server incarnation that first aggregated them — preserved
         unchanged when a mid-tree relay passes a descendant's delta
@@ -342,8 +344,8 @@ class FlushClient:
             "origin": list(origin),
             "from_epoch": from_epoch,
             "level": level,
-            "offered": offered,
-            "processed": processed,
+            "offered": table.num_offered,
+            "processed": table.num_processed,
         }
         if telemetry:
             body["telemetry"] = telemetry
@@ -351,7 +353,7 @@ class FlushClient:
             # Windowed streaming: the sender's event-time watermark rides the
             # delta that contains every record below it (see forward_now).
             body["watermark"] = float(watermark)
-        return self._spool_and_deliver(MessageType.FORWARD, body, groups)
+        return self._spool_and_deliver(MessageType.FORWARD, body, table.to_binary())
 
     def send_retract(
         self, origins: Iterable[tuple[str, str]], *, from_epoch: str
@@ -373,12 +375,13 @@ class FlushClient:
         return self._spool_and_deliver(MessageType.RETRACT, body)
 
     def _spool_and_deliver(
-        self, mtype: MessageType, body: dict, groups: Optional[list] = None
+        self, mtype: MessageType, body: dict, groups: Optional[bytes] = None
     ) -> bool:
         """Encode a batch's frame once, write-ahead spool it, try to deliver.
 
-        ``groups`` (exported states) become the frame's binary ``groups``
-        section; without them the frame is a plain JSON control message.
+        ``groups`` (an encoded state batch) becomes the frame's binary
+        ``groups`` section; without it the frame is a plain JSON control
+        message.
         """
         with self._lock:
             self._check_open()
@@ -391,9 +394,7 @@ class FlushClient:
                 if groups is None:
                     write_message(stream, mtype, body)
                 else:
-                    payload = encode_binary_body(
-                        body, {"groups": states_to_binary(groups)}
-                    )
+                    payload = encode_binary_body(body, {"groups": groups})
                     write_frame(stream, mtype, payload, flags=FLAG_BINARY)
             self._pending[seq] = (kind, path)
             self.counters["batches"] += 1

@@ -72,6 +72,7 @@ __all__ = [
     "store_from_binary",
     "states_to_binary",
     "states_from_binary",
+    "table_from_binary",
 ]
 
 MAGIC = b"RAGG"
@@ -526,5 +527,19 @@ def states_from_binary(
 
     try:
         return colfile.states_from_binary(blob, _decode_limits(max_decoded))
+    except DatasetError as exc:
+        raise ProtocolError(f"malformed binary state batch: {exc}") from None
+
+
+def table_from_binary(scheme, blob: Union[bytes, memoryview], max_decoded: int = MAX_DECODED):
+    """Decode a binary state batch straight into a
+    :class:`~repro.aggregate.table.StateTable` under ``scheme`` (operator
+    count, widths and cell types checked against it), mapping codec errors
+    to protocol errors."""
+    from ..aggregate.table import StateTable  # deferred, like the codec imports above
+    from ..common.errors import DatasetError
+
+    try:
+        return StateTable.from_binary(scheme, blob, _decode_limits(max_decoded))
     except DatasetError as exc:
         raise ProtocolError(f"malformed binary state batch: {exc}") from None

@@ -2,12 +2,15 @@
 
 With ``upstream`` set the server is an interior node of the paper's Fig. 6
 reduction tree over TCP: it folds incoming records and states into its
-shards as usual, but periodically exports the accumulated *delta*, clears
-the shards, and forwards the per-key partial states to its parent through
-a :class:`~repro.net.client.FlushClient` (write-ahead spooled, replayed,
-exactly-once).  Every node — the root included — also *receives*: FORWARD
-deltas from downstream relays are kept segregated per ``(sender, origin)``
-and passed through with their origin intact, which is what makes
+shards as usual, but periodically takes the accumulated *delta* out of the
+shards' state tables (:meth:`~repro.aggregate.table.StateTable.take`: a
+slice, the shard left empty) and forwards the per-key partial states to its
+parent through a :class:`~repro.net.client.FlushClient` (write-ahead
+spooled, replayed, exactly-once), encoded straight from the columns.
+Every node — the root included — also *receives*: FORWARD deltas from
+downstream relays are decoded into state tables and merged by column into
+one table per ``(sender, origin)``, passed through with their origin
+intact, which is what makes
 *retraction* possible: when a relay dies, its children re-parent to this
 node (their grandparent), announce the dead incarnation, and this node
 drops everything that incarnation forwarded — the children's spool replay
@@ -26,15 +29,18 @@ import time
 import uuid
 from typing import Optional, Union
 
-from ..aggregate.db import AggregationDB
+import numpy as np
+
+from ..aggregate.table import StateTable
 from ..common.errors import ReproError
 from ..common.record import Record
 from ..common.variant import Variant
-from ..window.db import WindowFront, closed_below
+from ..window.assign import WINDOW_END
+from ..window.db import WindowFront
 from .admission import DedupWindow
 from .client import FlushClient
 from .protocol import origin_from_wire, origins_from_wire, require
-from .shards import Shard, ShardPlane, copy_states
+from .shards import Shard, ShardPlane
 
 __all__ = ["RelayPlane"]
 
@@ -49,15 +55,10 @@ _TREE_FIELDS = {
 }
 
 
-def _take_delta(shard: Shard) -> tuple[list, int, int]:
+def _take_delta(shard: Shard) -> StateTable:
     """Barrier call: hand over everything folded since the last cycle and
     reset to empty, so the same partial state is never forwarded twice."""
-    db = shard.db
-    delta = copy_states(db)
-    db.clear()
-    db.num_offered = 0
-    db.num_processed = 0
-    return delta
+    return shard.table.take()
 
 
 class RelayPlane:
@@ -94,10 +95,10 @@ class RelayPlane:
         self._cycle_lock = threading.Lock()
         #: guards every structure below — handlers and the forwarder race
         self._lock = threading.Lock()
-        #: (sender, origin) -> segregated pass-through DB; sender/origin are
-        #: (id, epoch) pairs.  Segregation per origin is what lets a relay
-        #: retract exactly one dead subtree's contribution later.
-        self._forwarded: dict[tuple, AggregationDB] = {}
+        #: (sender, origin) -> segregated pass-through table; sender/origin
+        #: are (id, epoch) pairs.  Segregation per origin is what lets a
+        #: relay retract exactly one dead subtree's contribution later.
+        self._forwarded: dict[tuple, StateTable] = {}
         #: sender -> every origin it ever forwarded (for retraction)
         self._origins_by_sender: dict[tuple[str, str], set] = {}
         #: sender incarnations declared dead — late deltas are ACKed but dropped
@@ -145,8 +146,8 @@ class RelayPlane:
     def forward_now(self, final: bool = False) -> bool:
         """Run one forward cycle: retracts first, then every pending delta.
 
-        Exports-and-clears each shard (our own contribution since the last
-        cycle), detaches the segregated pass-through DBs, and ships
+        Takes each shard's table (our own contribution since the last
+        cycle), detaches the segregated pass-through tables, and ships
         everything upstream tagged with its origin.  Returns True when the
         parent acknowledged everything; False leaves the deltas in the
         forward client's write-ahead spool for the next cycle's replay.
@@ -172,12 +173,9 @@ class RelayPlane:
                 watermark = self._window.watermark()
         # The barrier can fail (worker error, timeout); nothing is detached
         # before it succeeds, so a failed cycle loses nothing.
-        own_groups: list = []
-        own_offered = own_processed = 0
-        for states, offered, processed in self._shards.call(_take_delta):
-            own_groups.extend(states)
-            own_offered += offered
-            own_processed += processed
+        own, *rest = self._shards.call(_take_delta)
+        for delta in rest:
+            own.merge(delta)
         with self._lock:
             retracts = sorted(self._pending_retracts)
             self._pending_retracts.clear()
@@ -188,22 +186,24 @@ class RelayPlane:
             # sequence stream, so spooled ordering survives parent outages.
             ok = client.send_retract(retracts, from_epoch=self.epoch) and ok
 
-        def send(groups, origin, offered, processed, **extras) -> bool:
+        def send(table, origin, **extras) -> bool:
             return client.send_forward(
-                groups, origin=origin, from_epoch=self.epoch, level=self.level,
-                offered=offered, processed=processed, **extras,
+                table, origin=origin, from_epoch=self.epoch, level=self.level, **extras
             )
 
-        for (_sender, origin), db in sorted(detached.items()):
-            if db.num_entries or db.num_offered or db.num_processed:
-                ok = send(db.export_states(), origin, db.num_offered, db.num_processed) and ok
-        if own_groups or own_offered or own_processed or final or watermark is not None:
+        def pending(table) -> bool:
+            return bool(len(table) or table.num_offered or table.num_processed)
+
+        for (_sender, origin), table in sorted(detached.items()):
+            if pending(table):
+                ok = send(table, origin) and ok
+        if pending(own) or final or watermark is not None:
             # Sent last so the piggybacked telemetry already counts this
             # cycle's pass-through traffic (it can never include itself).
             # A windowed relay forwards even an empty cycle: the piggybacked
             # watermark is what lets the root retire windows.
             ok = send(
-                own_groups, (self.forward_id, self.epoch), own_offered, own_processed,
+                own, (self.forward_id, self.epoch),
                 telemetry=self.tree_nodes(), watermark=watermark,
             ) and ok
         if client.num_spooled:
@@ -222,8 +222,9 @@ class RelayPlane:
 
     # -- receiving side ------------------------------------------------------------
 
-    def on_forward(self, client_id: str, body: dict, groups: list, stream: str = ""):
-        """Fold a downstream relay's decoded delta, segregated per (sender, origin).
+    def on_forward(self, client_id: str, body: dict, table: StateTable, stream: str = ""):
+        """Merge a downstream relay's decoded delta (its stream counters
+        included), segregated per (sender, origin).
 
         Tree traffic always lives in the default namespace (relay mode
         forbids tenants) and is never shed — dropping a relay delta would
@@ -232,11 +233,12 @@ class RelayPlane:
         seq = int(require(body, "seq", (int,)))
         sender = (client_id, str(require(body, "from_epoch", (str,))))
         origin = origin_from_wire(require(body, "origin", (list,)))
-        fold = lambda: self._fold_forward(sender, origin, seq, groups, body)  # noqa: E731
-        return self._dedup.once(client_id, seq, len(groups), fold, stream)
+        fold = lambda: self._fold_forward(sender, origin, seq, table, body)  # noqa: E731
+        return self._dedup.once(client_id, seq, len(table), fold, stream)
 
-    def _fold_forward(self, sender, origin, seq: int, groups: list, body: dict) -> int:
+    def _fold_forward(self, sender, origin, seq: int, table: StateTable, body: dict) -> int:
         window = self._window
+        rows, kept = None, len(table)
         if window is not None:
             # States for already-retired windows (a spool replay after a
             # mid-tree failover re-delivers data that is inside the retired
@@ -244,11 +246,11 @@ class RelayPlane:
             with window.lock:
                 floor = window.retire_floor
             if floor is not None:
-                closed = closed_below(floor)
-                kept = [g for g in groups if not closed(g[0])]
-                if len(kept) < len(groups):
-                    self._metrics.count("window.late", len(groups) - len(kept), what="states")
-                    groups = kept
+                closed = table.at_or_below(WINDOW_END, floor)
+                if closed.any():
+                    rows = np.flatnonzero(~closed)
+                    self._metrics.count("window.late", kept - len(rows), what="states")
+                    kept = len(rows)
         start = time.perf_counter()
         with self._lock:
             # A fenced sender is a zombie: this incarnation was declared
@@ -256,11 +258,10 @@ class RelayPlane:
             # but drop — the children's replay owns this data now.
             fenced = sender in self._fenced
             if not fenced:
-                db = self._forwarded.get((sender, origin))
-                if db is None:
-                    db = self._forwarded[(sender, origin)] = AggregationDB(self._shards.scheme)
-                counts = {k: int(body.get(k, 0)) for k in ("offered", "processed")}
-                db.load_states(groups, source=(*sender, seq), **counts)
+                merged = self._forwarded.get((sender, origin))
+                if merged is None:
+                    merged = self._forwarded[(sender, origin)] = StateTable(self._shards.scheme)
+                merged.merge(table, rows, source=(*sender, seq))
                 self._origins_by_sender.setdefault(sender, set()).add(origin)
                 self._cache_telemetry(body.get("telemetry"))
             # Under the lock: FORWARD handlers run on several executor
@@ -271,9 +272,9 @@ class RelayPlane:
         self._metrics.timing("net.forward.combine", elapsed)
         if fenced:
             self._metrics.count("net.fenced")
-            return len(groups)
+            return kept
         self._metrics.count("net.batches", kind="forward")
-        self._metrics.count("net.groups", len(groups))
+        self._metrics.count("net.groups", kept)
         watermark = body.get("watermark")
         if window is not None and _is_number(watermark):
             # The delta carrying mark w was exported after w was captured
@@ -281,7 +282,7 @@ class RelayPlane:
             # subtree — safe to advance our view of it.
             with window.lock:
                 window.tracker.update(sender[0], float(watermark))
-        return len(groups)
+        return kept
 
     def on_retract(self, client_id: str, body: dict, stream: str = ""):
         """Drop forwarded origins a downstream relay declared dead."""
@@ -299,7 +300,7 @@ class RelayPlane:
         return self._dedup.once(client_id, seq, len(origins), apply, stream)
 
     def _drop_origins(self, origins) -> None:
-        """Remove every segregated DB holding these origins (lock held).
+        """Remove every segregated table holding these origins (lock held).
 
         If we are a relay ourselves, queue the retraction for the next
         forward cycle — it must reach our parent before any of the
@@ -338,16 +339,16 @@ class RelayPlane:
 
     # -- what the merged views and window retirement read ---------------------------
 
-    def snapshot(self) -> list[tuple[list, int, int]]:
-        """Deep copies of every forwarded DB (FORWARD handlers fold into
+    def snapshot(self) -> list[StateTable]:
+        """Copies of every forwarded table (FORWARD handlers merge into
         them concurrently, so the copies are taken under the lock)."""
         with self._lock:
-            return [copy_states(db) for db in self._forwarded.values()]
+            return [table.copy() for table in self._forwarded.values()]
 
-    def pop_closed(self, closed) -> list:
-        """Pop forwarded entries whose window ``closed`` says has closed."""
+    def pop_closed(self, mark: float) -> list[StateTable]:
+        """Pop the forwarded slots of every window closed below ``mark``."""
         with self._lock:
-            return [g for db in self._forwarded.values() for g in db.pop_entries(closed)]
+            return [table.pop(WINDOW_END, mark) for table in self._forwarded.values()]
 
     # -- tree telemetry ------------------------------------------------------------
 

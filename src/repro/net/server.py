@@ -33,13 +33,16 @@ import threading
 import time
 from typing import Optional, Union
 
-from ..aggregate.db import AggregationDB
+import numpy as np
+
 from ..aggregate.scheme import AggregationScheme
+from ..aggregate.table import StateTable
 from ..common.errors import ReproError
 from ..common.record import Record
 from ..common.variant import Variant
 from ..observe import MetricsRegistry, to_records as _metrics_to_records
-from ..window.db import WindowFront, closed_below
+from ..window.assign import WINDOW_END
+from ..window.db import WindowFront
 from .admission import Admission, Refused, TenantQuota
 from .connection import ConnectionPlane
 from .protocol import (
@@ -50,11 +53,11 @@ from .protocol import (
     origin_from_wire,
     records_to_wire,
     require,
-    states_from_binary,
     store_from_binary,
+    table_from_binary,
 )
 from .relay import RelayPlane
-from .shards import DEFAULT_TENANT, ShardPlane, copy_states
+from .shards import DEFAULT_TENANT, ShardPlane
 
 __all__ = ["AggregationServer", "TenantQuota", "DEFAULT_TENANT"]
 
@@ -131,7 +134,6 @@ class AggregationServer:
         self._retire_thread: Optional[threading.Thread] = None
         self.scheme = scheme
         self._accepted_schemes = {scheme.describe(), self.producer_scheme}
-        self._state_widths = [op.state_width() for op in scheme.ops]
         self.host = host
         self.port = port
         #: cap on *decoded* binary payload size — the envelope may compress,
@@ -322,8 +324,8 @@ class AggregationServer:
     def _handle_blocking(self, session, mtype, body: dict, sections: dict):
         tenant, client_id, stream = session
         if mtype is MessageType.FORWARD:
-            groups = self._decode_states(body, sections)
-            return self._relay.on_forward(client_id, body, groups, stream)
+            table = self._decode_states(body, sections)
+            return self._relay.on_forward(client_id, body, table, stream)
         if mtype is MessageType.RETRACT:
             return self._relay.on_retract(client_id, body, stream)
         if mtype is MessageType.QUERY:
@@ -368,48 +370,39 @@ class AggregationServer:
 
     async def _on_states(self, tenant, client_id: str, stream: str, body: dict, sections: dict):
         seq = int(require(body, "seq", (int,)))
-        groups = self._decode_states(body, sections)
-        offered = int(body.get("offered", 0))
-        processed = int(body.get("processed", 0))
+        table = self._decode_states(body, sections)
 
         def route() -> list:
+            # The table's slots split by the same key hash as records.
             # Stream counters are global, not per-key; attribute them to the
-            # first bucket (or to shard 0 when the batch carries nothing
+            # first shard (or to shard 0 when the batch carries nothing
             # else) so totals stay exact after merging.
-            buckets = self._shards.bucket(groups)
-            if not buckets and (offered or processed):
-                buckets = [(self._shards[0], [])]
-            puts, counters = [], (offered, processed)
-            for shard, bucket in buckets:
-                puts.append((shard, ("states", tenant, bucket, *counters)))
-                counters = (0, 0)
-            return puts
+            routed = self._shards.route_store(table.key_store())
+            if not routed and (table.num_offered or table.num_processed):
+                routed = [(self._shards[0], np.zeros(0, dtype=np.int64))]
+            return [
+                (shard, ("states", tenant, table, rows, i == 0))
+                for i, (shard, rows) in enumerate(routed)
+            ]
 
         return await self._admission.admit(
-            tenant, client_id, seq, "states", len(groups), route, stream=stream
+            tenant, client_id, seq, "states", len(table), route, stream=stream
         )
 
-    def _decode_states(self, body: dict, sections: dict) -> list:
-        """Decode and shape-check a STATES/FORWARD frame's ``groups`` section.
+    def _decode_states(self, body: dict, sections: dict) -> StateTable:
+        """Decode a STATES/FORWARD frame's ``groups`` section into a state
+        table carrying the frame's stream counters.
 
-        Exported states are positional; a malformed batch must be refused
-        here, at the connection boundary, rather than crash a shard worker.
+        Exported states are positional: the decoder checks the operator
+        count, each state width and each cell's type against the scheme, so
+        a malformed batch is refused here, at the connection boundary,
+        rather than crash a shard worker.
         """
-        groups = states_from_binary(_section(sections, "groups"), self.max_decoded)
         self._check_scheme(str(require(body, "scheme", (str,))))
-        widths = self._state_widths
-        for _entries, cells in groups:
-            if len(cells) != len(widths):
-                raise ProtocolError(
-                    f"state group has {len(cells)} operator states, "
-                    f"scheme has {len(widths)} operators"
-                )
-            for op_state, width in zip(cells, widths):
-                if len(op_state) != width:
-                    raise ProtocolError(
-                        f"operator state has {len(op_state)} cells, expected {width}"
-                    )
-        return groups
+        table = table_from_binary(self.scheme, _section(sections, "groups"), self.max_decoded)
+        table.num_offered = int(body.get("offered", 0))
+        table.num_processed = int(body.get("processed", 0))
+        return table
 
     def _check_scheme(self, text: str) -> None:
         from ..calql import parse_scheme
@@ -426,32 +419,44 @@ class AggregationServer:
 
     # -- merged views ------------------------------------------------------------
 
-    def _snapshot(self, tenant: str = DEFAULT_TENANT) -> list[tuple[list, int, int]]:
-        """A consistent ``(states, offered, processed)`` snapshot of one tenant.
+    def _snapshot(self, tenant: str = DEFAULT_TENANT) -> list[StateTable]:
+        """A consistent snapshot of one tenant: copies of its state tables.
 
-        The barrier only ever exports that tenant's per-shard DB, which makes
-        cross-tenant reads structurally impossible rather than filtered.
-        Forwarded (reduction-tree) DBs belong to the default namespace only:
-        relay mode forbids tenants.
+        The barrier only ever copies that tenant's per-shard table, which
+        makes cross-tenant reads structurally impossible rather than
+        filtered.  Forwarded (reduction-tree) tables belong to the default
+        namespace only: relay mode forbids tenants.
         """
-        slots = self._shards.call(lambda shard: copy_states(shard.dbs.get(tenant)))
-        if tenant == DEFAULT_TENANT:
-            slots += self._relay.snapshot()
-        return slots
+        def copy(shard) -> Optional[StateTable]:
+            table = shard.tables.get(tenant)
+            return None if table is None else table.copy()
 
-    def merged_db(self, tenant: str = DEFAULT_TENANT) -> AggregationDB:
-        """A consistent merge of all shards (ingestion keeps running)."""
+        tables = [table for table in self._shards.call(copy) if table is not None]
+        if tenant == DEFAULT_TENANT:
+            tables += self._relay.snapshot()
+        return tables
+
+    def _merged(self, tables: list[StateTable]) -> StateTable:
+        """The copies merged, in order, into the first of them."""
+        merged = tables[0] if tables else StateTable(self.scheme)
+        for table in tables[1:]:
+            merged.merge(table)
+        return merged
+
+    def merged_db(self, tenant: str = DEFAULT_TENANT) -> StateTable:
+        """A consistent merge of all shards into one state table (ingestion
+        keeps running): stream counters, ``num_entries``, ``flush()``."""
         start = time.perf_counter()
-        db = AggregationDB(self.scheme)
-        for states, offered, processed in self._snapshot(tenant):
-            db.load_states(states, offered=offered, processed=processed)
+        merged = self._merged(self._snapshot(tenant))
         if self._window is not None:
             # Retired windows were popped out of the shards; totals must
             # still include them.
             with self._window.lock:
-                db.load_states(self._window.retired.export_states())
+                retired = self._window.retired.export_states()
+            if retired:
+                merged.merge(StateTable.from_states(self.scheme, retired))
         self.metrics.timing("net.merge", time.perf_counter() - start)
-        return db
+        return merged
 
     def drain_results(self, tenant: str = DEFAULT_TENANT) -> list[Record]:
         """Flushed output records over everything ingested so far."""
@@ -496,11 +501,11 @@ class AggregationServer:
         mark = self.watermark()
         if mark is None:
             return []
-        closed = closed_below(mark)
         # On each worker in queue order, so every batch acknowledged before
         # the barrier is inside the popped state.
-        per_shard = self._shards.call(lambda shard: shard.db.pop_entries(closed))
-        popped = [g for groups in per_shard for g in groups] + self._relay.pop_closed(closed)
+        tables = self._shards.call(lambda shard: shard.table.pop(WINDOW_END, mark))
+        tables += self._relay.pop_closed(mark)
+        popped = [group for table in tables for group in table.export_states()]
         with window.lock:
             records = window.finalize(mark, popped)
         if records:
@@ -523,10 +528,8 @@ class AggregationServer:
         ``est.hi#...`` columns plus ``est.fraction`` and ``est.samples``.
         """
         window = self._windowed("estimate_results()")
-        db = AggregationDB(self.scheme, fold_plan="generic")
-        for states, _offered, _processed in self._snapshot():
-            db.load_states(states)
-        return window.estimator.estimate_records(db.export_states(), self.watermark())
+        merged = self._merged(self._snapshot())
+        return window.estimator.estimate_records(merged.export_states(), self.watermark())
 
     def run_query(
         self, text: str, target: str = "aggregate", tenant: str = DEFAULT_TENANT
@@ -565,7 +568,7 @@ class AggregationServer:
         shards = self._shards
         for shard in shards:
             self.metrics.gauge("net.shard.depth", shard.queue.qsize(), shard=shard.index)
-            self.metrics.gauge("net.shard.entries", shard.db.num_entries, shard=shard.index)
+            self.metrics.gauge("net.shard.entries", len(shard.table), shard=shard.index)
         self._admission.publish_gauges()
         for name, threads in self._threads().items():
             seconds = [cpu for cpu in map(_thread_cpu_seconds, threads) if cpu is not None]

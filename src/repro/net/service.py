@@ -15,8 +15,8 @@ Three shipping modes:
   paper's two-stage workflow with stage two on the wire.
 * **states at finish** (``netflush.payload = states``) — the sibling
   ``aggregate`` service's per-thread partial databases are exported and
-  shipped as mergeable operator states.  The server folds them through
-  ``load_states`` under the *same* scheme: exact distributed aggregation,
+  shipped as mergeable operator states.  The server merges them into its
+  state tables under the *same* scheme: exact distributed aggregation,
   with payload proportional to the number of keys.
 * **stream mode** (``netflush.stream = true``) — every snapshot record is
   pushed through the client *as it happens* (batched transparently), so

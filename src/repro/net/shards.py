@@ -1,16 +1,17 @@
 """The shard fold plane: N lock-free aggregation workers behind one barrier.
 
-Each :class:`Shard` is one :class:`~repro.aggregate.db.AggregationDB` per
+Each :class:`Shard` is one :class:`~repro.aggregate.table.StateTable` per
 tenant plus one worker thread fed by a bounded queue, so the fold takes no
 locks (the same design that gives the runtime its per-thread databases).
 A queue carries four item kinds: ``store`` (a decoded wire batch — window-
 stamped as columns on a windowed server — and the rows of it this shard
-owns), ``states``, ``call`` (the barrier) and ``stop``.  A worker folds its
-rows through the column kernels, WHERE evaluated as column masks; only for a
-scheme with an operator that has no vector kernel, or a hand-written
-predicate callable, does it hydrate *its* rows into records and fold those.
-A store, stamped or not, is shared by every shard its rows went to: workers
-only read it — its lazily filled ``interned``/``numeric`` caches are pure
+owns), ``states`` (a decoded state table and the rows of it this shard
+owns), ``call`` (the barrier) and ``stop``.  A worker folds its rows into
+its table through the column kernels, WHERE evaluated as column masks, and
+merges state rows by column; only an operator that has no vector kernel, or
+a hand-written predicate callable, makes the table hydrate *its* rows into
+records.  A store, stamped or not, is shared by every shard its rows went
+to: workers only read it — its lazily filled ``interned``/``numeric`` caches are pure
 functions of the immutable columns, stored with one GIL-atomic dict
 assignment, so two workers filling the same entry at once both end up with
 equal arrays and nobody sees a partial one.  :class:`ShardPlane` owns the
@@ -19,9 +20,10 @@ shards and what every other plane needs from them:
 * **Routing** — each GROUP BY value's text is hashed with the
   process-stable FNV hash and the hashes of a key's values are mixed in
   64-bit arithmetic (:func:`_shard_of`, the one definition of "the shard
-  of a key"); identical keys always land in the same shard whichever frame
-  kind carried them, so shard databases partition the key space and merge
-  without overlap.
+  of a key"); a batch's rows and a state table's keys route the same way
+  (:meth:`ShardPlane.route_store` over its key columns), so identical keys
+  land in the same shard whichever frame kind carried them and shard tables
+  partition the key space.
 * **The barrier** — :meth:`ShardPlane.call`, the only way another thread
   reads or mutates shard state: snapshots, relay deltas and window
   retirement each see everything acknowledged before them.
@@ -37,17 +39,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..aggregate.db import AggregationDB
 from ..aggregate.scheme import AggregationScheme
+from ..aggregate.table import StateTable
 from ..common.errors import ReproError
 from ..common.util import stable_hash64
 from ..common.variant import Variant
-from ..io import colfile
 from ..io.colfile import ColumnStore
 from ..observe import MetricsRegistry
-from ..query.columnar import ColumnFold, supports_scheme
 
-__all__ = ["Shard", "ShardPlane", "copy_states", "DEFAULT_TENANT", "KEY_SEP"]
+__all__ = ["Shard", "ShardPlane", "DEFAULT_TENANT", "KEY_SEP"]
 
 KEY_SEP = "\x1f"
 
@@ -58,23 +58,10 @@ DEFAULT_TENANT = "default"
 BARRIER_TIMEOUT = 30.0
 
 
-def copy_states(db: Optional[AggregationDB]) -> tuple[list, int, int]:
-    """``(states, offered, processed)`` of ``db``, deep-copied.
-
-    ``export_states`` returns the live state lists, so whoever reads them
-    after the owner resumes folding needs copies or the read tears.  Run it
-    where the owner cannot fold: on the shard worker, or under its lock.
-    """
-    if db is None:
-        return [], 0, 0
-    states = [(entries, [list(s) for s in cells]) for entries, cells in db.export_states()]
-    return states, db.num_offered, db.num_processed
-
-
 class Shard:
     """One aggregation shard: a bounded queue feeding a worker thread.
 
-    Only the worker thread ever touches ``dbs`` while it runs, so
+    Only the worker thread ever touches ``tables`` while it runs, so
     aggregation itself is lock-free; cross-shard reads happen exclusively
     through barrier calls processed in queue order.
     """
@@ -88,45 +75,26 @@ class Shard:
         #: Only the worker thread creates or folds into these while the
         #: server runs (dict get/setdefault are GIL-atomic, so racy reads
         #: from quota checks stay safe).
-        self.dbs: dict[str, AggregationDB] = {DEFAULT_TENANT: AggregationDB(scheme)}
-        #: tenant name -> the column fold over that tenant's DB (its interned
-        #: key values and slot cache live as long as the DB does)
-        self._folds: dict[str, ColumnFold] = {}
-        #: whether a routed batch folds as columns (see the module docstring)
-        self._columnar = supports_scheme(scheme) and (
-            scheme.predicate is None or hasattr(scheme.predicate, "conditions")
-        )
+        self.tables: dict[str, StateTable] = {DEFAULT_TENANT: StateTable(scheme)}
         self.queue: queue.Queue = queue.Queue(maxsize=depth)
         self.thread: Optional[threading.Thread] = None
         self.metrics = metrics
         self.num_batches = 0
 
     @property
-    def db(self) -> AggregationDB:
-        """The default tenant's DB — the whole shard for token-less servers."""
-        return self.dbs[DEFAULT_TENANT]
+    def table(self) -> StateTable:
+        """The default tenant's table — the whole shard for token-less servers."""
+        return self.tables[DEFAULT_TENANT]
 
-    def db_for(self, tenant: str) -> AggregationDB:
-        db = self.dbs.get(tenant)
-        if db is None:
-            db = self.dbs.setdefault(tenant, AggregationDB(self.scheme))
-        return db
-
-    def fold_store(self, tenant: str, store: ColumnStore, rows: Optional[np.ndarray]) -> None:
-        """Fold this shard's ``rows`` of a routed batch (``None``: all of it)."""
-        if not self._columnar:
-            process = self.db_for(tenant).process
-            for record in colfile.records_from_store(store, rows):
-                process(record)
-            return
-        fold = self._folds.get(tenant)
-        if fold is None:
-            fold = self._folds[tenant] = ColumnFold(self.db_for(tenant))
-        fold.feed(store, rows=rows)
+    def table_for(self, tenant: str) -> StateTable:
+        table = self.tables.get(tenant)
+        if table is None:
+            table = self.tables.setdefault(tenant, StateTable(self.scheme))
+        return table
 
     @property
     def quiescent(self) -> bool:
-        """No worker is (any longer) folding: safe to touch ``dbs`` directly."""
+        """No worker is (any longer) folding: safe to touch ``tables`` directly."""
         return self.thread is None or not self.thread.is_alive()
 
     def run_call(self, fn: Callable[["Shard"], object], future: Future) -> None:
@@ -146,14 +114,13 @@ class Shard:
             if kind == "call":
                 self.run_call(item[1], item[2])
                 continue
-            tenant = item[1]  # a data batch: (kind, tenant state, payload...)
+            tenant = item[1]  # a data batch: (kind, tenant state, payload, rows...)
             try:
+                table = self.table_for(tenant.name)
                 if kind == "store":
-                    self.fold_store(tenant.name, item[2], item[3])
+                    table.fold(item[2], rows=item[3])
                 else:
-                    self.db_for(tenant.name).load_states(
-                        item[2], offered=item[3], processed=item[4]
-                    )
+                    table.merge(item[2], rows=item[3], counters=item[4])
                 self.num_batches += 1
             except Exception:
                 # A poisoned batch must never take the shard worker down:
@@ -189,7 +156,7 @@ class ShardPlane:
 
     def entries(self, tenant: str = DEFAULT_TENANT) -> int:
         """How many entries ``tenant`` holds across the shards (a racy read)."""
-        return sum(s.dbs[tenant].num_entries for s in self._shards if tenant in s.dbs)
+        return sum(len(s.tables[tenant]) for s in self._shards if tenant in s.tables)
 
     def start(self) -> None:
         for shard in self._shards:
@@ -239,7 +206,9 @@ class ShardPlane:
         """Split ``rows`` of a decoded batch (``None``: every row) by the
         shard each row's GROUP BY key hashes to: ``(shard, row indices)``
         pairs, the caller's ``rows`` untouched on a one-shard plane.  One
-        hash per distinct key value, none per row."""
+        hash per distinct key value, none per row.  A state table routes
+        its slots through its :meth:`~StateTable.key_store`; a missing
+        label hashes as empty either way."""
         n = len(self._shards)
         count = len(store) if rows is None else len(rows)
         if not count:
@@ -261,28 +230,8 @@ class ShardPlane:
                 routed.append((shard, picked if rows is None else rows[picked]))
         return routed
 
-    def bucket(self, groups: list) -> list[tuple[Shard, list]]:
-        """Split exported ``(entries, states)`` groups by the shard their
-        GROUP BY key hashes to; a missing label reads as empty."""
-        n = len(self._shards)
-        if not groups:
-            return []
-        if n == 1:
-            return [(self._shards[0], groups)]
-        value_hash = self._value_hash
-        columns = [
-            np.array([value_hash(entries.get(label)) for entries, _ in groups], dtype=np.uint64)
-            for label in self.scheme.key
-        ]
-        buckets: list[list] = [[] for _ in range(n)]
-        for group, index in zip(groups, _shard_of(columns, len(groups), n).tolist()):
-            buckets[index].append(group)
-        return [(s, b) for s, b in zip(self._shards, buckets) if b]
-
-    def _value_hash(self, value: Optional[Variant]) -> int:
-        """The process-stable hash of one key value's text (missing = empty)."""
-        if value is None:
-            return _EMPTY_HASH
+    def _value_hash(self, value: Variant) -> int:
+        """The process-stable hash of one key value's text."""
         key = (value.type, value.value)
         cached = self._value_hashes.get(key)
         if cached is None:
@@ -299,7 +248,7 @@ class ShardPlane:
         Each call runs on its shard's worker after everything enqueued
         before it.  A quiescent shard (never started, or drained by
         ``stop()``) runs ``fn`` on the caller's thread instead: nothing else
-        touches its DBs anymore.  An exception from ``fn``, a worker that
+        touches its tables anymore.  An exception from ``fn``, a worker that
         does not reach the barrier within ``timeout`` seconds, and a shutdown
         under a full queue all raise :class:`ReproError`.
         """
@@ -341,7 +290,7 @@ _HASH_CACHE_SIZE = 1 << 16
 def _shard_of(columns: list[np.ndarray], keys: int, shards: int) -> np.ndarray:
     """The shard index of each of ``keys`` keys, from its values' text
     hashes (one ``uint64`` column per GROUP BY label): the one definition of
-    where a key lives, shared by the rows of a store and by state groups."""
+    where a key lives, shared by the rows of a store and a state table's keys."""
     mixed = np.full(keys, _EMPTY_HASH, dtype=np.uint64)
     for column in columns:
         mixed *= _FNV_PRIME  # wraps modulo 2**64

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregate import AggregationDB, StreamAggregator
+from repro.aggregate.table import StateTable
 from repro.calql import parse_scheme
 from repro.common import Record, ValueType, Variant
 from repro.net import AggregationServer, FlushClient
@@ -316,7 +317,8 @@ def test_replayed_frames_are_byte_identical_to_first_delivery(tmp_path, monkeypa
         assert client.flush()
         assert client.send_states(db)
         assert client.send_forward(
-            db.export_states(), origin=("leaf", "e0"), from_epoch="e0"
+            StateTable.from_states(db.scheme, db.export_states()),
+            origin=("leaf", "e0"), from_epoch="e0",
         )
     finally:
         first.kill()

@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.aggregate import AggregationDB
+from repro.aggregate.table import StateTable
 from repro.calql import parse_scheme
 from repro.common import Record, Variant
 from repro.common.errors import ReproError
@@ -26,7 +26,7 @@ from repro.net.admission import Admission, Refused
 from repro.net.connection import ConnectionPlane
 from repro.net.protocol import MAX_PAYLOAD, MessageType, message_bytes, read_message
 from repro.net.relay import RelayPlane
-from repro.net.shards import DEFAULT_TENANT, ShardPlane, copy_states
+from repro.net.shards import DEFAULT_TENANT, ShardPlane
 from repro.observe import MetricsRegistry
 
 SCHEME = parse_scheme("AGGREGATE count, sum(v) GROUP BY k")
@@ -49,10 +49,10 @@ def running():
     plane.stop(5.0)
 
 
-def groups_of(records) -> list:
-    db = AggregationDB(SCHEME)
-    db.process_all(records)
-    return copy_states(db)[0]
+def table_of(records) -> StateTable:
+    table = StateTable(SCHEME)
+    table.fold(records)
+    return table.copy()
 
 
 # -- shard plane: the one barrier -------------------------------------------------
@@ -104,7 +104,7 @@ def test_barrier_times_out_on_a_parked_worker(running):
 def test_failed_export_is_a_repro_error_at_the_server():
     """Used to surface as KeyError('states') and kill the connection task."""
     server = AggregationServer(SCHEME, shards=2)  # never started: no socket
-    server._shards[1].dbs[DEFAULT_TENANT] = object()  # the export will raise on it
+    server._shards[1].tables[DEFAULT_TENANT] = object()  # the copy will raise on it
     with pytest.raises(ReproError, match="barrier"):
         server.merged_db()
 
@@ -118,10 +118,12 @@ def test_records_and_their_states_route_to_the_same_shard():
         for shard, rows in plane.route_store(store)
         for row in rows.tolist()
     }
+    table = table_of(records)
+    keys = [entries.get("k", Variant.empty()).value for entries, _ in table.export_states()]
     by_group = {
-        g[0].get("k", Variant.empty()).value: shard.index
-        for shard, bucket in plane.bucket(groups_of(records))
-        for g in bucket
+        keys[slot]: shard.index
+        for shard, slots in plane.route_store(table.key_store())
+        for slot in slots.tolist()
     }
     assert by_row == by_group and len(by_group) == 5
     # routing a subset of the rows routes exactly those, to the same shards
@@ -135,7 +137,8 @@ def test_records_and_their_states_route_to_the_same_shard():
     )
     assert plane.route_store(store, odd[:0]) == []
     # an empty key value is a missing one, as the key extractor has it
-    ((shard, _bucket),) = plane.bucket([({"k": Variant.empty()}, [])])
+    empty = StateTable.from_states(SCHEME, [({"k": Variant.empty()}, [[1], [1, 1.0]])])
+    ((shard, _slots),) = plane.route_store(empty.key_store())
     assert shard.index == by_group[None]
 
 
@@ -165,7 +168,7 @@ def test_duplicate_is_acked_and_skipped(running):
     assert first == (MessageType.ACK, {"seq": 0, "count": 8, "duplicate": False})
     assert again == (MessageType.ACK, {"seq": 0, "count": 8, "duplicate": True})
     assert calls == [0]  # the duplicate was never routed
-    assert sum(n for _, _, n in running.call(lambda s: copy_states(s.db))) == 8
+    assert sum(running.call(lambda s: s.table.copy().num_processed)) == 8
     assert running.metrics.counter_value("net.duplicates") == 1
 
 
@@ -352,12 +355,12 @@ def make_relay(upstream=None) -> RelayPlane:
 
 def forward(relay, sender_id, epoch, seq, records, origin=None):
     body = {"seq": seq, "from_epoch": epoch, "origin": list(origin or (sender_id, epoch))}
-    return relay.on_forward(sender_id, body, groups_of(records))
+    return relay.on_forward(sender_id, body, table_of(records))
 
 
 def held(relay) -> int:
     """How many forwarded state groups the relay plane holds."""
-    return sum(len(states) for states, _, _ in relay.snapshot())
+    return sum(len(table) for table in relay.snapshot())
 
 
 def test_forward_fence_zombie_retraction():

@@ -383,18 +383,13 @@ def test_export_barrier_returns_copies_not_live_state():
             c.push_all(synth_records(21, 10))
             c.flush()
             snapshot = srv._snapshot()
-            frozen = [
-                (dict(entries), [list(s) for s in states])
-                for entries, states in snapshot[0][0]
-            ]
+            frozen = snapshot[0].export_states()
             c.push_all(synth_records(21, 10))
             c.flush()
             # The second barrier proves the new batch was folded...
             assert srv.merged_db().num_processed == 20
         # ...while the first snapshot's states stayed untouched.
-        assert [
-            (entries, states) for entries, states in snapshot[0][0]
-        ] == frozen
+        assert snapshot[0].export_states() == frozen
 
 
 def test_dedup_entry_pruned_after_bye(server):

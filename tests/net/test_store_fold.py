@@ -214,7 +214,7 @@ def test_poisoned_store_counts_an_error_and_leaves_the_worker_alive():
         assert tenant.queued == 0  # the queue slot went back
         assert plane[0].num_batches == 0
         assert admit(1, None)[0] is MessageType.ACK
-        (processed,) = plane.call(lambda shard: shard.db.num_processed)
+        (processed,) = plane.call(lambda shard: shard.table.num_processed)
         assert processed == len(records) and plane[0].num_batches == 1
         assert plane[0].thread.is_alive()
     finally:

@@ -9,7 +9,8 @@ from repro.aggregate.ops import AliasedOp
 from repro.calql import parse_scheme
 from repro.common import Record, Variant
 from repro.io.colfile import decode_batch_store, encode_batch
-from repro.query.columnar import ColumnFold, columnar_aggregate, columnar_db, supports_scheme
+from repro.aggregate.table import StateTable
+from repro.query.columnar import columnar_aggregate, columnar_db, supports_scheme
 
 from ..conftest import examples, record_lists
 
@@ -103,8 +104,8 @@ class TestEquivalence:
         scheme = parse_scheme("AGGREGATE count, sum(t) WHERE k=a, t>=10 GROUP BY k")
         store = decode_batch_store(encode_batch(records))
         offered = np.arange(4, 40, 3)
-        db, by_row = AggregationDB(scheme), AggregationDB(scheme)
-        ColumnFold(db).feed(store, rows=offered)
+        db, by_row = StateTable(scheme), AggregationDB(scheme)
+        db.fold(store, rows=offered)
         by_row.process_all(records[i] for i in offered.tolist())
         assert canonical(db.flush()) == canonical(by_row.flush())
         assert (db.num_offered, db.num_processed) == (by_row.num_offered, by_row.num_processed)
