@@ -29,6 +29,13 @@ writes the cells as they are (:meth:`~StateTable.to_binary`,
 :meth:`~StateTable.from_binary`).  :meth:`~StateTable.export_states` /
 :meth:`~StateTable.from_states` are the one boundary to the list form.
 
+The output leaves as columns too: :meth:`~StateTable.render` computes each
+operator's results for every slot at once (a
+:class:`~repro.io.colfile.ColumnStore` of key and output columns, typed as
+the operators' ``results()`` type each value), which a second-stage query
+folds as it is; :meth:`~StateTable.flush` is that store hydrated into one
+record per slot.
+
 A table decoded from the wire, built from list-form states or popped is a
 *source*: its slots are not indexed and may repeat a key (a list of groups
 may), which merging resolves in order; folding or merging *into* it indexes
@@ -47,7 +54,16 @@ from ..common.errors import AggregationError, QueryError
 from ..common.record import Record
 from ..common.variant import ValueType, Variant
 from ..io import colfile
-from ..io.colfile import ColfileError, ColumnStore, DecodeLimits, _Dictionary
+from ..io.colfile import (
+    ColfileError,
+    ColumnStore,
+    DecodeLimits,
+    _Column,
+    _DictColumn,
+    _Dictionary,
+    _first_use,
+    _NumColumn,
+)
 from .ops import (
     WEIGHT_LABEL,
     AggregateOp,
@@ -701,6 +717,116 @@ def _fold_op(op: AggregateOp, cells: list[_Cell], batch: _Batch) -> None:
         cells[0].fold(batch)
 
 
+# -- rendering ------------------------------------------------------------------------
+#
+# Each operator's output as one column over the slots, computed from its
+# cells with the row engine's arithmetic, operation for operation, so the
+# hydrated rows are the ``results()`` Variants bit for bit.
+
+#: an int count past this may not survive the float64 a count column holds
+_EXACT_INT = 2**53
+
+
+def _count_values(cell: _Count, n: int) -> np.ndarray:
+    """Each slot's count as a float64 (an int one converted as Python's
+    ``float / int`` converts it)."""
+    return np.where(cell.is_float[:n], cell.floats[:n], cell.ints[:n])
+
+
+def _typed_column(
+    values: np.ndarray, present: Optional[np.ndarray] = None, whole: Optional[ValueType] = None
+) -> Optional[_NumColumn]:
+    """A double column of ``values`` (copied; ``whole``: typed by
+    integrality), 0.0 where not ``present``; ``None`` when no slot is."""
+    if present is None or present.all():
+        return _NumColumn(_DOUBLE, values.copy(), None, whole)
+    if not present.any():
+        return None
+    return _NumColumn(_DOUBLE, np.where(present, values, 0.0), present, whole)
+
+
+def _output_columns(op: AggregateOp, cells: list[_Cell], n: int) -> list[tuple[str, _Column]]:
+    """``(label, column)`` of each of the operator's outputs over ``n`` slots:
+    what its ``results()`` renders slot by slot, absent values masked."""
+    t = type(_unwrap(op))
+    if t is CountOp:
+        count = cells[0]
+        ints = count.ints[:n][~count.is_float[:n]]
+        if not len(ints) or -_EXACT_INT <= ints.min() and ints.max() <= _EXACT_INT:
+            return _labelled(op, _typed_column(_count_values(count, n), None, _UINT))
+    elif t in _SUM_FAMILY or t in _VARIANCE_FAMILY:
+        count = _count_values(cells[0], n)
+        total = cells[1].values[:n]
+        present = count != 0
+        if t is SumOp:
+            return _labelled(op, _typed_column(total, present, _INT))
+        if t is AvgOp:
+            return _labelled(op, _typed_column(total / count, present))
+        if t is ScaleOp:
+            return _labelled(op, _typed_column(total * _unwrap(op).factor, present))
+        if t is PercentTotalOp:
+            grand = sum(total.tolist())  # Python's own summation, in slot order
+            share = 100.0 * total / grand if grand != 0.0 else np.zeros(n)
+            return _labelled(op, _typed_column(share, present))
+        if t is MomentsOp:
+            return []
+        mean = total / count
+        variance = cells[2].values[:n] / count - mean * mean
+        variance = np.where(variance > 0.0, variance, 0.0)  # max(0.0, v)
+        return _labelled(op, _typed_column(
+            np.sqrt(variance) if t is StddevOp else variance, present
+        ))
+    elif t is RatioOp:
+        x, y = cells[0].values[:n], cells[1].values[:n]
+        return _labelled(op, _typed_column(x / y, y != 0.0))
+    elif t in (MinOp, MaxOp):
+        return _labelled(op, _typed_column(cells[0].values[:n], cells[0].seen[:n], _INT))
+    return _results_columns(op, cells, n)
+
+
+def _labelled(op: AggregateOp, column: Optional[_Column]) -> list[tuple[str, _Column]]:
+    return [] if column is None else [(op.output_labels()[0], column)]
+
+
+def _results_columns(op: AggregateOp, cells: list[_Cell], n: int) -> list[tuple[str, _Column]]:
+    """The fallback: each slot's ``results()`` (``results_with_total``
+    against the sum of every slot's total, for an operator that asks for
+    one), interned label by label."""
+    states = [
+        list(state)
+        for state in zip(*[colfile.slot_cells(slot) for cell in cells for slot in cell.slots(n)])
+    ]
+    results = op.results
+    if getattr(op, "needs_global_total", False):
+        total = sum(state[1] for state in states)
+        results = lambda state: op.results_with_total(state, total)  # noqa: E731
+    columns: dict[str, list[Optional[Variant]]] = {}
+    for slot, state in enumerate(states):
+        for label, value in results(state):
+            columns.setdefault(label, [None] * n)[slot] = value
+    out = []
+    for label, variants in columns.items():
+        dictionary = _Dictionary()
+        codes = np.array(dictionary.encode(variants), dtype=np.int64)
+        out.append((label, _DictColumn(codes, dictionary.values)))
+    return out
+
+
+def _key_column(codes: np.ndarray, values: list[Variant]) -> Optional[_DictColumn]:
+    """A key column with its values in the order the slots first use them —
+    a records-built column's order, which numbers a second stage's groups —
+    or ``None`` when no slot has a value."""
+    present = codes >= 0
+    if not present.any():
+        return None
+    renumbered, used = _first_use(codes[present], values)
+    if present.all():
+        return _DictColumn(renumbered, used)
+    out = np.full(len(codes), -1, dtype=np.int64)
+    out[present] = renumbered
+    return _DictColumn(out, used)
+
+
 # -- the table ------------------------------------------------------------------------
 
 
@@ -711,7 +837,8 @@ class StateTable:
     >>> table.fold(store)                   # a decoded batch, or records
     >>> delta = table.take()                # export and reset
     >>> root.merge(StateTable.from_binary(scheme, delta.to_binary()))
-    >>> root.flush()                        # one record per key
+    >>> QueryEngine(text).run(root.render())  # the output, as columns
+    >>> root.flush()                        # or one record per key
     """
 
     def __init__(self, scheme: AggregationScheme) -> None:
@@ -1095,28 +1222,30 @@ class StateTable:
         cells = _cells_from_states(scheme.ops, [states for _, states in groups])
         return cls._source(scheme, len(groups), codes, values, cells)
 
+    def render(self) -> ColumnStore:
+        """The output as a store, one row per slot in slot order: the key
+        columns, then each operator's output columns, computed from the
+        cells by column (``first``, ``histogram`` and kernel-less operators
+        fall back to their ``results()``).  Hydrated, it is exactly what
+        :meth:`AggregationDB.flush` renders, Variant type and double bits
+        included (``percent_total`` against the total over every slot); a
+        second-stage query reads it as it is, and groups its rows in the
+        order it would group those records."""
+        n = self._n
+        columns: dict[str, _Column] = {}
+        for label, codes, values in self._key_columns():
+            column = _key_column(codes, values)
+            if column is not None:
+                columns[label] = column
+        # like Python floats: overflow -> inf and inf - inf -> nan, silently
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for op, cells in zip(self._ops, self._cells):
+                columns.update(_output_columns(op, cells, n))
+        return ColumnStore(n, columns)
+
     def flush(self) -> list[Record]:
-        """One output record per slot, rendered by each operator's
-        ``results()`` — exactly what :meth:`AggregationDB.flush` renders
-        (``percent_total`` against the total over every slot)."""
-        states = self._rows()
-        totals = {
-            i: sum(group[i][1] for group in states)
-            for i, op in enumerate(self._ops)
-            if getattr(op, "needs_global_total", False)
-        }
-        out: list[Record] = []
-        for key, group in zip(self._keys(), states):
-            data = {label: v for label, v in zip(self._key, key) if v is not None}
-            for i, (op, state) in enumerate(zip(self._ops, group)):
-                if i in totals:
-                    results = op.results_with_total(state, totals[i])  # type: ignore[attr-defined]
-                else:
-                    results = op.results(state)
-                for label, value in results:
-                    data[label] = value
-            out.append(Record.from_variants(data))
-        return out
+        """One output record per slot: :meth:`render`, hydrated."""
+        return colfile.result_records(self.render())
 
     # -- the wire -----------------------------------------------------------------
 

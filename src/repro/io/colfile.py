@@ -60,6 +60,7 @@ __all__ = [
     "decode_batch",
     "decode_batch_store",
     "records_from_store",
+    "result_records",
     "encode_columns",
     "entry_columns",
     "encode_states",
@@ -386,13 +387,7 @@ def encode_columns(
     buffers = _BufferBuilder()
     col_meta: list[dict] = []
     for _first, _position, label, codes, values, idx in order:
-        # the values in the order the rows first use them
-        used, first = np.unique(codes, return_index=True)
-        used = used[np.argsort(first, kind="stable")]
-        renumber = np.zeros(len(values), dtype=np.int64)
-        renumber[used] = np.arange(len(used))
-        present = renumber[codes]
-        used_values = [values[i] for i in used.tolist()]
+        present, used_values = _first_use(codes, values)
         nulls = None
         if len(idx) < nrows:
             mask = np.zeros(nrows, dtype=bool)
@@ -442,15 +437,62 @@ def encode_columns(
     return bytes(out)
 
 
+def _first_rows(codes: np.ndarray, ncodes: int) -> np.ndarray:
+    """Mask of the rows where a code in ``range(ncodes)`` first occurs: in
+    row order, those rows' codes are the distinct codes in first-use order
+    (no sort needed)."""
+    n = len(codes)
+    first = np.full(ncodes, n, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(n))
+    mask = np.zeros(n, dtype=bool)
+    mask[first[first < n]] = True
+    return mask
+
+
+def _first_use(codes: np.ndarray, values: Sequence[Variant]) -> tuple[np.ndarray, list[Variant]]:
+    """``codes`` (none of them -1) renumbered so that the values come in the
+    order the codes first use them; values no code uses are left out."""
+    used = codes[_first_rows(codes, len(values))]
+    renumber = np.zeros(len(values), dtype=np.int64)
+    renumber[used] = np.arange(len(used))
+    return renumber[codes], [values[i] for i in used.tolist()]
+
+
 class _NumColumn:
-    """A typed numeric/bool column: values array + presence mask (None=dense)."""
+    """A typed numeric/bool column: values array + presence mask (None=dense).
 
-    __slots__ = ("vtype", "values", "mask")
+    ``whole`` (``INT`` or ``UINT``) makes a ``DOUBLE`` column's type follow
+    integrality, as an operator's rendered sum or count does: a finite,
+    integral value is that type's ``int(x)``, any other value a double.
+    """
 
-    def __init__(self, vtype: ValueType, values: np.ndarray, mask: Optional[np.ndarray]):
+    __slots__ = ("vtype", "values", "mask", "whole")
+
+    def __init__(
+        self,
+        vtype: ValueType,
+        values: np.ndarray,
+        mask: Optional[np.ndarray],
+        whole: Optional[ValueType] = None,
+    ):
         self.vtype = vtype
         self.values = values
         self.mask = mask
+        self.whole = whole
+
+    def variants(self, values: np.ndarray) -> list[Variant]:
+        """``values`` (taken from this column) as the Variants they stand for."""
+        vtype, whole = self.vtype, self.whole
+        if vtype is ValueType.BOOL:
+            return [Variant(vtype, bool(x)) for x in values.tolist()]
+        if whole is None:
+            return [Variant(vtype, x) for x in values.tolist()]
+        with np.errstate(invalid="ignore"):
+            integral = np.isfinite(values) & (values == np.trunc(values))
+        return [
+            Variant(whole, int(x)) if is_whole else Variant(vtype, x)
+            for x, is_whole in zip(values.tolist(), integral.tolist())
+        ]
 
 
 class _DictColumn:
@@ -669,7 +711,8 @@ class ColumnStore:
     def interned(self, label: str) -> tuple[np.ndarray, list[Variant]]:
         """``(codes, values)`` for one attribute: codes index into ``values``,
         -1 marks rows without it.  A dictionary column as it is (first-seen
-        order when records-built); a typed one via :func:`_intern_num_column`."""
+        order when records-built); a typed one via :func:`_intern_num_column`,
+        also in first-seen order."""
         cached = self._interned.get(label)
         if cached is not None:
             observe.count("columnstore.intern", result="hit", label=label)
@@ -759,17 +802,8 @@ class ColumnStore:
                 columns[label] = _DictColumn(col.codes[rows], col.values)
             else:
                 mask = None if col.mask is None else col.mask[rows]
-                columns[label] = _NumColumn(col.vtype, col.values[rows], mask)
+                columns[label] = _NumColumn(col.vtype, col.values[rows], mask, col.whole)
         return ColumnStore(len(rows), columns)
-
-
-#: the low 63 bits of an int64: flipping them turns float64 bit patterns
-#: into IEEE 754 totalOrder keys (and the keys back into bit patterns)
-_LOW63 = np.int64(0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _total_order(bits: np.ndarray) -> np.ndarray:
-    return bits ^ ((bits >> 63) & _LOW63)
 
 
 def _intern_num_column(
@@ -777,38 +811,34 @@ def _intern_num_column(
 ) -> tuple[np.ndarray, list[Variant]]:
     """Interned view of a typed column, vectorized: one ``np.unique``.
 
-    Identity is the dictionary builder's (:class:`_Dictionary`): doubles are
-    told apart by bit pattern, so ``0.0`` and ``-0.0`` — equal to
-    ``np.unique`` — are two entries, and so are NaNs with different payloads.
-    Distinct values come out sorted rather than first-seen (doubles in IEEE
-    754 totalOrder: ``-0.0`` just before ``0.0``, NaNs at the ends); the
-    order only numbers the groups of an un-ORDERed query, and avoids a
-    per-row Python loop.
+    Identity is the dictionary builder's (:class:`_Dictionary`) over the
+    column's values: doubles are told apart by bit pattern, so ``0.0`` and
+    ``-0.0`` — equal to ``np.unique`` — are two entries, and so are NaNs
+    with different payloads (a ``whole`` column's integral values are ints,
+    so there both zeros are the one entry ``0``).  Distinct values are
+    numbered in first-seen order, as a records-built column numbers them, so
+    an un-ORDERed ``GROUP BY`` lists its groups in the same order whether
+    the rows came as records or as typed columns.
     """
     present = col.values if col.mask is None else col.values[col.mask]
-    vtype = col.vtype
-    if vtype is ValueType.DOUBLE:
-        keys, inv = np.unique(_total_order(present.view(np.int64)), return_inverse=True)
-        uniq = _total_order(keys).view(np.float64)
-    else:
-        uniq, inv = np.unique(present, return_inverse=True)
+    keys = present
+    if col.vtype is ValueType.DOUBLE:
+        if col.whole is not None:
+            keys = np.where(present == 0, 0.0, present)
+        keys = keys.view(np.int64)
+    _keys, inv = np.unique(keys, return_inverse=True)
+    firsts = _first_rows(inv, len(_keys))
+    rank = np.empty(len(_keys), dtype=np.int64)
+    rank[inv[firsts]] = np.arange(len(_keys))
     if col.mask is None:
-        codes = inv.astype(np.int64)
+        codes = rank[inv]
     else:
         codes = np.full(nrows, -1, dtype=np.int64)
-        codes[col.mask] = inv
-    if vtype is ValueType.BOOL:
-        values = [Variant(vtype, bool(x)) for x in uniq.tolist()]
-    elif vtype is ValueType.DOUBLE:
-        values = [Variant(vtype, x) for x in uniq.tolist()]
-    else:
-        values = [Variant(vtype, int(x)) for x in uniq.tolist()]
-    return codes, values
+        codes[col.mask] = rank[inv]
+    return codes, col.variants(present[firsts])
 
 
-def records_from_store(store: ColumnStore, rows: Optional[np.ndarray] = None) -> list[Record]:
-    """Materialize plain :class:`Record` rows from a columnar store: every
-    row, or just ``rows`` of it (in that order)."""
+def _records(store: ColumnStore, rows: Optional[np.ndarray]) -> list[Record]:
     nrows = len(store) if rows is None else len(rows)
     out: list[dict[str, Variant]] = [{} for _ in range(nrows)]
     for label, col in store.columns.items():
@@ -817,20 +847,34 @@ def records_from_store(store: ColumnStore, rows: Optional[np.ndarray] = None) ->
             codes = col.codes if rows is None else col.codes[rows]
             for i in np.nonzero(codes >= 0)[0].tolist():
                 out[i][label] = values[codes[i]]
-        else:
-            vtype = col.vtype
-            vals, mask = col.values, col.mask
-            if rows is not None:
-                vals, mask = vals[rows], None if mask is None else mask[rows]
-            vals = vals.tolist()
-            idx: Iterable[int] = range(nrows) if mask is None else np.nonzero(mask)[0].tolist()
-            if vtype is ValueType.BOOL:
-                for i in idx:
-                    out[i][label] = Variant(vtype, bool(vals[i]))
-            else:
-                for i in idx:
-                    out[i][label] = Variant(vtype, vals[i])
+            continue
+        vals, mask = col.values, col.mask
+        if rows is not None:
+            vals, mask = vals[rows], None if mask is None else mask[rows]
+        idx: Iterable[int] = range(nrows)
+        if mask is not None:
+            present = np.nonzero(mask)[0]
+            vals, idx = vals[present], present.tolist()
+        for i, v in zip(idx, col.variants(vals)):
+            out[i][label] = v
     return [Record.from_variants(r) for r in out]
+
+
+def records_from_store(store: ColumnStore, rows: Optional[np.ndarray] = None) -> list[Record]:
+    """Hydrate input rows of a columnar store into :class:`Record` objects:
+    every row, or just ``rows`` of it (in that order).  Every column path
+    exists to avoid this; what still calls it is a row-oriented consumer
+    of the data itself (a rows-backend query, LET, a kernel-less operator)."""
+    return _records(store, rows)
+
+
+def result_records(store: ColumnStore) -> list[Record]:
+    """The output records of a query result held as columns (what
+    :meth:`~repro.aggregate.table.StateTable.render` builds): the same
+    materialization as :func:`records_from_store`, one record per output
+    row, built only when a caller reads them.  Kept apart from input
+    hydration so that counting or refusing one does not touch the other."""
+    return _records(store, None)
 
 
 def decode_batch_store(
@@ -860,12 +904,12 @@ def merge_stores(stores: Sequence[ColumnStore]) -> ColumnStore:
     merged: dict[str, _Column] = {}
     for label in labels:
         cols = [s.columns.get(label) for s in stores]
-        vtypes = {c.vtype for c in cols if isinstance(c, _NumColumn)}
+        kinds = {(c.vtype, c.whole) for c in cols if isinstance(c, _NumColumn)}
         if (
-            len(vtypes) == 1
+            len(kinds) == 1
             and all(c is None or isinstance(c, _NumColumn) for c in cols)
         ):
-            vtype = next(iter(vtypes))
+            vtype, whole = next(iter(kinds))
             dtype = _NUM_DTYPE[vtype]
             parts, masks = [], []
             dense = all(c is not None and c.mask is None for c in cols)
@@ -883,6 +927,7 @@ def merge_stores(stores: Sequence[ColumnStore]) -> ColumnStore:
                 vtype,
                 np.concatenate(parts),
                 None if dense else np.concatenate(masks),
+                whole,
             )
             continue
         dictionary = _Dictionary()

@@ -40,6 +40,7 @@ from ..aggregate.table import StateTable
 from ..common.errors import ReproError
 from ..common.record import Record
 from ..common.variant import Variant
+from ..io.colfile import ColumnStore, result_records
 from ..observe import MetricsRegistry, to_records as _metrics_to_records
 from ..window.assign import WINDOW_END
 from ..window.db import WindowFront
@@ -458,9 +459,18 @@ class AggregationServer:
         self.metrics.timing("net.merge", time.perf_counter() - start)
         return merged
 
+    def _rendered(self, tenant: str = DEFAULT_TENANT) -> ColumnStore:
+        """The merged state's output rows as a store (``StateTable.render``):
+        what a live query's second stage reads, with no ``Record`` built."""
+        merged = self.merged_db(tenant=tenant)
+        start = time.perf_counter()
+        store = merged.render()
+        self.metrics.timing("net.render", time.perf_counter() - start)
+        return store
+
     def drain_results(self, tenant: str = DEFAULT_TENANT) -> list[Record]:
-        """Flushed output records over everything ingested so far."""
-        return self.merged_db(tenant=tenant).flush()
+        """Output records over everything ingested so far."""
+        return result_records(self._rendered(tenant=tenant))
 
     # -- windowed streaming: watermarks, retirement, estimates --------------------
 
@@ -536,10 +546,11 @@ class AggregationServer:
     ):
         """Run CalQL against the live merged state (or the telemetry).
 
-        ``target="aggregate"`` queries the flushed output of a consistent
-        merged snapshot — the two-stage workflow of Section VI-B with the
-        first stage still running.  ``target="telemetry"`` queries the
-        server's own ``observe.*`` metric records instead.  Windowed servers
+        ``target="aggregate"`` queries the rendered output of a consistent
+        merged snapshot (:meth:`_rendered`, read as columns) — the two-stage
+        workflow of Section VI-B with the first stage still running.
+        ``target="telemetry"`` queries the server's own ``observe.*`` metric
+        records instead.  Windowed servers
         add ``target="estimate"`` (open windows with confidence intervals)
         and ``target="retired"`` (finalized windows only).
         """
@@ -547,16 +558,16 @@ class AggregationServer:
 
         start = time.perf_counter()
         if target == "telemetry":
-            records = self.stats_records()
+            source = self.stats_records()
         elif target == "aggregate":
-            records = self.drain_results(tenant=tenant)
+            source = self._rendered(tenant=tenant)
         elif target == "estimate":
-            records = self.estimate_results()
+            source = self.estimate_results()
         elif target == "retired":
-            records = self.retired_results()
+            source = self.retired_results()
         else:
             raise ProtocolError(f"unknown query target {target!r}")
-        result = QueryEngine(text).run(records)
+        result = QueryEngine(text).run(source)
         self.metrics.timing("net.query", time.perf_counter() - start, target=target)
         self.metrics.count("net.queries", target=target)
         return result

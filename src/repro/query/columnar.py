@@ -20,11 +20,12 @@ reimplementation: the kernels fold into a
 per-key operator states an :class:`AggregationDB` holds (``np.add.at`` adds
 in input order onto the running value, so float sums are bit-identical, and
 a count turns float exactly where the row engine's does), and the final
-values are rendered by each operator's own ``results()`` — the exact code
-path :meth:`AggregationDB.flush` uses.  ``QueryEngine`` auto-dispatches here
-via :func:`supports_scheme`; a plain aggregation server's shard workers fold
-the batches they were sent into the same table.  The ``offline_query`` /
-``stream_tree`` workloads of ``benchmarks/suite`` quantify the speedup.
+values are rendered by column with the arithmetic and typing of each
+operator's own ``results()`` (pinned against :meth:`AggregationDB.flush`).
+``QueryEngine`` auto-dispatches here via :func:`supports_scheme`; a plain
+aggregation server's shard workers fold the batches they were sent into the
+same table.  The ``offline_query`` / ``stream_tree`` workloads of
+``benchmarks/suite`` quantify the speedup.
 
 Pipeline:
 
@@ -40,7 +41,8 @@ Pipeline:
    holds for its key;
 5. one ``np.add.at`` / ``np.bincount`` / sorted-``reduceat`` pass per
    operator cell, straight into the table's columns;
-6. render the slots through the operators' own ``results()``.
+6. render the slots as columns (:meth:`StateTable.render`), each value
+   what the operator's own ``results()`` would give.
 """
 
 from __future__ import annotations
@@ -92,21 +94,21 @@ def columnar_aggregate(
     source: Source,
     scheme: AggregationScheme,
     where: Optional[Sequence[Condition]] = None,
-) -> list[Record]:
+) -> ColumnStore:
     """Aggregate ``source`` under ``scheme`` with numpy group-by.
 
     ``source`` is a record iterable or a prebuilt (cached)
     :class:`~repro.io.colfile.ColumnStore`.  Raises
     :class:`NotImplementedError` for schemes :func:`supports_scheme`
-    rejects; results match :func:`repro.aggregate.aggregate_records` exactly
-    (up to record order, with float reductions subject only to the global
-    ``percent_total`` denominator's summation order).  One shot: a fresh
-    table, folded once and flushed.
+    rejects.  One shot: a fresh table, folded once and rendered
+    (:meth:`StateTable.render`) — the output rows as a store, which a
+    second-stage query reads as it is and whose ``.records`` equal
+    :func:`repro.aggregate.aggregate_records` exactly (up to record order).
     """
     _require_kernels(scheme)
     table = StateTable(scheme)
     table.fold(source, where=where)
-    return table.flush()
+    return table.render()
 
 
 def columnar_feed(

@@ -33,7 +33,7 @@ from ..calql.semantics import build_scheme, compile_conditions, compile_let, val
 from ..common.errors import QueryError
 from ..common.record import Record
 from ..common.variant import Variant
-from ..io.colfile import ColfileReader, ColumnStore
+from ..io.colfile import ColfileReader, ColumnStore, result_records
 from ..io.dataset import _format_of, _load_source_timed
 from .columnar import (
     Source,
@@ -52,24 +52,34 @@ _BACKENDS = ("auto", "rows", "columnar")
 
 
 class QueryResult:
-    """Materialized query output.
-
-    Iterable list of records plus rendering helpers; ``str()`` honours the
+    """Query output: records plus rendering helpers; ``str()`` honours the
     query's FORMAT clause (default: aligned table).
+
+    An aggregation's output arrives as the store its state table rendered
+    (:meth:`~repro.aggregate.table.StateTable.render`); its records are
+    built once, when something first reads :attr:`records` (or iterates,
+    indexes or formats the result).
     """
 
     def __init__(
         self,
-        records: list[Record],
+        records: Union[list[Record], ColumnStore],
         preferred_columns: Sequence[str] = (),
         fmt: Optional[str] = None,
     ) -> None:
-        self.records = records
+        self._store = records if isinstance(records, ColumnStore) else None
+        self._records = None if self._store is not None else records
         self.preferred_columns = list(preferred_columns)
         self.format = (fmt or "table").lower()
 
+    @property
+    def records(self) -> list[Record]:
+        if self._records is None:
+            self._records = result_records(self._store)
+        return self._records
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._store) if self._records is None else len(self._records)
 
     def __iter__(self):
         return iter(self.records)
@@ -170,7 +180,7 @@ class QueryResult:
         return self.to_table()
 
     def __repr__(self) -> str:
-        return f"QueryResult({len(self.records)} records, format={self.format!r})"
+        return f"QueryResult({len(self)} records, format={self.format!r})"
 
 
 class QueryEngine:
@@ -277,8 +287,10 @@ class QueryEngine:
 
         ``source`` is a record iterable or a
         :class:`~repro.io.colfile.ColumnStore`; the columnar path reads a
-        store as it is (no row→column conversion, no ``Record`` built) and
-        everything row-oriented hydrates its records on demand.  ``backend``
+        store as it is (no row→column conversion, no ``Record`` built),
+        renders its answer as a store too (records are built from it only
+        for ORDER BY / LIMIT, or when the caller reads them), and everything
+        row-oriented hydrates its records on demand.  ``backend``
         selects the aggregation engine (``auto``/``rows``/``columnar``).
         """
         with observe.span("query.run", backend=backend):
@@ -292,7 +304,8 @@ class QueryEngine:
                             where=self.query.where,
                         )
                     with observe.span("query.render"):
-                        out = self._order_and_limit(out)
+                        if self.query.order_by or self.query.limit is not None:
+                            out = self._order_and_limit(result_records(out))
                         return QueryResult(
                             out, self._preferred_columns(), self.query.format
                         )

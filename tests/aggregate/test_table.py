@@ -11,17 +11,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.aggregate import AggregationDB
+from repro.aggregate import AggregationDB, AggregationScheme
+from repro.aggregate.ops import PercentTotalOp, make_op
 from repro.aggregate.table import StateTable
 from repro.calql import parse_scheme
 from repro.common import Record, ValueType, Variant
 from repro.io import colfile
 from repro.io.colfile import decode_batch_store, encode_batch, states_from_binary, states_to_binary
 from repro.net.protocol import ProtocolError, table_from_binary
+from repro.query.engine import QueryEngine
 from repro.window.db import closed_below
 
 from ..conftest import examples, records
-from ..query.test_column_fold import SCHEME, exact, rows
+from ..query.test_column_fold import SCHEME, bits, exact, exact_value, rows
 
 #: a scheme keyed by a window end, for pop
 WINDOWED = parse_scheme("AGGREGATE count, sum(x), min(x), first(function) GROUP BY kernel, window.end")
@@ -280,3 +282,230 @@ def test_golden_states_bytes_decode_to_the_same_states():
     merged = StateTable(GOLDEN_SCHEME)
     merged.merge(table)
     assert exact(merged) == want and merged.to_binary() == GOLDEN
+
+
+# -- the output as columns: render() against the row engine's flush ---------------
+
+
+def exact_rows(records):
+    """Output records with nothing equal that is not the same: each entry by
+    label, Variant type and double bit pattern, in the record's own label
+    order; the records in the order given."""
+    return [[(label, *exact_value(v)) for label, v in r.items()] for r in records]
+
+
+def rendered(table):
+    """The table's render, hydrated by the plain input hydration."""
+    return colfile.records_from_store(table.render())
+
+
+def list_form_flush(scheme, groups):
+    """What a flush renders for ``(entries, states)`` groups, group by group:
+    each operator's ``results()``, ``percent_total`` against Python's ``sum``
+    of every group's total, in order."""
+    totals = {
+        i: sum(states[i][1] for _entries, states in groups)
+        for i, op in enumerate(scheme.ops)
+        if getattr(op, "needs_global_total", False)
+    }
+    out = []
+    for entries, states in groups:
+        data = {label: entries[label] for label in scheme.key if label in entries}
+        for i, (op, state) in enumerate(zip(scheme.ops, states)):
+            results = (
+                op.results_with_total(state, totals[i]) if i in totals else op.results(state)
+            )
+            data.update(results)
+        out.append(Record.from_variants(data))
+    return out
+
+
+def in_slot_order(table, db):
+    """The reference DB's states re-inserted key by key in the table's slot
+    order, so that its flush adds ``percent_total``'s total up in the order
+    the table does (the sum of doubles depends on it)."""
+    ordered = AggregationDB(db.scheme, "generic")
+    ordered.load_states(
+        (entries, db.existing_states(key))
+        for (entries, _states), key in zip(table.export_states(), table._keys())
+    )
+    return ordered
+
+
+@given(batches)
+@settings(max_examples=examples(40), deadline=None)
+def test_render_hydrated_is_the_row_engine_flush(parts):
+    table, db = folded(SCHEME, *parts)
+    got = exact_rows(rendered(table))
+    assert got == exact_rows(in_slot_order(table, db).flush())
+    assert exact_rows(table.flush()) == got  # flush is render, hydrated
+
+
+def render_matches_flush(scheme, *batches):
+    """Fold the batches both ways; the render must be the row engine's
+    flush.  Returns the rendered rows by their key entries."""
+    table, db = folded(scheme, *batches)
+    got = exact_rows(rendered(table))
+    assert got == exact_rows(in_slot_order(table, db).flush())
+    return {tuple(entry for entry in row if entry[0] in scheme.key): row for row in got}
+
+
+SUMS = parse_scheme(
+    "AGGREGATE count, sum(x), avg(x), min(x), max(x), variance(x), scale(x,3), ratio(x,y) "
+    "GROUP BY k"
+)
+
+
+def test_a_zero_count_renders_no_sum_or_avg():
+    groups = [({"k": Variant.of("a")}, [[0], [0, 0.0], [0, 0.0], [None], [None],
+                                        [0, 0.0, 0.0], [0, 0.0], [0.0, 0.0]])]
+    table = StateTable.from_states(SUMS, groups)
+    got = exact_rows(rendered(table))
+    assert got == exact_rows(list_form_flush(SUMS, groups))
+    assert got == [[("k", T.STRING, "a"), ("count", T.UINT, 0)]]
+
+
+def test_counts_render_as_uint_int_or_float_and_a_fraction_as_double():
+    rows_ = [
+        Record({"k": "int", "x": 1.0}), Record({"k": "int", "x": 2.0}),
+        Record({"k": "w2", "x": 1.0, "sample.weight": 2.0}),
+        Record({"k": "mixed", "x": 1.0}), Record({"k": "mixed", "x": 1.0, "sample.weight": 1.5}),
+    ]
+    by_key = render_matches_flush(SUMS, rows_)
+    counts = {key[0][2]: dict((e[0], e[1:]) for e in row)["count"] for key, row in by_key.items()}
+    assert counts == {"int": (T.UINT, 2), "w2": (T.UINT, 2), "mixed": (T.DOUBLE, bits(2.5))}
+
+
+def test_sums_past_2_53_and_non_finite_values_keep_their_type_and_bits():
+    rows_ = [
+        Record({"k": "big", "x": float(2**60)}), Record({"k": "big", "x": 1.0}),
+        Record({"k": "inf", "x": float("inf")}),
+        Record({"k": "nan", "x": float("nan")}), Record({"k": "nan", "x": 1.0}),
+        Record({"k": "negzero", "x": -0.0, "y": -0.0}),
+        Record({"k": "frac", "x": 0.5, "y": 2}),
+    ]
+    by_key = render_matches_flush(SUMS, rows_)
+    sums = {key[0][2]: dict((e[0], e[1:]) for e in row)["sum#x"] for key, row in by_key.items()}
+    assert sums["big"] == (T.INT, 2**60)  # 2**60 + 1.0 rounds to 2**60: an int
+    assert sums["inf"] == (T.DOUBLE, bits(float("inf")))
+    assert sums["nan"] == (T.DOUBLE, "nan")
+    assert sums["negzero"] == (T.INT, 0) and sums["frac"] == (T.DOUBLE, bits(0.5))
+    # a -0.0 sum state (only a merge of list-form states can hold one)
+    groups = [({"k": Variant.of("z")}, [[1], [1, -0.0], [1, -0.0], [-0.0], [-0.0],
+                                        [1, -0.0, 0.0], [1, -0.0], [-0.0, 1.0]])]
+    assert exact_rows(rendered(StateTable.from_states(SUMS, groups))) == exact_rows(
+        list_form_flush(SUMS, groups)
+    )
+
+
+def test_missing_key_labels_stay_absent():
+    scheme = parse_scheme("AGGREGATE count, sum(x) GROUP BY k, r")
+    rows_ = [Record({"x": 1.0}), Record({"k": "a", "x": 2}), Record({"r": 1}), Record({"k": "a"})]
+    by_key = render_matches_flush(scheme, rows_)
+    assert sorted(map(len, by_key)) == [0, 1, 1]
+
+
+PERCENT = parse_scheme("AGGREGATE percent_total(x), count GROUP BY k")
+
+
+def test_percent_total_over_an_empty_table_and_an_all_zero_total():
+    assert rendered(StateTable(PERCENT)) == [] and StateTable(PERCENT).flush() == []
+    assert len(StateTable(PERCENT).render()) == 0
+    by_key = render_matches_flush(
+        PERCENT, [Record({"k": "a", "x": 0.0}), Record({"k": "b", "x": -0.0}), Record({"k": "c"})]
+    )
+    shares = [dict((e[0], e[1:]) for e in row).get("percent_total#x") for row in by_key.values()]
+    assert sorted(shares, key=repr) == [(T.DOUBLE, bits(0.0))] * 2 + [None]
+
+
+def test_percent_total_divides_by_the_sequential_sum():
+    xs = [0.2, 0.7, 0.1, 0.7, 3.0, 1e16, 0.3, 3.0, 0.3, 0.2, 0.3, 1.0]
+    assert sum(xs) != float(np.sum(np.array(xs)))  # pairwise summation differs here
+    groups = [({"k": Variant.of(i)}, [[1, x], [1]]) for i, x in enumerate(xs)]
+    table = StateTable.from_states(PERCENT, groups)
+    want = exact_rows(list_form_flush(PERCENT, groups))
+    assert exact_rows(rendered(table)) == want
+    assert want[4][1] == ("percent_total#x", T.DOUBLE, bits(100.0 * 3.0 / sum(xs)))
+    # folded rows, the same values: the row engine's DB agrees too
+    render_matches_flush(PERCENT, [Record({"k": i, "x": x}) for i, x in enumerate(xs)])
+
+
+class _CustomPercent(PercentTotalOp):
+    """A user subclass: no vector kernel, so it renders through ``results()``."""
+
+    name = "custompercent"
+
+
+def test_an_operator_without_a_kernel_renders_through_its_results():
+    scheme = AggregationScheme(ops=[_CustomPercent(["x"]), make_op("count")], key=["k"])
+    xs = [0.2, 0.7, 0.1, 0.7, 3.0, 1e16, 0.3, 3.0, 0.3, 0.2, 0.3, 1.0]
+    by_key = render_matches_flush(scheme, [Record({"k": i % 5, "x": x}) for i, x in enumerate(xs)])
+    assert all(row[1][0] == "custompercent#x" for row in by_key.values())
+
+
+def test_a_source_table_that_repeats_a_key_renders_one_row_per_slot():
+    groups = [({"k": Variant.of("a")}, [[2, 1.5], [2]]), ({"k": Variant.of("b")}, [[1, 0.5], [1]]),
+              ({"k": Variant.of("a")}, [[1, 4.0], [1]])]
+    table = StateTable.from_states(PERCENT, groups)
+    assert exact_rows(rendered(table)) == exact_rows(list_form_flush(PERCENT, groups))
+    assert [r["k"].value for r in table.flush()] == ["a", "b", "a"]
+
+
+def test_the_golden_groups_render_as_their_results():
+    table = StateTable.from_states(GOLDEN_SCHEME, GOLDEN_GROUPS)
+    assert exact_rows(rendered(table)) == exact_rows(list_form_flush(GOLDEN_SCHEME, GOLDEN_GROUPS))
+
+
+# -- the first-use order trap: a second stage over render() == over flush() --------
+
+
+def second_stage(text, source):
+    """A second-stage query's rows, in output order, by exact value."""
+    return exact_rows(QueryEngine(text).run(source).records)
+
+
+def assert_second_stage_agrees(table, *texts):
+    for text in texts:
+        over_records = second_stage(text, table.flush())
+        assert second_stage(text, table.render()) == over_records, text
+        assert over_records
+
+
+def test_a_second_stage_groups_keys_in_the_order_of_the_flushed_records():
+    scheme = parse_scheme("AGGREGATE count GROUP BY k, r")
+    table = StateTable(scheme)
+    table.fold([Record({"k": "k1", "r": "r1"}), Record({"k": "k2", "r": "r2"}),
+                Record({"k": "k1", "r": "r3"})])
+    # the table's r values are r1, r2, r3; its slots use them as r1, r3, r2
+    assert [r["r"].value for r in table.flush()] == ["r1", "r3", "r2"]
+    assert [row[0][2] for row in second_stage("AGGREGATE count GROUP BY r", table.render())] == [
+        "r1", "r3", "r2"
+    ]
+    assert_second_stage_agrees(table, "AGGREGATE count GROUP BY r", "AGGREGATE count GROUP BY r, k")
+
+
+def test_a_second_stage_over_a_merged_table_keeps_the_slots_first_use_order():
+    scheme = parse_scheme("AGGREGATE count, sum(x) GROUP BY k, r")
+    source = StateTable(scheme)
+    source.fold([Record({"k": "k1", "r": "r1", "x": 3}), Record({"k": "k2", "r": "r2", "x": 1.5}),
+                 Record({"k": "k1", "r": "r3", "x": 3})])
+    root = StateTable(scheme)
+    root.merge(source.copy())  # its slots come in the source's slot order, not its values'
+    assert_second_stage_agrees(
+        root, "AGGREGATE count GROUP BY r", "AGGREGATE sum(count) GROUP BY k"
+    )
+
+
+def test_a_second_stage_groups_a_rendered_metric_in_first_seen_order():
+    scheme = parse_scheme("AGGREGATE count, sum(x), avg(x) GROUP BY k")
+    table = StateTable(scheme)
+    table.fold([Record({"k": f"k{i}", "x": x})
+                for i, x in enumerate([3, 1.5, 3.0, 0.5, 0.0, -0.0, 2.5, 1.5, 0.5])])
+    table.fold([Record({"k": "k0", "x": 4}), Record({"k": "k3", "x": 1})])
+    assert_second_stage_agrees(
+        table, "AGGREGATE count GROUP BY sum#x", "AGGREGATE sum(avg#x) GROUP BY count",
+        "AGGREGATE count GROUP BY avg#x", "AGGREGATE max(avg#x) GROUP BY count, sum#x",
+    )
+    # first seen, not sorted: 7 (INT) comes before 1.5 (DOUBLE)
+    sums = second_stage("AGGREGATE count GROUP BY sum#x", table.render())
+    assert [row[0][1:] for row in sums][:2] == [(T.INT, 7), (T.DOUBLE, bits(1.5))]

@@ -79,7 +79,7 @@ def no_record_hydration(monkeypatch):
     """Fail the test if an ``.rcf`` store is turned into ``Record`` objects."""
     from repro.io import colfile
 
-    def refuse(store):
+    def refuse(store, rows=None):
         raise AssertionError("an .rcf store was hydrated into Records")
 
     monkeypatch.setattr(colfile, "records_from_store", refuse)

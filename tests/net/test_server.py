@@ -215,6 +215,24 @@ def test_server_metrics_are_calql_queryable(server):
     assert res.records[0].get("observe.value").value == 64
 
 
+def test_a_live_answer_splits_into_merge_render_and_query_timers(server):
+    """``net.merge`` (snapshot + merge), ``net.render`` (the merged table
+    rendered as columns) and ``net.query`` (all of it, second stage
+    included) are timer records a telemetry query reads back."""
+    with FlushClient(*server.address, batch_size=16) as c:
+        c.push_all(synth_records(5, 64))
+        c.flush()
+        answer = c.query("AGGREGATE sum(count) GROUP BY kernel")
+        timers = c.query(
+            "SELECT observe.path, observe.count, observe.time WHERE observe.kind=timer",
+            target="telemetry",
+        )
+    assert sum(r.get("sum#count").value for r in answer.records) == 64
+    counts = {r.get("observe.path").value: r.get("observe.count").value for r in timers.records}
+    assert counts["net.merge"] == counts["net.render"] == counts["net.query"] == 1
+    assert server.metrics.timer_stats("net.render")[0] == 1
+
+
 def test_stats_records_cover_the_core_metrics(server):
     with FlushClient(*server.address) as c:
         c.push_all(synth_records(2, 10))

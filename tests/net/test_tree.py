@@ -19,10 +19,12 @@ import time
 
 import pytest
 
+from repro.aggregate import StateTable
 from repro.aggregate.db import AggregationDB
 from repro.calql import parse_scheme
 from repro.common import Record
 from repro.common.variant import Variant
+from repro.io import ColumnStore
 from repro.net import LocalTree, plan_tree
 
 SCHEME = "AGGREGATE count, sum(x) GROUP BY k"
@@ -111,6 +113,34 @@ class TestTreeExactness:
             got = result_keys(tree.root.drain_results())
             for client in clients:
                 client.close()
+        assert got == reference(all_records)
+
+    def test_a_live_root_query_builds_no_record_per_group(self, monkeypatch):
+        """The root's second stage reads the merged state rendered as
+        columns: no ``StateTable.flush`` and no records-built store on the
+        way (the CI tree smoke checks the same); records are built for the
+        answer's rows only, when read."""
+        all_records = []
+        with LocalTree(SCHEME, n_leaves=4, level_sizes=[1, 2]) as tree:
+            for i in range(4):
+                records = synth(i * 31, 50, keys=40)
+                all_records.extend(records)
+                client = tree.leaf_client(i, batch_size=16)
+                assert client.send_records(records)
+                client.close()
+            assert tree.sync()
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a Record was built per group")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(StateTable, "flush", refuse)
+                patch.setattr(ColumnStore, "from_records", refuse)
+                answer = tree.root.run_query("AGGREGATE sum(count), sum(sum#x) GROUP BY k")
+                got = sorted(
+                    (r.get("k").to_string(), r.get("sum#count").value, r.get("sum#sum#x").value)
+                    for r in answer.records
+                )
         assert got == reference(all_records)
 
     def test_tree_root_receives_fewer_bytes_than_flat_star(self):

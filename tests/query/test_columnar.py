@@ -76,25 +76,25 @@ class TestEquivalence:
             Record({"k": "a"}),
         ]
         scheme = parse_scheme("AGGREGATE count, sum(t), min(t), max(t), avg(t) GROUP BY k")
-        assert canonical(columnar_aggregate(records, scheme)) == canonical(
+        assert canonical(columnar_aggregate(records, scheme).records) == canonical(
             aggregate_records(records, scheme)
         )
 
     def test_empty_input(self):
         scheme = parse_scheme("AGGREGATE count GROUP BY k")
-        assert columnar_aggregate([], scheme) == []
+        assert columnar_aggregate([], scheme).records == []
 
     def test_no_key(self):
         records = [Record({"t": i}) for i in range(5)]
         scheme = parse_scheme("AGGREGATE sum(t), count")
-        assert canonical(columnar_aggregate(records, scheme)) == canonical(
+        assert canonical(columnar_aggregate(records, scheme).records) == canonical(
             aggregate_records(records, scheme)
         )
 
     def test_where_predicate_applied(self):
         records = [Record({"k": "a", "t": 1.0}), Record({"k": "skip", "t": 100.0})]
         scheme = parse_scheme('AGGREGATE sum(t) WHERE k!="skip" GROUP BY k')
-        out = columnar_aggregate(records, scheme)
+        out = columnar_aggregate(records, scheme).records
         assert len(out) == 1 and out[0]["k"].value == "a"
 
     def test_scheme_where_is_masked_over_the_offered_rows_without_a_record(
@@ -116,7 +116,7 @@ class TestEquivalence:
         scheme = AggregationScheme(
             ops=[AliasedOp(make_op("sum", ["t"]), "total")], key=["k"]
         )
-        (row,) = columnar_aggregate(records, scheme)
+        (row,) = columnar_aggregate(records, scheme).records
         assert row["total"].value == 5
 
     def test_wide_key_no_overflow(self):
@@ -126,7 +126,7 @@ class TestEquivalence:
             for i in range(500)
         ]
         scheme = parse_scheme("AGGREGATE count, sum(t) GROUP BY a, b, c, d")
-        assert canonical(columnar_aggregate(records, scheme)) == canonical(
+        assert canonical(columnar_aggregate(records, scheme).records) == canonical(
             aggregate_records(records, scheme)
         )
 
@@ -146,7 +146,7 @@ class TestEquivalence:
         scheme = parse_scheme(
             "AGGREGATE count, sum(t) GROUP BY " + ", ".join(f"c{j}" for j in range(8))
         )
-        got = columnar_aggregate(records, scheme)
+        got = columnar_aggregate(records, scheme).records
         assert numpy_calls["unique"] == 2  # the guard, once, and the final densify
         want = aggregate_records(records, scheme)
         assert 1000 < len(want) < 2000
@@ -183,7 +183,7 @@ class TestEquivalence:
             Record({k: v for k, v in (("x", x), ("y", y)) if v is not None})
             for x, y in rows
         ]
-        out = columnar_aggregate(records, parse_scheme("AGGREGATE count GROUP BY x, y"))
+        out = columnar_aggregate(records, parse_scheme("AGGREGATE count GROUP BY x, y")).records
         assert [(r.get("x").value, r.get("y").value) for r in out] == [
             (None, 1), ("b", 2), ("b", 1), ("a", 2), ("a", 1),
         ]
@@ -196,7 +196,7 @@ def test_matches_streaming_engine(recs):
         "AGGREGATE count, sum(mpi.rank), min(mpi.rank), max(mpi.rank) "
         "GROUP BY function, kernel"
     )
-    assert canonical(columnar_aggregate(recs, scheme)) == canonical(
+    assert canonical(columnar_aggregate(recs, scheme).records) == canonical(
         aggregate_records(recs, scheme)
     )
 
@@ -357,7 +357,7 @@ def test_avg_matches_streaming_engine(recs):
     scheme = parse_scheme("AGGREGATE avg(time.duration) GROUP BY function")
     col = {
         tuple(sorted((k, v) for k, v in r.to_plain().items() if k == "function")): r
-        for r in columnar_aggregate(recs, scheme)
+        for r in columnar_aggregate(recs, scheme).records
     }
     row = {
         tuple(sorted((k, v) for k, v in r.to_plain().items() if k == "function")): r
