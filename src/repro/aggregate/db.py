@@ -16,14 +16,16 @@ builds the reference per-operator dispatch loop instead: the equivalence
 tests fold through it, and merge-only databases (which never see a record)
 use it to skip plan compilation.
 
-This is the per-record form of the state.  Where state moves in batches —
-a server's shards, relays and root, and the column kernels off-line — it
-lives in a :class:`~repro.aggregate.table.StateTable` instead, one numpy
-array per operator state cell; :meth:`export_states` and
-:meth:`load_states` are the list form both sides convert through
-(``StateTable.export_states`` / ``StateTable.from_states``), and the one
-the MPI reduction, the off-line process pool and the windowed
-single-process DB still merge in.
+This is the per-record form of the state: the runtime's channel DB folds
+one event at a time into it, and the tests fold through it as the
+reference.  Everywhere state moves, merges or retires in batches — a
+server's shards, relays and root, the off-line partial query API, its
+process pool and MPI reduction, the window front and the sampled query —
+it lives in a :class:`~repro.aggregate.table.StateTable` instead, one numpy
+array per operator state cell.  :meth:`export_states` / :meth:`load_states`
+/ :meth:`combine` are the list form, kept for the channel DB's state
+stream (``FlushClient.send_states``) and the benchmark's replays;
+``StateTable.export_states`` / ``StateTable.from_states`` convert.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ class AggregationDB:
         self._ops = scheme.fresh_kernels()
         self._extractor = make_extractor(scheme.key)
         self._table: dict[Hashable, list[list]] = {}
-        # Cached once: the MPI network model calls wire_size() per message,
-        # and re-running every kernel's init() there is measurable overhead.
+        # Cached once: wire_size() is read on every channel stats flush, and
+        # re-running every kernel's init() there is measurable overhead.
         self._state_cells = sum(op.state_width() for op in self._ops)
         #: records offered to the DB (including ones rejected by the predicate)
         self.num_offered = 0
@@ -170,11 +172,6 @@ class AggregationDB:
             states = self._plan.init_states()
             self._table[key] = states
         return states
-
-    def existing_states(self, key: tuple) -> Optional[list[list]]:
-        """The state lists under an already extracted ``key``, or ``None``
-        when the DB holds none: :meth:`states_at` without creating."""
-        return self._table.get(key)
 
     @property
     def plan(self):
@@ -313,30 +310,6 @@ class AggregationDB:
         # Cached state-list references (key caches) are now dangling; the
         # epoch bump tells their owners to drop them.
         self.table_epoch += 1
-
-    def pop_entries(self, predicate) -> list[tuple[dict[str, Variant], list[list]]]:
-        """Remove entries matching ``predicate`` and export them.
-
-        ``predicate`` receives each entry's reconstructed key attributes
-        (``{label: Variant}``) and returns True to pop it.  Popped entries
-        are returned in :meth:`export_states` form (the states are the live
-        lists — the entry no longer belongs to this DB, so the caller owns
-        them).  Windowed aggregation uses this to retire closed windows and
-        free their state.
-        """
-        entries_of = self._extractor.entries
-        doomed = []
-        for key in self._table:
-            entries = dict(entries_of(key))
-            if predicate(entries):
-                doomed.append((key, entries))
-        if not doomed:
-            return []
-        out = [(entries, self._table.pop(key)) for key, entries in doomed]
-        # Popped state lists may be cached by compiled fold closures; the
-        # epoch bump invalidates those caches exactly like clear().
-        self.table_epoch += 1
-        return out
 
     # -- introspection ---------------------------------------------------------
 

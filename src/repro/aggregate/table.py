@@ -26,8 +26,12 @@ another table's keys through the same slot lookup and combines cell by
 cell, :meth:`~StateTable.take` / :meth:`~StateTable.copy` /
 :meth:`~StateTable.pop` export by slicing, and the ``RSB1`` codec reads and
 writes the cells as they are (:meth:`~StateTable.to_binary`,
-:meth:`~StateTable.from_binary`).  :meth:`~StateTable.export_states` /
-:meth:`~StateTable.from_states` are the one boundary to the list form.
+:meth:`~StateTable.from_binary`).  Every partial state off the per-event
+path is a table: a server's shards, relays and root, the off-line partial
+query API, its process pool and MPI reduction, the window front's retired
+windows and the sampled query.  :meth:`~StateTable.export_states` /
+:meth:`~StateTable.from_states` are the boundary to the list form, which
+only the per-event channel DB and the row-engine oracle still hold.
 
 The output leaves as columns too: :meth:`~StateTable.render` computes each
 operator's results for every slot at once (a
@@ -980,15 +984,11 @@ class StateTable:
         source: Source,
         rows: Optional[np.ndarray] = None,
         where: Optional[Sequence] = None,
-        seed: Optional[Callable[[list[tuple]], list[Optional[list[list]]]]] = None,
     ) -> None:
         """Fold the rows of ``source`` (of ``rows``, when given) that pass
         the filter (:func:`_select_rows`), counting offered and processed rows
         as ``AggregationDB.process`` would.  Afterwards the cells are bit
         for bit what the row engine's fold of the same rows leaves.
-
-        ``seed`` is asked for the states of every key the table did not hold
-        (as key tuples); a key it answers starts from those states.
         """
         with observe.span("columnar.convert", cached=isinstance(source, ColumnStore)):
             store = source if isinstance(source, ColumnStore) else ColumnStore.from_records(source)
@@ -999,11 +999,9 @@ class StateTable:
             self._index()
             with observe.span("columnar.group"):
                 groups = _Groups(store, self._key, sel, self._classes)
-                slots, created = self._resolve(
+                slots, _fresh = self._resolve(
                     groups.class_columns(), groups.count, groups.representatives
                 )
-                if seed is not None and created.any():
-                    self._seed(slots[created], seed)
             # like Python floats: overflow -> inf and inf - inf -> nan, silently
             with observe.span("columnar.ops"), np.errstate(over="ignore", invalid="ignore"):
                 batch = _Batch(store, groups, slots)
@@ -1011,17 +1009,6 @@ class StateTable:
                     _fold_op(op, cells, batch)
         self.num_offered += offered
         self.num_processed += len(sel)
-
-    def _seed(self, slots: np.ndarray, seed) -> None:
-        answers = zip(slots.tolist(), seed(self._keys(slots)))
-        found = [(slot, states) for slot, states in answers if states]
-        if found:
-            dest = np.array([slot for slot, _ in found], dtype=np.int64)
-            rows = np.arange(len(found))
-            seeded = _cells_from_states(self._ops, [states for _slot, states in found])
-            for mine, theirs in zip(self._cells, seeded):
-                for cell, other in zip(mine, theirs):
-                    cell.copy(dest, other, rows)
 
     # -- merging ------------------------------------------------------------------
 
@@ -1168,15 +1155,13 @@ class StateTable:
             self._adopt(kept)
         return popped
 
-    def _keys(self, slots: Optional[np.ndarray] = None) -> list[tuple]:
-        """The key tuple (Variant, or ``None`` where absent) of ``slots``
-        (default: every slot)."""
-        slots = np.arange(self._n) if slots is None else slots
+    def _keys(self) -> list[tuple]:
+        """Each slot's key tuple (Variant, or ``None`` where absent)."""
         columns = [
-            [values[c] if c >= 0 else None for c in codes[slots].tolist()]
+            [values[c] if c >= 0 else None for c in codes[: self._n].tolist()]
             for codes, values in zip(self._codes, self._values)
         ]
-        return list(zip(*columns)) if columns else [()] * len(slots)
+        return list(zip(*columns)) if columns else [()] * self._n
 
     def _rows(self) -> list[tuple]:
         """Each slot's operator states, a tuple of cells per operator."""

@@ -188,18 +188,19 @@ def _query_string_source(
 def _query_colfile(text: str, path: str, opts: QueryOptions) -> QueryResult:
     """Out-of-core scan of a ``.rcf`` file, one mmap'd chunk at a time.
 
-    Aggregation queries stream every chunk through a partial
-    :class:`AggregationDB` (:meth:`QueryEngine.feed_file`) — combine
-    semantics make the result identical to the in-memory path while peak
-    memory stays one chunk.  Queries without AGGREGATE need the full record
-    stream anyway, so they take the ordinary :meth:`Dataset.from_file` route.
+    Aggregation queries fold every chunk into one partial
+    :class:`~repro.aggregate.table.StateTable` (:meth:`QueryEngine.feed_file`)
+    — a fold continues from the running state, so the result is identical
+    to the in-memory path while peak memory stays one chunk.  Queries
+    without AGGREGATE need the full record stream anyway, so they take the
+    ordinary :meth:`Dataset.from_file` route.
     """
     engine = QueryEngine(text)
     if engine.scheme is None:
         return Dataset.from_file(path).query(text, backend=opts.backend)
-    db = engine.make_db()
-    engine.feed_file(db, path, opts.backend)
-    return engine.finalize(db)
+    table = engine.make_db()
+    engine.feed_file(table, path, opts.backend)
+    return engine.finalize(table)
 
 
 def _query_live(

@@ -28,10 +28,11 @@ queryable aggregation daemon:
   level-by-level to a single root (the paper's Fig. 6 MPI tree over TCP),
   with spool-backed failover when a mid-tree relay dies.
 
-The mergeable transport unit is the per-key partial state — a producer's
-:meth:`AggregationDB.export_states`, a relay's
-:meth:`StateTable.to_binary` — whose size is proportional to the number of
-*groups*, not input records.
+The mergeable transport unit is the per-key partial state — a relay's
+:meth:`StateTable.to_binary`, or a producer's per-event channel DB in its
+list form (:meth:`FlushClient.send_states`) — whose size is proportional to
+the number of *groups*, not input records; every server decodes either into
+a :class:`~repro.aggregate.table.StateTable`.
 """
 
 from .client import FlushClient, live_query

@@ -453,9 +453,7 @@ class AggregationServer:
             # Retired windows were popped out of the shards; totals must
             # still include them.
             with self._window.lock:
-                retired = self._window.retired.export_states()
-            if retired:
-                merged.merge(StateTable.from_states(self.scheme, retired))
+                merged.merge(self._window.retired)
         self.metrics.timing("net.merge", time.perf_counter() - start)
         return merged
 
@@ -490,7 +488,7 @@ class AggregationServer:
         """Finalize every window closed below the current watermark.
 
         Pops closed windows' state out of the shards and the forwarded
-        per-origin DBs, merges it into the retired-results DB, and returns
+        per-origin tables, merges it into the retired-results table, and returns
         the newly retired windows' final records.  Only meaningful at the
         tree root: relays clear their shards every forward cycle, so their
         windows retire upstream.
@@ -515,9 +513,8 @@ class AggregationServer:
         # the barrier is inside the popped state.
         tables = self._shards.call(lambda shard: shard.table.pop(WINDOW_END, mark))
         tables += self._relay.pop_closed(mark)
-        popped = [group for table in tables for group in table.export_states()]
         with window.lock:
-            records = window.finalize(mark, popped)
+            records = window.finalize(mark, tables)
         if records:
             windows = {(r.get("window.start").value, r.get("window.end").value) for r in records}
             self.metrics.count("window.retired", len(windows))
@@ -533,13 +530,13 @@ class AggregationServer:
         """Open windows' partial aggregates plus confidence intervals.
 
         A consistent snapshot of the open-window state (shards + forwarded
-        DBs, *excluding* retired windows) rendered through the PF-OLA
+        tables, *excluding* retired windows) rendered through the PF-OLA
         estimator: every record carries ``est#...``/``est.lo#...``/
         ``est.hi#...`` columns plus ``est.fraction`` and ``est.samples``.
         """
         window = self._windowed("estimate_results()")
         merged = self._merged(self._snapshot())
-        return window.estimator.estimate_records(merged.export_states(), self.watermark())
+        return window.estimator.estimate_records(merged, self.watermark())
 
     def run_query(
         self, text: str, target: str = "aggregate", tenant: str = DEFAULT_TENANT

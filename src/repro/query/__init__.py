@@ -1,6 +1,6 @@
 """Off-line querying: the planner-backed engine, the CLI, and the parallel apps."""
 
-from .columnar import columnar_aggregate, columnar_db, columnar_feed, supports_scheme
+from .columnar import columnar_aggregate, columnar_db, supports_scheme
 from .compare import compare_profiles
 from .engine import QueryEngine, QueryResult, run_query, sort_records
 from .mpi_query import MPIQueryOutcome, MPIQueryRunner, PhaseTimes
@@ -22,6 +22,5 @@ __all__ = [
     "compare_profiles",
     "columnar_aggregate",
     "columnar_db",
-    "columnar_feed",
     "supports_scheme",
 ]

@@ -24,8 +24,10 @@ values are rendered by column with the arithmetic and typing of each
 operator's own ``results()`` (pinned against :meth:`AggregationDB.flush`).
 ``QueryEngine`` auto-dispatches here via :func:`supports_scheme`; a plain
 aggregation server's shard workers fold the batches they were sent into the
-same table.  The ``offline_query`` / ``stream_tree`` workloads of
-``benchmarks/suite`` quantify the speedup.
+same table, and so do :meth:`QueryEngine.feed` / :meth:`QueryEngine.feed_file`,
+whose partial tables the process pool and the MPI query application merge.
+The ``offline_query`` / ``stream_tree`` workloads of ``benchmarks/suite``
+quantify the speedup.
 
 Pipeline:
 
@@ -36,9 +38,7 @@ Pipeline:
 2. evaluate WHERE vectorized over the code columns;
 3. collapse the key-code matrix into one composite group id per record
    (mixed-radix packing — collision-free by construction);
-4. resolve each group to its slot in the table (created where missing) —
-   :func:`columnar_feed` seeds a new slot with the state the DB already
-   holds for its key;
+4. resolve each group to its slot in the table (created where missing);
 5. one ``np.add.at`` / ``np.bincount`` / sorted-``reduceat`` pass per
    operator cell, straight into the table's columns;
 6. render the slots as columns (:meth:`StateTable.render`), each value
@@ -59,7 +59,6 @@ from ..io.colfile import ColumnStore
 __all__ = [
     "columnar_aggregate",
     "columnar_db",
-    "columnar_feed",
     "supports_scheme",
     "unsupported_ops",
 ]
@@ -111,39 +110,21 @@ def columnar_aggregate(
     return table.render()
 
 
-def columnar_feed(
-    db: AggregationDB,
-    source: Source,
-    where: Optional[Sequence[Condition]] = None,
-) -> None:
-    """Vectorized equivalent of ``db.process_all(records)``.
-
-    The fast path :meth:`QueryEngine.feed` dispatches to, so even the
-    partial-aggregation steps the MPI query application composes benefit
-    from vectorization.  A fresh table folds the source, seeded with the
-    states ``db`` holds for the keys it touches, and its states are written
-    back into ``db``'s lists in place — bit-identical to ``process_all``.
-    """
-    _require_kernels(db.scheme)
-    table = StateTable(db.scheme)
-    table.fold(source, where=where, seed=lambda keys: list(map(db.existing_states, keys)))
-    for key, states in table.items():
-        for live, state in zip(db.states_at(key), states):
-            live[:] = state
-    db.num_offered += table.num_offered
-    db.num_processed += table.num_processed
-
-
 def columnar_db(
     source: Source,
     scheme: AggregationScheme,
     where: Optional[Sequence[Condition]] = None,
 ) -> AggregationDB:
-    """A fresh :class:`AggregationDB` holding the vectorized result.
+    """A fresh :class:`AggregationDB` holding the vectorized result: a
+    table folded once, its states loaded into the DB.
 
     Interchangeable with a DB the streaming path filled: it can be
-    ``combine``-d, flushed, or fed further records.
+    ``combine``-d, flushed, or fed further records.  Only the list-form
+    replays of the benchmark suite still ask for one.
     """
+    _require_kernels(scheme)
+    table = StateTable(scheme)
+    table.fold(source, where=where)
     db = AggregationDB(scheme)
-    columnar_feed(db, source, where)
+    db.load_states(table.export_states(), table.num_offered, table.num_processed)
     return db

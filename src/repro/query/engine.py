@@ -2,12 +2,14 @@
 
 Executes CalQL queries over record streams: LET preprocessing, WHERE
 filtering, aggregation (when the query has operators), ORDER BY, LIMIT, and
-FORMAT rendering.  The aggregation stage reuses the exact
-:class:`AggregationDB` the on-line service uses — the engine also exposes
-the partial-aggregation steps (:meth:`QueryEngine.make_db`,
-:meth:`QueryEngine.feed`, :meth:`QueryEngine.feed_file`,
-:meth:`QueryEngine.finalize`) that the MPI-parallel query application and
-the process-pool workers compose with a reduction tree.
+FORMAT rendering.  The aggregation stage folds into the
+:class:`~repro.aggregate.table.StateTable` the aggregation server's shards
+hold (or, for ``backend="rows"``, the per-record :class:`AggregationDB` of
+the on-line service); the engine also exposes the partial-aggregation steps
+(:meth:`QueryEngine.make_db`, :meth:`QueryEngine.feed`,
+:meth:`QueryEngine.feed_file`, :meth:`QueryEngine.finalize`) over a state
+table, which the MPI-parallel query application and the process-pool
+workers compose with a reduction tree.
 
 Execution backends: aggregation queries run either through the streaming
 row engine or the vectorized columnar backend
@@ -27,6 +29,7 @@ from .. import observe
 from ..aggregate.db import AggregationDB
 from ..aggregate.ops import OperatorRegistry
 from ..aggregate.scheme import AggregationScheme
+from ..aggregate.table import StateTable
 from ..calql.ast import OrderSpec, Query
 from ..calql.parser import parse_query
 from ..calql.semantics import build_scheme, compile_conditions, compile_let, validate
@@ -35,13 +38,7 @@ from ..common.record import Record
 from ..common.variant import Variant
 from ..io.colfile import ColfileReader, ColumnStore, result_records
 from ..io.dataset import _format_of, _load_source_timed
-from .columnar import (
-    Source,
-    columnar_aggregate,
-    columnar_feed,
-    supports_scheme,
-    unsupported_ops,
-)
+from .columnar import Source, supports_scheme, unsupported_ops
 
 if TYPE_CHECKING:  # pragma: no cover
     from .options import QueryOptions
@@ -269,16 +266,16 @@ class QueryEngine:
             and self._assigner is None
         )
 
-    def _columnar_source(self, source: Source) -> Source:
-        """What the columnar backend should read.
+    def _fold(self, table: StateTable, source: Source, chosen: str) -> None:
+        """Fold ``source`` into ``table`` under the planner's choice.
 
-        A column store is only valid for the raw rows it holds — LET and
-        WINDOW queries derive per-record attributes, so they materialize the
-        transformed rows and intern those transiently instead.
+        A column store is only valid for the raw rows it holds — the rows
+        backend, LET and WINDOW fold the (derived) records instead.
         """
-        if self._let is not None or self._assigner is not None:
-            return list(self._preprocess(source))
-        return source
+        with observe.span("query.scan", backend=chosen):
+            if not self.reads_stores(chosen):
+                source = list(self._preprocess(source))
+            table.fold(source, where=self.query.where)
 
     # -- one-shot execution ------------------------------------------------------
 
@@ -297,22 +294,14 @@ class QueryEngine:
             chosen = self._plan(backend)
             if self.scheme is not None:
                 if chosen == "columnar":
-                    with observe.span("query.scan", backend="columnar"):
-                        out = columnar_aggregate(
-                            self._columnar_source(source),
-                            self.scheme,
-                            where=self.query.where,
-                        )
-                    with observe.span("query.render"):
-                        if self.query.order_by or self.query.limit is not None:
-                            out = self._order_and_limit(result_records(out))
-                        return QueryResult(
-                            out, self._preferred_columns(), self.query.format
-                        )
-                db = self.make_db()
+                    table = self.make_db()
+                    self._fold(table, source, chosen)
+                    return self.finalize(table)
+                db = AggregationDB(self.scheme)
                 with observe.span("query.scan", backend="rows"):
                     db.process_all(self._preprocess(source))
-                return self.finalize(db)
+                with observe.span("query.render"):
+                    return self._answer(db.flush())
             with observe.span("query.scan", backend="rows"):
                 out = []
                 for record in self._preprocess(source):
@@ -326,39 +315,32 @@ class QueryEngine:
                 preferred = list(self.query.select)
                 return QueryResult(out, preferred, self.query.format)
 
-    # -- partial aggregation (used by the MPI query application) --------------------
+    # -- partial aggregation (the process pool and the MPI query application) -------
 
-    def make_db(self) -> AggregationDB:
-        """A fresh aggregation database for this query's scheme."""
+    def make_db(self) -> StateTable:
+        """A fresh partial state table for this query's scheme."""
         if self.scheme is None:
             raise ValueError("query has no aggregation; make_db() needs AGGREGATE")
-        return AggregationDB(self.scheme)
+        return StateTable(self.scheme)
 
-    def feed(self, db: AggregationDB, source: Source, backend: str = "auto") -> None:
-        """Fold a source (after LET preprocessing) into a partial DB.
+    def feed(self, table: StateTable, source: Source, backend: str = "auto") -> None:
+        """Fold a source (after LET preprocessing) into a partial table.
 
-        The planner applies here too: supported schemes aggregate the batch
-        vectorized and merge the partial states into ``db`` (combine
-        semantics), so the MPI query application's local phase gets the same
-        speedup as one-shot runs.  ``backend="rows"`` forces streaming.
+        The planner applies here too: a store goes to the vector kernels as
+        it is when :meth:`reads_stores`; otherwise the table folds the
+        (preprocessed) records.  Partial tables from many feeds merge
+        exactly (:meth:`StateTable.merge`).
         """
         with observe.span("query.feed", backend=backend):
-            chosen = self._plan(backend)
-            with observe.span("query.scan", backend=chosen):
-                if chosen == "columnar":
-                    columnar_feed(
-                        db, self._columnar_source(source), where=self.query.where
-                    )
-                else:
-                    db.process_all(self._preprocess(source))
+            self._fold(table, source, self._plan(backend))
 
     def feed_file(
         self,
-        db: AggregationDB,
+        table: StateTable,
         path: Union[str, os.PathLike],
         backend: str = "auto",
     ) -> tuple[int, float]:
-        """Fold one file into a partial DB, its globals folded into its rows.
+        """Fold one file into a partial table, its globals folded into its rows.
 
         The one per-file fold of every multi-file runner.  An ``.rcf`` file
         goes one chunk store at a time: the globals are overlaid on every
@@ -373,7 +355,7 @@ class QueryEngine:
         """
         if _format_of(path) != "rcf":
             records, _globals, parse_seconds = _load_source_timed(path)
-            self.feed(db, records, backend)
+            self.feed(table, records, backend)
             return len(records), parse_seconds
         start = time.perf_counter()
         with ColfileReader(path) as reader:
@@ -382,15 +364,22 @@ class QueryEngine:
                 start = time.perf_counter()
                 store = reader.chunk_store(index).with_constants(reader.globals)
                 decode_seconds += time.perf_counter() - start
-                self.feed(db, store, backend)
+                self.feed(table, store, backend)
             return reader.num_records, decode_seconds
 
-    def finalize(self, db: AggregationDB) -> QueryResult:
-        """Flush a (possibly combined) DB and apply ORDER BY / LIMIT / FORMAT."""
+    def finalize(self, table: StateTable) -> QueryResult:
+        """Render a (possibly merged) table and apply ORDER BY / LIMIT /
+        FORMAT; the records are built only for ORDER BY / LIMIT, or when
+        the caller reads them."""
         with observe.span("query.render"):
-            out = self._order_and_limit(db.flush())
-            preferred = self._preferred_columns()
-            return QueryResult(out, preferred, self.query.format)
+            return self._answer(table.render())
+
+    def _answer(self, out: Union[ColumnStore, list[Record]]) -> QueryResult:
+        if self.query.order_by or self.query.limit is not None:
+            if isinstance(out, ColumnStore):
+                out = result_records(out)
+            out = self._order_and_limit(out)
+        return QueryResult(out, self._preferred_columns(), self.query.format)
 
     # -- helpers -------------------------------------------------------------------
 

@@ -2,18 +2,20 @@
 
 Runs one CalQL query across many per-process datasets in parallel: each
 (simulated) process reads and locally aggregates its assigned input files
-with the same engine the serial query uses, then partial aggregation
-databases travel up a k-ary reduction tree — "leaf processes send the local
+with the same engine the serial query uses, then partial state tables
+travel up a k-ary reduction tree — "leaf processes send the local
 aggregation results to their parent, where the partial results are
-aggregated again" — until the root holds the final result.
+aggregated again" — until the root holds the final result.  Each message is
+the sender's ``RSB1`` state batch (:meth:`StateTable.to_binary`), so the
+bytes the network model charges are the codec's real bytes.
 
 Timing honesty, matching how we reproduce Figure 4:
 
 * the *local read + process* phase is **really executed and really timed**
   (``perf_counter`` around file reading and aggregation), and the measured
   duration is charged to the rank's virtual clock;
-* the *combine* steps of the reduction are likewise really executed and
-  really timed;
+* the *combine* steps of the reduction (decode + column merge) are
+  likewise really executed and really timed;
 * only the *message* costs come from the simulator's network model.
 
 So the "local" curve of Fig. 4 is a measurement of this library and the
@@ -31,6 +33,7 @@ from typing import Callable, Optional, Sequence, Union
 from .. import observe
 from ..common.errors import QueryError
 from ..common.record import Record
+from ..aggregate.table import StateTable
 from ..common.util import children_of, chunk_evenly, parent_of
 from ..mpi.network import NetworkModel
 from ..mpi.simulator import Comm, SimWorld
@@ -180,7 +183,7 @@ class MPIQueryRunner:
         Each rank's records are generated inside its local phase (the
         generation time is excluded from the measured local time) and
         released right after feeding, so peak memory is one rank's records
-        plus the partial databases — what makes laptop sweeps to thousands
+        plus the partial tables — what makes laptop sweeps to thousands
         of simulated ranks feasible.
         """
         return self._run([[_Lazy(factory, rank)] for rank in range(self.size)],
@@ -193,14 +196,14 @@ class MPIQueryRunner:
         per_rank: list[PhaseTimes] = [PhaseTimes() for _ in range(self.size)]
         final_holder: dict[str, QueryResult] = {}
         # Reduction-tree telemetry, keyed by the *sending* rank's tree level
-        # (the level of the edge the partial DB travels over).  The
+        # (the level of the edge the partial table travels over).  The
         # simulator interleaves rank programs on one thread, so plain dicts
         # are safe here.
         sends_by_level: dict[int, int] = {}
         wire_by_level: dict[int, int] = {}
         combine_by_level: dict[int, float] = {}
         # One compiled engine shared by all ranks: the scheme is immutable
-        # and every rank gets its own database from make_db().
+        # and every rank gets its own table from make_db().
         engine = QueryEngine(self.query_text)
 
         def program(comm: Comm):
@@ -208,7 +211,7 @@ class MPIQueryRunner:
             start = comm.now()
 
             # --- phase 1: read and locally aggregate assigned input ---------
-            db = engine.make_db()
+            table = engine.make_db()
             modeled_io = 0.0
             num_fed = 0
             measured_local = 0.0
@@ -221,7 +224,7 @@ class MPIQueryRunner:
                             + os.path.getsize(item) / self.io_bandwidth
                         )
                     # .rcf stays columnar: chunk stores feed the kernels
-                    num_fed += engine.feed_file(db, item)[0]
+                    num_fed += engine.feed_file(table, item)[0]
                     measured_local += time.perf_counter() - wall0
                     continue
                 if isinstance(item, _Lazy):
@@ -233,7 +236,7 @@ class MPIQueryRunner:
                     records = item
                     wall0 = time.perf_counter()
                 num_fed += len(records)
-                engine.feed(db, records)
+                engine.feed(table, records)
                 measured_local += time.perf_counter() - wall0
                 del records  # free before the next chunk / the reduction
             if modeled_io:
@@ -245,13 +248,13 @@ class MPIQueryRunner:
             phase.io = modeled_io
             phase.local = comm.now() - start
 
-            # --- phase 2: tree reduction of partial databases ----------------
+            # --- phase 2: tree reduction of partial tables -------------------
             reduce_start = comm.now()
             for child in children_of(comm.rank, comm.size, self.fanout):
-                incoming = yield from comm.recv(src=child, tag=_TAG_PARTIAL)
-                incoming_entries = incoming.num_entries
+                blob = yield from comm.recv(src=child, tag=_TAG_PARTIAL)
                 wall1 = time.perf_counter()
-                db.combine(incoming)
+                incoming = StateTable.from_binary(engine.scheme, blob)
+                table.merge(incoming)
                 combine_seconds = time.perf_counter() - wall1
                 child_level = _tree_level(child, self.fanout)
                 combine_by_level[child_level] = (
@@ -259,18 +262,18 @@ class MPIQueryRunner:
                 )
                 if self.combine_rate is not None:
                     yield from comm.compute(
-                        max(1, incoming_entries) / self.combine_rate
+                        max(1, len(incoming)) / self.combine_rate
                     )
                 else:
                     yield from comm.compute(combine_seconds)
             if comm.rank != 0:
                 parent = parent_of(comm.rank, self.fanout)
-                nbytes = db.wire_size()
+                blob = table.to_binary()
                 level = _tree_level(comm.rank, self.fanout)
                 sends_by_level[level] = sends_by_level.get(level, 0) + 1
-                wire_by_level[level] = wire_by_level.get(level, 0) + nbytes
+                wire_by_level[level] = wire_by_level.get(level, 0) + len(blob)
                 yield from comm.send(
-                    parent, db, tag=_TAG_PARTIAL, nbytes=nbytes
+                    parent, blob, tag=_TAG_PARTIAL, nbytes=len(blob)
                 )
                 phase.reduce = comm.now() - reduce_start
             else:
@@ -279,7 +282,7 @@ class MPIQueryRunner:
                 # part of the cross-process reduction the paper's Fig. 4
                 # plots — charged to the clock but outside phase.reduce.
                 wall2 = time.perf_counter()
-                final_holder["result"] = engine.finalize(db)
+                final_holder["result"] = engine.finalize(table)
                 yield from comm.compute(time.perf_counter() - wall2)
             phase.total = comm.now() - start
             return None

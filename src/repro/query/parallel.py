@@ -8,9 +8,10 @@ fans the input files out to worker processes, each worker
 **partially aggregates** its chunk with the regular
 :class:`~repro.query.engine.QueryEngine` (columnar-planned when the scheme
 qualifies; ``.rcf`` files are decoded into chunk stores and never turned
-into records), and only the small per-key operator states travel back to be
-merged through :meth:`AggregationDB.load_states` — the combine step of the
-paper's tree, flattened to one level because a process pool has no
+into records) into a :class:`~repro.aggregate.table.StateTable`, and only
+its ``RSB1`` state batch (:meth:`StateTable.to_binary`) travels back, to be
+decoded and merged by column (:meth:`StateTable.merge`) — the combine step
+of the paper's tree, flattened to one level because a process pool has no
 network hierarchy worth modelling.
 
 Shipping aggregated states instead of records is what makes this win: the
@@ -25,10 +26,9 @@ import time
 from typing import Optional, Sequence, Union
 
 from .. import observe
-from ..aggregate.db import AggregationDB
+from ..aggregate.table import StateTable
 from ..common.errors import QueryError
 from ..common.util import chunk_evenly
-from ..common.variant import Variant
 from ..io.dataset import _resolve_workers
 from .engine import QueryEngine, QueryResult
 from .options import QueryOptions
@@ -47,9 +47,9 @@ _FileTiming = tuple[str, float, float]
 
 
 def _feed_files(
-    engine: QueryEngine, db: AggregationDB, paths: Sequence[str], backend: str
+    engine: QueryEngine, table: StateTable, paths: Sequence[str], backend: str
 ) -> list[_FileTiming]:
-    """Partially aggregate ``paths`` into ``db``, one file at a time
+    """Partially aggregate ``paths`` into ``table``, one file at a time
     (:meth:`QueryEngine.feed_file`: ``.rcf`` files stay columnar, parse =
     reader open + chunk decode; text formats are parsed into records).
     Durations are measured here — possibly in a worker process, out of
@@ -58,7 +58,7 @@ def _feed_files(
     timings: list[_FileTiming] = []
     for path in paths:
         start = time.perf_counter()
-        _rows, parse_seconds = engine.feed_file(db, path, backend)
+        _rows, parse_seconds = engine.feed_file(table, path, backend)
         feed_seconds = time.perf_counter() - start - parse_seconds
         timings.append((os.path.basename(path), parse_seconds, feed_seconds))
     return timings
@@ -66,19 +66,20 @@ def _feed_files(
 
 def _partial_worker(
     query_text: str, paths: list[str], backend: str
-) -> tuple[list[tuple[dict[str, Variant], list[list]]], int, int, list[_FileTiming]]:
-    """Partially aggregate one chunk of files (runs in a worker process).
+) -> tuple[bytes, int, int, list[_FileTiming]]:
+    """Partially aggregate one chunk of files (runs in a worker process):
+    the table's state batch, its stream counters and per-file timings.
 
     The query is compiled from text in the worker because compiled
     predicates (closures) do not pickle; schemes built from the same text
-    are equal, so the exported states merge cleanly at the parent.  The
+    are equal, so the shipped states merge cleanly at the parent.  The
     per-file timings are shipped back with the states, so the parent's
     metrics registry can attribute worker time.
     """
     engine = QueryEngine(query_text)
-    db = engine.make_db()
-    timings = _feed_files(engine, db, paths, backend)
-    return db.export_states(), db.num_offered, db.num_processed, timings
+    table = engine.make_db()
+    timings = _feed_files(engine, table, paths, backend)
+    return table.to_binary(), table.num_offered, table.num_processed, timings
 
 
 def _record_worker_timings(timings: Sequence[_FileTiming]) -> None:
@@ -116,10 +117,10 @@ def parallel_query_files(
             "parallel_query_files requires an aggregation query "
             "(partial results must be combinable)"
         )
-    db = engine.make_db()
+    table = engine.make_db()
     if not path_list:
         # No inputs: an empty result of the right shape, no pool spin-up.
-        return engine.finalize(db)
+        return engine.finalize(table)
     n_workers = _resolve_workers(
         pool_size,
         len(path_list),
@@ -130,7 +131,7 @@ def parallel_query_files(
         "parallel.query_files", files=len(path_list), workers=n_workers
     ):
         if n_workers <= 1:
-            _record_worker_timings(_feed_files(engine, db, path_list, opts.backend))
+            _record_worker_timings(_feed_files(engine, table, path_list, opts.backend))
         else:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -142,9 +143,11 @@ def parallel_query_files(
                 ]
                 # Merge in submission order for a deterministic result.
                 for future in futures:
-                    states, offered, processed, timings = future.result()
+                    blob, offered, processed, timings = future.result()
                     with observe.span("parallel.merge"):
-                        db.load_states(states, offered=offered, processed=processed)
+                        part = StateTable.from_binary(engine.scheme, blob)
+                        part.num_offered, part.num_processed = offered, processed
+                        table.merge(part)
                     _record_worker_timings(timings)
-                    observe.count("parallel.states.shipped", len(states))
-        return engine.finalize(db)
+                    observe.count("parallel.states.shipped", len(part))
+        return engine.finalize(table)

@@ -14,6 +14,10 @@ arrival model — de-weight the linear state cells back to raw sample scale
 (multiply by ``p``; uniform weights make this exact) and the window
 estimator's ``n/f`` extrapolation *is* the Horvitz–Thompson estimate, with
 matching variance.
+
+The sample folds into a :class:`~repro.aggregate.table.StateTable`: the
+point aggregates are its render (what a flush of the same weighted stream
+gives), with each slot's estimate columns appended.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, Optional
 
-from ..aggregate.db import AggregationDB
 from ..aggregate.ops import (
     AvgOp,
     CountOp,
@@ -34,10 +37,11 @@ from ..aggregate.ops import (
     VarianceOp,
     WEIGHT_LABEL,
 )
+from ..aggregate.table import StateTable
 from ..common.errors import QueryError
 from ..common.record import Record
 from ..common.variant import Variant
-from ..window.estimate import WindowEstimator, scheme_with_moments
+from ..window.estimate import WindowEstimator, scheme_with_moments, with_entries
 
 __all__ = ["sample_records", "sampled_query", "scheme_with_moments"]
 
@@ -133,30 +137,13 @@ def sampled_query(
         )
 
     scheme = scheme_with_moments(engine.scheme)
-    db = AggregationDB(scheme)
-    db.process_all(sample_records(engine._preprocess(records), p, seed))
+    table = StateTable(scheme)
+    table.fold(sample_records(engine._preprocess(records), p, seed), where=engine.query.where)
 
     estimator = WindowEstimator(scheme, confidence)
-    ops = scheme.ops
-    totals: dict[int, float] = {}
-    groups = db.export_states()
-    for i, op in enumerate(ops):
-        if getattr(op, "needs_global_total", False):
-            totals[i] = sum(states[i][1] for _, states in groups)
-
-    out = []
-    for entries, states in groups:
-        data = dict(entries)
-        for i, (op, state) in enumerate(zip(ops, states)):
-            if i in totals:
-                results = op.results_with_total(state, totals[i])
-            else:
-                results = op.results(state)
-            for label, value in results:
-                data[label] = value
-        for label, value in estimator.estimate_entries(_deweight(ops, states, p), p):
-            data[label] = value
-        out.append(Record.from_variants(data))
-
+    out = with_entries(table, [
+        estimator.estimate_entries(_deweight(scheme.ops, states, p), p)
+        for _key, states in table.items()
+    ])
     out = engine._order_and_limit(out)
     return QueryResult(out, engine._preferred_columns(), engine.query.format)

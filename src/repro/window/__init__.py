@@ -37,7 +37,6 @@ from .db import (
     WindowedAggregationDB,
     WindowFront,
     dewindowize_scheme,
-    window_end_of,
     windowize_scheme,
 )
 from .estimate import FRACTION_LABEL, SAMPLES_LABEL, WindowEstimator, z_for_confidence
@@ -66,5 +65,4 @@ __all__ = [
     "WindowFront",
     "windowize_scheme",
     "dewindowize_scheme",
-    "window_end_of",
 ]

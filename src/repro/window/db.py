@@ -1,12 +1,12 @@
 """Windowed aggregation state: the window front and the single-process DB.
 
 Windows are extra key attributes, so one ordinary
-:class:`~repro.aggregate.db.AggregationDB` over the *windowized* scheme
-holds every open window's state; retirement pops closed windows' entries
-out of the table (freeing state) and folds them into a final-results DB
-with plain ``combine`` semantics — so a straggler remnant that surfaces
-later (e.g. a record that raced a retirement barrier) merges into the same
-window exactly instead of duplicating it.
+:class:`~repro.aggregate.table.StateTable` over the *windowized* scheme
+holds every open window's state; retirement pops closed windows' slots out
+of the table (:meth:`StateTable.pop`, freeing state) and merges them into a
+final-results table — so a straggler remnant that surfaces later (e.g. a
+record that raced a retirement barrier) merges into the same window exactly
+instead of duplicating it.
 
 :class:`WindowFront` is the one place the window/lateness rules are written
 down.  :class:`WindowedAggregationDB` drives one front over a single table;
@@ -17,15 +17,15 @@ its shards and forwarded-state DBs, holding :attr:`WindowFront.lock`.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..aggregate.db import AggregationDB
 from ..aggregate.ops import MomentsOp
 from ..aggregate.scheme import AggregationScheme
+from ..aggregate.table import StateTable
 from ..common.record import Record
-from ..common.variant import Variant
+from ..io.colfile import ColumnStore
 from .assign import (
     DEFAULT_TIME_ATTRIBUTE,
     WINDOW_END,
@@ -38,14 +38,9 @@ from .assign import (
 from .estimate import WindowEstimator, _unwrap, scheme_with_moments
 from .watermark import WatermarkTracker
 
-if TYPE_CHECKING:
-    from ..io.colfile import ColumnStore
-
 __all__ = [
     "windowize_scheme",
     "dewindowize_scheme",
-    "window_end_of",
-    "closed_below",
     "WindowFront",
     "WindowedAggregationDB",
 ]
@@ -75,24 +70,6 @@ def dewindowize_scheme(scheme: AggregationScheme) -> AggregationScheme:
     return AggregationScheme(ops, key=key, predicate=scheme.predicate)
 
 
-def window_end_of(entries: Dict[str, Variant]) -> Optional[float]:
-    """The ``window.end`` of exported key entries, or ``None``."""
-    value = entries.get(WINDOW_END)
-    if value is not None and value.is_numeric:
-        return float(value.value)
-    return None
-
-
-def closed_below(mark: float) -> Callable[[Dict[str, Variant]], bool]:
-    """Predicate over exported key entries: window closed below ``mark``."""
-
-    def closed(entries) -> bool:
-        end = window_end_of(entries)
-        return end is not None and end <= mark
-
-    return closed
-
-
 class WindowFront:
     """Stamping, watermarks and retirement for ``scheme`` over ``window``.
 
@@ -113,10 +90,10 @@ class WindowFront:
         self.time_attribute = time_attribute
         self.tracker = WatermarkTracker(lateness)
         self.estimator = WindowEstimator(self.scheme, confidence=confidence)
-        #: retired windows' merged final states — combine semantics, so a
-        #: straggler that raced a retirement barrier merges exactly into
-        #: its window instead of duplicating it
-        self.retired = AggregationDB(self.scheme, fold_plan="generic")
+        #: retired windows' merged final states — a straggler that raced a
+        #: retirement barrier merges exactly into its window instead of
+        #: duplicating it
+        self.retired = StateTable(self.scheme)
         #: highest watermark retired so far; stamped copies at or below it
         #: are dropped (the window's final result is immutable once emitted)
         self.retire_floor: Optional[float] = None
@@ -174,8 +151,8 @@ class WindowFront:
         return stamped, late, untimed
 
     def stamp_store(
-        self, source: str, store: "ColumnStore"
-    ) -> Tuple["ColumnStore", Optional[np.ndarray], int, int]:
+        self, source: str, store: ColumnStore
+    ) -> Tuple[ColumnStore, Optional[np.ndarray], int, int]:
         """:meth:`stamp` over a decoded column batch, without building a
         :class:`Record`: ``(stamped store, rows, late, un-timed)``.
 
@@ -231,17 +208,18 @@ class WindowFront:
         self.tracker.remove(source)
         self._clocks.pop(source, None)
 
-    def finalize(self, mark: float, popped) -> List[Record]:
-        """Retire the ``(entries, states)`` groups popped as closed below
-        ``mark``: raise the retire floor, fold them into the retired-results
-        DB, return the *newly* retired windows' output records."""
+    def finalize(self, mark: float, popped: Sequence[StateTable]) -> List[Record]:
+        """Retire the tables popped as closed below ``mark``: raise the
+        retire floor, merge them into the retired-results table, return the
+        *newly* retired windows' output records."""
         if self.retire_floor is None or mark > self.retire_floor:
             self.retire_floor = mark
-        if not popped:
+        if not any(len(table) for table in popped):
             return []
-        fresh = AggregationDB(self.scheme, fold_plan="generic")
-        fresh.load_states(popped)
-        self.retired.load_states(fresh.export_states())
+        fresh = StateTable(self.scheme)
+        for table in popped:
+            fresh.merge(table)
+        self.retired.merge(fresh)
         return fresh.flush()
 
     def retired_results(self) -> List[Record]:
@@ -262,24 +240,28 @@ class WindowedAggregationDB(WindowFront):
 
     def __init__(self, scheme: AggregationScheme, window, **front_options) -> None:
         super().__init__(scheme, window, **front_options)
-        self.db = AggregationDB(self.scheme)
+        #: every open window's partial state
+        self.table = StateTable(self.scheme)
 
     def process(self, record: Record, source: str = "local") -> bool:
         """Stamp and fold one record; False when late/un-timed (not folded)."""
         return self.process_all((record,), source) == 1
 
     def process_all(self, records, source: str = "local") -> int:
-        """Fold a record stream; returns how many records were folded."""
-        records = list(records)
-        stamped, late, untimed = self.stamp(source, records)
-        self.db.process_all(stamped)
-        return len(records) - late - untimed
+        """Fold a record stream; returns how many records were folded.
+
+        Stamped as columns (:meth:`stamp_store`), as the server stamps a
+        decoded batch: one window rule for both."""
+        store = ColumnStore.from_records(records)
+        stamped, rows, late, untimed = self.stamp_store(source, store)
+        self.table.fold(stamped, rows)
+        return len(store) - late - untimed
 
     def retire(self, watermark: Optional[float] = None) -> List[Record]:
         """Finalize every window closed below the watermark.
 
-        Pops the closed windows' state out of the live table, folds it into
-        the final-results DB, and returns the *newly* retired windows'
+        Pops the closed windows' state out of the live table, merges it into
+        the final-results table, and returns the *newly* retired windows'
         output records.  State for retired windows is freed from the live
         table; late arrivals for them are dropped by :meth:`process` (their
         event time is below the watermark by construction).
@@ -287,22 +269,18 @@ class WindowedAggregationDB(WindowFront):
         mark = self.watermark() if watermark is None else watermark
         if mark is None:
             return []
-        return self.finalize(mark, self.db.pop_entries(closed_below(mark)))
-
-    def open_groups(self) -> List[Tuple[dict, Sequence[list]]]:
-        return self.db.export_states()
+        return self.finalize(mark, [self.table.pop(WINDOW_END, mark)])
 
     def estimates(self, watermark: Optional[float] = None) -> List[Record]:
         """Partial aggregates + confidence intervals for open windows."""
         mark = self.watermark() if watermark is None else watermark
-        return self.estimator.estimate_records(self.db.export_states(), mark)
+        return self.estimator.estimate_records(self.table, mark)
 
     def results(self) -> List[Record]:
         """Every window's current output (open partials + retired finals)."""
-        merged = AggregationDB(self.scheme, fold_plan="generic")
-        merged.load_states(self.db.export_states())
-        merged.load_states(self.retired.export_states())
+        merged = self.table.copy()
+        merged.merge(self.retired)
         return merged.flush()
 
     def __len__(self) -> int:
-        return len(self.db)
+        return len(self.table)

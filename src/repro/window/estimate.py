@@ -13,8 +13,9 @@ Poisson-distributed around its mean), the partial states extrapolate:
 - ``avg(x)``: the running mean, plain CLT interval ``± z * sd / sqrt(n)``
 
 Per-value moments come from the hidden ``est_moments`` operator the server
-adds when windowing a scheme.  Estimates are emitted as extra columns next
-to the partial aggregates:
+adds when windowing a scheme.  The partial aggregates are the state table's
+own render (:meth:`~repro.aggregate.table.StateTable.render`, what a flush
+gives); estimates are emitted as extra columns next to them:
 
 - ``est#<label>``       point estimate of the final value
 - ``est.lo#<label>``    lower confidence bound
@@ -26,7 +27,7 @@ to the partial aggregates:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..aggregate.ops import (
     AggregateOp,
@@ -40,6 +41,9 @@ from ..aggregate.scheme import AggregationScheme
 from ..common.record import Record
 from ..common.variant import Variant
 from .assign import WINDOW_END, WINDOW_START
+
+if TYPE_CHECKING:
+    from ..aggregate.table import StateTable
 
 __all__ = [
     "z_for_confidence",
@@ -113,7 +117,7 @@ class WindowEstimator:
     """Turns per-window partial states into estimate records.
 
     Built once per (windowed) scheme; :meth:`estimate_records` is then a
-    pure function of exported state groups and the current watermark.
+    pure function of a state table and the current watermark.
     """
 
     def __init__(self, scheme: AggregationScheme, confidence: float = 0.90) -> None:
@@ -219,39 +223,35 @@ class WindowEstimator:
         return out
 
     def estimate_records(
-        self,
-        groups: Sequence[Tuple[dict, Sequence[list]]],
-        watermark: Optional[float],
+        self, table: "StateTable", watermark: Optional[float]
     ) -> List[Record]:
-        """Partial results + estimate columns for exported state groups.
+        """Partial results + estimate columns for a windowized table's slots.
 
-        ``groups`` is ``[(key_entries, states), ...]`` as produced by
-        ``AggregationDB.export_states`` on a windowized scheme; every key
-        carries ``window.start`` / ``window.end``.
+        Each slot's window fraction comes from its key's ``window.start`` /
+        ``window.end`` (0 when either is missing or not a number).
         """
-        out: List[Record] = []
-        for entries, states in groups:
-            data = dict(entries)
-            start_v = data.get(WINDOW_START)
-            end_v = data.get(WINDOW_END)
-            fraction = 0.0
-            if (
-                watermark is not None
-                and start_v is not None
-                and end_v is not None
-                and start_v.is_numeric
-                and end_v.is_numeric
-            ):
-                start = float(start_v.value)
-                end = float(end_v.value)
-                span = end - start
-                if span > 0:
-                    fraction = (watermark - start) / span
-            # partial aggregate columns first, estimates after
-            for op, state in zip(self.scheme.ops, states):
-                for label, value in op.results(state):
-                    data[label] = value
-            for label, value in self.estimate_entries(states, fraction):
-                data[label] = value
-            out.append(Record.from_variants(data))
-        return out
+        start, end = (self.scheme.key.index(label) for label in (WINDOW_START, WINDOW_END))
+        return with_entries(table, [
+            self.estimate_entries(states, _fraction(key[start], key[end], watermark))
+            for key, states in table.items()
+        ])
+
+
+def _fraction(
+    start: Optional[Variant], end: Optional[Variant], watermark: Optional[float]
+) -> float:
+    """The fraction of ``[start, end)`` the watermark has passed."""
+    if watermark is None or start is None or end is None:
+        return 0.0
+    if not (start.is_numeric and end.is_numeric):
+        return 0.0
+    span = float(end.value) - float(start.value)
+    return (watermark - float(start.value)) / span if span > 0 else 0.0
+
+
+def with_entries(
+    table: "StateTable", entries: Sequence[Sequence[Tuple[str, Variant]]]
+) -> List[Record]:
+    """One output record per slot: the table's flush (its render, hydrated),
+    each slot's record followed by its ``entries``."""
+    return [record.with_entries(dict(extra)) for record, extra in zip(table.flush(), entries)]

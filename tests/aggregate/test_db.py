@@ -280,51 +280,3 @@ class TestIntrospectionInvariants:
         db.process(Record({"time.duration": 1}))  # no key at all
         assert db.num_partial_keys == 2
         assert db.num_entries == 3
-
-
-class TestPopEntries:
-    """pop_entries: selective state eviction (windowed retirement uses it)."""
-
-    def seed(self):
-        db = AggregationDB(scheme_count_sum())
-        for name, t in [("foo", 1.0), ("foo", 2.0), ("bar", 4.0), ("baz", 8.0)]:
-            db.process(Record({"function": name, "time.duration": t}))
-        return db
-
-    def test_pops_matching_entries_and_keeps_rest(self):
-        db = self.seed()
-        popped = db.pop_entries(
-            lambda entries: entries["function"].to_string() == "foo"
-        )
-        assert len(popped) == 1
-        entries, states = popped[0]
-        assert entries["function"].to_string() == "foo"
-        assert db.num_entries == 2
-        assert {r.get("function").to_string() for r in db.flush()} == {"bar", "baz"}
-
-    def test_popped_states_load_back_exactly(self):
-        db = self.seed()
-        before = plain(db.flush())
-        popped = db.pop_entries(lambda entries: True)
-        assert db.num_entries == 0
-        dst = AggregationDB(scheme_count_sum())
-        dst.load_states(popped)
-        assert plain(dst.flush()) == before
-
-    def test_no_match_is_a_cheap_noop(self):
-        db = self.seed()
-        epoch = db.table_epoch
-        assert db.pop_entries(lambda entries: False) == []
-        assert db.table_epoch == epoch
-        assert db.num_entries == 3
-
-    def test_pop_bumps_epoch_for_fold_caches(self):
-        db = self.seed()
-        epoch = db.table_epoch
-        db.pop_entries(lambda entries: entries["function"].to_string() == "bar")
-        assert db.table_epoch > epoch
-        # folding after a pop must not resurrect the popped key's state
-        db.process(Record({"function": "bar", "time.duration": 100.0}))
-        got = {r.get("function").to_string(): r for r in db.flush()}
-        assert got["bar"]["count"].value == 1
-        assert got["bar"]["sum#time.duration"].value == 100.0

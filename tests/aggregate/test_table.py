@@ -20,7 +20,6 @@ from repro.io import colfile
 from repro.io.colfile import decode_batch_store, encode_batch, states_from_binary, states_to_binary
 from repro.net.protocol import ProtocolError, table_from_binary
 from repro.query.engine import QueryEngine
-from repro.window.db import closed_below
 
 from ..conftest import examples, records
 from ..query.test_column_fold import SCHEME, bits, exact, exact_value, rows
@@ -47,16 +46,39 @@ def folded(scheme, *batches):
     return table, db
 
 
+def row_merged(scheme, dbs):
+    """The row engine's merge of partial folds: every input's generic fold,
+    combined key by key in order by each operator's own ``combine`` (a new
+    key starts from a copy of its states).  Not one fold of the concatenated
+    rows: a merged sum adds partial sums (``a + (b + c)``), where one fold
+    goes on from the running value (``(a + b) + c``)."""
+    out = AggregationDB(scheme, "generic")
+    for db in dbs:
+        for key, states in db._table.items():
+            mine = out._table.get(key)
+            if mine is None:
+                out._table[key] = [list(state) for state in states]
+                continue
+            for op, state, theirs in zip(scheme.ops, mine, states):
+                op.combine(state, theirs)
+        out.num_offered += db.num_offered
+        out.num_processed += db.num_processed
+    return out
+
+
 @given(batches, st.randoms(use_true_random=False))
 @settings(max_examples=examples(25), deadline=None)
 def test_merge_equals_db_combine_in_any_order(parts, random):
+    # the name is kept for the test's id; the reference is the row engine's
+    # per-operator combine of each part's generic fold (``row_merged``)
     order = list(range(len(parts)))
     random.shuffle(order)
-    merged, combined = StateTable(SCHEME), AggregationDB(SCHEME, "generic")
+    merged, dbs = StateTable(SCHEME), []
     for i in order:
         table, db = folded(SCHEME, parts[i])
         assert merged.merge(table)
-        combined.combine(db)
+        dbs.append(db)
+    combined = row_merged(SCHEME, dbs)
     assert exact(merged) == exact(combined)
     assert (merged.num_offered, merged.num_processed) == (
         combined.num_offered, combined.num_processed
@@ -102,11 +124,18 @@ def test_take_leaves_an_empty_table_and_the_same_totals(first, then):
        st.sampled_from([0.0, 1.0, 2.0, 2.5, 10.0]))
 @settings(max_examples=examples(25), deadline=None)
 def test_pop_by_window_end_equals_pop_entries(parts, mark):
-    table, db = folded(WINDOWED, *parts)
+    # the name is kept for the test's id; the reference is the generic fold
+    # of the rows whose window.end passes the same bound, and of the rest
+    def closed(row):
+        end = row.get("window.end")
+        return end.is_numeric and float(end.value) <= mark
+
+    table, _db = folded(WINDOWED, *parts)
     popped = table.pop("window.end", mark)
-    want = db.pop_entries(closed_below(mark))
-    done = AggregationDB(WINDOWED, "generic")
-    done.load_states(want)
+    done, db = AggregationDB(WINDOWED, "generic"), AggregationDB(WINDOWED, "generic")
+    for part in parts:
+        done.process_all(row for row in part if closed(row))
+        db.process_all(row for row in part if not closed(row))
     assert exact(popped) == exact(done)
     assert exact(table) == exact(db)
     table.fold(parts[0])  # the compacted table still folds
@@ -326,7 +355,7 @@ def in_slot_order(table, db):
     the table does (the sum of doubles depends on it)."""
     ordered = AggregationDB(db.scheme, "generic")
     ordered.load_states(
-        (entries, db.existing_states(key))
+        (entries, db.states_at(key))
         for (entries, _states), key in zip(table.export_states(), table._keys())
     )
     return ordered

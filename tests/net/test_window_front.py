@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.calql import parse_scheme
-from repro.common import Record
+from repro.common import Record, Variant
 from repro.net import AggregationServer
 from repro.net.protocol import MessageType, records_to_binary
 from repro.window import WindowedAggregationDB
@@ -88,6 +88,27 @@ def test_windowed_db_and_sharded_server_agree(schedule, window, lateness):
         assert rows(server.retired_results()) == rows(wdb.retired_results())
         assert rows(server.estimate_results()) == rows(wdb.estimates())
         assert rows(server.drain_results()) == rows(wdb.results())
+    finally:
+        server._shards.stopping.set()
+        server._shards.stop(5.0)
+
+
+def test_a_windowed_servers_estimate_renders_percent_total_against_the_total():
+    scheme = "AGGREGATE percent_total(x) GROUP BY k"
+    batch = [
+        Record({"time.start": 1, "k": "a", "x": 3}),
+        Record({"time.start": 2, "k": "b", "x": 1}),
+    ]
+    server = AggregationServer(scheme, shards=2, window="tumbling(10s)")
+    session = server._hello({"client": "p0", "stream": "s", "caps": ["colbin1"]})[0]
+    server._shards.start()
+    try:
+        mtype, _body = asyncio.run(server._handle(
+            session, MessageType.RECORDS, {"seq": 0}, {"records": records_to_binary(batch)}
+        ))
+        assert mtype is MessageType.ACK
+        estimates = {r.get("k").value: r.get("percent_total#x") for r in server.estimate_results()}
+        assert estimates == {"a": Variant.of(75.0), "b": Variant.of(25.0)}
     finally:
         server._shards.stopping.set()
         server._shards.stop(5.0)

@@ -103,14 +103,20 @@ def exact(db):
     )
 
 
-def rank_at_most(mark):
-    """``pop_entries`` twin of ``StateTable.pop("mpi.rank", mark)``."""
+def without_ranks_at_most(db, mark):
+    """The row engine's twin of ``StateTable.pop("mpi.rank", mark)``: ``db``
+    without the keys whose ``mpi.rank`` is a number ``<= mark``."""
 
     def closed(entries):
         rank = entries.get("mpi.rank")
         return rank is not None and rank.is_numeric and float(rank.value) <= mark
 
-    return closed
+    kept = AggregationDB(db.scheme, "generic")
+    kept.load_states(
+        [(entries, states) for entries, states in db.export_states() if not closed(entries)],
+        db.num_offered, db.num_processed,
+    )
+    return kept
 
 
 @given(steps())
@@ -125,7 +131,7 @@ def test_column_fold_is_bit_identical_to_process(batches):
             by_rows.num_offered = by_rows.num_processed = 0
         elif between == "pop":
             table.pop("mpi.rank", 1.5)
-            by_rows.pop_entries(rank_at_most(1.5))
+            by_rows = without_ranks_at_most(by_rows, 1.5)
         elif between == "merge":
             other = AggregationDB(SCHEME, "generic")
             other.process_all(batch[::2])

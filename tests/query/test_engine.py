@@ -149,7 +149,7 @@ class TestPartialAPI:
         db2 = engine.make_db()
         engine.feed(db1, small_profile_records[:10])
         engine.feed(db2, small_profile_records[10:])
-        db1.combine(db2)
+        db1.merge(db2)
         res = engine.finalize(db1)
         direct = engine.run(small_profile_records)
         assert {tuple(sorted(r.to_plain().items())) for r in res} == {

@@ -178,6 +178,23 @@ class TestReductionTelemetry:
         assert sum(outcome.wire_bytes_by_level.values()) == outcome.bytes
         assert sum(outcome.sends_by_level.values()) == outcome.messages
 
+    def test_wire_bytes_are_the_state_batches_sent(self, monkeypatch):
+        # Fig. 4's per-level bytes are the codec's bytes, not an estimate
+        from repro.aggregate.table import StateTable
+
+        sent = []
+        encode = StateTable.to_binary
+
+        def to_binary(table):
+            blob = encode(table)
+            sent.append(len(blob))
+            return blob
+
+        monkeypatch.setattr(StateTable, "to_binary", to_binary)
+        outcome = self.run(size=9, fanout=3)
+        assert len(sent) == outcome.messages == 8
+        assert sum(outcome.wire_bytes_by_level.values()) == sum(sent)
+
     def test_combine_time_recorded_per_level(self):
         outcome = self.run(size=7)
         # combine is keyed by the *child's* level; with 7 ranks both

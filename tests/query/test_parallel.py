@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.aggregate.table import StateTable
 from repro.common import QueryError, Record
 from repro.io import Dataset, write_colfile, write_records
 from repro.query import QueryEngine, QueryOptions, parallel_query_files
@@ -98,8 +99,10 @@ class TestWorker:
         engine = QueryEngine(QUERY)
         db = engine.make_db()
         for chunk in (paths[:2], paths[2:]):
-            states, offered, processed, _timings = _partial_worker(QUERY, chunk, "auto")
-            db.load_states(states, offered=offered, processed=processed)
+            blob, offered, processed, _timings = _partial_worker(QUERY, chunk, "auto")
+            part = StateTable.from_binary(engine.scheme, blob)
+            part.num_offered, part.num_processed = offered, processed
+            db.merge(part)
         assert db.num_processed == 100
         got = engine.finalize(db)
         want = serial_result(many_files)

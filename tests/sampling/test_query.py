@@ -79,6 +79,31 @@ class TestSampledQuery:
             assert lo <= point <= hi
             assert entries["est.fraction"].value == pytest.approx(0.2)
 
+    def test_point_columns_are_the_row_engine_flush_of_the_sample(self):
+        # bit for bit: the same seeded sample folded by the generic row engine
+        from repro.aggregate import AggregationDB
+        from repro.calql import parse_scheme
+
+        from ..query.test_column_fold import exact_value
+
+        query = "AGGREGATE count, avg(x), percent_total(x) GROUP BY k"
+        records = make_records(600, groups=3, seed=11)
+        db = AggregationDB(parse_scheme(query), "generic")
+        db.process_all(sample_records(records, 0.3, seed=4))
+
+        def exact_rows(rows):
+            return sorted(
+                sorted((label, *exact_value(v)) for label, v in r.items()
+                       if not label.startswith("est"))
+                for r in rows
+            )
+
+        got = sampled_query(query, records, 0.3, seed=4).records
+        assert exact_rows(got) == exact_rows(db.flush())
+        assert {label for r in got for label in r.labels()} >= {
+            "count", "avg#x", "percent_total#x"
+        }
+
     def test_counts_scale_to_truth(self):
         records = make_records(8000)
         result = table(sampled_query(QUERY, records, 0.3, seed=5))

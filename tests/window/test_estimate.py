@@ -94,12 +94,31 @@ class TestEstimateColumns:
         scheme = windowize_scheme(parse_scheme(SCHEME_TEXT))
         estimator = WindowEstimator(scheme)
         wdb = self.make([rec("a", 3.0, 1.0)])
-        (est,) = estimator.estimate_records(wdb.open_groups(), None)
+        (est,) = estimator.estimate_records(wdb.table, None)
         cols = {k: v.value for k, v in est.items()}
         assert cols[FRACTION_LABEL] == 0.0
         # no extrapolation possible, but partials and samples still there
         assert cols["count"] == 1 and cols[SAMPLES_LABEL] == 1
         assert "est#count" not in cols
+
+
+def test_an_estimate_renders_percent_total_against_the_total_over_every_window():
+    # the point columns are the table's render: percent_total divides by
+    # the total over every slot, as results() does, not the raw sums
+    wdb = WindowedAggregationDB(
+        parse_scheme("AGGREGATE percent_total(x) GROUP BY k"), "tumbling(10s)"
+    )
+    wdb.process_all([
+        Record({"time.start": 1, "k": "a", "x": 3}),
+        Record({"time.start": 2, "k": "b", "x": 1}),
+    ])
+
+    def shares(records):
+        return {r.get("k").value: r.get("percent_total#x") for r in records}
+
+    assert shares(wdb.estimates()) == shares(wdb.results()) == {
+        "a": Variant.of(75.0), "b": Variant.of(25.0),
+    }
 
 
 class TestEmpiricalCoverage:
@@ -126,10 +145,8 @@ class TestEmpiricalCoverage:
             wdb = WindowedAggregationDB(
                 parse_scheme(SCHEME_TEXT), "tumbling(100s)", lateness=0.0
             )
-            for t, v in zip(times, values):
-                if t <= mark:
-                    wdb.process(rec("a", t, v))
-            groups = wdb.open_groups()
+            wdb.process_all(rec("a", t, v) for t, v in zip(times, values) if t <= mark)
+            groups = wdb.table
             if not groups:
                 covered += 1  # nothing observed: no interval to falsify
                 continue
