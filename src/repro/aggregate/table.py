@@ -1172,22 +1172,28 @@ class StateTable:
         ]
         return list(zip(*ops)) if ops else [()] * n
 
-    def items(self) -> list[tuple[tuple, list[list]]]:
-        """``(key, states)`` per slot, in slot order: the key tuple as an
-        ``AggregationDB`` keys its entries (``None`` where a label is
-        absent) and the operator states as fresh lists."""
+    def export_states(self) -> list[tuple[dict[str, Variant], list[list]]]:
+        """``AggregationDB.export_states`` form: ``(key entries, states)``
+        per slot, in slot order, the states as fresh lists — the list-form
+        boundary."""
+        labels = self._key
         return [
-            (key, [list(state) for state in states])
+            (
+                {label: v for label, v in zip(labels, key) if v is not None},
+                [list(state) for state in states],
+            )
             for key, states in zip(self._keys(), self._rows())
         ]
 
-    def export_states(self) -> list[tuple[dict[str, Variant], list[list]]]:
-        """``AggregationDB.export_states`` form: ``(key entries, states)``
-        per slot, in slot order — the list-form boundary."""
-        labels = self._key
+    def state_columns(self, index: int) -> list[np.ndarray]:
+        """Operator ``index``'s count and float cells over the slots, as
+        float64 (a count as ``float()`` converts its int or float cell):
+        what the window estimator reads of a count / sum / avg / moments
+        state."""
+        n = self._n
         return [
-            ({label: v for label, v in zip(labels, key) if v is not None}, states)
-            for key, states in self.items()
+            _count_values(cell, n) if isinstance(cell, _Count) else cell.values[:n]
+            for cell in self._cells[index]
         ]
 
     @classmethod
@@ -1261,20 +1267,14 @@ class StateTable:
         columns.  Operator count, state widths and cell types are checked
         against ``scheme`` once per operator state cell (a :class:`ColfileError`
         otherwise); an int cell outside 64 bits is one too."""
-        store, ops, generic = colfile.decode_states(blob, limits)
+        store, ops = colfile.decode_states(blob, limits)
         n = len(store)
         widths = [op.state_width() for op in scheme.ops]
-        if generic is not None:
-            states = [[s if isinstance(s, list) else [s] for s in group] for group in generic]
-            for group in states:
-                _check_widths([len(s) for s in group], widths)
-            cells = _cells_from_states(scheme.ops, states)
+        if n:
+            _check_widths([len(slots) for slots in ops], widths)
         else:
-            if n:
-                _check_widths([len(slots) for slots in ops], widths)
-            else:
-                ops = [[("o", [])] * width for width in widths]
-            cells = _load_cells(scheme.ops, ops, n)
+            ops = [[("o", [])] * width for width in widths]
+        cells = _load_cells(scheme.ops, ops, n)
         codes, values = [], []
         for label in scheme.key:
             column_codes, column_values = store.interned(label)

@@ -486,6 +486,8 @@ class _NumColumn:
         if vtype is ValueType.BOOL:
             return [Variant(vtype, bool(x)) for x in values.tolist()]
         if whole is None:
+            if vtype is _DOUBLE and values.dtype == np.float64:
+                return list(map(Variant.double, values.tolist()))
             return [Variant(vtype, x) for x in values.tolist()]
         with np.errstate(invalid="ignore"):
             integral = np.isfinite(values) & (values == np.trunc(values))
@@ -1358,7 +1360,7 @@ def unpack_value(
 #   ("o", list of Python cells)                  classified cell by cell
 
 _SLOT_INT, _SLOT_FLOAT, _SLOT_GENERIC = 0, 1, 2
-_MODE_COLUMNAR, _MODE_GENERIC = 0, 1
+_MODE_COLUMNAR = 0
 _SLOT_LETTER = {_SLOT_INT: "i", _SLOT_FLOAT: "f"}
 
 #: the shift of each of a 64-bit varint's (at most) ten 7-bit groups
@@ -1510,10 +1512,9 @@ def encode_states(
 
 def decode_states(
     buf: Union[bytes, memoryview], limits: Optional[DecodeLimits] = None
-) -> tuple[ColumnStore, Optional[list[list[tuple]]], Optional[list]]:
+) -> tuple[ColumnStore, list[list[tuple]]]:
     """Decode an ``RSB1`` batch (defensively validated) into ``(key store,
-    slots per operator, None)`` — or, for a batch whose groups have
-    different state widths, ``(key store, None, each group's states)``."""
+    slots per operator)``."""
     limits = limits or _DEFAULT_LIMITS
     mv = memoryview(buf)
     if len(mv) < len(STATES_MAGIC) + 1 + 4:
@@ -1527,11 +1528,6 @@ def decode_states(
     nrows, columns = decode_batch(mv[9 : 9 + entries_len], limits)
     key_store = ColumnStore(nrows, columns)
     pos = 9 + entries_len
-    if mode == _MODE_GENERIC:
-        value, end = unpack_value(mv, pos)
-        if end != len(mv) or not isinstance(value, list) or len(value) != nrows:
-            raise ColfileError("bad generic state batch")
-        return key_store, None, value
     if mode != _MODE_COLUMNAR:
         raise ColfileError(f"unknown state batch mode {mode}")
     if pos + 4 > len(mv):
@@ -1564,7 +1560,7 @@ def decode_states(
         ops.append(slots)
     if pos != len(mv):
         raise ColfileError("trailing bytes after state batch")
-    return key_store, ops, None
+    return key_store, ops
 
 
 def states_to_binary(
@@ -1576,9 +1572,9 @@ def states_to_binary(
     column batch; state cells are laid out column-by-column per
     ``(operator, slot)`` — presence bitmap + zigzag varints for integer
     slots, bitmap + raw float64 for float slots, the generic packed codec
-    for everything else (an int outside 64 bits included).  Falls back to a
-    fully generic layout when operator widths differ between groups (a
-    malformed but representable input).
+    for everything else (an int outside 64 bits included).  Every group
+    must have the first one's state widths (a :class:`ColfileError`
+    otherwise): one scheme's states do.
     """
     groups = list(groups)
     n = len(groups)
@@ -1588,13 +1584,7 @@ def states_to_binary(
         len(states) != len(widths) or any(len(s) != w for s, w in zip(states, widths))
         for _, states in groups
     ):
-        out = bytearray(STATES_MAGIC)
-        out.append(_MODE_GENERIC)
-        entries_batch = encode_columns(n, keys)
-        out += _U32.pack(len(entries_batch))
-        out += entries_batch
-        out += pack_value([states for _, states in groups])
-        return bytes(out)
+        raise ColfileError("state groups have different operator state widths")
     ops = [
         [("o", [states[i][j] for _, states in groups]) for j in range(width)]
         for i, width in enumerate(widths)
@@ -1607,13 +1597,8 @@ def states_from_binary(
 ) -> list[tuple[dict[str, Variant], list[list]]]:
     """Decode :func:`states_to_binary` output: :func:`decode_states` in
     list form."""
-    key_store, ops, generic = decode_states(buf, limits)
+    key_store, ops = decode_states(buf, limits)
     entries = [dict(r._entries) for r in key_store.records]
-    if generic is not None:
-        return [
-            (e, [list(s) if isinstance(s, list) else [s] for s in states])
-            for e, states in zip(entries, generic)
-        ]
     cells = [[slot_cells(slot) for slot in slots] for slots in ops]
     return [
         (e, [[column[g] for column in op] for op in cells]) for g, e in enumerate(entries)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -457,12 +458,28 @@ class AggregationServer:
         self.metrics.timing("net.merge", time.perf_counter() - start)
         return merged
 
-    def _rendered(self, tenant: str = DEFAULT_TENANT) -> ColumnStore:
-        """The merged state's output rows as a store (``StateTable.render``):
-        what a live query's second stage reads, with no ``Record`` built."""
-        merged = self.merged_db(tenant=tenant)
+    def _rendered(self, tenant: str = DEFAULT_TENANT, target: str = "aggregate") -> ColumnStore:
+        """A live answer's output rows as a store, with no ``Record`` built:
+        what a query's second stage reads.  ``aggregate`` renders the merged
+        state (``StateTable.render``), ``estimate`` the open windows through
+        the estimator (:meth:`WindowEstimator.estimate`) and ``retired`` the
+        retired windows; the snapshot is timed as ``net.merge``, the render
+        as ``net.render``."""
+        if target == "aggregate":
+            render = self.merged_db(tenant=tenant).render
+        else:
+            window = self._windowed(f"target={target!r}")
+            start = time.perf_counter()
+            if target == "estimate":
+                # shards + forwarded tables, *excluding* retired windows
+                merged = self._merged(self._snapshot())
+                render = partial(window.estimator.estimate, merged, self.watermark())
+            else:
+                with window.lock:
+                    render = window.retired.copy().render
+            self.metrics.timing("net.merge", time.perf_counter() - start)
         start = time.perf_counter()
-        store = merged.render()
+        store = render()
         self.metrics.timing("net.render", time.perf_counter() - start)
         return store
 
@@ -500,8 +517,8 @@ class AggregationServer:
         record for a retired window that shows up later — a genuinely late
         event, or a spool replay after a mid-tree failover whose data is
         already inside the retired result — has an event time below the
-        watermark and is dropped as late by the window front's ``stamp`` /
-        the relay plane's ``on_forward``.
+        watermark and is dropped as late by the window front's
+        ``stamp_store`` / the relay plane's ``on_forward``.
         """
         window = self._windowed("retire_now()")
         if self._relay.is_relay:
@@ -522,9 +539,7 @@ class AggregationServer:
 
     def retired_results(self) -> list[Record]:
         """Final records for every window retired so far."""
-        window = self._windowed("retired_results()")
-        with window.lock:
-            return window.retired_results()
+        return result_records(self._rendered(target="retired"))
 
     def estimate_results(self) -> list[Record]:
         """Open windows' partial aggregates plus confidence intervals.
@@ -534,9 +549,7 @@ class AggregationServer:
         estimator: every record carries ``est#...``/``est.lo#...``/
         ``est.hi#...`` columns plus ``est.fraction`` and ``est.samples``.
         """
-        window = self._windowed("estimate_results()")
-        merged = self._merged(self._snapshot())
-        return window.estimator.estimate_records(merged, self.watermark())
+        return result_records(self._rendered(target="estimate"))
 
     def run_query(
         self, text: str, target: str = "aggregate", tenant: str = DEFAULT_TENANT
@@ -549,22 +562,24 @@ class AggregationServer:
         ``target="telemetry"`` queries the server's own ``observe.*`` metric
         records instead.  Windowed servers
         add ``target="estimate"`` (open windows with confidence intervals)
-        and ``target="retired"`` (finalized windows only).
+        and ``target="retired"`` (finalized windows only), read as columns
+        too.
         """
         from ..query.engine import QueryEngine  # deferred: query sits above net
 
         start = time.perf_counter()
         if target == "telemetry":
             source = self.stats_records()
-        elif target == "aggregate":
-            source = self._rendered(tenant=tenant)
-        elif target == "estimate":
-            source = self.estimate_results()
-        elif target == "retired":
-            source = self.retired_results()
+        elif target in ("aggregate", "estimate", "retired"):
+            source = self._rendered(tenant=tenant, target=target)
         else:
             raise ProtocolError(f"unknown query target {target!r}")
-        result = QueryEngine(text).run(source)
+        engine = QueryEngine(text)
+        if isinstance(source, ColumnStore) and not engine.reads_stores():
+            # a second stage that needs rows reads the first stage's output
+            # rows, hydrated as such
+            source = result_records(source)
+        result = engine.run(source)
         self.metrics.timing("net.query", time.perf_counter() - start, target=target)
         self.metrics.count("net.queries", target=target)
         return result

@@ -15,9 +15,10 @@ arrival model — de-weight the linear state cells back to raw sample scale
 estimator's ``n/f`` extrapolation *is* the Horvitz–Thompson estimate, with
 matching variance.
 
-The sample folds into a :class:`~repro.aggregate.table.StateTable`: the
-point aggregates are its render (what a flush of the same weighted stream
-gives), with each slot's estimate columns appended.
+The sample folds into a :class:`~repro.aggregate.table.StateTable`; the
+answer is :meth:`WindowEstimator.estimate` of it at probability ``p``: the
+table's render (what a flush of the same weighted stream gives) with the
+estimate columns, computed from the cells scaled by ``p``, appended.
 """
 
 from __future__ import annotations
@@ -25,44 +26,14 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, Optional
 
-from ..aggregate.ops import (
-    AvgOp,
-    CountOp,
-    MomentsOp,
-    PercentTotalOp,
-    RatioOp,
-    ScaleOp,
-    StddevOp,
-    SumOp,
-    VarianceOp,
-    WEIGHT_LABEL,
-)
+from ..aggregate.ops import WEIGHT_LABEL
 from ..aggregate.table import StateTable
 from ..common.errors import QueryError
 from ..common.record import Record
 from ..common.variant import Variant
-from ..window.estimate import WindowEstimator, scheme_with_moments, with_entries
+from ..window.estimate import WindowEstimator, scheme_with_moments
 
 __all__ = ["sample_records", "sampled_query", "scheme_with_moments"]
-
-
-def _unwrap(op):
-    return getattr(op, "inner", op)
-
-
-#: operator types whose state cells are linear in the record weight —
-#: de-weighting multiplies every cell by ``p`` to recover raw sample scale
-_LINEAR_STATE = (
-    CountOp,
-    SumOp,
-    AvgOp,
-    ScaleOp,
-    PercentTotalOp,
-    VarianceOp,
-    StddevOp,
-    MomentsOp,
-    RatioOp,
-)
 
 
 def sample_records(
@@ -92,22 +63,6 @@ def sample_records(
             yield Record.from_variants(data)
 
 
-def _deweight(ops, states, p: float) -> list[list]:
-    """Scale weighted states back to raw-sample scale (cells × ``p``).
-
-    Uniform weights ``1/p`` make this exact: the result equals the states
-    an unweighted fold of the kept records would have produced.  States of
-    non-linear operators (min/max/histogram/...) pass through unchanged.
-    """
-    out = []
-    for op, state in zip(ops, states):
-        if type(_unwrap(op)) in _LINEAR_STATE:
-            out.append([cell * p for cell in state])
-        else:
-            out.append(state)
-    return out
-
-
 def sampled_query(
     query,
     records: Iterable[Record],
@@ -125,7 +80,7 @@ def sampled_query(
 
     ``seed`` fixes the sampling decisions for reproducible runs.
     """
-    from ..query.engine import QueryEngine, QueryResult
+    from ..query.engine import QueryEngine
 
     engine = query if isinstance(query, QueryEngine) else QueryEngine(query)
     if engine.scheme is None:
@@ -139,11 +94,4 @@ def sampled_query(
     scheme = scheme_with_moments(engine.scheme)
     table = StateTable(scheme)
     table.fold(sample_records(engine._preprocess(records), p, seed), where=engine.query.where)
-
-    estimator = WindowEstimator(scheme, confidence)
-    out = with_entries(table, [
-        estimator.estimate_entries(_deweight(scheme.ops, states, p), p)
-        for _key, states in table.items()
-    ])
-    out = engine._order_and_limit(out)
-    return QueryResult(out, engine._preferred_columns(), engine.query.format)
+    return engine._answer(WindowEstimator(scheme, confidence).estimate(table, None, p))

@@ -25,7 +25,7 @@ from ..aggregate.ops import MomentsOp
 from ..aggregate.scheme import AggregationScheme
 from ..aggregate.table import StateTable
 from ..common.record import Record
-from ..io.colfile import ColumnStore
+from ..io.colfile import ColumnStore, result_records
 from .assign import (
     DEFAULT_TIME_ATTRIBUTE,
     WINDOW_END,
@@ -274,7 +274,7 @@ class WindowedAggregationDB(WindowFront):
     def estimates(self, watermark: Optional[float] = None) -> List[Record]:
         """Partial aggregates + confidence intervals for open windows."""
         mark = self.watermark() if watermark is None else watermark
-        return self.estimator.estimate_records(self.table, mark)
+        return result_records(self.estimator.estimate(self.table, mark))
 
     def results(self) -> List[Record]:
         """Every window's current output (open partials + retired finals)."""

@@ -13,9 +13,10 @@ Poisson-distributed around its mean), the partial states extrapolate:
 - ``avg(x)``: the running mean, plain CLT interval ``± z * sd / sqrt(n)``
 
 Per-value moments come from the hidden ``est_moments`` operator the server
-adds when windowing a scheme.  The partial aggregates are the state table's
-own render (:meth:`~repro.aggregate.table.StateTable.render`, what a flush
-gives); estimates are emitted as extra columns next to them:
+adds when windowing a scheme.  :meth:`WindowEstimator.estimate` returns
+the state table's own render (:meth:`~repro.aggregate.table.StateTable.render`,
+what a flush gives) with the estimates appended as typed columns, computed
+for every slot at once from the table's cells:
 
 - ``est#<label>``       point estimate of the final value
 - ``est.lo#<label>``    lower confidence bound
@@ -27,7 +28,9 @@ gives); estimates are emitted as extra columns next to them:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..aggregate.ops import (
     AggregateOp,
@@ -38,12 +41,10 @@ from ..aggregate.ops import (
     SumOp,
 )
 from ..aggregate.scheme import AggregationScheme
-from ..common.record import Record
-from ..common.variant import Variant
+from ..aggregate.table import StateTable, _typed_column
+from ..common.variant import ValueType
+from ..io.colfile import ColumnStore, _Column, _NumColumn
 from .assign import WINDOW_END, WINDOW_START
-
-if TYPE_CHECKING:
-    from ..aggregate.table import StateTable
 
 __all__ = [
     "z_for_confidence",
@@ -114,10 +115,10 @@ def scheme_with_moments(scheme: AggregationScheme) -> AggregationScheme:
 
 
 class WindowEstimator:
-    """Turns per-window partial states into estimate records.
+    """Turns a table's partial states into estimate columns.
 
-    Built once per (windowed) scheme; :meth:`estimate_records` is then a
-    pure function of a state table and the current watermark.
+    Built once per (windowed) scheme; :meth:`estimate` is then a pure
+    function of a state table and the current watermark.
     """
 
     def __init__(self, scheme: AggregationScheme, confidence: float = 0.90) -> None:
@@ -131,127 +132,126 @@ class WindowEstimator:
             if type(target) is MomentsOp:
                 self._moments[target.args[0]] = i
 
-    # -- per-operator estimators -------------------------------------------
+    def estimate(
+        self, table: StateTable, watermark: Optional[float], probability: Optional[float] = None
+    ) -> ColumnStore:
+        """The table's render (:meth:`StateTable.render`) with every slot's
+        estimate columns appended, computed by column from its cells.
 
-    def _estimate_count(
-        self, n: float, fraction: float
-    ) -> Tuple[float, float, float]:
-        if fraction >= 1.0:
-            return n, n, n
-        est = n / fraction
-        sd = math.sqrt(max(0.0, n * (1.0 - fraction))) / fraction
+        Each slot's window fraction comes from its key's ``window.start`` /
+        ``window.end`` (0 without a watermark, or when either is missing or
+        not a number).  ``probability`` reads the table as a Bernoulli sample
+        instead (:func:`repro.sampling.sampled_query`): every slot's fraction
+        is ``probability``, the weighted cells are scaled by it back to raw
+        sample scale, and ``est.samples`` rounds the scaled count to the
+        nearest integer (a window's count is truncated, as ``int()`` does).
+        A count that is not a finite number adds no samples.
+        """
+        store = table.render()
+        n = len(store)
+        whole = np.trunc if probability is None else np.rint
+
+        def cells(index: int) -> List[np.ndarray]:
+            values = table.state_columns(index)
+            return values if probability is None else [v * probability for v in values]
+
+        samples = np.zeros(n, dtype=np.int64)
+        columns: Dict[str, _Column] = {}
+        # like Python floats: overflow -> inf and inf - inf -> nan, silently
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if probability is None:
+                fraction = _fractions(store, watermark)
+            else:
+                fraction = np.full(n, float(probability))
+            f = np.where(0.0 > fraction, 0.0, fraction)  # min(max(fraction, 0.0), 1.0)
+            f = np.where(1.0 < f, 1.0, f)
+            for i, op in enumerate(self.scheme.ops):
+                kind = type(_unwrap(op))
+                if kind not in (MomentsOp, CountOp, SumOp, AvgOp):
+                    continue
+                labels = op.output_labels()
+                if not labels and kind is not MomentsOp:
+                    continue
+                state = cells(i)
+                count = state[0]
+                counted = np.where(np.isfinite(count), whole(count), 0.0).astype(np.int64)
+                samples = np.maximum(samples, counted)
+                if kind is MomentsOp:
+                    continue
+                if kind is CountOp:
+                    (est, lo, hi), present = self._count(count, f)
+                else:
+                    index = self._moments.get(_unwrap(op).args[0])
+                    # no moments op: moments with n = 0, known nowhere
+                    moments = _moments([np.zeros(n)] * 3 if index is None else cells(index))
+                    if kind is SumOp:
+                        (est, lo, hi), present = self._sum(count, state[1], moments, f)
+                    else:
+                        (est, lo, hi), present = self._avg(count, moments)
+                for prefix, values in (("est#", est), ("est.lo#", lo), ("est.hi#", hi)):
+                    column = _typed_column(values, present)
+                    if column is not None:
+                        columns[prefix + labels[0]] = column
+        columns[FRACTION_LABEL] = _typed_column(f, None)
+        columns[SAMPLES_LABEL] = _NumColumn(ValueType.INT, samples, None)
+        return ColumnStore(n, {**store.columns, **columns})
+
+    # -- per-operator estimators, over every slot ------------------------------
+    #
+    # Each returns ``((est, lo, hi), present)``: where ``present`` is False the
+    # slot has no estimate for the operator.  The arithmetic is the scalar
+    # formula's, operation for operation, so every value keeps its bits.
+
+    def _interval(self, est: np.ndarray, sd: np.ndarray) -> Tuple[np.ndarray, ...]:
         return est, est - self.z * sd, est + self.z * sd
 
-    def _estimate_sum(
-        self, s: float, moments: Optional[list], fraction: float
-    ) -> Optional[Tuple[float, float, float]]:
-        if fraction >= 1.0:
-            return s, s, s
-        est = s / fraction
-        if not moments or moments[0] <= 0:
-            return None
-        n, ms, ssq = float(moments[0]), float(moments[1]), float(moments[2])
-        mean = ms / n
-        var = max(0.0, ssq / n - mean * mean)
+    def _count(self, n: np.ndarray, f: np.ndarray):
+        """``n / f`` with the unseen part's Poisson variance ``n (1-f) / f``;
+        exact once the window is complete."""
+        unseen = n * (1.0 - f)
+        sd = np.sqrt(np.where(unseen > 0.0, unseen, 0.0)) / f  # max(0.0, unseen)
+        complete = f >= 1.0
+        est, lo, hi = self._interval(n / f, sd)
+        return [np.where(complete, n, x) for x in (est, lo, hi)], f > 0.0
+
+    def _sum(self, count: np.ndarray, s: np.ndarray, moments, f: np.ndarray):
+        """``s / f`` with the compound-Poisson unseen variance; exact once
+        the window is complete, else only where the moments are known."""
+        n, mean, var, known = moments
         # est - truth = s(1-f)/f - S_unseen; with Poisson arrivals both terms
         # have per-event variance (var + mean^2), which telescopes to
         # n (1-f) (var + mean^2) / f^2.
-        sd = math.sqrt(n * (1.0 - fraction) * (var + mean * mean)) / fraction
-        return est, est - self.z * sd, est + self.z * sd
+        sd = np.sqrt(n * (1.0 - f) * (var + mean * mean)) / f
+        complete = f >= 1.0
+        est, lo, hi = self._interval(s / f, sd)
+        present = (count != 0) & (f > 0.0) & (complete | known)
+        return [np.where(complete, s, x) for x in (est, lo, hi)], present
 
-    def _estimate_avg(
-        self, moments: Optional[list]
-    ) -> Optional[Tuple[float, float, float]]:
-        if not moments or moments[0] <= 0:
-            return None
-        n, ms, ssq = float(moments[0]), float(moments[1]), float(moments[2])
-        mean = ms / n
-        var = max(0.0, ssq / n - mean * mean)
-        sd = math.sqrt(var / n)
-        return mean, mean - self.z * sd, mean + self.z * sd
-
-    # -- group-level API ----------------------------------------------------
-
-    def estimate_entries(
-        self,
-        states: Sequence[list],
-        fraction: float,
-    ) -> List[Tuple[str, Variant]]:
-        """Estimate columns for one group's operator states."""
-        out: List[Tuple[str, Variant]] = []
-        samples = 0
-        f = min(max(fraction, 0.0), 1.0)
-        for i, op in enumerate(self.scheme.ops):
-            target = _unwrap(op)
-            state = states[i]
-            if type(target) is MomentsOp:
-                samples = max(samples, int(state[0]))
-                continue
-            labels = op.output_labels()
-            if not labels:
-                continue
-            label = labels[0]
-            triple: Optional[Tuple[float, float, float]] = None
-            if type(target) is CountOp:
-                n = float(state[0])
-                samples = max(samples, int(state[0]))
-                if f > 0.0:
-                    triple = self._estimate_count(n, f)
-            elif type(target) is SumOp:
-                count, total = state
-                samples = max(samples, int(count))
-                if count and f > 0.0:
-                    mom = self._moments.get(target.args[0])
-                    triple = self._estimate_sum(
-                        float(total), states[mom] if mom is not None else None, f
-                    )
-            elif type(target) is AvgOp:
-                count, _total = state
-                samples = max(samples, int(count))
-                if count:
-                    mom = self._moments.get(target.args[0])
-                    triple = self._estimate_avg(
-                        states[mom] if mom is not None else None
-                    )
-            if triple is not None:
-                est, lo, hi = triple
-                out.append((f"est#{label}", Variant.of(float(est))))
-                out.append((f"est.lo#{label}", Variant.of(float(lo))))
-                out.append((f"est.hi#{label}", Variant.of(float(hi))))
-        out.append((FRACTION_LABEL, Variant.of(float(f))))
-        out.append((SAMPLES_LABEL, Variant.of(int(samples))))
-        return out
-
-    def estimate_records(
-        self, table: "StateTable", watermark: Optional[float]
-    ) -> List[Record]:
-        """Partial results + estimate columns for a windowized table's slots.
-
-        Each slot's window fraction comes from its key's ``window.start`` /
-        ``window.end`` (0 when either is missing or not a number).
-        """
-        start, end = (self.scheme.key.index(label) for label in (WINDOW_START, WINDOW_END))
-        return with_entries(table, [
-            self.estimate_entries(states, _fraction(key[start], key[end], watermark))
-            for key, states in table.items()
-        ])
+    def _avg(self, count: np.ndarray, moments):
+        """The running mean with a plain CLT interval ``± z * sd / sqrt(n)``."""
+        n, mean, var, known = moments
+        return self._interval(mean, np.sqrt(var / n)), (count != 0) & known
 
 
-def _fraction(
-    start: Optional[Variant], end: Optional[Variant], watermark: Optional[float]
-) -> float:
-    """The fraction of ``[start, end)`` the watermark has passed."""
-    if watermark is None or start is None or end is None:
-        return 0.0
-    if not (start.is_numeric and end.is_numeric):
-        return 0.0
-    span = float(end.value) - float(start.value)
-    return (watermark - float(start.value)) / span if span > 0 else 0.0
+def _moments(cells: List[np.ndarray]) -> Tuple[np.ndarray, ...]:
+    """``(n, mean, var, known)`` of an ``est_moments`` state: the variance
+    clamped at 0 (``max(0.0, v)``, NaN included), known where ``n`` is not
+    ``<= 0``."""
+    n, total, squares = cells
+    mean = total / n
+    spread = squares / n - mean * mean
+    return n, mean, np.where(spread > 0.0, spread, 0.0), ~(n <= 0.0)
 
 
-def with_entries(
-    table: "StateTable", entries: Sequence[Sequence[Tuple[str, Variant]]]
-) -> List[Record]:
-    """One output record per slot: the table's flush (its render, hydrated),
-    each slot's record followed by its ``entries``."""
-    return [record.with_entries(dict(extra)) for record, extra in zip(table.flush(), entries)]
+def _fractions(store: ColumnStore, watermark: Optional[float]) -> np.ndarray:
+    """Each row's fraction of ``[window.start, window.end)`` the watermark
+    has passed: 0 without a watermark, a numeric start and end, or a
+    positive span."""
+    if watermark is None:
+        return np.zeros(len(store))
+    start, end = (
+        np.array([np.nan] + [float(v.value) if v.is_numeric else np.nan for v in values])[codes + 1]
+        for codes, values in map(store.interned, (WINDOW_START, WINDOW_END))
+    )
+    span = end - start
+    return np.where(span > 0, (watermark - start) / span, 0.0)

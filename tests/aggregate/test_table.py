@@ -219,6 +219,24 @@ def test_an_int_cell_outside_64_bits_is_generic_on_the_wire_and_refused_as_a_tab
         table_from_binary(scheme, bytes(bad[:-3]))
 
 
+def test_a_state_batch_has_one_layout_and_ragged_groups_have_none():
+    ragged = [({"k": Variant.of("a")}, [[1]]), ({"k": Variant.of("b")}, [[1, 2]])]
+    with pytest.raises(colfile.ColfileError, match="widths"):
+        states_to_binary(ragged)
+    # mode 1, the layout ragged groups were once written in: the key batch,
+    # then every group's states packed generically
+    groups = [({"k": Variant.of("a")}, [[1]]), ({"k": Variant.of("b")}, [[2]])]
+    keys = colfile.encode_columns(2, colfile.entry_columns([e for e, _ in groups]))
+    blob = (
+        colfile.STATES_MAGIC + bytes([1]) + colfile._U32.pack(len(keys)) + keys
+        + bytes(colfile.pack_value([states for _, states in groups]))
+    )
+    with pytest.raises(colfile.ColfileError, match="unknown state batch mode 1"):
+        states_from_binary(blob)
+    with pytest.raises(ProtocolError, match="unknown state batch mode 1"):
+        table_from_binary(parse_scheme("AGGREGATE count GROUP BY k"), blob)
+
+
 @pytest.mark.parametrize(
     "groups, match",
     [

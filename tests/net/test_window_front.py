@@ -19,10 +19,13 @@ import asyncio
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aggregate.table import StateTable
 from repro.calql import parse_scheme
 from repro.common import Record, Variant
+from repro.io import ColumnStore
 from repro.net import AggregationServer
 from repro.net.protocol import MessageType, records_to_binary
+from repro.query.engine import QueryEngine
 from repro.window import WindowedAggregationDB
 
 BASE = "AGGREGATE count, sum(v) GROUP BY k"
@@ -109,6 +112,42 @@ def test_a_windowed_servers_estimate_renders_percent_total_against_the_total():
         assert mtype is MessageType.ACK
         estimates = {r.get("k").value: r.get("percent_total#x") for r in server.estimate_results()}
         assert estimates == {"a": Variant.of(75.0), "b": Variant.of(25.0)}
+    finally:
+        server._shards.stopping.set()
+        server._shards.stop(5.0)
+
+
+def test_an_estimate_or_retired_query_builds_no_record_per_group(monkeypatch):
+    """The windowed targets hand the second stage the estimator's store and
+    the retired windows' render as they are: no ``StateTable.flush`` and no
+    records-built store on the way (the CI windowed smoke checks the same)."""
+    batch = [record(i % 4, i, i % 9) for i in range(60)]  # event time [0, 30)
+    server = AggregationServer(BASE, shards=2, window="tumbling(10s)")
+    session = server._hello({"client": "p0", "stream": "s", "caps": ["colbin1"]})[0]
+    server._shards.start()
+    try:
+        mtype, _body = asyncio.run(server._handle(
+            session, MessageType.RECORDS, {"seq": 0}, {"records": records_to_binary(batch)}
+        ))
+        assert mtype is MessageType.ACK
+        server.retire_now()
+        queries = {
+            "estimate": "AGGREGATE sum(est#count), max(est.fraction) GROUP BY k",
+            "retired": "AGGREGATE sum(count) GROUP BY k",
+        }
+        want = {target: rows(QueryEngine(text).run(
+            server.estimate_results() if target == "estimate" else server.retired_results()
+        )) for target, text in queries.items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Record was built per group")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(StateTable, "flush", refuse)
+            patch.setattr(ColumnStore, "from_records", refuse)
+            got = {target: server.run_query(text, target=target) for target, text in queries.items()}
+        assert {target: rows(answer) for target, answer in got.items()} == want
+        assert all(want.values())
     finally:
         server._shards.stopping.set()
         server._shards.stop(5.0)

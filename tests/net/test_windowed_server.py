@@ -169,6 +169,26 @@ class TestWindowedServer:
             )
             assert {r.get("k").to_string() for r in ret.records} == {"k0", "k1", "k2"}
 
+    def test_estimate_and_retired_answers_split_into_merge_render_and_query_timers(self):
+        """The windowed targets are timed like ``aggregate``: ``net.merge``
+        (the snapshot), ``net.render`` (estimate or render as columns) and
+        ``net.query`` (all of it, per target)."""
+        with AggregationServer(SCHEME, lateness=0.0) as server:
+            with FlushClient(*server.address, scheme=BASE_SCHEME, client_id="p0") as c:
+                assert c.send_records(synth(100))
+                estimate = c.query("AGGREGATE sum(est#count) GROUP BY k", target="estimate")
+                server.retire_now()
+                retired = c.query("AGGREGATE sum(count)", target="retired")
+                timers = c.query(
+                    "SELECT observe.path, observe.count WHERE observe.kind=timer",
+                    target="telemetry",
+                )
+        assert estimate.records and retired.records
+        counts = {r.get("observe.path").value: r.get("observe.count").value for r in timers.records}
+        assert counts["net.merge"] == counts["net.render"] == 2
+        for target in ("estimate", "retired"):
+            assert server.metrics.timer_stats("net.query", target=target)[0] == 1
+
     def test_uniform_stream_estimates_land_within_10pct_of_final(self):
         """One open window over a time-uniform stream: at every observed
         fraction the extrapolated count and sum are close to the final ones."""

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 import repro.api as api
-from repro.common import QueryError, Record
+from repro.common import QueryError, Record, Variant
 from repro.io.dataset import write_records
 from repro.query.cli import main as cli_main
 from repro.query.engine import QueryEngine
@@ -103,6 +104,19 @@ class TestSampledQuery:
         assert {label for r in got for label in r.labels()} >= {
             "count", "avg#x", "percent_total#x"
         }
+
+    def test_samples_are_the_records_kept_per_group(self):
+        # est.samples counts the records the sample kept, not int() of the
+        # de-weighted float count (399.9999999999995 at p = 0.3 is 120 kept)
+        records = make_records(3000, groups=7, seed=2)
+        for p in (0.3, 0.1, 0.7, 0.03, 0.15, 0.45):
+            for seed in range(5):
+                kept = Counter(r.get("k").value for r in sample_records(records, p, seed))
+                got = {
+                    r.get("k").value: r.get("est.samples")
+                    for r in sampled_query(QUERY, records, p, seed=seed).records
+                }
+                assert got == {k: Variant.of(n) for k, n in kept.items()}, (p, seed)
 
     def test_counts_scale_to_truth(self):
         records = make_records(8000)

@@ -11,9 +11,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.aggregate.ops import AvgOp, CountOp, MomentsOp, SumOp
+from repro.aggregate.table import StateTable
 from repro.calql import parse_scheme
 from repro.common import Record, Variant
+from repro.io.colfile import result_records
+from repro.sampling import sample_records, sampled_query
 from repro.window import (
     FRACTION_LABEL,
     SAMPLES_LABEL,
@@ -22,6 +28,10 @@ from repro.window import (
     windowize_scheme,
     z_for_confidence,
 )
+from repro.window.estimate import scheme_with_moments
+
+from ..conftest import examples
+from ..query.test_column_fold import exact_value
 
 SCHEME_TEXT = "AGGREGATE count, sum(v), avg(v) GROUP BY k"
 
@@ -94,7 +104,7 @@ class TestEstimateColumns:
         scheme = windowize_scheme(parse_scheme(SCHEME_TEXT))
         estimator = WindowEstimator(scheme)
         wdb = self.make([rec("a", 3.0, 1.0)])
-        (est,) = estimator.estimate_records(wdb.table, None)
+        (est,) = result_records(estimator.estimate(wdb.table, None))
         cols = {k: v.value for k, v in est.items()}
         assert cols[FRACTION_LABEL] == 0.0
         # no extrapolation possible, but partials and samples still there
@@ -150,7 +160,7 @@ class TestEmpiricalCoverage:
             if not groups:
                 covered += 1  # nothing observed: no interval to falsify
                 continue
-            (est,) = estimator.estimate_records(groups, mark)
+            (est,) = result_records(estimator.estimate(groups, mark))
             label = "count" if agg == "count" else "sum#v"
             lo = est.get(f"est.lo#{label}").value
             hi = est.get(f"est.hi#{label}").value
@@ -160,3 +170,185 @@ class TestEmpiricalCoverage:
         # nominal 0.90 with ~400 trials: allow two binomial sigma below
         sigma = math.sqrt(0.9 * 0.1 / trials)
         assert coverage >= 0.90 - 2 * sigma, f"coverage {coverage:.3f}"
+
+
+# -- the column estimate, bit for bit against the scalar PF-OLA formulas -------------
+
+
+def _unwrap(op):
+    return getattr(op, "inner", op)
+
+
+def reference_entries(estimator, states, fraction, whole=int):
+    """One slot's estimate entries, formula by formula on Python floats:
+    the per-slot estimator the column code replaces."""
+    z = estimator.z
+    moments_of = {
+        _unwrap(op).args[0]: i
+        for i, op in enumerate(estimator.scheme.ops)
+        if type(_unwrap(op)) is MomentsOp
+    }
+
+    def moments(attribute):
+        i = moments_of.get(attribute)
+        if i is None or states[i][0] <= 0:
+            return None
+        n, ms, ssq = (float(c) for c in states[i])
+        mean = ms / n
+        return n, mean, max(0.0, ssq / n - mean * mean)
+
+    out, samples = [], 0
+    f = min(max(fraction, 0.0), 1.0)
+    for i, op in enumerate(estimator.scheme.ops):
+        kind, state = type(_unwrap(op)), states[i]
+        if kind is MomentsOp:
+            samples = max(samples, whole(state[0]))
+            continue
+        labels = op.output_labels()
+        if kind not in (CountOp, SumOp, AvgOp) or not labels:
+            continue
+        samples = max(samples, whole(state[0]))
+        triple = None
+        if kind is CountOp and f > 0.0:
+            n = float(state[0])
+            if f >= 1.0:
+                triple = n, n, n
+            else:
+                est, sd = n / f, math.sqrt(max(0.0, n * (1.0 - f))) / f
+                triple = est, est - z * sd, est + z * sd
+        elif kind is SumOp and state[0] and f > 0.0:
+            s, m = float(state[1]), moments(_unwrap(op).args[0])
+            if f >= 1.0:
+                triple = s, s, s
+            elif m is not None:
+                n, mean, var = m
+                est = s / f
+                sd = math.sqrt(n * (1.0 - f) * (var + mean * mean)) / f
+                triple = est, est - z * sd, est + z * sd
+        elif kind is AvgOp and state[0]:
+            m = moments(_unwrap(op).args[0])
+            if m is not None:
+                n, mean, var = m
+                sd = math.sqrt(var / n)
+                triple = mean, mean - z * sd, mean + z * sd
+        if triple is not None:
+            for prefix, value in zip(("est#", "est.lo#", "est.hi#"), triple):
+                out.append((prefix + labels[0], Variant.of(float(value))))
+    out.append((FRACTION_LABEL, Variant.of(float(f))))
+    out.append((SAMPLES_LABEL, Variant.of(int(samples))))
+    return out
+
+
+def reference_fraction(entries, watermark):
+    start, end = entries.get("window.start"), entries.get("window.end")
+    if watermark is None or start is None or end is None:
+        return 0.0
+    if not (start.is_numeric and end.is_numeric):
+        return 0.0
+    span = float(end.value) - float(start.value)
+    return (watermark - float(start.value)) / span if span > 0 else 0.0
+
+
+LINEAR = (CountOp, SumOp, AvgOp, MomentsOp)
+
+
+def reference_rows(estimator, table, watermark, probability=None):
+    """The table's flush, each row followed by its scalar estimate entries;
+    a sample's linear cells scaled back by ``probability`` first, and its
+    sample count rounded to the nearest integer."""
+    entries = []
+    for key, states in table.export_states():
+        if probability is None:
+            entries.append(reference_entries(
+                estimator, states, reference_fraction(key, watermark)
+            ))
+            continue
+        scaled = [
+            [c * probability for c in state] if type(_unwrap(op)) in LINEAR else state
+            for op, state in zip(estimator.scheme.ops, states)
+        ]
+        entries.append(reference_entries(estimator, scaled, probability, whole=round))
+    return [record.with_entries(dict(extra)) for record, extra in zip(table.flush(), entries)]
+
+
+def exact_rows(records):
+    """Entries in order, doubles by bit pattern (``-0.0`` is not ``0.0``)."""
+    return [[(label, *exact_value(v)) for label, v in r.items()] for r in records]
+
+
+VALUES = [None, 0.0, -0.0, float("nan"), 1.5, -2.25, 3, 1e300, float("inf")]
+BOUNDS = [None, 0.0, 10.0, 20, 5.0, "w", float("nan")]
+WEIGHTS = [None, None, 1.0, 2.5, 0.5, 3, 0.0, 0.1]
+SCHEMES = [
+    "AGGREGATE count, sum(v), avg(v) GROUP BY k, window.start, window.end",
+    "AGGREGATE count, sum(v), avg(v), min(v), percent_total(v), sum(w), avg(w) "
+    "GROUP BY k, window.start, window.end",
+    "AGGREGATE avg(v) AS mean, sum(w) GROUP BY window.start, window.end",
+]
+
+
+@st.composite
+def window_rows(draw):
+    entries = {"k": draw(st.sampled_from(["a", "b", "c"]))}
+    for label, choices in (
+        ("window.start", BOUNDS), ("window.end", BOUNDS), ("v", VALUES), ("w", VALUES),
+        ("sample.weight", WEIGHTS),
+    ):
+        value = draw(st.sampled_from(choices))
+        if value is not None:
+            entries[label] = value
+    return Record(entries)
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    moments=st.booleans(),
+    rows=st.lists(window_rows(), max_size=30),
+    watermark=st.one_of(
+        st.none(),
+        st.sampled_from([-5.0, 0.0, -0.0, 2.5, 10.0, 15.0, 20.0, 1e9]),
+        st.floats(-50.0, 50.0),
+    ),
+    probability=st.sampled_from([0.3, 0.1, 0.7, 1.0]),
+)
+def test_the_column_estimate_is_the_scalar_formulas_bit_for_bit(
+    scheme, moments, rows, watermark, probability
+):
+    scheme = parse_scheme(scheme)
+    if moments:
+        scheme = scheme_with_moments(scheme)
+    table = StateTable(scheme)
+    table.fold(rows)
+    estimator = WindowEstimator(scheme)
+    got = exact_rows(result_records(estimator.estimate(table, watermark)))
+    assert got == exact_rows(reference_rows(estimator, table, watermark))
+    sampled = exact_rows(result_records(estimator.estimate(table, None, probability)))
+    assert sampled == exact_rows(reference_rows(estimator, table, None, probability))
+
+
+def test_a_complete_window_passes_its_count_and_sum_through_bit_for_bit():
+    # f >= 1 returns the partial itself: -0.0 + z * 0.0 would be +0.0, and a
+    # sum's interval would be nan without moments
+    scheme = parse_scheme("AGGREGATE count, sum(v) GROUP BY window.start, window.end")
+    key = {"window.start": Variant.of(0.0), "window.end": Variant.of(10.0)}
+    table = StateTable.from_states(scheme, [(key, [[-0.0], [1, -0.0]])])
+    (row,) = result_records(WindowEstimator(scheme).estimate(table, 10.0))
+    for label in ("count", "sum#v"):
+        got = [exact_value(row.get(f"est{part}#{label}")) for part in ("", ".lo", ".hi")]
+        assert got == [exact_value(Variant.of(-0.0))] * 3
+
+
+@pytest.mark.parametrize("p", [0.3, 0.07, 1.0])
+def test_a_sampled_query_is_the_reference_over_its_sample(p):
+    query = "AGGREGATE count, sum(x), avg(x), percent_total(x) GROUP BY k"
+    rng = random.Random(5)
+    records = [
+        Record({"k": f"g{i % 4}", "x": rng.choice([0.0, -0.0, 1.25, rng.uniform(-3, 3)])})
+        for i in range(800)
+    ]
+    scheme = scheme_with_moments(parse_scheme(query))
+    table = StateTable(scheme)
+    table.fold(sample_records(records, p, seed=3))
+    want = reference_rows(WindowEstimator(scheme), table, None, p)
+    assert exact_rows(sampled_query(query, records, p, seed=3).records) == exact_rows(want)
