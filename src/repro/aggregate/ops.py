@@ -722,13 +722,14 @@ def _as_variant(x: float) -> Variant:
 
 def _count_variant(n) -> Variant:
     # Unweighted counts are exact ints; weighted counts (Σ 1/p) are floats.
-    # Integral floats still render as UINT so a sampled profile keeps the
+    # Whole floats ≥ 0 still render as UINT so a sampled profile keeps the
     # column type of an unsampled one whenever the estimate lands on a whole
-    # number; fractional estimates surface as DOUBLE.
-    if n.__class__ is int:
+    # number; fractional or negative (a negative weight) counts surface as
+    # DOUBLE.
+    if n.__class__ is int and n >= 0:
         return Variant(ValueType.UINT, n)
     f = float(n)
-    if math.isfinite(f) and f == int(f):
+    if math.isfinite(f) and f >= 0 and f == int(f):
         return Variant(ValueType.UINT, int(f))
     return Variant(ValueType.DOUBLE, f)
 

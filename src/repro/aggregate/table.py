@@ -89,19 +89,13 @@ from .ops import (
 from .plan import _weight_value
 from .scheme import AggregationScheme
 
-__all__ = ["StateTable", "has_kernel"]
+__all__ = ["StateTable"]
 
 Source = Union[ColumnStore, Iterable[Record]]
 
 #: state [count, total] / [count, total, sum of squares]
 _SUM_FAMILY = (SumOp, AvgOp, ScaleOp, PercentTotalOp)
 _VARIANCE_FAMILY = (VarianceOp, StddevOp, MomentsOp)
-
-#: Exact kernel types with a vectorized implementation.  Exact types, not
-#: isinstance: a user subclass may override ``update`` semantics the vector
-#: kernels know nothing about, so it folds row by row.
-_KERNELS = frozenset({CountOp, MinOp, MaxOp, HistogramOp, FirstOp, RatioOp,
-                      *_SUM_FAMILY, *_VARIANCE_FAMILY})
 
 _INT, _UINT, _DOUBLE, _STRING = (
     ValueType.INT, ValueType.UINT, ValueType.DOUBLE, ValueType.STRING
@@ -110,11 +104,6 @@ _INT, _UINT, _DOUBLE, _STRING = (
 
 def _unwrap(op: AggregateOp) -> AggregateOp:
     return op.inner if isinstance(op, AliasedOp) else op
-
-
-def has_kernel(op: AggregateOp) -> bool:
-    """True when ``op`` folds through a vector kernel."""
-    return type(_unwrap(op)) in _KERNELS
 
 
 # -- vectorized WHERE ---------------------------------------------------------------
@@ -675,6 +664,9 @@ class _States(_Cell):
 
 
 def _cell_types(op: AggregateOp) -> tuple[type, ...]:
+    """The cells of ``op``'s state.  Exact types, not isinstance: a user
+    subclass may override ``update`` semantics the vector kernels know
+    nothing about, so it keeps its states as they are and folds row by row."""
     t = type(_unwrap(op))
     if t is CountOp:
         return (_Count,)

@@ -8,15 +8,15 @@ what the *source* is —
 ====================================  =========================================
 ``source``                            executed as
 ====================================  =========================================
-path (``"run.cali"``)                 :meth:`Dataset.from_file(...).query`
-path (``"run.rcf"``)                  chunked out-of-core columnar scan
+path, list of files, or a glob        :func:`parallel_query_files` for
+(``"run.rcf"`` = ``["run.rcf"]``,     aggregation queries (auto-parallel,
+``"data/*.rcf"`` = its sorted         serial for one file; ``.rcf`` chunks
+matches)                              stay columnar — no ``Record`` is
+                                      built), else
+                                      :meth:`Dataset.from_files(...).query`;
+                                      each file's globals folded into its rows
 ``Dataset``                           :meth:`Dataset.query`
 iterable of :class:`Record`           :func:`repro.query.run_query`
-list of files, or a glob              :func:`parallel_query_files` for
-(``"data/*.rcf"`` = its sorted        aggregation queries (auto-parallel;
-matches)                              ``.rcf`` inputs stay columnar — no
-                                      ``Record`` is built), else
-                                      :meth:`Dataset.from_files(...).query`
 ``"host:port"`` / ``(host, port)``    :func:`repro.net.live_query` against a
                                       running :class:`AggregationServer`
 ====================================  =========================================
@@ -28,7 +28,7 @@ Execution knobs travel in one :class:`~repro.query.options.QueryOptions`
     import repro
 
     repro.api.query("AGGREGATE count GROUP BY function", "data/*.cali")
-    repro.api.query(q, dataset, backend="columnar")
+    repro.api.query(q, dataset, backend="rows")            # reference engine
     repro.api.query(q, ["a.cali", "b.cali"], jobs=4)       # parallel combine
     repro.api.query(q, "127.0.0.1:7744")                   # live server
     repro.api.query(q, "127.0.0.1:7744", target="telemetry")
@@ -136,7 +136,7 @@ def _materialize_records(source, opts: QueryOptions) -> list[Record]:
         if _glob.has_magic(path):
             return Dataset.from_glob(path, parallel=opts.jobs).records
         if os.path.exists(path):
-            return Dataset.from_file(path).records
+            return Dataset.from_files([path]).records
         raise QueryError(
             "sampling is a local execution option; it cannot run against a "
             f"live server source ({path!r})"
@@ -173,9 +173,7 @@ def _query_string_source(
             raise DatasetError(f"no files match {path!r}")
         return _query_collection(text, paths, opts)
     if os.path.exists(path):
-        if path.endswith(".rcf"):
-            return _query_colfile(text, path, opts)
-        return Dataset.from_file(path).query(text, backend=opts.backend)
+        return _query_collection(text, [path], opts)
     if isinstance(source, str) and _HOST_PORT.match(path):
         host, _, port = path.rpartition(":")
         return _query_live(text, host, int(port), target, timeout)
@@ -183,24 +181,6 @@ def _query_string_source(
         f"query source {path!r} is neither an existing file, a glob with "
         "matches, nor a host:port address"
     )
-
-
-def _query_colfile(text: str, path: str, opts: QueryOptions) -> QueryResult:
-    """Out-of-core scan of a ``.rcf`` file, one mmap'd chunk at a time.
-
-    Aggregation queries fold every chunk into one partial
-    :class:`~repro.aggregate.table.StateTable` (:meth:`QueryEngine.feed_file`)
-    — a fold continues from the running state, so the result is identical
-    to the in-memory path while peak memory stays one chunk.  Queries
-    without AGGREGATE need the full record stream anyway, so they take the
-    ordinary :meth:`Dataset.from_file` route.
-    """
-    engine = QueryEngine(text)
-    if engine.scheme is None:
-        return Dataset.from_file(path).query(text, backend=opts.backend)
-    table = engine.make_db()
-    engine.feed_file(table, path, opts.backend)
-    return engine.finalize(table)
 
 
 def _query_live(
@@ -212,19 +192,17 @@ def _query_live(
 
 
 def _query_collection(text: str, source, opts: QueryOptions) -> QueryResult:
-    """Iterable source: records run directly, file lists go auto-parallel."""
+    """Iterable source: records run directly, files go auto-parallel."""
     items = source if isinstance(source, (list, tuple)) else list(source)
     if items and all(isinstance(i, (str, os.PathLike)) for i in items):
         paths = [os.fspath(i) for i in items]
-        if len(paths) > 1 and QueryEngine(text).scheme is not None:
-            # Aggregation over many files: partial states combine exactly,
-            # so fold each file where it is read (real cores by default).
+        if QueryEngine(text).scheme is not None:
+            # Aggregation: partial states combine exactly, so fold each file
+            # where it is read (real cores by default).
             from ..query.parallel import parallel_query_files
 
             return parallel_query_files(text, paths, opts)
-        return Dataset.from_files(paths, parallel=opts.jobs).query(
-            text, backend=opts.backend
-        )
+        return Dataset.from_files(paths, parallel=opts.jobs).query(text)
     if any(not isinstance(i, Record) for i in items):
         bad = next(i for i in items if not isinstance(i, Record))
         raise QueryError(

@@ -463,7 +463,8 @@ class _NumColumn:
 
     ``whole`` (``INT`` or ``UINT``) makes a ``DOUBLE`` column's type follow
     integrality, as an operator's rendered sum or count does: a finite,
-    integral value is that type's ``int(x)``, any other value a double.
+    integral value (for ``UINT``, one ``>= 0``) is that type's ``int(x)``,
+    any other value a double.
     """
 
     __slots__ = ("vtype", "values", "mask", "whole")
@@ -491,6 +492,8 @@ class _NumColumn:
             return [Variant(vtype, x) for x in values.tolist()]
         with np.errstate(invalid="ignore"):
             integral = np.isfinite(values) & (values == np.trunc(values))
+            if whole is ValueType.UINT:
+                integral &= values >= 0
         return [
             Variant(whole, int(x)) if is_whole else Variant(vtype, x)
             for x, is_whole in zip(values.tolist(), integral.tolist())

@@ -7,8 +7,8 @@ workflow wants — ``query`` with CalQL text, column access, iteration.
 Underneath it holds either a record list (built in memory, or parsed from
 text files) or a column store: every ``.rcf`` source stays the decoded
 column store it is on disk, one file or many, and a ``Record`` is built only
-when something row-oriented asks — ``.records``, iteration, a rows-backend /
-LET / WINDOW query.
+when something row-oriented asks — ``.records``, iteration, a
+``backend="rows"`` / LET / WINDOW query.
 
 Two performance layers live here as well:
 
@@ -16,8 +16,8 @@ Two performance layers live here as well:
   :class:`~repro.io.colfile.ColumnStore`: the decoded ``.rcf`` columns, or
   ``ColumnStore.from_records`` over the record list, whose dictionary
   columns are built per attribute on first use and cached across queries.
-  The row→column convert step is the dominant cost of vectorized
-  aggregation; caching it is what makes repeated interactive queries on one
+  The row→column convert step is the dominant cost of a table fold over
+  records; caching it is what makes repeated interactive queries on one
   dataset fast.
 * process-parallel loading — ``from_files(paths, parallel=N)`` parses text
   input files in a :class:`~concurrent.futures.ProcessPoolExecutor`, the
@@ -403,19 +403,17 @@ class Dataset:
     def query(self, text: str, backend: str = "auto") -> "QueryResult":
         """Run a CalQL query over this dataset (the analytical path).
 
-        ``backend`` selects the execution engine: ``"auto"`` (default) lets
-        the planner pick the vectorized columnar backend whenever the query
-        qualifies, ``"rows"`` forces the streaming row engine, ``"columnar"``
-        requires vectorized execution (raising if unsupported).  The columnar
-        path runs over the cached :meth:`column_store`, so repeated queries
-        skip the row→column conversion.
+        An aggregation folds a state table over the cached
+        :meth:`column_store`, so repeated queries skip the row→column
+        conversion; ``backend="rows"`` runs the reference row engine over
+        the records instead.
         """
         from ..query.engine import QueryEngine  # deferred: query sits above io
 
         engine = QueryEngine(text)
-        # The vectorized path reads the store only, so a lazy .rcf dataset
-        # never materializes Record objects; whatever falls back to rows
-        # hydrates the store's records on demand.
+        # The table fold reads the store only, so a lazy .rcf dataset never
+        # materializes Record objects; whatever needs rows hydrates the
+        # store's records on demand.
         columnar = backend != "rows" and engine.scheme is not None
         return engine.run(
             self.column_store() if columnar else self.records, backend=backend

@@ -43,7 +43,7 @@ from ..common.record import Record
 from ..common.variant import Variant
 from ..io.colfile import ColumnStore, result_records
 from ..observe import MetricsRegistry, to_records as _metrics_to_records
-from ..window.assign import WINDOW_END
+from ..window.assign import WINDOW_END, WINDOW_START
 from ..window.db import WindowFront
 from .admission import Admission, Refused, TenantQuota
 from .connection import ConnectionPlane
@@ -184,7 +184,7 @@ class AggregationServer:
             # Only the root retires: relays clear their shards every forward
             # cycle, so closed-window state never accumulates there.
             self._retire_thread = self._shards.every(
-                self.retire_interval, self.retire_now, "retire"
+                self.retire_interval, self._retire, "retire"
             )
         return self
 
@@ -502,13 +502,20 @@ class AggregationServer:
             return self._window.watermark()
 
     def retire_now(self) -> list[Record]:
-        """Finalize every window closed below the current watermark.
+        """Finalize every window closed below the current watermark and
+        return the newly retired windows' final records (see
+        :meth:`_retire`)."""
+        return self._retire().flush()
+
+    def _retire(self) -> StateTable:
+        """Finalize every window closed below the current watermark; the
+        newly retired windows as one table (what the periodic retire loop
+        runs: it builds no ``Record``).
 
         Pops closed windows' state out of the shards and the forwarded
-        per-origin tables, merges it into the retired-results table, and returns
-        the newly retired windows' final records.  Only meaningful at the
-        tree root: relays clear their shards every forward cycle, so their
-        windows retire upstream.
+        per-origin tables and merges it into the retired-results table.
+        Only meaningful at the tree root: relays clear their shards every
+        forward cycle, so their windows retire upstream.
 
         Exactness across retirement: a window retires only once the
         min-over-active-senders watermark passes its end, which (with the
@@ -525,17 +532,19 @@ class AggregationServer:
             raise ReproError("relays do not retire windows; query the root")
         mark = self.watermark()
         if mark is None:
-            return []
+            return StateTable(window.scheme)
         # On each worker in queue order, so every batch acknowledged before
         # the barrier is inside the popped state.
         tables = self._shards.call(lambda shard: shard.table.pop(WINDOW_END, mark))
         tables += self._relay.pop_closed(mark)
         with window.lock:
-            records = window.finalize(mark, tables)
-        if records:
-            windows = {(r.get("window.start").value, r.get("window.end").value) for r in records}
-            self.metrics.count("window.retired", len(windows))
-        return records
+            fresh = window.finalize(mark, tables)
+        if len(fresh):
+            # distinct (window.start, window.end) pairs, read off the key codes
+            keys = fresh.key_store().columns
+            windows = zip(keys[WINDOW_START].codes.tolist(), keys[WINDOW_END].codes.tolist())
+            self.metrics.count("window.retired", len(set(windows)))
+        return fresh
 
     def retired_results(self) -> list[Record]:
         """Final records for every window retired so far."""

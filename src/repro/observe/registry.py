@@ -13,7 +13,7 @@ Design constraints, in priority order:
    module-level helpers (:func:`count`, :func:`gauge`, :func:`timing`,
    :func:`span`) check one module flag and return immediately —
    :func:`span` hands back a shared no-op :data:`NULL_SPAN` so instrumented
-   code can always write ``with observe.span("query.plan"):``.  Nothing in
+   code can always write ``with observe.span("query.scan"):``.  Nothing in
    the per-*record* hot paths calls into this module at all; only
    per-query / per-file / per-flush sites are instrumented.
 2. **Thread safety.**  One lock guards the metric tables; the span nesting
@@ -23,7 +23,7 @@ Design constraints, in priority order:
    attributable without threading context through call signatures.
 
 Metric identity is ``(name-or-path, tags)`` where tags are keyword
-arguments (``backend="columnar"``); the same name with different tags
+arguments (``backend="rows"``); the same name with different tags
 accumulates separately, and the accessors sum across tag sets when no tags
 are given.
 """

@@ -55,13 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", help="write the result to this file instead of stdout"
     )
     parser.add_argument(
-        "--backend",
-        choices=("auto", "rows", "columnar"),
-        default="auto",
-        help="aggregation engine: auto (planner picks, default), rows "
-        "(streaming), or columnar (vectorized; errors if unsupported)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         metavar="N",

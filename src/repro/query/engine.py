@@ -2,28 +2,25 @@
 
 Executes CalQL queries over record streams: LET preprocessing, WHERE
 filtering, aggregation (when the query has operators), ORDER BY, LIMIT, and
-FORMAT rendering.  The aggregation stage folds into the
+FORMAT rendering.  Every aggregation folds into the
 :class:`~repro.aggregate.table.StateTable` the aggregation server's shards
-hold (or, for ``backend="rows"``, the per-record :class:`AggregationDB` of
-the on-line service); the engine also exposes the partial-aggregation steps
-(:meth:`QueryEngine.make_db`, :meth:`QueryEngine.feed`,
-:meth:`QueryEngine.feed_file`, :meth:`QueryEngine.finalize`) over a state
-table, which the MPI-parallel query application and the process-pool
-workers compose with a reduction tree.
+hold — column kernels where an operator has one, its own ``update`` per row
+where it has not — and renders it by column; the same partial-aggregation
+steps (:meth:`QueryEngine.make_db`, :meth:`QueryEngine.feed`,
+:meth:`QueryEngine.feed_file`, :meth:`QueryEngine.finalize`) serve the MPI
+query application and the process-pool workers, which merge their tables
+up a reduction tree.
 
-Execution backends: aggregation queries run either through the streaming
-row engine or the vectorized columnar backend
-(:mod:`repro.query.columnar`).  The planner in :meth:`QueryEngine.run` and
-:meth:`QueryEngine.feed` consults :func:`supports_scheme` and picks the
-columnar path automatically whenever every operator has a vector kernel;
-``backend="rows"``/``"columnar"`` overrides it explicitly.
+``backend="rows"`` runs the reference row engine instead: the per-record
+:class:`AggregationDB` of the on-line service, the oracle every table fold
+is checked against.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .. import observe
 from ..aggregate.db import AggregationDB
@@ -38,14 +35,10 @@ from ..common.record import Record
 from ..common.variant import Variant
 from ..io.colfile import ColfileReader, ColumnStore, result_records
 from ..io.dataset import _format_of, _load_source_timed
-from .columnar import Source, supports_scheme, unsupported_ops
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .options import QueryOptions
+from .columnar import Source
+from .options import BACKENDS, QueryOptions
 
 __all__ = ["QueryEngine", "QueryResult", "run_query"]
-
-_BACKENDS = ("auto", "rows", "columnar")
 
 
 class QueryResult:
@@ -210,70 +203,18 @@ class QueryEngine:
 
                 self._assigner = make_assigner(self.query.window)
                 self._time_attribute = DEFAULT_TIME_ATTRIBUTE
-        #: backend the planner chose on the most recent run/feed
-        self.last_backend: Optional[str] = None
-        #: one-line justification for the most recent backend decision
-        self.last_backend_reason: Optional[str] = None
 
-    # -- planner -------------------------------------------------------------------
+    def reads_stores(self) -> bool:
+        """Whether :meth:`feed` folds a column store as it is — False for a
+        query without AGGREGATE, and where LET or WINDOW derive the rows."""
+        return self.scheme is not None and self._let is None and self._assigner is None
 
-    def _pick_backend(self, backend: str) -> tuple[str, str]:
-        """Resolve a ``backend=`` argument against this query's scheme.
-
-        Returns ``(chosen, reason)`` — the reason string is recorded in
-        :attr:`last_backend_reason` and in the ``query.backend.decision``
-        telemetry counter, so planner behaviour is observable after the fact.
-        """
-        if backend not in _BACKENDS:
-            raise QueryError(
-                f"unknown backend {backend!r}; expected one of {', '.join(_BACKENDS)}"
-            )
-        if self.scheme is None:
-            if backend == "columnar":
-                raise QueryError(
-                    "the columnar backend requires an aggregation query "
-                    "(pure filter/projection queries always stream)"
-                )
-            return "rows", "no aggregation: filter/projection queries stream"
-        if backend == "auto":
-            if supports_scheme(self.scheme):
-                return "columnar", "planner: every operator has a vector kernel"
-            unsupported = ", ".join(unsupported_ops(self.scheme))
-            return "rows", f"planner: no vector kernel for {unsupported}"
-        if backend == "columnar" and not supports_scheme(self.scheme):
-            unsupported = ", ".join(op.spec_string() for op in self.scheme.ops)
-            raise QueryError(
-                f"columnar backend does not support every operator in: {unsupported}"
-            )
-        return backend, f"explicit backend={backend}"
-
-    def _plan(self, backend: str) -> str:
-        """Run the planner under its tracing span and record the decision."""
-        with observe.span("query.plan"):
-            chosen, reason = self._pick_backend(backend)
-        self.last_backend = chosen
-        self.last_backend_reason = reason
-        observe.count("query.backend.decision", backend=chosen, reason=reason)
-        return chosen
-
-    def reads_stores(self, backend: str = "auto") -> bool:
-        """Whether :meth:`feed` hands a column store to the vector kernels as
-        it is — False when it needs rows (rows backend, an operator without a
-        kernel, LET, WINDOW)."""
-        return (
-            self._pick_backend(backend)[0] == "columnar"
-            and self._let is None
-            and self._assigner is None
-        )
-
-    def _fold(self, table: StateTable, source: Source, chosen: str) -> None:
-        """Fold ``source`` into ``table`` under the planner's choice.
-
-        A column store is only valid for the raw rows it holds — the rows
-        backend, LET and WINDOW fold the (derived) records instead.
-        """
-        with observe.span("query.scan", backend=chosen):
-            if not self.reads_stores(chosen):
+    def _fold(self, table: StateTable, source: Source) -> None:
+        """Fold ``source`` into ``table``.  A column store is only valid for
+        the raw rows it holds — LET and WINDOW fold the (derived) records
+        instead."""
+        with observe.span("query.scan"):
+            if not self.reads_stores():
                 source = list(self._preprocess(source))
             table.fold(source, where=self.query.where)
 
@@ -283,26 +224,30 @@ class QueryEngine:
         """Execute the full pipeline over ``source``.
 
         ``source`` is a record iterable or a
-        :class:`~repro.io.colfile.ColumnStore`; the columnar path reads a
-        store as it is (no row→column conversion, no ``Record`` built),
-        renders its answer as a store too (records are built from it only
-        for ORDER BY / LIMIT, or when the caller reads them), and everything
-        row-oriented hydrates its records on demand.  ``backend``
-        selects the aggregation engine (``auto``/``rows``/``columnar``).
+        :class:`~repro.io.colfile.ColumnStore`.  An aggregation folds a
+        state table, which reads a store as it is (no row→column
+        conversion, no ``Record`` built) and renders its answer as a store
+        too (records are built from it only for ORDER BY / LIMIT, or when
+        the caller reads them); everything row-oriented hydrates its records
+        on demand.  ``backend="rows"`` aggregates with the reference row
+        engine (:class:`AggregationDB`) instead.
         """
+        if backend not in BACKENDS:
+            raise QueryError(
+                f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
+            )
         with observe.span("query.run", backend=backend):
-            chosen = self._plan(backend)
             if self.scheme is not None:
-                if chosen == "columnar":
+                if backend == "auto":
                     table = self.make_db()
-                    self._fold(table, source, chosen)
+                    self._fold(table, source)
                     return self.finalize(table)
                 db = AggregationDB(self.scheme)
-                with observe.span("query.scan", backend="rows"):
+                with observe.span("query.scan"):
                     db.process_all(self._preprocess(source))
                 with observe.span("query.render"):
                     return self._answer(db.flush())
-            with observe.span("query.scan", backend="rows"):
+            with observe.span("query.scan"):
                 out = []
                 for record in self._preprocess(source):
                     if self._where is not None and not self._where(record):
@@ -323,22 +268,16 @@ class QueryEngine:
             raise ValueError("query has no aggregation; make_db() needs AGGREGATE")
         return StateTable(self.scheme)
 
-    def feed(self, table: StateTable, source: Source, backend: str = "auto") -> None:
-        """Fold a source (after LET preprocessing) into a partial table.
-
-        The planner applies here too: a store goes to the vector kernels as
-        it is when :meth:`reads_stores`; otherwise the table folds the
+    def feed(self, table: StateTable, source: Source) -> None:
+        """Fold a source (after LET preprocessing) into a partial table: a
+        store as it is when :meth:`reads_stores`, otherwise the
         (preprocessed) records.  Partial tables from many feeds merge
-        exactly (:meth:`StateTable.merge`).
-        """
-        with observe.span("query.feed", backend=backend):
-            self._fold(table, source, self._plan(backend))
+        exactly (:meth:`StateTable.merge`)."""
+        with observe.span("query.feed"):
+            self._fold(table, source)
 
     def feed_file(
-        self,
-        table: StateTable,
-        path: Union[str, os.PathLike],
-        backend: str = "auto",
+        self, table: StateTable, path: Union[str, os.PathLike]
     ) -> tuple[int, float]:
         """Fold one file into a partial table, its globals folded into its rows.
 
@@ -347,15 +286,15 @@ class QueryEngine:
         decoded chunk as constant columns (a global overrides a same-named
         column) and the chunk store goes straight to :meth:`feed`, so peak
         memory stays one chunk and Records are only hydrated — lazily, per
-        chunk — where :meth:`feed` needs rows.  Text formats are parsed into
-        records first.
+        chunk — for LET and WINDOW.  Text formats are parsed into records
+        first.
 
         Returns ``(rows, parse seconds)``; for ``.rcf`` "parse" is opening
         the file and decoding its chunks.
         """
         if _format_of(path) != "rcf":
             records, _globals, parse_seconds = _load_source_timed(path)
-            self.feed(table, records, backend)
+            self.feed(table, records)
             return len(records), parse_seconds
         start = time.perf_counter()
         with ColfileReader(path) as reader:
@@ -364,7 +303,7 @@ class QueryEngine:
                 start = time.perf_counter()
                 store = reader.chunk_store(index).with_constants(reader.globals)
                 decode_seconds += time.perf_counter() - start
-                self.feed(table, store, backend)
+                self.feed(table, store)
             return reader.num_records, decode_seconds
 
     def finalize(self, table: StateTable) -> QueryResult:
@@ -455,14 +394,12 @@ def sort_records(records: list[Record], order: Sequence[OrderSpec]) -> list[Reco
 def run_query(
     text: str,
     records: Iterable[Record],
-    options: Union["QueryOptions", dict, None] = None,
+    options: Union[QueryOptions, dict, None] = None,
 ) -> QueryResult:
     """Convenience one-liner: parse, validate, execute.
 
     ``options`` is a shared :class:`~repro.query.options.QueryOptions`
     (only ``backend`` applies to an in-memory record stream).
     """
-    from .options import QueryOptions
-
     opts = QueryOptions.coerce(options)
     return QueryEngine(text).run(records, backend=opts.backend)

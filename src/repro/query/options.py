@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 __all__ = ["QueryOptions", "BACKENDS"]
 
-BACKENDS = ("auto", "rows", "columnar")
+BACKENDS = ("auto", "rows")
 
 
 @dataclass(frozen=True)
@@ -23,8 +23,9 @@ class QueryOptions:
     """How to execute a query — shared by every entry point.
 
     ``backend``
-        Aggregation engine: ``auto`` (planner picks), ``rows`` (streaming),
-        or ``columnar`` (vectorized; errors when unsupported).
+        ``auto`` folds every aggregation into a state table; ``rows`` runs
+        the reference row engine (:class:`~repro.aggregate.db.AggregationDB`)
+        that the table fold is checked against.
     ``jobs``
         Worker processes for multi-file inputs: ``None`` lets the entry
         point choose its own default, ``True`` sizes the pool to the CPUs,
@@ -77,7 +78,6 @@ class QueryOptions:
     def from_args(cls, args) -> "QueryOptions":
         """Build from ``repro-query``'s parsed argparse namespace."""
         return cls(
-            backend=getattr(args, "backend", "auto"),
             jobs=getattr(args, "jobs", None),
             stats=bool(getattr(args, "stats", False)),
             sampling=getattr(args, "sample", None),

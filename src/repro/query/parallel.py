@@ -6,9 +6,9 @@ and sized to thousands of virtual ranks.  This module realizes the same
 structure on actual cores: a :class:`~concurrent.futures.ProcessPoolExecutor`
 fans the input files out to worker processes, each worker
 **partially aggregates** its chunk with the regular
-:class:`~repro.query.engine.QueryEngine` (columnar-planned when the scheme
-qualifies; ``.rcf`` files are decoded into chunk stores and never turned
-into records) into a :class:`~repro.aggregate.table.StateTable`, and only
+:class:`~repro.query.engine.QueryEngine` (``.rcf`` files are decoded into
+chunk stores and, unless LET or WINDOW derive the rows, never turned into
+records) into a :class:`~repro.aggregate.table.StateTable`, and only
 its ``RSB1`` state batch (:meth:`StateTable.to_binary`) travels back, to be
 decoded and merged by column (:meth:`StateTable.merge`) — the combine step
 of the paper's tree, flattened to one level because a process pool has no
@@ -29,7 +29,7 @@ from .. import observe
 from ..aggregate.table import StateTable
 from ..common.errors import QueryError
 from ..common.util import chunk_evenly
-from ..io.dataset import _resolve_workers
+from ..io.dataset import Dataset, _resolve_workers
 from .engine import QueryEngine, QueryResult
 from .options import QueryOptions
 
@@ -47,7 +47,7 @@ _FileTiming = tuple[str, float, float]
 
 
 def _feed_files(
-    engine: QueryEngine, table: StateTable, paths: Sequence[str], backend: str
+    engine: QueryEngine, table: StateTable, paths: Sequence[str]
 ) -> list[_FileTiming]:
     """Partially aggregate ``paths`` into ``table``, one file at a time
     (:meth:`QueryEngine.feed_file`: ``.rcf`` files stay columnar, parse =
@@ -58,14 +58,14 @@ def _feed_files(
     timings: list[_FileTiming] = []
     for path in paths:
         start = time.perf_counter()
-        _rows, parse_seconds = engine.feed_file(table, path, backend)
+        _rows, parse_seconds = engine.feed_file(table, path)
         feed_seconds = time.perf_counter() - start - parse_seconds
         timings.append((os.path.basename(path), parse_seconds, feed_seconds))
     return timings
 
 
 def _partial_worker(
-    query_text: str, paths: list[str], backend: str
+    query_text: str, paths: list[str]
 ) -> tuple[bytes, int, int, list[_FileTiming]]:
     """Partially aggregate one chunk of files (runs in a worker process):
     the table's state batch, its stream counters and per-file timings.
@@ -78,7 +78,7 @@ def _partial_worker(
     """
     engine = QueryEngine(query_text)
     table = engine.make_db()
-    timings = _feed_files(engine, table, paths, backend)
+    timings = _feed_files(engine, table, paths)
     return table.to_binary(), table.num_offered, table.num_processed, timings
 
 
@@ -95,10 +95,10 @@ def parallel_query_files(
 ) -> QueryResult:
     """Run an aggregation query over many files with real process parallelism.
 
-    The oracle (not the implementation) is the rows backend over every
-    file's records with that file's globals folded in,
-    ``QueryEngine(query).run(Dataset.from_files(paths).records, backend="rows")``.
-    Here each worker process partially aggregates its file chunk — ``.rcf``
+    The oracle (not the implementation) is the reference row engine over
+    every file's records with that file's globals folded in,
+    ``Dataset.from_files(paths).query(query, backend="rows")`` — which is
+    what ``backend="rows"`` runs.  Otherwise each worker process partially aggregates its file chunk — ``.rcf``
     chunk stores go straight to the column kernels, no ``Record`` is built —
     and only partial aggregation states are merged in the parent.
     ``options`` is a :class:`~repro.query.options.QueryOptions`:
@@ -117,6 +117,9 @@ def parallel_query_files(
             "parallel_query_files requires an aggregation query "
             "(partial results must be combinable)"
         )
+    if opts.backend == "rows":
+        dataset = Dataset.from_files(path_list, parallel=opts.jobs)
+        return dataset.query(query, backend="rows")
     table = engine.make_db()
     if not path_list:
         # No inputs: an empty result of the right shape, no pool spin-up.
@@ -125,22 +128,19 @@ def parallel_query_files(
         pool_size,
         len(path_list),
         path_list,
-        RCF_ROWS_PER_RECORD if engine.reads_stores(opts.backend) else 1,
+        RCF_ROWS_PER_RECORD if engine.reads_stores() else 1,
     )
     with observe.span(
         "parallel.query_files", files=len(path_list), workers=n_workers
     ):
         if n_workers <= 1:
-            _record_worker_timings(_feed_files(engine, table, path_list, opts.backend))
+            _record_worker_timings(_feed_files(engine, table, path_list))
         else:
             from concurrent.futures import ProcessPoolExecutor
 
             chunks = [c for c in chunk_evenly(path_list, n_workers) if c]
             with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                futures = [
-                    pool.submit(_partial_worker, query, chunk, opts.backend)
-                    for chunk in chunks
-                ]
+                futures = [pool.submit(_partial_worker, query, chunk) for chunk in chunks]
                 # Merge in submission order for a deterministic result.
                 for future in futures:
                     blob, offered, processed, timings = future.result()

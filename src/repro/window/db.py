@@ -208,19 +208,18 @@ class WindowFront:
         self.tracker.remove(source)
         self._clocks.pop(source, None)
 
-    def finalize(self, mark: float, popped: Sequence[StateTable]) -> List[Record]:
+    def finalize(self, mark: float, popped: Sequence[StateTable]) -> StateTable:
         """Retire the tables popped as closed below ``mark``: raise the
         retire floor, merge them into the retired-results table, return the
-        *newly* retired windows' output records."""
+        *newly* retired windows as one table."""
         if self.retire_floor is None or mark > self.retire_floor:
             self.retire_floor = mark
-        if not any(len(table) for table in popped):
-            return []
         fresh = StateTable(self.scheme)
         for table in popped:
             fresh.merge(table)
-        self.retired.merge(fresh)
-        return fresh.flush()
+        if len(fresh):
+            self.retired.merge(fresh)
+        return fresh
 
     def retired_results(self) -> List[Record]:
         """Final records for every window retired so far."""
@@ -269,7 +268,7 @@ class WindowedAggregationDB(WindowFront):
         mark = self.watermark() if watermark is None else watermark
         if mark is None:
             return []
-        return self.finalize(mark, [self.table.pop(WINDOW_END, mark)])
+        return self.finalize(mark, [self.table.pop(WINDOW_END, mark)]).flush()
 
     def estimates(self, watermark: Optional[float] = None) -> List[Record]:
         """Partial aggregates + confidence intervals for open windows."""

@@ -59,6 +59,22 @@ class TestQueryDispatch:
         want = Dataset.from_file(files[0]).query(QUERY)
         assert rows(got) == rows(want)
 
+    def test_one_file_is_the_one_element_list_whatever_its_format(self, tmp_path):
+        # each file's globals are folded into its rows on every route
+        records = [Record({"kernel": f"k{i % 3}"}) for i in range(12)]
+        text = "AGGREGATE count GROUP BY mpi.rank, kernel ORDER BY kernel"
+        answers = {}
+        for name in ("one.cali", "one.json", "one.rcf"):
+            path = str(tmp_path / name)
+            write_records(path, records, {"mpi.rank": 3})
+            answers[name] = rows(api.query(text, path))
+            answers[name + " rows"] = rows(api.query(text, path, backend="rows"))
+            answers[f"[{name}]"] = rows(api.query(text, [path]))
+        want = [
+            [("count", 4), ("kernel", f"k{i}"), ("mpi.rank", 3)] for i in range(3)
+        ]
+        assert answers == dict.fromkeys(answers, want)
+
     def test_glob(self, files, tmp_path):
         pattern = str(tmp_path / "part-*.json")
         got = api.query(QUERY, pattern)

@@ -161,7 +161,7 @@ class TestRcfDataset:
         assert back._records is None
         assert len(back) == len(ds)
         assert "kernel" in back.labels()
-        back.query(self.QUERY, backend="columnar")
+        back.query(self.QUERY)
         assert back._records is None  # still no Record objects
         # rows backend hydrates, with identical results
         rows = back.query(self.QUERY, backend="rows")

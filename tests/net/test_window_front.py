@@ -151,3 +151,51 @@ def test_an_estimate_or_retired_query_builds_no_record_per_group(monkeypatch):
     finally:
         server._shards.stopping.set()
         server._shards.stop(5.0)
+
+
+def test_the_periodic_retire_loop_builds_no_record(monkeypatch):
+    """One cycle of the server's ``retire_interval`` loop pops, merges and
+    counts the closed windows as a table: no ``StateTable.flush`` and no
+    output record on the way, and ``window.retired`` counts what
+    ``retire_now()`` counts."""
+    from repro.io import colfile
+    from repro.net import server as server_mod
+    from repro.net.shards import ShardPlane
+
+    loops = {}
+    real_every = ShardPlane.every
+
+    def every(self, interval, fn, stage):
+        loops[stage] = fn
+        return real_every(self, interval, fn, stage)
+
+    monkeypatch.setattr(ShardPlane, "every", every)
+    batch = [record(i % 4, i, i % 9) for i in range(60)]  # event time [0, 30)
+    counts = []
+    for periodic in (False, True):
+        # an hour apart: the loop's own thread never fires during the test
+        with AggregationServer(
+            BASE, shards=2, window="tumbling(10s)", retire_interval=3600.0
+        ) as server:
+            session = server._hello({"client": "p0", "stream": "s", "caps": ["colbin1"]})[0]
+            mtype, _body = asyncio.run(server._handle(
+                session, MessageType.RECORDS, {"seq": 0}, {"records": records_to_binary(batch)}
+            ))
+            assert mtype is MessageType.ACK
+            if periodic:
+                def refuse(*args, **kwargs):
+                    raise AssertionError("the retire loop built output records")
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(StateTable, "flush", refuse)
+                    patch.setattr(colfile, "result_records", refuse)
+                    patch.setattr(server_mod, "result_records", refuse)
+                    loops["retire"]()
+            else:
+                assert len(server.retire_now()) == 8  # 2 windows x 4 keys
+            counts.append(server.metrics.counter_value("window.retired"))
+            assert rows(server.retired_results()) == rows(
+                r for r in QueryEngine(BASE + " WINDOW tumbling(10s)").run(batch)
+                if r.get("window.end").value <= server.watermark()
+            )
+    assert counts == [2, 2]

@@ -83,7 +83,7 @@ class TestCliIsApiQuery:
             ("AGGREGATE count, sum(time.duration) GROUP BY kernel, mpi.rank "
              "ORDER BY kernel, mpi.rank", 2, [], {}),
             ("AGGREGATE count, sum(time.duration) GROUP BY kernel ORDER BY kernel",
-             2, ["--jobs", "2", "--backend", "rows"], {"jobs": 2, "backend": "rows"}),
+             2, ["--jobs", "2"], {"jobs": 2}),
             ("SELECT kernel, mpi.rank WHERE time.duration > 9 FORMAT csv", 2, [], {}),
             ("AGGREGATE sum(time.duration) GROUP BY kernel ORDER BY kernel", 1, [], {}),
             ("AGGREGATE count, sum(time.duration) GROUP BY kernel ORDER BY kernel",
@@ -110,7 +110,7 @@ class TestStatsFlags:
         captured = capsys.readouterr()
         assert "hot" in captured.out  # query result untouched
         assert captured.err.startswith("observe:")
-        assert "query.run" in captured.err
+        assert "query.scan" in captured.err
 
     def test_json_stats_file(self, data_file, tmp_path, capsys):
         import json
@@ -120,10 +120,9 @@ class TestStatsFlags:
         assert code == 0
         payload = json.loads(stats_path.read_text())
         assert set(payload) == {"counters", "gauges", "timers"}
-        assert any(key.startswith("query.run") for key in payload["timers"])
-        assert any(
-            key.startswith("query.backend.decision") for key in payload["counters"]
-        )
+        # one file folds as the one-element list does: per file, into a table
+        assert any(key.startswith("parallel.query_files") for key in payload["timers"])
+        assert any("query.scan" in key for key in payload["timers"])
         # no table unless --stats was also given
         assert "observe:" not in capsys.readouterr().err
 

@@ -12,13 +12,14 @@ from repro.calql import parse_scheme
 from repro.common import Record, ValueType, Variant
 from repro.io.colfile import ColumnStore, decode_batch_store, encode_batch
 from repro.aggregate.table import StateTable
-from repro.query.columnar import columnar_db, supports_scheme
+from repro.query.columnar import columnar_db
 from repro.query.engine import QueryEngine
+from repro.window import WindowedAggregationDB
 
 from ..conftest import examples, raw_values, records
 from .test_columnar import _CustomSum
 
-#: every operator ``supports_scheme`` accepts, an alias included
+#: every built-in operator (each has a column kernel), an alias included
 SCHEME = parse_scheme(
     "AGGREGATE count, sum(time.duration), min(time.duration), max(time.duration), "
     "avg(x), variance(time.duration), stddev(x), est_moments(x), "
@@ -122,7 +123,6 @@ def without_ranks_at_most(db, mark):
 @given(steps())
 @settings(max_examples=examples(150), deadline=None)
 def test_column_fold_is_bit_identical_to_process(batches):
-    assert supports_scheme(SCHEME)
     by_rows, table = AggregationDB(SCHEME, "generic"), StateTable(SCHEME)
     for batch, chosen, between in batches:
         if between == "clear":
@@ -170,16 +170,15 @@ def test_float_sums_continue_from_the_running_value():
     assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
 
 
-def test_a_scheme_without_kernels_is_refused():
-    # by the columnar query entry points; a state table folds it row by row
+def test_a_scheme_without_kernels_folds_row_by_row():
+    # a state table folds a kernel-less operator through its own update()
     scheme = AggregationScheme(ops=[_CustomSum(["t"])], key=["k"])
     batch = [Record({"k": "a", "t": 1.5}), Record({"k": "a", "t": 2.0, "sample.weight": 2})]
-    with pytest.raises(NotImplementedError, match="customsum"):
-        columnar_db(batch, scheme)
     by_rows, table = AggregationDB(scheme, "generic"), StateTable(scheme)
     by_rows.process_all(batch)
     table.fold(decode_batch_store(encode_batch(batch)))
     assert exact(table) == exact(by_rows)
+    assert exact(columnar_db(batch, scheme)) == exact(by_rows)
 
 
 # -- the row rules the kernels keep: NaN extrema, count types --------------------
@@ -259,8 +258,8 @@ def query_every_way(text, batch):
     engine = QueryEngine(text)
     sources = (
         ("rows", batch),
-        ("columnar", ColumnStore.from_records(batch)),
-        ("columnar", decode_batch_store(encode_batch(batch))),
+        ("auto", ColumnStore.from_records(batch)),
+        ("auto", decode_batch_store(encode_batch(batch))),
     )
     return [
         [{label: exact_value(v) for label, v in r.items()} for r in result.records]
@@ -296,3 +295,34 @@ def test_extrema_keep_the_first_of_two_equal_zeros(zeros):
     assert exact(by_rows)[0][1] == [[as_float(zeros[0])], [as_float(zeros[0])]]
     assert exact(columnar_db(ColumnStore.from_records(batch), scheme)) == exact(by_rows)
     assert exact(columnar_db(decode_batch_store(encode_batch(batch)), scheme)) == exact(by_rows)
+
+
+def test_a_negative_weight_renders_its_count_as_a_double():
+    # a count is UINT only when it is a whole number >= 0, on both engines
+    text = "AGGREGATE count, sum(x) GROUP BY k WINDOW tumbling(10s) ORDER BY k"
+    weighted = [
+        ("a", -1.0), ("b", 1.0), ("b", -1.0), ("c", -1.0), ("c", 1.0), ("d", -0.0),
+        ("e", 1.0), ("f", -1.0), ("f", -1.0), ("f", 0.5),
+    ]
+    batch = [
+        Record({"k": k, "x": 2.0, "time.start": 0.5 * i, "sample.weight": w})
+        for i, (k, w) in enumerate(weighted)
+    ]
+    by_rows, by_records, by_batch = query_every_way(text, batch)
+    assert [r["count"] for r in by_rows] == [
+        (ValueType.DOUBLE, bits(-1.0)),
+        (ValueType.UINT, 0),
+        (ValueType.UINT, 0),
+        (ValueType.UINT, 0),
+        (ValueType.UINT, 1),
+        (ValueType.DOUBLE, bits(-1.5)),
+    ]
+    assert by_records == by_rows and by_batch == by_rows
+    wdb = WindowedAggregationDB(parse_scheme(text.split(" WINDOW")[0]), "tumbling(10s)")
+    assert wdb.process_all(batch) == len(batch)
+    retired = wdb.retire(watermark=10.0)
+    got = sorted(
+        ({label: exact_value(v) for label, v in r.items()} for r in retired),
+        key=lambda row: row["k"],
+    )
+    assert got == by_rows

@@ -1,4 +1,4 @@
-"""Tests: the columnar backend must match the streaming engine exactly."""
+"""Tests: the column fold must match the streaming engine exactly."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,9 @@ from repro.aggregate import AggregationDB, AggregationScheme, SumOp, aggregate_r
 from repro.aggregate.ops import AliasedOp
 from repro.calql import parse_scheme
 from repro.common import Record, Variant
-from repro.io.colfile import decode_batch_store, encode_batch
+from repro.io.colfile import decode_batch_store, encode_batch, result_records
 from repro.aggregate.table import StateTable
-from repro.query.columnar import columnar_aggregate, columnar_db, supports_scheme
+from repro.query.columnar import columnar_aggregate, columnar_db
 
 from ..conftest import examples, record_lists
 
@@ -46,24 +46,49 @@ class _CustomSum(SumOp):
 
 
 class TestSupport:
+    """Every built-in operator folds a decoded batch through its column
+    kernel: no ``Record`` is built for it."""
+
+    @pytest.fixture(autouse=True)
+    def counted_hydration(self, monkeypatch):
+        from repro.io import colfile
+
+        self.hydrated = []
+        real = colfile.records_from_store
+
+        def counting(store, rows=None):
+            self.hydrated.append(len(store) if rows is None else len(rows))
+            return real(store, rows)
+
+        monkeypatch.setattr(colfile, "records_from_store", counting)
+
+    BATCH = [
+        Record({"k": f"k{i % 3}", "t": 0.25 * i, "u": 1.0 + i % 4}) for i in range(12)
+    ]
+
+    def fold(self, scheme):
+        db = AggregationDB(scheme)
+        db.process_all(self.BATCH)
+        got = columnar_aggregate(decode_batch_store(encode_batch(self.BATCH)), scheme)
+        assert canonical(result_records(got)) == canonical(db.flush())
+
     def test_supported_ops(self):
-        scheme = parse_scheme(
+        self.fold(parse_scheme(
             "AGGREGATE count, sum(t), min(t), max(t), avg(t), variance(t), "
             "stddev(t), histogram(t,4,0,1), first(t), any(u), ratio(t,u), "
             "scale(t,2), percent_total(t) GROUP BY k"
-        )
-        assert supports_scheme(scheme)
+        ))
+        assert self.hydrated == []
 
     def test_aliased_ops_supported(self):
-        scheme = parse_scheme("AGGREGATE sum(t) AS total GROUP BY k")
-        assert supports_scheme(scheme)
+        self.fold(parse_scheme("AGGREGATE sum(t) AS total GROUP BY k"))
+        assert self.hydrated == []
 
     def test_unsupported_ops_detected(self):
-        # exact-type dispatch: a subclass may change update() semantics
-        scheme = AggregationScheme(ops=[_CustomSum(["t"])], key=["k"])
-        assert not supports_scheme(scheme)
-        with pytest.raises(NotImplementedError, match="customsum"):
-            columnar_aggregate([], scheme)
+        # exact-type dispatch: a subclass may change update() semantics, so
+        # it folds its own rows through update(), in the same table
+        self.fold(AggregationScheme(ops=[_CustomSum(["t"])], key=["k"]))
+        assert self.hydrated == [len(self.BATCH)]
 
 
 class TestEquivalence:
@@ -212,8 +237,7 @@ from repro.query.engine import QueryEngine  # noqa: E402
 
 def assert_backends_equivalent(recs, query_text):
     engine = QueryEngine(query_text)
-    col = engine.run(recs, backend="columnar")
-    assert engine.last_backend == "columnar"
+    col = engine.run(recs)
     row = engine.run(recs, backend="rows")
     key_labels = engine.scheme.key
 

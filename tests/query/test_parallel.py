@@ -99,7 +99,7 @@ class TestWorker:
         engine = QueryEngine(QUERY)
         db = engine.make_db()
         for chunk in (paths[:2], paths[2:]):
-            blob, offered, processed, _timings = _partial_worker(QUERY, chunk, "auto")
+            blob, offered, processed, _timings = _partial_worker(QUERY, chunk)
             part = StateTable.from_binary(engine.scheme, blob)
             part.num_offered, part.num_processed = offered, processed
             db.merge(part)
@@ -275,23 +275,17 @@ class TestAutoParallelHeuristics:
 
         # 100 rows over 5 files: a query that folds the chunk stores sizes its
         # pool on 100 / RCF_ROWS_PER_RECORD records, one that hydrates rows
-        # (rows backend, LET) on all 100.
+        # (LET) on all 100.
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(dataset_mod, "MIN_PARALLEL_RECORDS_PER_WORKER", 1)
         monkeypatch.setattr(parallel_mod, "RCF_ROWS_PER_RECORD", 50)
         let_query = "LET twice = time.duration * 2 " + QUERY
-        for query, backend, workers in (
-            (QUERY, "auto", 2),
-            (QUERY, "rows", 5),
-            (let_query, "auto", 5),
-        ):
+        for query, workers in ((QUERY, 2), (let_query, 5)):
             with observe.collecting() as reg:
-                got = parallel_query_files(
-                    query, rcf_files, QueryOptions(jobs=True, backend=backend)
-                )
+                got = parallel_query_files(query, rcf_files, QueryOptions(jobs=True))
             assert (
                 reg.timer_stats("parallel.query_files", files=5, workers=workers)[0] == 1
-            ), (query, backend)
+            ), query
             labels = ["kernel", "count", "sum#time.duration", "variance#time.duration"]
             assert got.rows(labels) == pytest.approx(serial_result(rcf_files).rows(labels))
 

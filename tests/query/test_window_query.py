@@ -49,7 +49,7 @@ class TestWindowedBatch:
     def test_rows_and_columnar_backends_agree(self):
         records = timed_records()
         rows = QueryEngine(QUERY).run(records, backend="rows")
-        col = QueryEngine(QUERY).run(records, backend="columnar")
+        col = QueryEngine(QUERY).run(records)
         assert summarize(rows.records) == summarize(col.records)
 
     def test_sliding_expands_groups(self):

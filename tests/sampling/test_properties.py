@@ -75,7 +75,7 @@ class TestBackendEquivalence:
             db.process_all(weighted)
             results[plan] = rows(db.flush())
         engine = QueryEngine(QUERY)
-        results["columnar"] = rows(engine.run(weighted, backend="columnar"))
+        results["columnar"] = rows(engine.run(weighted))
         base = results["compiled"]
         for name, got in results.items():
             assert set(got) == set(base), name
