@@ -13,8 +13,7 @@ shared across keys, per-key state is a flat list of small lists, and the hot
 loop does one dict lookup plus one fused fold (see
 :mod:`repro.aggregate.plan`).  ``AggregationDB(scheme, fold_plan="generic")``
 builds the reference per-operator dispatch loop instead: the equivalence
-tests fold through it, and merge-only databases (which never see a record)
-use it to skip plan compilation.
+tests fold through it.
 
 This is the per-record form of the state: the runtime's channel DB folds
 one event at a time into it, and the tests fold through it as the

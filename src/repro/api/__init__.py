@@ -196,13 +196,14 @@ def _query_collection(text: str, source, opts: QueryOptions) -> QueryResult:
     items = source if isinstance(source, (list, tuple)) else list(source)
     if items and all(isinstance(i, (str, os.PathLike)) for i in items):
         paths = [os.fspath(i) for i in items]
-        if QueryEngine(text).scheme is not None:
+        engine = QueryEngine(text)
+        if engine.scheme is not None:
             # Aggregation: partial states combine exactly, so fold each file
             # where it is read (real cores by default).
-            from ..query.parallel import parallel_query_files
+            from ..query.parallel import query_files
 
-            return parallel_query_files(text, paths, opts)
-        return Dataset.from_files(paths, parallel=opts.jobs).query(text)
+            return query_files(engine, text, paths, opts)
+        return engine.run(Dataset.from_files(paths, parallel=opts.jobs).records)
     if any(not isinstance(i, Record) for i in items):
         bad = next(i for i in items if not isinstance(i, Record))
         raise QueryError(

@@ -238,11 +238,8 @@ class Dataset:
 
     @classmethod
     def from_file(cls, path: Union[str, os.PathLike]) -> "Dataset":
-        path = os.fspath(path)
-        if _format_of(path) == "rcf":
-            return cls._from_colfile(path)
-        records, globals_ = read_records(path)
-        return cls(records, globals_, [path])
+        """One file: the one-element :meth:`from_files`, globals folded in."""
+        return cls.from_files([path])
 
     @classmethod
     def _lazy(
@@ -253,12 +250,6 @@ class Dataset:
         dataset._store = store
         dataset._records = None
         return dataset
-
-    @classmethod
-    def _from_colfile(cls, path: str) -> "Dataset":
-        """Open an ``.rcf`` file as a lazy, mmap-backed dataset."""
-        reader = ColfileReader(path)
-        return cls._lazy(reader.store(), reader.globals, [path])
 
     @classmethod
     def from_files(

@@ -505,12 +505,13 @@ class AggregationServer:
         """Finalize every window closed below the current watermark and
         return the newly retired windows' final records (see
         :meth:`_retire`)."""
-        return self._retire().flush()
+        fresh = self._retire()
+        return [] if fresh is None else fresh.flush()
 
-    def _retire(self) -> StateTable:
+    def _retire(self) -> Optional[StateTable]:
         """Finalize every window closed below the current watermark; the
-        newly retired windows as one table (what the periodic retire loop
-        runs: it builds no ``Record``).
+        newly retired windows as one table, ``None`` when none closed (what
+        the periodic retire loop runs: it builds no ``Record``).
 
         Pops closed windows' state out of the shards and the forwarded
         per-origin tables and merges it into the retired-results table.
@@ -532,14 +533,14 @@ class AggregationServer:
             raise ReproError("relays do not retire windows; query the root")
         mark = self.watermark()
         if mark is None:
-            return StateTable(window.scheme)
+            return None
         # On each worker in queue order, so every batch acknowledged before
         # the barrier is inside the popped state.
         tables = self._shards.call(lambda shard: shard.table.pop(WINDOW_END, mark))
         tables += self._relay.pop_closed(mark)
         with window.lock:
             fresh = window.finalize(mark, tables)
-        if len(fresh):
+        if fresh is not None:
             # distinct (window.start, window.end) pairs, read off the key codes
             keys = fresh.key_store().columns
             windows = zip(keys[WINDOW_START].codes.tolist(), keys[WINDOW_END].codes.tolist())

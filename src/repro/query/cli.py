@@ -249,10 +249,14 @@ def _run(args) -> int:
             labels: set[str] = set()
             globals_lines = []
             for path in args.files:
-                # an .rcf answers both from its schema and footer
+                # an .rcf answers both from its schema and footer; globals
+                # are folded into the rows but listed apart
                 dataset = Dataset.from_file(path)
                 if args.list_attributes:
-                    labels.update(dataset.labels())
+                    labels.update(
+                        label for label in dataset.labels()
+                        if label not in dataset.globals
+                    )
                 if args.show_globals:
                     pairs = ", ".join(
                         f"{k}={v.to_string()}"

@@ -108,18 +108,26 @@ def parallel_query_files(
     columnar count ``RCF_ROWS_PER_RECORD`` to a record); an explicit integer
     sets the pool size; 1 (or a single file) degrades to the serial path.
     """
-    opts = QueryOptions.coerce(options)
-    pool_size = True if opts.jobs is None else opts.jobs
-    path_list = [os.fspath(p) for p in paths]
     engine = QueryEngine(query)
     if engine.scheme is None:
         raise QueryError(
             "parallel_query_files requires an aggregation query "
             "(partial results must be combinable)"
         )
+    return query_files(engine, query, paths, QueryOptions.coerce(options))
+
+
+def query_files(
+    engine: QueryEngine, query: str, paths: Sequence[Union[str, os.PathLike]],
+    opts: QueryOptions,
+) -> QueryResult:
+    """:func:`parallel_query_files` for an aggregation ``engine`` already
+    compiled from ``query`` (the text is what the workers compile)."""
+    pool_size = True if opts.jobs is None else opts.jobs
+    path_list = [os.fspath(p) for p in paths]
     if opts.backend == "rows":
         dataset = Dataset.from_files(path_list, parallel=opts.jobs)
-        return dataset.query(query, backend="rows")
+        return engine.run(dataset.records, backend="rows")
     table = engine.make_db()
     if not path_list:
         # No inputs: an empty result of the right shape, no pool spin-up.

@@ -82,20 +82,12 @@ class Channel:
         #: account for them in expectation — see repro.sampling)
         self.num_sampled_out = 0
         self._sampler = self._make_sampler()
-        #: snapshots served through the zero-copy fold-only path
-        self.num_fast_snapshots = 0
-        # Per-thread scratch record for fold-only snapshots that need
-        # contributor entries: reused across snapshots, so the assembly
-        # allocates nothing.
-        self._scratch_tls = threading.local()
+        # Record form, fixed by the service mix: a processor that retains
+        # records needs a fresh one per snapshot; fold-only processors get the
+        # blackboard's live record or a per-thread scratch record.
+        self._retains = not all(s.folds_immediately for s in self._processors)
         self._finished = False
-        if all(s.folds_immediately for s in self._processors):
-            # Zero-copy snapshot fast path: legal because every processor
-            # folds the record immediately without retaining it.
-            # Shadow the method with a closure specialized for this channel's
-            # service mix: dispatch lists, blackboard accessor, and scratch
-            # storage are bound once instead of re-read per snapshot.
-            self.push_snapshot = self._make_fast_push()
+        self.push_snapshot = self._make_push()
 
     def _make_sampler(self):
         """Build the channel's sampling service from ``sampling.*`` config.
@@ -166,172 +158,92 @@ class Channel:
 
     # -- snapshots ----------------------------------------------------------------
 
-    def push_snapshot(
-        self,
-        extra: Optional[dict[str, Variant]] = None,
-        at: Optional[float] = None,
-    ) -> None:
-        """Take a snapshot: blackboard contents + service measurements.
+    @property
+    def num_fast_snapshots(self) -> int:
+        """Snapshots served without a fresh record (every one on a fold-only
+        channel, none on a channel whose processors retain records)."""
+        return 0 if self._retains else self.num_snapshots
 
-        ``at`` overrides the snapshot's timestamp (used by the sampler when
-        it replays missed sampling deadlines after a large virtual-time
-        advance); ``extra`` carries trigger information.
-        """
-        if not self.active:
-            self.num_suppressed += 1
-            return
-        blackboard = self.caliper.blackboard()
-        sampler = self._sampler
-        weight = None
-        probe = False
-        if sampler is not None:
-            probe = sampler.tick()
-            t0 = time.perf_counter() if probe else 0.0
-            weight = sampler.decide(blackboard._entries)
-            if weight is False:
-                self.num_sampled_out += 1
-                for service in self._skip_services:
-                    service.on_sample_skip(at)
-                if probe:
-                    sampler.record_drop_probe(time.perf_counter() - t0)
-                return
-        entries = dict(blackboard.snapshot_entries())
-        for service in self._contributors:
-            service.contribute(entries, at)
-        if extra:
-            entries.update(extra)
-        if weight is not None:
-            entries[_WEIGHT_LABEL] = weight
-        record = Record.from_variants(entries)
-        self.num_snapshots += 1
-        for service in self._processors:
-            service.process(record)
-        if probe:
-            sampler.record_kept_probe(time.perf_counter() - t0)
+    def _make_push(self):
+        """Build ``push_snapshot(extra=None, at=None)`` for this channel.
 
-    def _make_fast_push(self):
-        """Specialized ``push_snapshot`` for fold-only channels.
+        One snapshot rule for every service mix: suppression, then the
+        sampling gate (decided against the blackboard's *live* entries, so a
+        dropped event pays only the decision and the ``on_sample_skip``
+        hooks), then the record, then the processors.  ``at`` overrides the
+        snapshot's timestamp (the sampler replays missed deadlines with it);
+        ``extra`` carries trigger information.  The record is
 
-        Every processor folds the record immediately without retaining it, so
-        the snapshot needs no fresh dict and no fresh :class:`Record`:
+        * a fresh :class:`Record` when a processor retains records;
+        * otherwise the blackboard's live record as-is, when there is no
+          contributor, no ``extra`` and no ``sample.weight`` to add;
+        * otherwise a per-thread scratch record, reused across snapshots.
+          Contributors (timer) and the weight must never be written into the
+          shared blackboard dict: other channels on the thread snapshot it.
 
-        * no contributors, no ``extra`` — the blackboard's live record is
-          handed to the processors as-is (zero copies, zero allocation);
-        * otherwise — entries are assembled into a per-thread scratch record
-          reused across snapshots.  Contributors (timer) must not write into
-          the shared blackboard dict, because other channels on the same
-          thread snapshot it too.
-        """
-        blackboard_of = self.caliper.blackboard
-        contributors = tuple(self._contributors)
-        processors = tuple(self._processors)
-        scratch_tls = self._scratch_tls
-
-        if self._sampler is not None:
-            return self._make_sampling_fast_push()
-
-        def push_snapshot(extra=None, at=None, _ch=self):
-            if not _ch.active:
-                _ch.num_suppressed += 1
-                return
-            # One TLS probe fetches everything thread-bound: the scratch
-            # record, its entry dict, and the blackboard's live views (the
-            # blackboard and its dicts are stable per thread).
-            st = getattr(scratch_tls, "st", None)
-            if st is None:
-                blackboard = blackboard_of()
-                scratch_record = Record.from_variants({})
-                st = (
-                    scratch_record,
-                    scratch_record._entries,
-                    blackboard._entries,
-                    blackboard._record,
-                )
-                scratch_tls.st = st
-            if contributors or extra:
-                record, scratch, live_entries, _ = st
-                scratch.clear()
-                scratch.update(live_entries)
-                for service in contributors:
-                    service.contribute(scratch, at)
-                if extra:
-                    scratch.update(extra)
-            else:
-                record = st[3]
-            _ch.num_snapshots += 1
-            _ch.num_fast_snapshots += 1
-            for service in processors:
-                service.process(record)
-
-        return push_snapshot
-
-    def _make_sampling_fast_push(self):
-        """The fold-only fast path with the sampling gate spliced in front.
-
-        Differences from the unsampled closure: the gate decides against
-        the blackboard's *live* entries before any snapshot work, dropped
-        events only pay the decision plus the timer-skip hooks, and kept
-        snapshots with a weight always assemble into the scratch record so
-        ``sample.weight`` never leaks into the shared blackboard dict.
-        Every ``probe_every``-th event is timed end-to-end with
-        ``perf_counter`` — those measurements are the controller's feedback
-        signal.
+        Every ``probe_every``-th gated event is timed end to end — the
+        sampling controller's feedback signal.  Dispatch lists and the
+        per-thread views are bound once, not re-read per snapshot.
         """
         blackboard_of = self.caliper.blackboard
         contributors = tuple(self._contributors)
         processors = tuple(self._processors)
         skip_services = tuple(self._skip_services)
-        scratch_tls = self._scratch_tls
+        retains = self._retains
         sampler = self._sampler
-        tick = sampler.tick
-        decide = sampler.decide
-        record_kept = sampler.record_kept_probe
-        record_drop = sampler.record_drop_probe
+        tick = decide = None
+        if sampler is not None:
+            tick, decide = sampler.tick, sampler.decide
         perf_counter = time.perf_counter
+        tls = threading.local()
+
+        def thread_views():
+            # The blackboard and its dicts are stable per thread, so one TLS
+            # probe fetches the scratch record, its dict and the live views.
+            blackboard = blackboard_of()
+            scratch = Record.from_variants({})
+            tls.views = (scratch, scratch._entries, blackboard._entries, blackboard._record)
+            return tls.views
 
         def push_snapshot(extra=None, at=None, _ch=self):
             if not _ch.active:
                 _ch.num_suppressed += 1
                 return
-            st = getattr(scratch_tls, "st", None)
-            if st is None:
-                blackboard = blackboard_of()
-                scratch_record = Record.from_variants({})
-                st = (
-                    scratch_record,
-                    scratch_record._entries,
-                    blackboard._entries,
-                    blackboard._record,
-                )
-                scratch_tls.st = st
-            probe = tick()
-            t0 = perf_counter() if probe else 0.0
-            weight = decide(st[2])
-            if weight is False:
-                _ch.num_sampled_out += 1
-                for service in skip_services:
-                    service.on_sample_skip(at)
-                if probe:
-                    record_drop(perf_counter() - t0)
-                return
-            if weight is not None or contributors or extra:
-                record, scratch, live_entries, _ = st
-                scratch.clear()
-                scratch.update(live_entries)
+            views = getattr(tls, "views", None) or thread_views()
+            weight = None
+            probe = False
+            if decide is not None:
+                probe = tick()
+                t0 = perf_counter() if probe else 0.0
+                weight = decide(views[2])
+                if weight is False:
+                    _ch.num_sampled_out += 1
+                    for service in skip_services:
+                        service.on_sample_skip(at)
+                    if probe:
+                        sampler.record_drop_probe(perf_counter() - t0)
+                    return
+            if retains or contributors or extra or weight is not None:
+                if retains:
+                    entries = dict(views[2])
+                    record = Record.from_variants(entries)
+                else:
+                    record, entries = views[0], views[1]
+                    entries.clear()
+                    entries.update(views[2])
                 for service in contributors:
-                    service.contribute(scratch, at)
+                    service.contribute(entries, at)
                 if extra:
-                    scratch.update(extra)
+                    entries.update(extra)
                 if weight is not None:
-                    scratch[_WEIGHT_LABEL] = weight
+                    entries[_WEIGHT_LABEL] = weight
             else:
-                record = st[3]
+                record = views[3]
             _ch.num_snapshots += 1
-            _ch.num_fast_snapshots += 1
             for service in processors:
                 service.process(record)
             if probe:
-                record_kept(perf_counter() - t0)
+                sampler.record_kept_probe(perf_counter() - t0)
 
         return push_snapshot
 

@@ -3,8 +3,8 @@
 The instrumented hot path costs microseconds per event while the disabled
 floor is tens of nanoseconds — a gap that forces all-or-nothing profiling.
 This package closes it with *feedback-controlled Bernoulli sampling*: a
-cheap per-attribute gate ahead of the snapshot fast path drops a fraction
-of snapshots, a controller measures the real per-event snapshot cost with
+cheap per-attribute gate at the head of the channel's snapshot path drops
+a fraction of snapshots, a controller measures the real per-event snapshot cost with
 ``time.perf_counter`` probes (published through :mod:`repro.observe`) and
 adjusts sampling probabilities every control interval until the expected
 snapshot cost per event converges on a user budget

@@ -1,6 +1,6 @@
 """The per-attribute Bernoulli sampling gate.
 
-The gate sits ahead of the channel's snapshot fast path and answers one
+The gate sits at the head of the channel's snapshot path and answers one
 question per event: *keep this snapshot, and at what weight?*  Its decision
 path is deliberately tiny — one dict lookup for the gating attribute's
 current value, one counter increment, one ``random()`` compare — because it

@@ -208,17 +208,19 @@ class WindowFront:
         self.tracker.remove(source)
         self._clocks.pop(source, None)
 
-    def finalize(self, mark: float, popped: Sequence[StateTable]) -> StateTable:
+    def finalize(self, mark: float, popped: Sequence[StateTable]) -> Optional[StateTable]:
         """Retire the tables popped as closed below ``mark``: raise the
         retire floor, merge them into the retired-results table, return the
-        *newly* retired windows as one table."""
+        *newly* retired windows as one table (``None`` when none closed)."""
         if self.retire_floor is None or mark > self.retire_floor:
             self.retire_floor = mark
+        popped = [table for table in popped if len(table)]
+        if not popped:
+            return None
         fresh = StateTable(self.scheme)
         for table in popped:
             fresh.merge(table)
-        if len(fresh):
-            self.retired.merge(fresh)
+        self.retired.merge(fresh)
         return fresh
 
     def retired_results(self) -> List[Record]:
@@ -268,7 +270,8 @@ class WindowedAggregationDB(WindowFront):
         mark = self.watermark() if watermark is None else watermark
         if mark is None:
             return []
-        return self.finalize(mark, [self.table.pop(WINDOW_END, mark)]).flush()
+        fresh = self.finalize(mark, [self.table.pop(WINDOW_END, mark)])
+        return [] if fresh is None else fresh.flush()
 
     def estimates(self, watermark: Optional[float] = None) -> List[Record]:
         """Partial aggregates + confidence intervals for open windows."""

@@ -10,9 +10,11 @@ over randomized inputs:
   off-line, on-line, and split across combine stages;
 * grouped kernels (several fast ops sharing one argument label) and
   fallback kernels (ops without a monomorphic fast kernel) fold identically;
-* an ``event,timer,aggregate`` channel flushes what an ``event,timer,trace``
-  channel on the same runtime retained, folded through the reference, and
-  the key cache survives epoch bumps.
+* an ``event,timer,aggregate`` channel (and an ``event,aggregate`` one)
+  flushes what an ``event,timer,trace`` channel on the same runtime
+  retained, folded through the reference — unsampled and sampled, with
+  explicit snapshots carrying extra entries — and the key cache survives
+  epoch bumps.
 """
 
 import math
@@ -36,9 +38,11 @@ from repro.aggregate.ops import (
     SumOp,
     VarianceOp,
 )
-from repro.aggregate.ops import default_registry
+from repro.aggregate.ops import WEIGHT_LABEL, default_registry
 from repro.aggregate.plan import CompiledFoldPlan, make_plan
 from repro.common import AggregationError, Record
+
+from ..conftest import examples
 
 # -- random record streams ----------------------------------------------------
 
@@ -136,21 +140,21 @@ def run_db(ops, recs, key=("k",), fold_plan="compiled"):
 class TestCompiledMatchesGeneric:
     @pytest.mark.parametrize("key", [(), ("k",), ("k", "k2")], ids=["nokey", "k1", "k2"])
     @given(recs=streams())
-    @settings(max_examples=8, deadline=None)
+    @settings(max_examples=examples(8), deadline=None)
     def test_offline_flush(self, key, recs):
         got = run_db(FAST_OPS(), recs, key, "compiled").flush()
         want = run_db(FAST_OPS(), recs, key, "generic").flush()
         assert_same_output(got, want)
 
     @given(recs=streams())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_fallback_ops_fold_identically(self, recs):
         got = run_db(MIXED_OPS(), recs, ("k",), "compiled").flush()
         want = run_db(MIXED_OPS(), recs, ("k",), "generic").flush()
         assert_same_output(got, want)
 
     @given(recs=streams())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_online_equals_offline(self, recs):
         scheme = AggregationScheme(FAST_OPS(), key=("k",))
         stream = StreamAggregator(scheme)
@@ -160,7 +164,7 @@ class TestCompiledMatchesGeneric:
         assert_same_output(stream.flush(), want)
 
     @given(recs=streams(finite=True), split=st.integers(min_value=0, max_value=30))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_combine_equals_single_pass(self, recs, split):
         # Finite values only: combine reassociates the folds, and IEEE
         # inf/nan arithmetic is not associative (sum([inf, -inf]) vs
@@ -193,7 +197,7 @@ class TestGroupedKernels:
         assert plan.num_fast_ops == 5
 
     @given(recs=streams())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     def test_grouped_fold_matches_generic(self, recs):
         got = run_db(self.make_ops(), recs, ("k",), "compiled").flush()
         want = run_db(self.make_ops(), recs, ("k",), "generic").flush()
@@ -213,12 +217,14 @@ class TestGroupedKernels:
 
 #: one instrumentation call: ("begin", name) / ("end",) on the nested
 #: ``function`` attribute, ("set", value) on the plain ``phase`` attribute,
-#: ("snap",) an explicit snapshot, ("tick", seconds) a clock advance
+#: ("snap",) an explicit snapshot, ("extra", value) one whose extra entry
+#: overrides ``phase``, ("tick", seconds) a clock advance
 _program_steps = st.one_of(
     st.tuples(st.just("begin"), st.sampled_from(["main", "solve", "io"])),
     st.tuples(st.just("end")),
     st.tuples(st.just("set"), st.sampled_from(["init", "run"])),
     st.tuples(st.just("snap")),
+    st.tuples(st.just("extra"), st.sampled_from(["marked"])),
     st.tuples(st.just("tick"), st.sampled_from([0.25, 0.5, 2.0])),
 )
 
@@ -231,17 +237,27 @@ class TestOnlineMatchesReference:
         "max(time.duration) GROUP BY function"
     )
 
+    @pytest.mark.parametrize("sampled", [False, True], ids=["unsampled", "sampled"])
     @pytest.mark.parametrize("inclusive", [False, True], ids=["exclusive", "inclusive"])
     @given(program=st.lists(_program_steps, max_size=40))
-    @settings(max_examples=25, deadline=None)
-    def test_aggregate_channel_equals_trace_folded_offline(self, inclusive, program):
-        """Same events, two channels: fold on-line vs retain and fold later.
+    @settings(max_examples=examples(25), deadline=None)
+    def test_aggregate_channel_equals_trace_folded_offline(self, inclusive, sampled, program):
+        """Same events, three channels: fold on-line vs retain and fold later.
 
-        The trace channel retains records, so it takes the generic
-        ``push_snapshot`` (a copied dict per snapshot) and never touches the
-        key cache or a compiled plan.  ``phase`` is only set by some programs
-        and never before the first ``set``, so keys with a missing attribute
-        occur.
+        One snapshot closure serves all three with different records: the
+        trace channel retains records, so it gets a fresh record (a copied
+        dict) per snapshot and never touches the key cache or a compiled
+        plan; the timed aggregate channel folds a per-thread scratch record
+        (timer entries, extra entries and ``sample.weight`` are written
+        there); the untimed one folds the blackboard's live record unless an
+        extra entry or a weight forces the scratch record.  Sampled, every
+        channel runs the same gate (same probability, same seed), so each
+        drops the same events, and the trace channel's retained weighted
+        records fold to what the aggregate channels folded.  The blackboard's
+        live entries must stay what its stacks say: no contributor, extra or
+        weight entry is ever written into them.  ``phase`` is only set by
+        some programs and never before the first ``set``, so keys with a
+        missing attribute occur.
         """
         from repro.calql import parse_scheme
         from repro.runtime import Caliper, VirtualClock
@@ -250,17 +266,25 @@ class TestOnlineMatchesReference:
             "AGGREGATE count, sum(time.duration), max(time.duration), "
             "sum(time.inclusive.duration) GROUP BY function, phase"
         )
+        untimed_text = "AGGREGATE count GROUP BY function, phase"
         clk = VirtualClock()
         cali = Caliper(clock=clk)
-        common = {"timer.inclusive": inclusive, "event.trigger_set": True}
+        common = {"event.trigger_set": True}
+        if sampled:
+            common.update({"sampling.probability": 0.5, "sampling.seed": 7})
+        timed = {"timer.inclusive": inclusive, **common}
         online = cali.create_channel(
             "online",
-            {"services": ["event", "timer", "aggregate"],
-             "aggregate.config": text, "aggregate.rename_count": False, **common},
+            {**timed, "services": ["event", "timer", "aggregate"],
+             "aggregate.config": text, "aggregate.rename_count": False},
         )
-        trace = cali.create_channel(
-            "trace", {"services": ["event", "timer", "trace"], **common}
+        untimed = cali.create_channel(
+            "untimed",
+            {"services": ["event", "aggregate"], "aggregate.config": untimed_text,
+             "aggregate.rename_count": False, **common},
         )
+        trace = cali.create_channel("trace", {**timed, "services": ["event", "timer", "trace"]})
+        blackboard = cali.blackboard()
         depth = 0
         for step in program:
             if step[0] == "begin":
@@ -274,19 +298,30 @@ class TestOnlineMatchesReference:
                 cali.set("phase", step[1])
             elif step[0] == "snap":
                 cali.push_snapshot()
+            elif step[0] == "extra":
+                cali.push_snapshot({"phase": step[1]})
             else:
                 clk.advance(step[1])
+            live = blackboard.snapshot_entries()
+            assert WEIGHT_LABEL not in live
+            assert live == blackboard.rebuild_entries()
         for _ in range(depth):
             cali.end("function")
 
         retained = trace.finish()
-        assert len(retained) == trace.num_snapshots == online.num_snapshots
-        assert online.num_fast_snapshots == online.num_snapshots
+        channels = ((online, text), (untimed, untimed_text))
+        assert len(retained) == trace.num_snapshots
+        for channel, _ in channels:
+            assert channel.num_snapshots == trace.num_snapshots
+            assert channel.num_sampled_out == trace.num_sampled_out
+            assert channel.num_fast_snapshots == channel.num_snapshots
         assert trace.num_fast_snapshots == 0
-        reference = AggregationDB(parse_scheme(text), fold_plan="generic")
-        for record in retained:
-            reference.process(record)
-        assert_same_output(online.finish(), reference.flush())
+        assert sampled or trace.num_sampled_out == 0
+        for channel, scheme_text in channels:
+            reference = AggregationDB(parse_scheme(scheme_text), fold_plan="generic")
+            for record in retained:
+                reference.process(record)
+            assert_same_output(channel.finish(), reference.flush())
 
     def test_key_cache_invalidated_by_table_clear(self):
         from repro.runtime import Caliper, VirtualClock

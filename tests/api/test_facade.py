@@ -75,6 +75,17 @@ class TestQueryDispatch:
         ]
         assert answers == dict.fromkeys(answers, want)
 
+    @pytest.mark.parametrize("text", [QUERY, "SELECT k, x"], ids=["aggregate", "select"])
+    @pytest.mark.parametrize("backend", ["auto", "rows"])
+    def test_a_file_query_compiles_its_text_once(self, tmp_path, text, backend):
+        from repro import observe
+
+        path = str(tmp_path / "one.rcf")
+        write_records(path, make_records())
+        with observe.collecting() as reg:
+            api.query(text, path, backend=backend)
+        assert reg.timer_stats("query.parse")[0] == 1
+
     def test_glob(self, files, tmp_path):
         pattern = str(tmp_path / "part-*.json")
         got = api.query(QUERY, pattern)

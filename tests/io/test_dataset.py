@@ -81,6 +81,17 @@ class TestDataset:
         ds.extend([Record({"extra": 1})])
         assert len(ds) == 3
 
+    @pytest.mark.parametrize("ext", ["cali", "json", "rcf"])
+    def test_from_file_is_the_one_element_from_files(self, tmp_path, ext):
+        """A file's globals reach its rows whichever loader opens it."""
+        path = tmp_path / f"rank-1.{ext}"
+        write_records(path, [Record({"a": 1}), Record({"a": 2})], globals_={"mpi.rank": 1})
+        query = "AGGREGATE count GROUP BY mpi.rank"
+        one = Dataset.from_file(path).query(query)
+        assert [r.to_plain() for r in one.records] == [{"mpi.rank": 1, "count": 2}]
+        assert str(one) == str(Dataset.from_files([path]).query(query))
+        assert Dataset.from_file(path).globals["mpi.rank"].value == 1
+
     def test_to_file_roundtrip(self, rank_files, tmp_path):
         ds = Dataset.from_files(rank_files)
         out = tmp_path / "merged.cali"

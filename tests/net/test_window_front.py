@@ -199,3 +199,39 @@ def test_the_periodic_retire_loop_builds_no_record(monkeypatch):
                 if r.get("window.end").value <= server.watermark()
             )
     assert counts == [2, 2]
+
+
+def test_a_retire_cycle_that_retires_nothing_merges_and_flushes_nothing(monkeypatch):
+    """Once the closed windows are gone, a cycle whose watermark closes no
+    window returns at once: no ``StateTable.merge`` / ``flush``, yet the
+    retire floor still rises and ``window.retired`` stays exact."""
+    batch = [record(i % 4, i, i % 9) for i in range(60)]  # event time [0, 30)
+    later = [Record({"k": "k0", "v": 0.25, "time.start": 29.75})]  # window [20, 30) stays open
+    wdb = WindowedAggregationDB(parse_scheme(BASE), "tumbling(10s)")
+    server = AggregationServer(BASE, shards=2, window="tumbling(10s)")
+    session = server._hello({"client": "local", "stream": "s", "caps": ["colbin1"]})[0]
+    server._shards.start()
+    try:
+        for seq, recs in enumerate((batch, later)):
+            wdb.process_all(recs)
+            mtype, _body = asyncio.run(server._handle(
+                session, MessageType.RECORDS, {"seq": seq}, {"records": records_to_binary(recs)}
+            ))
+            assert mtype is MessageType.ACK
+            if seq == 0:
+                assert rows(server.retire_now()) == rows(wdb.retire())
+                assert server.metrics.counter_value("window.retired") == 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a retire cycle that retires nothing built a table")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(StateTable, "merge", refuse)
+            patch.setattr(StateTable, "flush", refuse)
+            assert server.retire_now() == [] and wdb.retire() == []
+        assert server._window.retire_floor == wdb.retire_floor == 29.75
+        assert server.metrics.counter_value("window.retired") == 2
+        assert rows(server.retired_results()) == rows(wdb.retired_results())
+    finally:
+        server._shards.stopping.set()
+        server._shards.stop(5.0)
