@@ -67,6 +67,8 @@ from ..io.colfile import (
     _Dictionary,
     _first_use,
     _NumColumn,
+    _dense_unique,
+    _table_span,
 )
 from .ops import (
     WEIGHT_LABEL,
@@ -130,10 +132,10 @@ def _condition_mask(cond, store: ColumnStore, rows: Optional[np.ndarray] = None)
         codes = codes[rows]
     if isinstance(cond, Exists):
         return codes >= 0
-    truth = np.zeros(len(values) + 1, dtype=bool)  # slot 0 = missing
+    truth = np.zeros(len(values) + 1, dtype=bool)  # the last entry: code -1, missing
     for i, v in enumerate(values):
-        truth[i + 1] = compare_variants(v, cond.op, cond.value)
-    return truth[codes + 1]
+        truth[i] = compare_variants(v, cond.op, cond.value)
+    return truth[codes]
 
 
 def _select_rows(
@@ -141,9 +143,10 @@ def _select_rows(
     scheme: AggregationScheme,
     where: Optional[Sequence] = None,
     rows: Optional[np.ndarray] = None,
-) -> np.ndarray:
+) -> Optional[np.ndarray]:
     """Indices of the rows the aggregation folds: those of ``rows`` (default:
-    every row) that pass the filter.
+    every row) that pass the filter; ``None`` when that is every row of the
+    store, in order, so the fold reads its columns without a gather.
 
     ``where`` is the query's AST condition list; ``None`` falls back to the
     conditions the scheme's predicate was compiled from, and for a
@@ -152,24 +155,24 @@ def _select_rows(
     predicate is compiled from the WHERE clause), so only one is applied.
     """
     predicate = scheme.predicate
+    mask: Optional[np.ndarray] = None
     if where is None and predicate is not None:
         where = getattr(predicate, "conditions", None)
         if where is None:
-            offered = np.arange(len(store), dtype=np.int64) if rows is None else rows
-            records = _hydrate(store, offered)
-            keep = np.fromiter(map(predicate, records), dtype=bool, count=len(records))
-            return offered[keep]
-    mask: Optional[np.ndarray] = None
+            records = _hydrate(store, rows)
+            mask = np.fromiter(map(predicate, records), dtype=bool, count=len(records))
     for cond in where or ():
         m = _condition_mask(cond, store, rows)
         mask = m if mask is None else mask & m
     if mask is None:
-        return np.arange(len(store), dtype=np.int64) if rows is None else rows
-    return np.flatnonzero(mask) if rows is None else rows[mask]
+        return rows
+    if rows is None:
+        return None if mask.all() else np.flatnonzero(mask)
+    return rows[mask]
 
 
-def _hydrate(store: ColumnStore, rows: np.ndarray) -> list[Record]:
-    if len(rows) == len(store) and np.array_equal(rows, np.arange(len(store))):
+def _hydrate(store: ColumnStore, rows: Optional[np.ndarray]) -> list[Record]:
+    if rows is None or (len(rows) == len(store) and np.array_equal(rows, np.arange(len(store)))):
         return store.records
     return colfile.records_from_store(store, rows)
 
@@ -185,12 +188,14 @@ def _equality_classes(
     Interned codes are exact — ``int 1`` and ``double 1.0`` are distinct —
     but GROUP BY identity follows :class:`Variant` equality, where numeric
     values compare as floats across int/uint/double.  Returns a lookup
-    table mapping ``code + 1`` (slot 0 = missing) to a class id, plus the
-    radix (class count + 1).  ``table`` holds the classes seen so far and
-    grows in place, so a value keeps its id from batch to batch.  Runs once
-    per *distinct* value, so the per-record work stays vectorized.
+    table mapping each code to a class id — its last entry, which code -1
+    indexes, is the missing class 0, so no ``codes + 1`` temporary is
+    needed — plus the radix (class count + 1).  ``table`` holds the classes
+    seen so far and grows in place, so a value keeps its id from batch to
+    batch.  Runs once per *distinct* value, so the per-record work stays
+    vectorized.
     """
-    classes = [0]  # the missing slot is its own class
+    classes = []
     for v in values:
         t = v.type
         if t is _STRING:
@@ -200,6 +205,7 @@ def _equality_classes(
         else:
             key = (t, v.value)
         classes.append(table.setdefault(key, len(table) + 1))
+    classes.append(0)  # the missing slot is its own class
     return np.array(classes, dtype=np.int64), len(table) + 1
 
 
@@ -207,8 +213,35 @@ def _equality_classes(
 _PACK_LIMIT = 2**62
 
 
+def _stable_order(ids: np.ndarray, count: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for ids in ``range(count)``.
+
+    A stable sort's permutation is unique, and numpy's stable sort of an
+    8- or 16-bit key is a radix sort: past 2**16 ids, two stable 16-bit
+    passes (low half, then high half) give the same permutation.
+    """
+    if count <= 2**8:
+        return np.argsort(ids.astype(np.uint8), kind="stable")
+    if count <= 2**16:
+        return np.argsort(ids.astype(np.uint16), kind="stable")
+    if count <= 2**32:
+        low = np.argsort(ids.astype(np.uint16), kind="stable")
+        return low[np.argsort((ids[low] >> 16).astype(np.uint16), kind="stable")]
+    return np.argsort(ids, kind="stable")
+
+
 class _Groups:
-    """Selected rows collapsed to dense group ids, with reduceat views."""
+    """Selected rows collapsed to dense group ids, with reduceat views.
+
+    The key columns' equality-class ids pack mixed-radix into one int64 per
+    row, which :func:`~repro.io.colfile._dense_unique` numbers: by presence
+    table, with no sort, while the span is within
+    :func:`~repro.io.colfile._table_span` of the row count.  Before a
+    column would push a span still within the bound past it, the ids so
+    far are ranked by table (order kept, at most one per row), so a wide
+    key stays sort-free as long as it can; before the span would pass
+    :data:`_PACK_LIMIT` they are ranked whatever it costs.
+    """
 
     __slots__ = ("sel", "inverse", "count", "_columns", "_representatives", "_runs")
 
@@ -216,33 +249,36 @@ class _Groups:
         self,
         store: ColumnStore,
         key: Sequence[str],
-        sel: np.ndarray,
+        sel: Optional[np.ndarray],
         tables: Sequence[dict[object, int]],
     ):
         self.sel = sel
-        n = len(sel)
-        packed = np.zeros(n, dtype=np.int64)
+        n = len(store) if sel is None else len(sel)
+        bound = _table_span(n)
+        packed = np.zeros(n, dtype=np.int64)  # no key column: one group
         span = 1  # every packed id is in range(span)
         #: per key column: the selected rows' codes, the code -> Variant
-        #: table and the rows' equality-class ids
+        #: table and the code -> equality-class lookup
         self._columns: list[tuple[np.ndarray, list[Variant], np.ndarray]] = []
         for label, table in zip(key, tables):
             codes, values = store.interned(label)
-            codes = codes[sel]
+            if sel is not None:
+                codes = codes[sel]
             classes, radix = _equality_classes(values, table)
-            class_ids = classes[codes + 1]
-            self._columns.append((codes, values, class_ids))
-            if span * radix > _PACK_LIMIT:
-                # Wide, high-cardinality keys: rank the ids so far (order
-                # kept, at most n of them) so the packing cannot overflow.
-                packed = np.unique(packed, return_inverse=True)[1]
-                span = int(packed.max()) + 1
-            packed *= radix
-            packed += class_ids
+            self._columns.append((codes, values, classes))
+            if span == 1:
+                packed = classes[codes]
+            else:
+                wider = span * radix
+                if wider > _PACK_LIMIT or span <= bound < wider:
+                    distinct, packed = _dense_unique(packed, span)
+                    span = len(distinct)
+                packed *= radix
+                packed += classes[codes]
             span *= radix
         # Dense ids in sorted order of the packed value, i.e. lexicographic
         # in the per-column classes: this fixes the slot order of new keys.
-        unique_ids, inverse = np.unique(packed, return_inverse=True)
+        unique_ids, inverse = _dense_unique(packed, span)
         count = len(unique_ids)
         self.inverse = inverse
         self.count = count
@@ -255,22 +291,26 @@ class _Groups:
     def class_columns(self) -> list[np.ndarray]:
         """Each group's equality-class id, one array per key column."""
         rows = self._representatives
-        return [class_ids[rows] for _codes, _values, class_ids in self._columns]
+        return [classes[codes[rows]] for codes, _values, classes in self._columns]
 
     def representatives(self, which: np.ndarray) -> list[tuple[np.ndarray, list[Variant]]]:
         """Per key column, the first row's code (-1: absent) of each group in
         ``which`` and the values the codes index."""
         rows = self._representatives[which]
-        return [(codes[rows], values) for codes, values, _class_ids in self._columns]
+        return [(codes[rows], values) for codes, values, _classes in self._columns]
 
     def runs(self) -> tuple[np.ndarray, np.ndarray]:
         """``(order, starts)``: the rows stably sorted by group and where each
-        group's run starts — what ``reduceat`` needs.  Only min/max/first
-        reduce that way, so the sort waits until one of them asks."""
+        group's run starts — what ``reduceat`` needs.  The order is a radix
+        sort of the group ids (:func:`_stable_order`), and the starts are the
+        running sum of the group sizes (every id has a row).  Only
+        min/max/first reduce that way, so the sort waits until one of them
+        asks."""
         if self._runs is None:
-            order = np.argsort(self.inverse, kind="stable")
-            boundaries = np.flatnonzero(np.diff(self.inverse[order])) + 1
-            self._runs = (order, np.concatenate(([0], boundaries)))
+            order = _stable_order(self.inverse, self.count)
+            starts = np.zeros(self.count, dtype=np.int64)
+            np.cumsum(np.bincount(self.inverse, minlength=self.count)[:-1], out=starts[1:])
+            self._runs = (order, starts)
         return self._runs
 
 
@@ -293,15 +333,20 @@ class _Batch:
         #: 1.0 otherwise — the row plans' ``_weight_value``
         self.weighted: Optional[np.ndarray] = None
         self.weights: Optional[np.ndarray] = None
-        if present is not None and present[self.sel].any():
-            self.weighted = present[self.sel]
+        if present is not None and self.selected(present).any():
+            self.weighted = self.selected(present)
             values, numeric = store.numeric(WEIGHT_LABEL, False)
-            self.weights = np.where(numeric[self.sel], values[self.sel], 1.0)
+            self.weights = np.where(self.selected(numeric), self.selected(values), 1.0)
         self._records: Optional[list[Record]] = None
+
+    def selected(self, column: np.ndarray) -> np.ndarray:
+        """The selected rows of a column over the store (no copy when every
+        row is selected; the kernels never write into it)."""
+        return column if self.sel is None else column[self.sel]
 
     def metric(self, label: str, include_bool: bool = True) -> tuple[np.ndarray, np.ndarray]:
         values, mask = self.store.numeric(label, include_bool)
-        return values[self.sel], mask[self.sel]
+        return self.selected(values), self.selected(mask)
 
     def scaled(self, values: np.ndarray) -> np.ndarray:
         """Each row's contribution ``w·x`` (``x`` unweighted: ``1.0·x == x``)."""
@@ -399,7 +444,7 @@ class _Count(_Cell):
         # A slot's rows before its first weighted row add as ints; from that
         # row on (or throughout, for a float count) they add as floats.
         position = np.arange(len(slot_rows))
-        touched, inverse = np.unique(slot_rows, return_inverse=True)
+        touched, inverse = _dense_unique(slot_rows)
         first = np.full(len(touched), len(slot_rows))
         np.minimum.at(first, inverse[weighted], position[weighted])
         floating = self.is_float[slot_rows] | (position >= first[inverse])
@@ -489,7 +534,8 @@ class _Extremum(_Cell):
         order, starts = batch.groups.runs()
         fill = np.inf if self.is_min else -np.inf
         reduce = (np.minimum if self.is_min else np.maximum).reduceat
-        clean = np.where(mask, values, fill)[order]
+        dense = bool(mask.all())
+        clean = values[order] if dense else np.where(mask, values, fill)[order]
         extrema = reduce(clean, starts)
         # np.minimum passes a NaN on, so a NaN-free result means none was read
         has_nan = bool(np.isnan(extrema).any())
@@ -497,7 +543,6 @@ class _Extremum(_Cell):
             clean = np.where(mask & (values == values), values, fill)[order]
             extrema = reduce(clean, starts)
         _keep_first_zero(extrema, clean, starts)
-        present = np.bincount(batch.groups.inverse[mask], minlength=len(starts)) > 0
         seeded = extrema
         if has_nan:
             # an unseen slot whose first value is a NaN keeps that NaN
@@ -508,8 +553,10 @@ class _Extremum(_Cell):
         slots = batch.slots
         mine, seen = self.values[slots], self.seen[slots]
         new = np.where(seen, np.where(self.better(extrema, mine), extrema, mine), seeded)
-        slots = slots[present]
-        self.values[slots] = new[present]
+        if not dense:  # a group none of whose rows has a value stays as it is
+            present = np.bincount(batch.groups.inverse[mask], minlength=len(starts)) > 0
+            slots, new = slots[present], new[present]
+        self.values[slots] = new
         self.seen[slots] = True
 
     def combine(self, dest, src: "_Extremum", rows) -> None:
@@ -552,7 +599,7 @@ class _First(_Cell):
 
     def fold(self, batch: _Batch) -> None:
         codes, values = batch.store.interned(self.op.args[0])
-        codes = codes[batch.sel]
+        codes = batch.selected(codes)
         n = len(codes)
         order, starts = batch.groups.runs()
         # position of the first non-empty value per group, in input order
@@ -594,7 +641,7 @@ class _Bins(_Cell):
     def fold(self, batch: _Batch) -> None:
         kernel = _unwrap(self.op)
         values, mask = batch.metric(kernel.args[0])
-        mask &= values == values  # a NaN fits no bin: dropped, as by update
+        mask = mask & (values == values)  # a NaN fits no bin: dropped, as by update
         val_m = values[mask]
         # Same slot arithmetic as the streaming update (including the edge
         # where float rounding pushes an in-range value into the overflow
@@ -987,7 +1034,8 @@ class StateTable:
         offered = len(store) if rows is None else len(rows)
         with observe.span("columnar.where"):
             sel = _select_rows(store, self.scheme, where, rows)
-        if len(sel):
+        processed = len(store) if sel is None else len(sel)
+        if processed:
             self._index()
             with observe.span("columnar.group"):
                 groups = _Groups(store, self._key, sel, self._classes)
@@ -1000,7 +1048,7 @@ class StateTable:
                 for op, cells in zip(self._ops, self._cells):
                     _fold_op(op, cells, batch)
         self.num_offered += offered
-        self.num_processed += len(sel)
+        self.num_processed += processed
 
     # -- merging ------------------------------------------------------------------
 
@@ -1039,7 +1087,7 @@ class StateTable:
         if len(rows):
             codes = [column[rows] for column in other._codes]
             classes = [
-                _equality_classes(values, table)[0][column + 1]
+                _equality_classes(values, table)[0][column]
                 for values, table, column in zip(other._values, self._classes, codes)
             ]
 
@@ -1075,7 +1123,7 @@ class StateTable:
         codes, values = [], []
         for column, column_values in zip(self._codes, self._values):
             picked = column[rows]
-            used = np.unique(picked[picked >= 0])
+            used = _dense_unique(picked[picked >= 0], len(column_values))[0]
             renumber = np.full(len(column_values) + 1, -1, dtype=np.int64)
             renumber[used + 1] = np.arange(len(used))
             codes.append(renumber[picked + 1])
@@ -1314,7 +1362,7 @@ def _cells_from_states(ops: Sequence[AggregateOp], states: list[list[list]]) -> 
 
 def _occurrence(slots: np.ndarray) -> np.ndarray:
     """For each entry, how many earlier entries name the same slot."""
-    order = np.argsort(slots, kind="stable")
+    order = _stable_order(slots, int(slots.max()) + 1)
     ordered = slots[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     run = np.repeat(starts, np.diff(np.append(starts, len(slots))))

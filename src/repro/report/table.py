@@ -9,6 +9,7 @@ sum#time`` layout).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from ..common.record import Record
@@ -39,6 +40,8 @@ class TableOptions:
         if value.type is ValueType.DOUBLE:
             v = value.value
             assert isinstance(v, float)
+            if not math.isfinite(v):  # inf / nan: no int(), no precision
+                return value.to_string()
             if v == int(v) and abs(v) < 1e15:
                 return str(int(v))
             return f"{v:.{self.float_precision}g}"

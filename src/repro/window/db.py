@@ -25,7 +25,7 @@ from ..aggregate.ops import MomentsOp
 from ..aggregate.scheme import AggregationScheme
 from ..aggregate.table import StateTable
 from ..common.record import Record
-from ..io.colfile import ColumnStore, result_records
+from ..io.colfile import ColumnStore, _dense_unique, result_records
 from .assign import (
     DEFAULT_TIME_ATTRIBUTE,
     WINDOW_END,
@@ -181,7 +181,7 @@ class WindowFront:
         if self.retire_floor is not None:  # rule 5
             still_open = ends > self.retire_floor
             event, starts, ends = event[still_open], starts[still_open], ends[still_open]
-        folded = len(event) if one_each else len(np.unique(event))
+        folded = len(event) if one_each else len(_dense_unique(event)[0])
         late = n - untimed - folded  # rule 6: behind the front, or every copy retired
         self.num_late += late
         self.num_untimed += untimed

@@ -101,6 +101,39 @@ class TestCliIsApiQuery:
         assert capsys.readouterr().out == str(api.query(query, files, **options)) + "\n"
 
 
+class TestNonFiniteResults:
+    """A result that overflows to inf or turns NaN renders as its Variant
+    text in the table, from the API and from the CLI alike."""
+
+    QUERY = "AGGREGATE sum(t) GROUP BY k ORDER BY k"
+
+    @pytest.fixture
+    def non_finite_file(self, tmp_path):
+        records = [
+            Record({"k": "big", "t": 1e308}),
+            Record({"k": "big", "t": 1e308}),  # the sum overflows to inf
+            Record({"k": "nan", "t": float("inf")}),
+            Record({"k": "nan", "t": float("-inf")}),  # inf - inf is nan
+        ]
+        path = tmp_path / "non_finite.cali"
+        write_records(path, records)
+        return str(path)
+
+    @staticmethod
+    def cells(table):
+        return [line.split() for line in table.splitlines()[1:]]
+
+    def test_api_to_table(self, non_finite_file):
+        from repro import api
+
+        table = api.query(self.QUERY, non_finite_file).to_table()
+        assert self.cells(table) == [["big", "inf"], ["nan", "nan"]]
+
+    def test_cli_table(self, non_finite_file, capsys):
+        assert main(["-q", self.QUERY, non_finite_file]) == 0
+        assert self.cells(capsys.readouterr().out) == [["big", "inf"], ["nan", "nan"]]
+
+
 class TestStatsFlags:
     QUERY = "AGGREGATE sum(time.duration) GROUP BY kernel"
 

@@ -22,14 +22,24 @@ def canonical(records):
     )
 
 
+class _Calls(dict):
+    """Call counts by function name; ``argsort_itemsizes`` lists the item
+    size of each array ``np.argsort`` was handed."""
+
+    argsort_itemsizes: list
+
+
 @pytest.fixture
 def numpy_calls(monkeypatch):
     """Counts of the ``np.unique`` / ``np.argsort`` calls made while active."""
-    calls = {"unique": 0, "argsort": 0}
+    calls = _Calls(unique=0, argsort=0)
+    calls.argsort_itemsizes = []
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            if name == "argsort":
+                calls.argsort_itemsizes.append(np.asarray(args[0]).dtype.itemsize)
             return real(*args, **kwargs)
 
         return wrapper
@@ -186,18 +196,26 @@ class TestEquivalence:
         in_order = sorted(set(keys), key=lambda k: [seen[j][v] for j, v in enumerate(k)])
         assert [tuple(r.get(f"c{j}").value for j in range(8)) for r in got] == in_order
 
-    def test_one_unique_and_no_sort_unless_an_operator_reduces_runs(self, numpy_calls):
+    def test_no_sort_below_the_table_bound_and_a_16_bit_radix_sort_for_runs(self, numpy_calls):
+        # a small key space numbers its groups by presence table: no sort
         records = [
             Record({"a": i % 7, "b": f"v{i % 5}", "t": 0.5 * i}) for i in range(200)
         ]
         columnar_aggregate(
             records, parse_scheme("AGGREGATE count, sum(t), avg(t) GROUP BY a, b")
         )
-        assert numpy_calls == {"unique": 1, "argsort": 0}
+        assert numpy_calls == {"unique": 0, "argsort": 0}
+        # runs for reduceat: one radix sort of a <= 16-bit key, shared by the three
         columnar_aggregate(
             records, parse_scheme("AGGREGATE min(t), max(t), first(b) GROUP BY a, b")
         )
-        assert numpy_calls == {"unique": 2, "argsort": 1}  # one sort, shared by the three
+        assert numpy_calls == {"unique": 0, "argsort": 1}
+        assert all(size <= 2 for size in numpy_calls.argsort_itemsizes)
+        # 200 x 200 possible keys over 200 rows: past the bound, one sort
+        wide = [Record({"a": i, "b": (7 * i) % 200, "t": 1.0}) for i in range(200)]
+        got = columnar_aggregate(wide, parse_scheme("AGGREGATE count GROUP BY a, b"))
+        assert numpy_calls == {"unique": 1, "argsort": 1}
+        assert len(got.records) == 200
 
     def test_two_key_output_order_is_lexicographic_in_first_seen_values(self):
         # group numbering (hence the order of un-ORDERed output) is part of

@@ -53,6 +53,13 @@ class TestTable:
         text = format_table([Record({"v": 10.0})])
         assert " 10" in text or "10" in text.splitlines()[1]
 
+    @pytest.mark.parametrize("value, text", [
+        (float("inf"), "inf"), (float("-inf"), "-inf"), (float("nan"), "nan"),
+    ])
+    def test_non_finite_floats_rendered_as_variant_text(self, value, text):
+        table = format_table([Record({"v": value})])
+        assert table.splitlines()[1].strip() == text == Record({"v": value}).get("v").to_string()
+
 
 class TestTree:
     def test_nested_paths_indent(self):
