@@ -35,6 +35,7 @@ The file layout and compatibility rules are documented in ``docs/format.md``.
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import os
 import struct
@@ -806,6 +807,29 @@ class ColumnStore:
         self._numeric[key] = cached
         return cached
 
+    def order_rank(self, label: str) -> Optional[np.ndarray]:
+        """Each row's rank in ``ORDER BY label`` order: equal ranks for
+        values that sort as equals, -1 for a row without the label;
+        ``None`` when no row can hold it.
+
+        The order is :meth:`Variant._order_key`'s made total: numerics
+        (bools included) compare as ``float`` (so ``1`` / ``1.0`` and
+        ``0.0`` / ``-0.0`` tie), a NaN sorts above every number and all
+        NaNs tie, and other types follow by type name, then value.  A typed
+        column ranks its float64 values with ``np.unique`` (which puts one
+        NaN last); a dictionary column ranks its distinct values once and
+        reads the rank through its codes.
+        """
+        col = self._column(label)
+        if col is None:
+            return None
+        if isinstance(col, _DictColumn):
+            # slot -1 (missing) is the last: code -1 reads it
+            return np.append(_value_ranks(col.values), -1)[col.codes]
+        values = col.values if col.values.dtype == np.float64 else col.values.astype(np.float64)
+        _, rank = np.unique(values, return_inverse=True)
+        return rank if col.mask is None else np.where(col.mask, rank, -1)
+
     def with_constants(self, entries: dict[str, Variant]) -> "ColumnStore":
         """This store with every entry as a constant column on all rows.
 
@@ -888,6 +912,27 @@ def _intern_num_column(
         codes = np.full(nrows, -1, dtype=np.int64)
         codes[col.mask] = rank[inv]
     return codes, col.variants(present[firsts])
+
+
+def _order_key(value: Variant) -> tuple:
+    """:meth:`Variant._order_key` with a NaN above every number (``+inf``
+    is ``(0, inf)``, a shorter tuple), so the keys of any values are a
+    total order."""
+    key = value._order_key()
+    return (0, math.inf, 0) if key[0] == 0 and key[1] != key[1] else key
+
+
+def _value_ranks(values: Sequence[Variant]) -> np.ndarray:
+    """Dense ranks of ``values`` under :func:`_order_key`: values that tie
+    share a rank."""
+    keys = [_order_key(v) for v in values]
+    ranks = np.empty(len(keys), dtype=np.int64)
+    rank, previous = -1, None
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        if keys[i] != previous:
+            rank, previous = rank + 1, keys[i]
+        ranks[i] = rank
+    return ranks
 
 
 def _records(store: ColumnStore, rows: Optional[np.ndarray]) -> list[Record]:

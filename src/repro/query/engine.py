@@ -22,6 +22,8 @@ import os
 import time
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 from .. import observe
 from ..aggregate.db import AggregationDB
 from ..aggregate.ops import OperatorRegistry
@@ -40,6 +42,9 @@ from .options import BACKENDS, QueryOptions
 
 __all__ = ["QueryEngine", "QueryResult", "run_query"]
 
+#: a query's output rows: a rendered store, or records
+_Rows = Union[ColumnStore, list[Record]]
+
 
 class QueryResult:
     """Query output: records plus rendering helpers; ``str()`` honours the
@@ -48,7 +53,8 @@ class QueryResult:
     An aggregation's output arrives as the store its state table rendered
     (:meth:`~repro.aggregate.table.StateTable.render`); its records are
     built once, when something first reads :attr:`records` (or iterates,
-    indexes or formats the result).
+    indexes, or writes it as CSV, JSON or a tree); ORDER BY / LIMIT and
+    :meth:`to_table` work on its columns.
     """
 
     def __init__(
@@ -99,9 +105,12 @@ class QueryResult:
         return out
 
     def to_table(self, **kwargs) -> str:
+        """The aligned table, rendered from the result's columns when it
+        arrived as a store (no record is built)."""
         from ..report.table import TableOptions, format_table
 
-        return format_table(self.records, self.preferred_columns, TableOptions(**kwargs))
+        source = self.records if self._store is None else self._store
+        return format_table(source, self.preferred_columns, TableOptions(**kwargs))
 
     def to_csv(self) -> str:
         import io as _io
@@ -227,7 +236,7 @@ class QueryEngine:
         :class:`~repro.io.colfile.ColumnStore`.  An aggregation folds a
         state table, which reads a store as it is (no row→column
         conversion, no ``Record`` built) and renders its answer as a store
-        too (records are built from it only for ORDER BY / LIMIT, or when
+        too, sorted and cut by column (records are built from it only when
         the caller reads them); everything row-oriented hydrates its records
         on demand.  ``backend="rows"`` aggregates with the reference row
         engine (:class:`AggregationDB`) instead.
@@ -246,7 +255,7 @@ class QueryEngine:
                 with observe.span("query.scan"):
                     db.process_all(self._preprocess(source))
                 with observe.span("query.render"):
-                    return self._answer(db.flush())
+                    return self.answer(db.flush())
             with observe.span("query.scan"):
                 out = []
                 for record in self._preprocess(source):
@@ -308,17 +317,17 @@ class QueryEngine:
 
     def finalize(self, table: StateTable) -> QueryResult:
         """Render a (possibly merged) table and apply ORDER BY / LIMIT /
-        FORMAT; the records are built only for ORDER BY / LIMIT, or when
-        the caller reads them."""
+        FORMAT; the records are built only when the caller reads them."""
         with observe.span("query.render"):
-            return self._answer(table.render())
+            return self.answer(table.render())
 
-    def _answer(self, out: Union[ColumnStore, list[Record]]) -> QueryResult:
-        if self.query.order_by or self.query.limit is not None:
-            if isinstance(out, ColumnStore):
-                out = result_records(out)
-            out = self._order_and_limit(out)
-        return QueryResult(out, self._preferred_columns(), self.query.format)
+    def answer(self, out: _Rows) -> QueryResult:
+        """The query's answer from its aggregated output rows — a rendered
+        store (sorted and cut as columns: the result holds the taken store)
+        or the row engine's records — with ORDER BY / LIMIT applied."""
+        return QueryResult(
+            self._order_and_limit(out), self._preferred_columns(), self.query.format
+        )
 
     # -- helpers -------------------------------------------------------------------
 
@@ -362,33 +371,42 @@ class QueryEngine:
             preferred = chosen + [c for c in preferred if c not in chosen]
         return preferred
 
-    def _order_and_limit(self, records: list[Record]) -> list[Record]:
-        order = self.query.order_by
-        if order:
-            records = sort_records(records, order)
-        if self.query.limit is not None:
-            records = records[: self.query.limit]
-        return records
+    def _order_and_limit(self, out: _Rows) -> _Rows:
+        if not self.query.order_by and self.query.limit is None:
+            return out
+        if isinstance(out, ColumnStore):
+            return out.take(order_rows(out, self.query.order_by, self.query.limit))
+        rows = order_rows(ColumnStore.from_records(out), self.query.order_by, self.query.limit)
+        return [out[i] for i in rows.tolist()]
 
     def __repr__(self) -> str:
         return f"QueryEngine({self.query.unparse()!r})"
 
 
-def sort_records(records: list[Record], order: Sequence[OrderSpec]) -> list[Record]:
-    """Stable multi-key sort by Variant order; missing values sort first."""
-    out = list(records)
-    # Apply keys in reverse for a stable compound sort.
-    for spec in reversed(order):
-        label = spec.label
+def order_rows(
+    store: ColumnStore, order: Sequence[OrderSpec], limit: Optional[int] = None
+) -> np.ndarray:
+    """The rows of ``store`` in ``ORDER BY`` order, cut to ``LIMIT``.
 
-        def sort_key(record: Record, _label: str = label):
-            v = record.get(_label)
-            if v.is_empty:
-                return (0, ())
-            return (1, v._order_key())
+    One stable ``np.lexsort`` over each key's
+    :meth:`~repro.io.colfile.ColumnStore.order_rank`, negated for DESC:
+    missing values sort lowest (first ASC, last DESC), a NaN above every
+    number, and ties keep their input order in either direction — a stable
+    ``reverse=True`` sort.
+    """
+    keys = []
+    for spec in reversed(order):  # lexsort's primary key is its last
+        rank = store.order_rank(spec.label)
+        if rank is not None:  # no row has it: every row ties
+            keys.append(rank if spec.ascending else -rank)
+    rows = np.lexsort(keys) if keys else np.arange(len(store))
+    return rows if limit is None else rows[:limit]
 
-        out.sort(key=sort_key, reverse=not spec.ascending)
-    return out
+
+def sort_records(records: Iterable[Record], order: Sequence[OrderSpec]) -> list[Record]:
+    """``records`` in ``ORDER BY`` order (:func:`order_rows`)."""
+    records = list(records)
+    return [records[i] for i in order_rows(ColumnStore.from_records(records), order).tolist()]
 
 
 def run_query(

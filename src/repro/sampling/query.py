@@ -94,4 +94,4 @@ def sampled_query(
     scheme = scheme_with_moments(engine.scheme)
     table = StateTable(scheme)
     table.fold(sample_records(engine._preprocess(records), p, seed), where=engine.query.where)
-    return engine._answer(WindowEstimator(scheme, confidence).estimate(table, None, p))
+    return engine.answer(WindowEstimator(scheme, confidence).estimate(table, None, p))

@@ -86,6 +86,25 @@ def no_record_hydration(monkeypatch):
 
 
 @pytest.fixture
+def no_result_hydration(monkeypatch):
+    """Fail the test if a query result held as columns is turned into
+    ``Record`` objects, wherever ``result_records`` is called from."""
+    from repro.aggregate import table
+    from repro.io import colfile
+    from repro.net import server
+    from repro.query import engine
+    from repro.window import db
+
+    def refuse(store):
+        raise AssertionError("a result store was hydrated into Records")
+
+    # aggregate/table.py calls it as colfile.result_records
+    assert table.colfile is colfile
+    for module in (colfile, engine, server, db):
+        monkeypatch.setattr(module, "result_records", refuse)
+
+
+@pytest.fixture
 def small_profile_records() -> list[Record]:
     """A small, deterministic profile-like record set."""
     out = []
