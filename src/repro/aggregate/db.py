@@ -264,17 +264,6 @@ class AggregationDB:
         self.num_processed += processed
         return True
 
-    def combine_records(self, records: Iterable[Record]) -> None:
-        """Re-aggregate already-flushed output records into this database.
-
-        This supports the two-stage workflows of Section VI-B, where a second
-        aggregation runs over the *outputs* of a first one (e.g.
-        ``AGGREGATE sum(aggregate.count) GROUP BY kernel`` over per-process
-        profiles).  It is ordinary :meth:`process`-ing — provided here for
-        symmetry and intent.
-        """
-        self.process_all(records)
-
     # -- flush ----------------------------------------------------------------
 
     def flush(self) -> list[Record]:

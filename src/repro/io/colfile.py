@@ -1,16 +1,15 @@
 """``.rcf`` — the repro columnar file: zero-copy binary columnar encoding.
 
-Everything the system moves today is text: ``.cali`` files are parsed
-line-by-line into rows before a :class:`ColumnStore` is built, and
-wire/spool payloads carry JSON.  This module provides the shared binary
-columnar representation that removes that tax in all three places, and the
-one :class:`ColumnStore` every vectorized query path reads:
+This module is the one binary columnar representation the system stores,
+ships and queries, and the one :class:`ColumnStore` every vectorized query
+path reads:
 
 * **column batches** — the unit codec (:func:`encode_columns` /
   :func:`decode_batch`; :func:`encode_batch` for records): a magic + JSON
   schema header followed by typed little-endian column buffers with packed
   null bitmaps, strings and mixed columns dictionary-encoded.  Buffers are 8-byte aligned so decoding is
   ``np.frombuffer`` views into the source bytes — no parsing, no copies.
+  A RECORDS frame's ``records`` section is one such batch.
 * **files** — :class:`ColfileWriter` / :class:`ColfileReader`: a sequence of
   column-batch chunks plus a JSON footer directory at the end (so chunks
   stream out without buffering the whole dataset), ``mmap``-ed on read.  A
@@ -1068,8 +1067,8 @@ class ColfileWriter:
     """Streaming ``.rcf`` writer: header, then chunks, then footer directory.
 
     The footer lives at the *end* of the file so chunks can stream out as
-    they are produced (the flush spool and ``convert`` never buffer the
-    whole dataset).  Usable as a context manager.
+    they are produced (``convert`` never buffers the whole dataset).
+    Usable as a context manager.
     """
 
     def __init__(
@@ -1207,16 +1206,12 @@ class ColfileReader:
     def num_chunks(self) -> int:
         return len(self.chunks)
 
-    def chunk_bytes(self, index: int) -> memoryview:
-        """One chunk's undecoded ``RCB1`` bytes — exactly ``encode_batch``
-        output, so a spooled chunk ships as a wire section without a decode."""
-        c = self.chunks[index]
-        return self._data[c["offset"] : c["offset"] + c["length"]]
-
     def chunk_store(self, index: int) -> ColumnStore:
         """Decode one chunk into a query-ready store (numpy views)."""
         c = self.chunks[index]
-        store = decode_batch_store(self.chunk_bytes(index), self._limits)
+        store = decode_batch_store(
+            self._data[c["offset"] : c["offset"] + c["length"]], self._limits
+        )
         if len(store) != c["rows"]:
             raise ColfileError(
                 f"{self.path}: chunk {index} row count does not match directory"

@@ -5,13 +5,12 @@ records, ships them to an :class:`~repro.net.server.AggregationServer`
 over the framing protocol, and — crucially — keeps working when the
 server does not:
 
-* **Write-ahead spool, encoded once** — every batch is encoded exactly
-  once and written to the spool *before* the first send attempt, so a
-  batch in flight when the connection dies is never lost.  A record batch
-  is a one-chunk binary columnar ``.rcf`` segment
-  (:mod:`repro.io.colfile`, readable by ``repro-query``); its chunk *is*
-  the wire's ``records`` section and ships straight from the file.
-  States, forward and retract batches spool their finished frame.
+* **Write-ahead spool, encoded once** — every batch (records, states,
+  forward or retract) is built into its finished, compressed frame exactly
+  once and written to the spool as ``batch-<seq>.<kind>.frame`` *before*
+  the first send attempt, so a batch in flight when the connection dies is
+  never lost.  Every send, first or replayed, copies that file to the
+  socket unchanged.
 * **Retry with exponential backoff** — each delivery makes up to
   ``retries + 1`` attempts with exponentially growing, capped sleeps;
   when they are exhausted the batch simply stays spooled and the client
@@ -72,7 +71,6 @@ from ..aggregate.db import AggregationDB
 from ..aggregate.scheme import AggregationScheme
 from ..common.errors import ReproError
 from ..common.record import Record
-from ..io.colfile import ColfileReader, ColfileWriter
 from .protocol import (
     CAP_BINARY,
     FLAG_BINARY,
@@ -82,6 +80,7 @@ from .protocol import (
     Truncated,
     encode_binary_body,
     read_message,
+    records_to_binary,
     states_to_binary,
     write_frame,
     write_message,
@@ -180,10 +179,10 @@ class FlushClient:
         self._lock = threading.RLock()
         self._buffer: list[Record] = []
         self._next_seq = 0
-        #: seq -> (kind, spool path); not yet acknowledged in the current epoch
-        self._pending: dict[int, tuple[str, str]] = {}
-        #: seq -> (kind, spool path); acknowledged by the current epoch
-        self._acked: dict[int, tuple[str, str]] = {}
+        #: seq -> spool path; not yet acknowledged in the current epoch
+        self._pending: dict[int, str] = {}
+        #: seq -> spool path; acknowledged by the current epoch
+        self._acked: dict[int, str] = {}
         self._sock: Optional[socket.socket] = None
         self._rfile = None
         self._wfile = None
@@ -313,7 +312,7 @@ class FlushClient:
             "processed": db.num_processed,
         }
         return self._spool_and_deliver(
-            MessageType.STATES, body, states_to_binary(db.export_states())
+            MessageType.STATES, body, {"groups": states_to_binary(db.export_states())}
         )
 
     def send_forward(
@@ -353,7 +352,9 @@ class FlushClient:
             # Windowed streaming: the sender's event-time watermark rides the
             # delta that contains every record below it (see forward_now).
             body["watermark"] = float(watermark)
-        return self._spool_and_deliver(MessageType.FORWARD, body, table.to_binary())
+        return self._spool_and_deliver(
+            MessageType.FORWARD, body, {"groups": table.to_binary()}
+        )
 
     def send_retract(
         self, origins: Iterable[tuple[str, str]], *, from_epoch: str
@@ -375,12 +376,12 @@ class FlushClient:
         return self._spool_and_deliver(MessageType.RETRACT, body)
 
     def _spool_and_deliver(
-        self, mtype: MessageType, body: dict, groups: Optional[bytes] = None
+        self, mtype: MessageType, body: dict, sections: Optional[dict[str, bytes]] = None
     ) -> bool:
         """Encode a batch's frame once, write-ahead spool it, try to deliver.
 
-        ``groups`` (an encoded state batch) becomes the frame's binary
-        ``groups`` section; without it the frame is a plain JSON control
+        ``sections`` (encoded record or state batches) become the frame's
+        binary sections; without them the frame is a plain JSON control
         message.
         """
         with self._lock:
@@ -391,12 +392,12 @@ class FlushClient:
             kind = mtype.name.lower()
             path = os.path.join(self.spool_dir, f"batch-{seq:08d}.{kind}.frame")
             with open(path, "wb") as stream:
-                if groups is None:
+                if sections is None:
                     write_message(stream, mtype, body)
                 else:
-                    payload = encode_binary_body(body, {"groups": groups})
+                    payload = encode_binary_body(body, sections)
                     write_frame(stream, mtype, payload, flags=FLAG_BINARY)
-            self._pending[seq] = (kind, path)
+            self._pending[seq] = path
             self.counters["batches"] += 1
             self._deliver_pending()
             return not self._pending
@@ -410,18 +411,12 @@ class FlushClient:
 
     def _ship_buffer(self) -> None:
         records, self._buffer = self._buffer, []
-        seq = self._next_seq
-        self._next_seq += 1
-        path = os.path.join(self.spool_dir, f"batch-{seq:08d}.rcf")
-        # Write-ahead: the batch is on disk before the first send attempt.
-        # One chunk per segment whatever batch_size is: the chunk is the
-        # frame's ``records`` section, shipped from the file undecoded.
-        with ColfileWriter(path) as writer:
-            writer.write_chunk(records)
-        self._pending[seq] = ("records", path)
         self.counters["records"] += len(records)
-        self.counters["batches"] += 1
-        self._deliver_pending()
+        self._spool_and_deliver(
+            MessageType.RECORDS,
+            {"count": len(records)},
+            {"records": records_to_binary(records)},
+        )
 
     def _deliver_pending(self) -> bool:
         """Try to deliver every pending batch, oldest first."""
@@ -433,8 +428,7 @@ class FlushClient:
             try:
                 self._ensure_connected()
                 for seq in sorted(self._pending):
-                    kind, path = self._pending[seq]
-                    self._send_one(seq, kind, path)
+                    self._send_one(seq, self._pending[seq])
                     self._acked[seq] = self._pending.pop(seq)
                     self.counters["acked"] += 1
                     busy_left = self.busy_retries
@@ -502,27 +496,12 @@ class FlushClient:
         self.counters["failovers"] += 1
         return True
 
-    def _send_one(self, seq: int, kind: str, path: str) -> None:
-        if kind == "records":
-            reader = ColfileReader(path)
-            try:
-                if reader.num_chunks != 1:
-                    raise ReproError(f"{path}: spool segment must hold one chunk")
-                payload = encode_binary_body(
-                    {"seq": seq, "count": reader.num_records},
-                    {"records": reader.chunk_bytes(0)},
-                )
-            finally:
-                reader.close()
-            self.counters["wire_bytes"] += write_frame(
-                self._wfile, MessageType.RECORDS, payload, flags=FLAG_BINARY
-            )
-        else:
-            with open(path, "rb") as stream:
-                frame = stream.read()
-            self._wfile.write(frame)
-            self._wfile.flush()
-            self.counters["wire_bytes"] += len(frame)
+    def _send_one(self, seq: int, path: str) -> None:
+        with open(path, "rb") as stream:
+            frame = stream.read()
+        self._wfile.write(frame)
+        self._wfile.flush()
+        self.counters["wire_bytes"] += len(frame)
         reply, ack = read_message(self._rfile, self.max_payload)
         if reply is MessageType.ERROR:
             raise _Fatal(f"server refused batch {seq}: {ack.get('reason')}")
@@ -686,7 +665,7 @@ class FlushClient:
             self._disconnect()
             self._closed = True
             if delete_spool:
-                for _, path in self._acked.values():
+                for path in self._acked.values():
                     _unlink_quietly(path)
                 try:
                     os.rmdir(self.spool_dir)  # succeeds only when empty

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from .. import observe
 from ..aggregate.ops import WEIGHT_LABEL as _WEIGHT_LABEL
-from ..common.attribute import Attribute
 from ..common.errors import ChannelError
 from ..common.record import Record
 from ..common.variant import Variant
@@ -135,18 +134,6 @@ class Channel:
         return self._sampler
 
     # -- event dispatch (called by the Caliper runtime) ---------------------------
-
-    def handle_begin(self, attribute: Attribute, value: Variant) -> None:
-        for service in self._begin_services:
-            service.on_begin(attribute, value)
-
-    def handle_end(self, attribute: Attribute, value: Variant) -> None:
-        for service in self._end_services:
-            service.on_end(attribute, value)
-
-    def handle_set(self, attribute: Attribute, value: Variant) -> None:
-        for service in self._set_services:
-            service.on_set(attribute, value)
 
     def handle_poll(self, now: float) -> None:
         for service in self._pollers:

@@ -263,8 +263,9 @@ def test_states_and_forward_ride_binary(tmp_path):
 # -- spool -------------------------------------------------------------------------
 
 
-def test_spool_segments_are_rcf_and_replay_exactly(tmp_path):
-    """Write-ahead spool: .rcf segments, replayed byte-exact after an outage."""
+def test_spool_holds_one_frame_per_batch_and_replays_exactly(tmp_path):
+    """Write-ahead spool: one finished frame file per batch, replayed after
+    an outage to the same result."""
     records = synth_records(19, 300)
     client = FlushClient(
         "127.0.0.1",
@@ -277,10 +278,9 @@ def test_spool_segments_are_rcf_and_replay_exactly(tmp_path):
     )
     client.push_all(records)
     assert not client.flush()
-    segments = sorted(
-        f for f in os.listdir(client.spool_dir) if f.endswith(".rcf")
-    )
-    assert segments == [f"batch-{i:08d}.rcf" for i in range(3)]
+    assert sorted(os.listdir(client.spool_dir)) == [
+        f"batch-{i:08d}.records.frame" for i in range(3)
+    ]
     with AggregationServer(SCHEME, shards=2) as server:
         client.host, client.port = server.address
         assert client.flush()
