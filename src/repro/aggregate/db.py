@@ -29,7 +29,7 @@ stream (``FlushClient.send_states``) and the benchmark's replays;
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable
 
 from .. import observe
 from ..common.errors import AggregationError
@@ -73,9 +73,6 @@ class AggregationDB:
         #: holding state-list references (the aggregate service's key cache)
         #: know their entries went stale
         self.table_epoch = 0
-        #: highest state-batch sequence merged per ``(source id, source epoch)``
-        #: — see the ``source`` argument of :meth:`load_states`
-        self._source_seqs: dict[tuple[str, str], int] = {}
         # Per-stream invariants, bound once — never re-resolved per record.
         self._predicate = scheme.predicate
         self._extract = self._extractor.extract
@@ -161,11 +158,7 @@ class AggregationDB:
         context and skip key extraction entirely on cache hits.  Stream
         counters are *not* touched here — cache-owning callers maintain them.
         """
-        return self.states_at(self._extract(record))
-
-    def states_at(self, key: tuple) -> list[list]:
-        """The (created-if-missing) state lists under an already extracted
-        ``key`` — the column fold builds keys from code columns, no Record."""
+        key = self._extract(record)
         states = self._table.get(key)
         if states is None:
             states = self._plan.init_states()
@@ -225,32 +218,16 @@ class AggregationDB:
         groups: Iterable[tuple[dict[str, Variant], list[list]]],
         offered: int = 0,
         processed: int = 0,
-        source: Optional[tuple[str, str, int]] = None,
-    ) -> bool:
+    ) -> None:
         """Merge externally computed per-key partial states into this DB.
 
         The inverse of :meth:`export_states` with :meth:`combine` semantics:
         states for keys already present are merged through each operator's
         ``combine``; new keys get deep-copied state lists.  ``offered`` /
-        ``processed`` carry the producing side's stream counters.
-
-        ``source`` makes the merge idempotent per producer incarnation: a
-        ``(source id, source epoch, sequence number)`` triple is remembered,
-        and a batch whose sequence does not advance past the last one merged
-        from that ``(id, epoch)`` is skipped entirely — so replaying a
-        networked state stream (lost ACK, spool replay) can never
-        double-count, no matter how many layers the batch travelled through.
-        A new epoch from the same id starts a fresh sequence space.
-
-        Returns True when the batch was merged, False when it was skipped
-        as a duplicate.
+        ``processed`` carry the producing side's stream counters.  (A
+        networked state stream's replay guard is ``StateTable.merge``'s
+        ``source``.)
         """
-        if source is not None:
-            source_id, source_epoch, seq = source
-            ident = (source_id, source_epoch)
-            if seq <= self._source_seqs.get(ident, -1):
-                return False
-            self._source_seqs[ident] = seq
         key_of = self._extractor.from_entries
         for entries, in_states in groups:
             key = key_of(entries)
@@ -262,7 +239,6 @@ class AggregationDB:
                     op.combine(state, other)
         self.num_offered += offered
         self.num_processed += processed
-        return True
 
     # -- flush ----------------------------------------------------------------
 

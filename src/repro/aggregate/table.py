@@ -91,7 +91,7 @@ from .ops import (
 from .plan import _weight_value
 from .scheme import AggregationScheme
 
-__all__ = ["StateTable"]
+__all__ = ["StateTable", "where_rows"]
 
 Source = Union[ColumnStore, Iterable[Record]]
 
@@ -144,9 +144,8 @@ def _select_rows(
     where: Optional[Sequence] = None,
     rows: Optional[np.ndarray] = None,
 ) -> Optional[np.ndarray]:
-    """Indices of the rows the aggregation folds: those of ``rows`` (default:
-    every row) that pass the filter; ``None`` when that is every row of the
-    store, in order, so the fold reads its columns without a gather.
+    """Indices of the rows the aggregation folds: :func:`where_rows` of
+    ``rows`` (default: every row).
 
     ``where`` is the query's AST condition list; ``None`` falls back to the
     conditions the scheme's predicate was compiled from, and for a
@@ -161,6 +160,19 @@ def _select_rows(
         if where is None:
             records = _hydrate(store, rows)
             mask = np.fromiter(map(predicate, records), dtype=bool, count=len(records))
+    return where_rows(store, where, rows, mask)
+
+
+def where_rows(
+    store: ColumnStore,
+    where: Optional[Sequence],
+    rows: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None,
+) -> Optional[np.ndarray]:
+    """Indices of the rows of ``rows`` (default: every row) that pass every
+    WHERE condition in ``where``, as column masks (and ``mask``, when
+    given); ``None`` when that is every row of the store, in order, so a
+    reader takes its columns without a gather."""
     for cond in where or ():
         m = _condition_mask(cond, store, rows)
         mask = m if mask is None else mask & m

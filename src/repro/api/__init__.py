@@ -203,7 +203,7 @@ def _query_collection(text: str, source, opts: QueryOptions) -> QueryResult:
             from ..query.parallel import query_files
 
             return query_files(engine, text, paths, opts)
-        return engine.run(Dataset.from_files(paths, parallel=opts.jobs).records)
+        return engine.run(Dataset.from_files(paths, parallel=opts.jobs).column_store())
     if any(not isinstance(i, Record) for i in items):
         bad = next(i for i in items if not isinstance(i, Record))
         raise QueryError(

@@ -719,6 +719,12 @@ class ColumnStore:
         return self._records
 
     @property
+    def held_records(self) -> Optional[list[Record]]:
+        """The records this store was built from (or hydrated into), kept
+        through :meth:`take` and :meth:`select`; ``None`` builds none."""
+        return self._records
+
+    @property
     def columns(self) -> dict[str, _Column]:
         if self._partial:
             records = self._records or ()
@@ -769,6 +775,13 @@ class ColumnStore:
             cached = _intern_num_column(col, self._n)
         self._interned[label] = cached
         return cached
+
+    def column_values(self, label: str) -> list[Variant]:
+        """The non-empty values of one attribute, in row order, read off
+        its interned codes (no ``Record`` built)."""
+        codes, values = self.interned(label)
+        picked = map(values.__getitem__, codes[codes >= 0].tolist())
+        return [v for v in picked if not v.is_empty]
 
     def numeric(
         self, label: str, include_bool: bool = True
@@ -860,15 +873,35 @@ class ColumnStore:
         return ColumnStore(self._n, merged)
 
     def take(self, rows: np.ndarray) -> "ColumnStore":
-        """The store of ``rows`` of this one, in that order; a row may repeat."""
+        """The store of ``rows`` of this one, in that order; a row may repeat.
+        Held records are taken too: a records-built store stays one, its
+        unbuilt columns still built on first use."""
         columns: dict[str, _Column] = {}
-        for label, col in self.columns.items():
+        for label, col in self._columns.items():
             if isinstance(col, _DictColumn):
                 columns[label] = _DictColumn(col.codes[rows], col.values)
             else:
                 mask = None if col.mask is None else col.mask[rows]
                 columns[label] = _NumColumn(col.vtype, col.values[rows], mask, col.whole)
-        return ColumnStore(len(rows), columns)
+        out = ColumnStore(len(rows), columns)
+        if self._records is not None:
+            records = self._records
+            out._records = [records[i] for i in rows.tolist()]
+            out._partial = self._partial
+        return out
+
+    def select(self, labels: Sequence[str]) -> "ColumnStore":
+        """``SELECT``'s projection: the columns of ``labels`` (those a row
+        holds), in that order, shared; held records are projected too."""
+        columns: dict[str, _Column] = {}
+        for label in labels:
+            col = self._column(label)
+            if col is not None:
+                columns[label] = col
+        out = ColumnStore(self._n, columns)
+        if self._records is not None:
+            out._records = [record.project(labels) for record in self._records]
+        return out
 
 
 def _intern_num_column(

@@ -8,7 +8,7 @@ Underneath it holds either a record list (built in memory, or parsed from
 text files) or a column store: every ``.rcf`` source stays the decoded
 column store it is on disk, one file or many, and a ``Record`` is built only
 when something row-oriented asks — ``.records``, iteration, a
-``backend="rows"`` / LET / WINDOW query.
+``backend="rows"`` / LET query.
 
 Two performance layers live here as well:
 
@@ -339,9 +339,7 @@ class Dataset:
     # -- basic container behaviour ------------------------------------------------
 
     def __len__(self) -> int:
-        if self._records is None and self._store is not None:
-            return len(self._store)  # lazy: the store knows without hydrating
-        return len(self.records)
+        return len(self.column_store())  # a lazy store knows without hydrating
 
     def __iter__(self) -> Iterator[Record]:
         return iter(self.records)
@@ -350,22 +348,14 @@ class Dataset:
         return self.records[index]
 
     def labels(self) -> list[str]:
-        """Union of attribute labels across all records, sorted."""
-        if self._records is None:  # lazy: straight from the columns
-            return self._store.labels()  # type: ignore[union-attr]
-        seen: set[str] = set()
-        for record in self.records:
-            seen.update(record.labels())
-        return sorted(seen)
+        """Union of attribute labels across all records, sorted (read off
+        the cached :meth:`column_store`)."""
+        return self.column_store().labels()
 
     def column(self, label: str) -> list[Variant]:
-        """All non-empty values of one attribute, in record order."""
-        out = []
-        for record in self.records:
-            v = record.get(label)
-            if not v.is_empty:
-                out.append(v)
-        return out
+        """All non-empty values of one attribute, in record order, read off
+        the cached :meth:`column_store` (a lazy dataset stays lazy)."""
+        return self.column_store().column_values(label)
 
     def extend(self, records: Iterable[Record]) -> None:
         self.records.extend(records)  # hydrates first when lazy
@@ -394,21 +384,16 @@ class Dataset:
     def query(self, text: str, backend: str = "auto") -> "QueryResult":
         """Run a CalQL query over this dataset (the analytical path).
 
-        An aggregation folds a state table over the cached
-        :meth:`column_store`, so repeated queries skip the row→column
-        conversion; ``backend="rows"`` runs the reference row engine over
-        the records instead.
+        Every query reads the cached :meth:`column_store`, so repeated
+        queries skip the row→column conversion and a lazy ``.rcf`` dataset
+        builds no ``Record`` — except for LET, whose derived rows are
+        records, and ``backend="rows"``, the reference row engine, which
+        folds the store's records.  The whole dataset is one input: a WINDOW
+        query runs one event clock over it.
         """
         from ..query.engine import QueryEngine  # deferred: query sits above io
 
-        engine = QueryEngine(text)
-        # The table fold reads the store only, so a lazy .rcf dataset never
-        # materializes Record objects; whatever needs rows hydrates the
-        # store's records on demand.
-        columnar = backend != "rows" and engine.scheme is not None
-        return engine.run(
-            self.column_store() if columnar else self.records, backend=backend
-        )
+        return QueryEngine(text).run(self.column_store(), backend=backend)
 
     def summary(self) -> str:
         """Per-attribute overview: occurrence count, types, value span.

@@ -584,12 +584,7 @@ class AggregationServer:
             source = self._rendered(tenant=tenant, target=target)
         else:
             raise ProtocolError(f"unknown query target {target!r}")
-        engine = QueryEngine(text)
-        if isinstance(source, ColumnStore) and not engine.reads_stores():
-            # a second stage that needs rows reads the first stage's output
-            # rows, hydrated as such
-            source = result_records(source)
-        result = engine.run(source)
+        result = QueryEngine(text).run(source)
         self.metrics.timing("net.query", time.perf_counter() - start, target=target)
         self.metrics.count("net.queries", target=target)
         return result

@@ -1,8 +1,11 @@
 """The off-line query engine (analytical aggregation).
 
-Executes CalQL queries over record streams: LET preprocessing, WHERE
-filtering, aggregation (when the query has operators), ORDER BY, LIMIT, and
-FORMAT rendering.  Every aggregation folds into the
+Executes CalQL queries: LET preprocessing, WINDOW stamping, WHERE
+filtering, aggregation (when the query has operators) or projection,
+ORDER BY, LIMIT, and FORMAT rendering.  Every clause but LET — the one row
+step, whose records are read back as a store — reads the
+:class:`~repro.io.colfile.ColumnStore` (a record list through
+``ColumnStore.from_records``).  Every aggregation folds into the
 :class:`~repro.aggregate.table.StateTable` the aggregation server's shards
 hold — column kernels where an operator has one, its own ``update`` per row
 where it has not — and renders it by column; the same partial-aggregation
@@ -11,16 +14,17 @@ steps (:meth:`QueryEngine.make_db`, :meth:`QueryEngine.feed`,
 query application and the process-pool workers, which merge their tables
 up a reduction tree.
 
-``backend="rows"`` runs the reference row engine instead: the per-record
-:class:`AggregationDB` of the on-line service, the oracle every table fold
-is checked against.
+``backend="rows"`` aggregates with the reference row engine instead: the
+per-record :class:`AggregationDB` of the on-line service, the oracle every
+table fold is checked against, over the same input derived record by
+record.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -28,54 +32,58 @@ from .. import observe
 from ..aggregate.db import AggregationDB
 from ..aggregate.ops import OperatorRegistry
 from ..aggregate.scheme import AggregationScheme
-from ..aggregate.table import StateTable
+from ..aggregate.table import StateTable, where_rows
 from ..calql.ast import OrderSpec, Query
 from ..calql.parser import parse_query
-from ..calql.semantics import build_scheme, compile_conditions, compile_let, validate
+from ..calql.semantics import build_scheme, compile_let, validate
 from ..common.errors import QueryError
 from ..common.record import Record
 from ..common.variant import Variant
 from ..io.colfile import ColfileReader, ColumnStore, result_records
 from ..io.dataset import _format_of, _load_source_timed
+from ..window.assign import EventClock, make_assigner, stamp_columns, stamp_record, window_copies
 from .columnar import Source
 from .options import BACKENDS, QueryOptions
 
 __all__ = ["QueryEngine", "QueryResult", "run_query"]
 
-#: a query's output rows: a rendered store, or records
-_Rows = Union[ColumnStore, list[Record]]
+#: a partial aggregation: the state table, or the reference row engine's DB
+_DB = Union[StateTable, AggregationDB]
 
 
 class QueryResult:
-    """Query output: records plus rendering helpers; ``str()`` honours the
-    query's FORMAT clause (default: aligned table).
+    """Query output: a column store plus rendering helpers; ``str()``
+    honours the query's FORMAT clause (default: aligned table).
 
-    An aggregation's output arrives as the store its state table rendered
-    (:meth:`~repro.aggregate.table.StateTable.render`); its records are
-    built once, when something first reads :attr:`records` (or iterates,
-    indexes, or writes it as CSV, JSON or a tree); ORDER BY / LIMIT and
-    :meth:`to_table` work on its columns.
+    The rows are held as a :class:`ColumnStore` — an aggregation's rendered
+    state table (:meth:`~repro.aggregate.table.StateTable.render`), a
+    projection's columns, or a record list wrapped with
+    ``ColumnStore.from_records``.  Records are built once, when something
+    first reads :attr:`records` (or iterates, indexes, or writes it as CSV,
+    JSON or a tree); a store built from records hands them back unchanged.
+    :meth:`column`, :meth:`rows` and :meth:`to_table` read the columns.
     """
 
     def __init__(
         self,
-        records: Union[list[Record], ColumnStore],
+        rows: Union[ColumnStore, list[Record]],
         preferred_columns: Sequence[str] = (),
         fmt: Optional[str] = None,
     ) -> None:
-        self._store = records if isinstance(records, ColumnStore) else None
-        self._records = None if self._store is not None else records
+        self._store = rows if isinstance(rows, ColumnStore) else ColumnStore.from_records(rows)
+        self._records: Optional[list[Record]] = None
         self.preferred_columns = list(preferred_columns)
         self.format = (fmt or "table").lower()
 
     @property
     def records(self) -> list[Record]:
         if self._records is None:
-            self._records = result_records(self._store)
+            held = self._store.held_records
+            self._records = result_records(self._store) if held is None else held
         return self._records
 
     def __len__(self) -> int:
-        return len(self._store) if self._records is None else len(self._records)
+        return len(self._store)
 
     def __iter__(self):
         return iter(self.records)
@@ -85,32 +93,22 @@ class QueryResult:
 
     def column(self, label: str) -> list[Variant]:
         """Non-empty values of one output column, in result order."""
-        out = []
-        for record in self.records:
-            v = record.get(label)
-            if not v.is_empty:
-                out.append(v)
-        return out
+        return self._store.column_values(label)
 
     def rows(self, labels: Sequence[str]) -> list[tuple]:
         """Raw-value tuples for the given columns (None where missing)."""
-        out = []
-        for record in self.records:
-            get = record.get
-            row = []
-            for lbl in labels:
-                v = get(lbl)
-                row.append(None if v.is_empty else v.value)
-            out.append(tuple(row))
-        return out
+        columns = []
+        for label in labels:
+            codes, values = self._store.interned(label)
+            raw = [None if v.is_empty else v.value for v in values] + [None]  # code -1
+            columns.append(map(raw.__getitem__, codes.tolist()))
+        return list(zip(*columns)) if columns else [()] * len(self)
 
     def to_table(self, **kwargs) -> str:
-        """The aligned table, rendered from the result's columns when it
-        arrived as a store (no record is built)."""
+        """The aligned table, rendered from the result's columns."""
         from ..report.table import TableOptions, format_table
 
-        source = self.records if self._store is None else self._store
-        return format_table(source, self.preferred_columns, TableOptions(**kwargs))
+        return format_table(self._store, self.preferred_columns, TableOptions(**kwargs))
 
     def to_csv(self) -> str:
         import io as _io
@@ -183,7 +181,7 @@ class QueryResult:
 
 
 class QueryEngine:
-    """A compiled CalQL query, executable over any record stream."""
+    """A compiled CalQL query, executable over a column store or records."""
 
     def __init__(
         self,
@@ -195,98 +193,129 @@ class QueryEngine:
             validate(self.query, registry)
             self._let = compile_let(self.query.let)
             self.scheme: Optional[AggregationScheme] = None
-            self._where: Optional[Callable[[Record], bool]]
             if self.query.is_aggregation:
                 # WHERE lives inside the scheme's predicate on the aggregation path.
                 self.scheme = build_scheme(self.query, registry)
-                self._where = None
-            else:
-                self._where = compile_conditions(self.query.where)
-            self._assigner = None
-            self._time_attribute = None
-            if self.query.is_aggregation and self.query.window is not None:
-                # WINDOW queries stamp window.start/window.end onto each
-                # record (after LET) before folding; the scheme's key
-                # already includes both labels (see calql.semantics).
-                from ..window.assign import DEFAULT_TIME_ATTRIBUTE, make_assigner
-
-                self._assigner = make_assigner(self.query.window)
-                self._time_attribute = DEFAULT_TIME_ATTRIBUTE
+            # WINDOW stamps window.start/window.end onto each row (after LET)
+            # before folding; the scheme's key already includes both labels
+            # (see calql.semantics).
+            self._assigner = None if self.query.window is None else make_assigner(self.query.window)
 
     def reads_stores(self) -> bool:
-        """Whether :meth:`feed` folds a column store as it is — False for a
-        query without AGGREGATE, and where LET or WINDOW derive the rows."""
-        return self.scheme is not None and self._let is None and self._assigner is None
+        """Whether a column store is read as it is, with no ``Record``
+        built: every query without LET, whose derived rows are records."""
+        return self._let is None
 
-    def _fold(self, table: StateTable, source: Source) -> None:
-        """Fold ``source`` into ``table``.  A column store is only valid for
-        the raw rows it holds — LET and WINDOW fold the (derived) records
-        instead."""
+    def _input(self, source: Source) -> ColumnStore:
+        """``source`` as a store, after LET — the one row step: it maps the
+        source's records (a store hydrates them) and reads them back as a
+        store."""
+        if self._let is not None:
+            records = source.records if isinstance(source, ColumnStore) else source
+            return ColumnStore.from_records(list(map(self._let, records)))
+        return source if isinstance(source, ColumnStore) else ColumnStore.from_records(source)
+
+    def _derive(
+        self, source: Source, clock: Optional[EventClock] = None
+    ) -> tuple[ColumnStore, Optional[np.ndarray]]:
+        """The rows the query reads from ``source``: a store and the indices
+        of its rows to read (``None``: all of them, in order).  WINDOW
+        stamps the store as columns on ``clock``, one per input (a fresh
+        one when ``None``), un-timed rows left out."""
+        store = self._input(source)
+        if self._assigner is None:
+            return store, None
+        rows, starts, ends, _untimed = window_copies(store, clock or EventClock(), self._assigner)
+        return stamp_columns(store, rows, starts, ends)
+
+    def _derived_records(
+        self, source: Source, clock: Optional[EventClock] = None
+    ) -> Iterable[Record]:
+        """:meth:`_derive`'s rows as a stream of records, written record by
+        record for the reference row engine and the sampler: LET's records,
+        under WINDOW each timed record's ``stamp_record`` copies on
+        ``clock``.  The oracle of a large stream holds only the input."""
+        records = source.records if isinstance(source, ColumnStore) else source
+        if self._let is not None:
+            records = map(self._let, records)
+        if self._assigner is None:
+            return records
+        clock, assigner = clock or EventClock(), self._assigner
+
+        def stamped() -> Iterable[Record]:
+            for record in records:
+                t = clock.event_time(record)
+                if t is not None:
+                    yield from stamp_record(record, t, assigner)
+
+        return stamped()
+
+    def _fold(self, db: _DB, source: Source, clock: Optional[EventClock] = None) -> None:
+        """Fold the derived rows of ``source`` into ``db``: a state table
+        reads the store, the reference row engine its records."""
         with observe.span("query.scan"):
-            if not self.reads_stores():
-                source = list(self._preprocess(source))
-            table.fold(source, where=self.query.where)
+            if isinstance(db, StateTable):
+                db.fold(*self._derive(source, clock), where=self.query.where)
+            else:
+                db.process_all(self._derived_records(source, clock))
 
     # -- one-shot execution ------------------------------------------------------
 
     def run(self, source: Source, backend: str = "auto") -> QueryResult:
-        """Execute the full pipeline over ``source``.
+        """Execute the full pipeline over ``source``, one input: a record
+        iterable or a :class:`~repro.io.colfile.ColumnStore`, read as a
+        store either way (no ``Record`` built unless LET derives the rows).
 
-        ``source`` is a record iterable or a
-        :class:`~repro.io.colfile.ColumnStore`.  An aggregation folds a
-        state table, which reads a store as it is (no row→column
-        conversion, no ``Record`` built) and renders its answer as a store
-        too, sorted and cut by column (records are built from it only when
-        the caller reads them); everything row-oriented hydrates its records
-        on demand.  ``backend="rows"`` aggregates with the reference row
-        engine (:class:`AggregationDB`) instead.
+        An aggregation folds a state table and renders its answer as a
+        store; a query without AGGREGATE filters and projects the store;
+        both are sorted and cut by column, and records are built from the
+        answer only when the caller reads them.  ``backend="rows"``
+        aggregates with the reference row engine (:class:`AggregationDB`).
         """
         if backend not in BACKENDS:
             raise QueryError(
                 f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
             )
         with observe.span("query.run", backend=backend):
-            if self.scheme is not None:
-                if backend == "auto":
-                    table = self.make_db()
-                    self._fold(table, source)
-                    return self.finalize(table)
-                db = AggregationDB(self.scheme)
-                with observe.span("query.scan"):
-                    db.process_all(self._preprocess(source))
-                with observe.span("query.render"):
-                    return self.answer(db.flush())
-            with observe.span("query.scan"):
-                out = []
-                for record in self._preprocess(source):
-                    if self._where is not None and not self._where(record):
-                        continue
-                    if self.query.select:
-                        record = record.project(self.query.select)
-                    out.append(record)
-            with observe.span("query.render"):
-                out = self._order_and_limit(out)
-                preferred = list(self.query.select)
-                return QueryResult(out, preferred, self.query.format)
+            if self.scheme is None:
+                return self._select(source)
+            db = self.make_db(backend)
+            self._fold(db, source)
+            return self.finalize(db)
+
+    def _select(self, source: Source) -> QueryResult:
+        """A query without AGGREGATE: WHERE as column masks, SELECT as a
+        column projection, then ORDER BY / LIMIT."""
+        with observe.span("query.scan"):
+            store = self._input(source)  # no WINDOW without AGGREGATE
+            rows = where_rows(store, self.query.where)
+            if rows is not None:
+                store = store.take(rows)
+            if self.query.select:
+                store = store.select(self.query.select)
+        with observe.span("query.render"):
+            return QueryResult(self._order_and_limit(store), self.query.select, self.query.format)
 
     # -- partial aggregation (the process pool and the MPI query application) -------
 
-    def make_db(self) -> StateTable:
-        """A fresh partial state table for this query's scheme."""
+    def make_db(self, backend: str = "auto") -> _DB:
+        """A fresh partial state table for this query's scheme; the
+        reference row engine's :class:`AggregationDB` for ``backend="rows"``."""
         if self.scheme is None:
             raise ValueError("query has no aggregation; make_db() needs AGGREGATE")
-        return StateTable(self.scheme)
+        return AggregationDB(self.scheme) if backend == "rows" else StateTable(self.scheme)
 
-    def feed(self, table: StateTable, source: Source) -> None:
-        """Fold a source (after LET preprocessing) into a partial table: a
-        store as it is when :meth:`reads_stores`, otherwise the
-        (preprocessed) records.  Partial tables from many feeds merge
-        exactly (:meth:`StateTable.merge`)."""
+    def feed(self, table: _DB, source: Source, clock: Optional[EventClock] = None) -> None:
+        """Fold a source (after LET and WINDOW) into a partial table.
+        Partial tables from many feeds merge exactly
+        (:meth:`StateTable.merge`).  ``clock`` carries a WINDOW query's
+        event clock from one part of an input to the next; without one,
+        ``source`` is a whole input with its own."""
         with observe.span("query.feed"):
-            self._fold(table, source)
+            self._fold(table, source, clock)
 
     def feed_file(
-        self, table: StateTable, path: Union[str, os.PathLike]
+        self, table: _DB, path: Union[str, os.PathLike]
     ) -> tuple[int, float]:
         """Fold one file into a partial table, its globals folded into its rows.
 
@@ -294,16 +323,17 @@ class QueryEngine:
         goes one chunk store at a time: the globals are overlaid on every
         decoded chunk as constant columns (a global overrides a same-named
         column) and the chunk store goes straight to :meth:`feed`, so peak
-        memory stays one chunk and Records are only hydrated — lazily, per
-        chunk — for LET and WINDOW.  Text formats are parsed into records
-        first.
+        memory stays one chunk and Records are only hydrated — per chunk —
+        for LET.  A WINDOW query's event clock runs across the file's
+        chunks.  Text formats are parsed into records first.
 
         Returns ``(rows, parse seconds)``; for ``.rcf`` "parse" is opening
         the file and decoding its chunks.
         """
+        clock = EventClock()
         if _format_of(path) != "rcf":
             records, _globals, parse_seconds = _load_source_timed(path)
-            self.feed(table, records)
+            self.feed(table, records, clock)
             return len(records), parse_seconds
         start = time.perf_counter()
         with ColfileReader(path) as reader:
@@ -312,53 +342,22 @@ class QueryEngine:
                 start = time.perf_counter()
                 store = reader.chunk_store(index).with_constants(reader.globals)
                 decode_seconds += time.perf_counter() - start
-                self.feed(table, store)
+                self.feed(table, store, clock)
             return reader.num_records, decode_seconds
 
-    def finalize(self, table: StateTable) -> QueryResult:
+    def finalize(self, table: _DB) -> QueryResult:
         """Render a (possibly merged) table and apply ORDER BY / LIMIT /
         FORMAT; the records are built only when the caller reads them."""
         with observe.span("query.render"):
-            return self.answer(table.render())
+            return self.answer(table.render() if isinstance(table, StateTable) else table.flush())
 
-    def answer(self, out: _Rows) -> QueryResult:
+    def answer(self, out: Union[ColumnStore, list[Record]]) -> QueryResult:
         """The query's answer from its aggregated output rows — a rendered
-        store (sorted and cut as columns: the result holds the taken store)
-        or the row engine's records — with ORDER BY / LIMIT applied."""
-        return QueryResult(
-            self._order_and_limit(out), self._preferred_columns(), self.query.format
-        )
+        store or the row engine's records — sorted and cut as columns."""
+        store = out if isinstance(out, ColumnStore) else ColumnStore.from_records(out)
+        return QueryResult(self._order_and_limit(store), self._preferred_columns(), self.query.format)
 
     # -- helpers -------------------------------------------------------------------
-
-    def _preprocess(self, source: Source) -> Iterable[Record]:
-        """The source's records (a store hydrates them on demand) after LET
-        and WINDOW stamping."""
-        records = source.records if isinstance(source, ColumnStore) else source
-        if self._let is not None:
-            let = self._let
-            records = (let(r) for r in records)
-        if self._assigner is not None:
-            records = self._windowize(records)
-        return records
-
-    def _windowize(self, records: Iterable[Record]) -> Iterable[Record]:
-        """Expand records into window-stamped copies (batch semantics).
-
-        The whole input is one logical source: event time is the configured
-        time attribute, falling back to the accumulated ``time.duration``
-        offset.  Un-timed records cannot be placed in a window and are
-        dropped.
-        """
-        from ..window.assign import EventClock, stamp_record
-
-        clock = EventClock(self._time_attribute)
-        assigner = self._assigner
-        for record in records:
-            t = clock.event_time(record)
-            if t is None:
-                continue
-            yield from stamp_record(record, t, assigner)
 
     def _preferred_columns(self) -> list[str]:
         assert self.scheme is not None
@@ -371,13 +370,10 @@ class QueryEngine:
             preferred = chosen + [c for c in preferred if c not in chosen]
         return preferred
 
-    def _order_and_limit(self, out: _Rows) -> _Rows:
+    def _order_and_limit(self, store: ColumnStore) -> ColumnStore:
         if not self.query.order_by and self.query.limit is None:
-            return out
-        if isinstance(out, ColumnStore):
-            return out.take(order_rows(out, self.query.order_by, self.query.limit))
-        rows = order_rows(ColumnStore.from_records(out), self.query.order_by, self.query.limit)
-        return [out[i] for i in rows.tolist()]
+            return store
+        return store.take(order_rows(store, self.query.order_by, self.query.limit))
 
     def __repr__(self) -> str:
         return f"QueryEngine({self.query.unparse()!r})"
@@ -405,8 +401,8 @@ def order_rows(
 
 def sort_records(records: Iterable[Record], order: Sequence[OrderSpec]) -> list[Record]:
     """``records`` in ``ORDER BY`` order (:func:`order_rows`)."""
-    records = list(records)
-    return [records[i] for i in order_rows(ColumnStore.from_records(records), order).tolist()]
+    store = ColumnStore.from_records(records)
+    return store.take(order_rows(store, order)).held_records
 
 
 def run_query(

@@ -7,7 +7,7 @@ structure on actual cores: a :class:`~concurrent.futures.ProcessPoolExecutor`
 fans the input files out to worker processes, each worker
 **partially aggregates** its chunk with the regular
 :class:`~repro.query.engine.QueryEngine` (``.rcf`` files are decoded into
-chunk stores and, unless LET or WINDOW derive the rows, never turned into
+chunk stores and, unless LET derives the rows, never turned into
 records) into a :class:`~repro.aggregate.table.StateTable`, and only
 its ``RSB1`` state batch (:meth:`StateTable.to_binary`) travels back, to be
 decoded and merged by column (:meth:`StateTable.merge`) — the combine step
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .. import observe
 from ..aggregate.table import StateTable
 from ..common.errors import QueryError
 from ..common.util import chunk_evenly
-from ..io.dataset import Dataset, _resolve_workers
+from ..io.dataset import _resolve_workers
 from .engine import QueryEngine, QueryResult
 from .options import QueryOptions
 
@@ -96,11 +96,12 @@ def parallel_query_files(
     """Run an aggregation query over many files with real process parallelism.
 
     The oracle (not the implementation) is the reference row engine over
-    every file's records with that file's globals folded in,
-    ``Dataset.from_files(paths).query(query, backend="rows")`` — which is
-    what ``backend="rows"`` runs.  Otherwise each worker process partially aggregates its file chunk — ``.rcf``
-    chunk stores go straight to the column kernels, no ``Record`` is built —
-    and only partial aggregation states are merged in the parent.
+    every file's records with that file's globals folded in, one file after
+    another (each file its own input: a WINDOW query's event clock runs per
+    file) — which is what ``backend="rows"`` runs.  Otherwise each worker
+    process partially aggregates its file chunk — ``.rcf`` chunk stores go
+    straight to the column kernels, no ``Record`` is built — and only
+    partial aggregation states are merged in the parent.
     ``options`` is a :class:`~repro.query.options.QueryOptions`:
     ``jobs=None``/``True`` picks the pool size automatically — one worker
     per CPU, degrading to serial on single-core machines or undersized
@@ -126,8 +127,10 @@ def query_files(
     pool_size = True if opts.jobs is None else opts.jobs
     path_list = [os.fspath(p) for p in paths]
     if opts.backend == "rows":
-        dataset = Dataset.from_files(path_list, parallel=opts.jobs)
-        return engine.run(dataset.records, backend="rows")
+        db = engine.make_db("rows")
+        for path in path_list:
+            engine.feed_file(db, path)
+        return engine.finalize(db)
     table = engine.make_db()
     if not path_list:
         # No inputs: an empty result of the right shape, no pool spin-up.

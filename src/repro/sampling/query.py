@@ -93,5 +93,5 @@ def sampled_query(
 
     scheme = scheme_with_moments(engine.scheme)
     table = StateTable(scheme)
-    table.fold(sample_records(engine._preprocess(records), p, seed), where=engine.query.where)
+    table.fold(sample_records(engine._derived_records(records), p, seed), where=engine.query.where)
     return engine.answer(WindowEstimator(scheme, confidence).estimate(table, None, p))

@@ -30,8 +30,10 @@ from .assign import (
     format_duration,
     make_assigner,
     parse_duration,
+    stamp_columns,
     stamp_record,
     stamp_records,
+    window_copies,
 )
 from .db import (
     WindowedAggregationDB,
@@ -54,8 +56,10 @@ __all__ = [
     "SlidingWindows",
     "make_assigner",
     "EventClock",
+    "stamp_columns",
     "stamp_record",
     "stamp_records",
+    "window_copies",
     "WatermarkTracker",
     "WindowEstimator",
     "z_for_confidence",

@@ -20,15 +20,13 @@ Window sizes are wall-clock durations in seconds; the CalQL surface accepts
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..common.errors import ReproError
 from ..common.record import Record
-
-if TYPE_CHECKING:
-    from ..io.colfile import ColumnStore
+from ..io.colfile import ColumnStore
 
 __all__ = [
     "WindowError",
@@ -39,6 +37,8 @@ __all__ = [
     "SlidingWindows",
     "make_assigner",
     "EventClock",
+    "window_copies",
+    "stamp_columns",
     "WINDOW_START",
     "WINDOW_END",
     "DEFAULT_TIME_ATTRIBUTE",
@@ -301,7 +301,7 @@ class EventClock:
             return t
         return None
 
-    def event_times(self, store: "ColumnStore") -> Tuple[np.ndarray, np.ndarray]:
+    def event_times(self, store: ColumnStore) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`event_time` over the rows of a column store, in row order:
         ``(times, timed)`` — ``times`` means something only where ``timed``.
         Leaves the clock exactly where the per-record calls would."""
@@ -344,6 +344,64 @@ class EventClock:
         self._offset = offset
         out[timed] = stamps
         return out, timed
+
+
+def window_copies(
+    store: ColumnStore,
+    clock: EventClock,
+    assigner: WindowAssigner,
+    admit: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    floor: Optional[float] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The window copies of the rows of ``store``: ``(rows, starts, ends,
+    un-timed)``, per copy to fold (in row order, ascending in start within
+    a row) the row it copies and its window's bounds.
+
+    Rules 1, 2 and 4 of the window rule in ``docs/streaming.md``, on
+    ``clock`` (one per source).  The windowed server adds ``admit`` (rule 3:
+    the timed rows' event times -> the mask of those on time) and ``floor``
+    (rule 5); the off-line engine passes neither.
+    """
+    times, timed = clock.event_times(store)  # rules 1 and 2
+    rows = np.flatnonzero(timed)
+    untimed = len(store) - len(rows)
+    times = times[rows]
+    if admit is not None:  # rule 3
+        on_time = admit(times)
+        rows, times = rows[on_time], times[on_time]
+    event, starts, ends = assigner.assign_all(times)  # rule 4
+    if event is not None:
+        rows = rows[event]
+    if floor is not None:  # rule 5
+        still_open = ends > floor
+        rows, starts, ends = rows[still_open], starts[still_open], ends[still_open]
+    return rows, starts, ends, untimed
+
+
+def stamp_columns(
+    store: ColumnStore, rows: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> Tuple[ColumnStore, Optional[np.ndarray]]:
+    """The copies :func:`window_copies` picked as a store, no
+    :class:`Record` built: ``(stamped store, rows to fold)`` (``None``: all).
+
+    ``store``'s columns plus ``window.start`` / ``window.end`` (replacing
+    same-named ones, as ``with_entries`` does); ``records_from_store(stamped,
+    rows)`` equals the ``stamp_record`` copies bit for bit.  With at most
+    one copy per row the columns are shared (dropped rows stay, outside
+    ``rows``); else the store is the row-repeated copy.
+    """
+    bounds = {WINDOW_START: starts, WINDOW_END: ends}
+    if len(rows) > 1 and not (np.diff(rows) > 0).all():  # a row in several windows
+        return store.take(rows).with_doubles(bounds), None
+    n = len(store)
+    if len(rows) == n:
+        return store.with_doubles(bounds), None
+    present = np.zeros(n, dtype=bool)
+    present[rows] = True
+    for label, values in bounds.items():
+        bounds[label] = np.zeros(n)
+        bounds[label][rows] = values
+    return store.with_doubles(bounds, present), rows
 
 
 def stamp_record(

@@ -17,7 +17,7 @@ its shards and forwarded-state DBs, holding :attr:`WindowFront.lock`.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..aggregate.ops import MomentsOp
 from ..aggregate.scheme import AggregationScheme
 from ..aggregate.table import StateTable
 from ..common.record import Record
-from ..io.colfile import ColumnStore, _dense_unique, result_records
+from ..io.colfile import ColumnStore, result_records
 from .assign import (
     DEFAULT_TIME_ATTRIBUTE,
     WINDOW_END,
@@ -33,7 +33,8 @@ from .assign import (
     EventClock,
     WindowAssigner,
     make_assigner,
-    stamp_record,
+    stamp_columns,
+    window_copies,
 )
 from .estimate import WindowEstimator, _unwrap, scheme_with_moments
 from .watermark import WatermarkTracker
@@ -108,96 +109,32 @@ class WindowFront:
             clock = self._clocks[source] = EventClock(self.time_attribute)
         return clock
 
-    def stamp(self, source: str, records: Iterable[Record]) -> Tuple[List[Record], int, int]:
-        """Assign ``records`` to windows, advancing ``source``'s watermark.
-
-        Returns ``(stamped copies to fold, late, un-timed)``.  Lateness is
-        judged per source (more than ``lateness`` behind that source's own
-        stream front) so a re-parented client replaying its spool after a
-        failover folds its history exactly; stamped copies for windows
-        already retired are dropped regardless — the replayed data is
-        already inside their final results.  Late and un-timed records are
-        counted, never folded.
-
-        This loop is the "window / lateness / retirement rule" of
-        ``docs/streaming.md`` written out record by record;
-        :meth:`stamp_store` is the same rule as column operations.
-        """
-        clock = self._clock(source)
-        tracker, floor = self.tracker, self.retire_floor
-        stamped: List[Record] = []
-        late = untimed = 0
-        for record in records:
-            t = clock.event_time(record)
-            if t is None:
-                untimed += 1
-                continue
-            if tracker.is_late(t, source):
-                late += 1
-                continue
-            tracker.observe(source, t)
-            folded = False
-            for copy in stamp_record(record, t, self.assigner):
-                if floor is not None:
-                    end = copy.get(WINDOW_END)
-                    if end.is_numeric and float(end.value) <= floor:
-                        continue
-                stamped.append(copy)
-                folded = True
-            if not folded:
-                late += 1
-        self.num_late += late
-        self.num_untimed += untimed
-        return stamped, late, untimed
-
     def stamp_store(
         self, source: str, store: ColumnStore
     ) -> Tuple[ColumnStore, Optional[np.ndarray], int, int]:
-        """:meth:`stamp` over a decoded column batch, without building a
-        :class:`Record`: ``(stamped store, rows, late, un-timed)``.
+        """Assign a column batch to windows, advancing ``source``'s
+        watermark: ``(stamped store, rows to fold, late, un-timed)``, no
+        :class:`Record` built (:func:`~repro.window.assign.window_copies`
+        with this front's lateness and retire floor, then
+        :func:`~repro.window.assign.stamp_columns`).
 
-        The stamped store is ``store``'s columns plus ``window.start`` /
-        ``window.end`` (replacing same-named columns, as ``with_entries``
-        does) and ``rows`` the indices of the rows to fold, ``None`` for all
-        of them: ``records_from_store(stamped, rows)`` equals ``stamp``'s
-        list, in order and bit for bit, and the clock, the tracker and the
-        counters end where ``stamp`` leaves them.  A tumbling batch shares
-        ``store``'s columns (dropped rows stay, outside ``rows``); a batch
-        under an assigner with several windows per event is the row-repeated
-        copy.  The rule itself is the numbered "window / lateness /
-        retirement rule" of ``docs/streaming.md``.
+        Lateness is judged per source, so a re-parented client replaying
+        its spool after a failover folds its history exactly; copies for
+        windows already retired are dropped regardless — the replayed data
+        is already inside their final results.  Late and un-timed rows are
+        counted, never folded.
         """
-        n = len(store)
-        times, timed = self._clock(source).event_times(store)  # rules 1 and 2
-        rows = np.flatnonzero(timed)
-        untimed = n - len(rows)
-        times = times[rows]
-        on_time = ~self.tracker.observe_all(source, times)  # rule 3
-        rows, times = rows[on_time], times[on_time]
-        event, starts, ends = self.assigner.assign_all(times)  # rule 4
-        one_each = event is None
-        if one_each:
-            event = np.arange(len(rows))
-        if self.retire_floor is not None:  # rule 5
-            still_open = ends > self.retire_floor
-            event, starts, ends = event[still_open], starts[still_open], ends[still_open]
-        folded = len(event) if one_each else len(_dense_unique(event)[0])
-        late = n - untimed - folded  # rule 6: behind the front, or every copy retired
+        rows, starts, ends, untimed = window_copies(
+            store, self._clock(source), self.assigner,
+            admit=lambda times: ~self.tracker.observe_all(source, times),
+            floor=self.retire_floor,
+        )
+        folded = int(len(rows) and 1 + np.count_nonzero(np.diff(rows)))  # distinct rows
+        late = len(store) - untimed - folded  # rule 6: behind the front, or every copy retired
         self.num_late += late
         self.num_untimed += untimed
-        rows = rows[event]  # the input row behind each copy to fold
-        if not one_each:
-            stamped = store.take(rows).with_doubles({WINDOW_START: starts, WINDOW_END: ends})
-            return stamped, None, late, untimed
-        if len(rows) == n:
-            return store.with_doubles({WINDOW_START: starts, WINDOW_END: ends}), None, late, untimed
-        present = np.zeros(n, dtype=bool)
-        present[rows] = True
-        bounds = {}
-        for label, values in ((WINDOW_START, starts), (WINDOW_END, ends)):
-            bounds[label] = np.zeros(n)
-            bounds[label][rows] = values
-        return store.with_doubles(bounds, present), rows, late, untimed
+        stamped, rows = stamp_columns(store, rows, starts, ends)
+        return stamped, rows, late, untimed
 
     def watermark(self) -> Optional[float]:
         """The global event-time watermark (``None`` before any event)."""

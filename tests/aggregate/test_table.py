@@ -373,7 +373,7 @@ def in_slot_order(table, db):
     the table does (the sum of doubles depends on it)."""
     ordered = AggregationDB(db.scheme, "generic")
     ordered.load_states(
-        (entries, db.states_at(key))
+        (entries, db._table[key])
         for (entries, _states), key in zip(table.export_states(), table._keys())
     )
     return ordered

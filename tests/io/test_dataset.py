@@ -174,15 +174,37 @@ class TestRcfDataset:
         assert "kernel" in back.labels()
         back.query(self.QUERY)
         assert back._records is None  # still no Record objects
-        # rows backend hydrates, with identical results
+        # rows backend hydrates the store's records, with identical results
         rows = back.query(self.QUERY, backend="rows")
-        assert back._records is not None
+        assert back.column_store().held_records is not None
         assert str(rows) == str(ds.query(self.QUERY))
 
     def test_repr_of_a_lazy_dataset_builds_no_record(self, tmp_path, no_record_hydration):
         path = tmp_path / "lazy.rcf"
         self._dataset().save(path)
         assert repr(Dataset.from_file(path)) == "Dataset(200 records from 1 source(s))"
+
+    def test_window_and_filter_queries_over_a_lazy_rcf_build_no_record(
+        self, tmp_path, no_record_hydration
+    ):
+        records = [
+            Record({"kernel": f"k{i % 3}", "time.duration": 0.25 * (i % 5), "i": i})
+            for i in range(50)
+        ]
+        path = tmp_path / "lazy.rcf"
+        write_colfile(path, records, chunk_rows=8)
+        lazy = Dataset.from_file(path)
+        for text in (
+            "AGGREGATE count, sum(time.duration) GROUP BY kernel WINDOW tumbling(2s) "
+            "ORDER BY window.start, kernel",
+            "AGGREGATE count GROUP BY kernel WINDOW sliding(4s, 2s)",
+            "SELECT kernel, i WHERE kernel=k1, i>10 ORDER BY i DESC LIMIT 4",
+            "SELECT kernel WHERE kernel=k1 LIMIT 2",
+        ):
+            got = lazy.query(text)
+            assert lazy._records is None and lazy.column_store().held_records is None
+            assert str(got) == str(QueryEngine(text).run(records)), text
+            assert got.records  # an answer's own rows hydrate, not the input
 
     def test_chunked_query_matches_in_memory(self, tmp_path):
         """Acceptance: the out-of-core chunked scan == the in-memory path."""

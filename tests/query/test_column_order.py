@@ -359,3 +359,147 @@ def test_answers_build_no_record(rank_files, no_record_hydration, no_result_hydr
     assert api.query(WARM[0], paths).to_table() == str(want[WARM[0]])
     assert cli_main(["-q", WARM[3], *paths]) == 0
     assert capsys.readouterr().out == str(want[WARM[3]]) + "\n"
+
+
+# -- SELECT / WHERE / ORDER BY / LIMIT without AGGREGATE ------------------------------
+
+#: value pools per label: ints, doubles (NaN, both zeros, inf), strings, bools
+#: and a mixed one; a drawn record leaves each label out at random
+FILTER_POOLS = {
+    "a": [-1, 0, 1, 2, 7],
+    "f": [0.0, -0.0, 1.0, 2.5, math.nan, INF, -3.5],
+    "s": ["x", "y", "1", ""],
+    "b": [True, False],
+    "m": [1, 1.0, "x", True, 2.5, math.nan, "2"],
+}
+FILTER_LABELS = [*FILTER_POOLS, "d", "absent"]  # d: derived by LET
+LITERALS = ["0", "1", "-1", "2.5", "x", '"1"', "true", "false", "nan"]
+OPS = ["=", "!=", "<", "<=", ">", ">="]
+
+
+@st.composite
+def filter_records(draw):
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(0, 40))
+    records = []
+    for _ in range(n):
+        entries = {}
+        for label, pool in FILTER_POOLS.items():
+            if rng.random() < 0.75:
+                entries[label] = pool[int(rng.integers(len(pool)))]
+        records.append(Record(entries))
+    return records
+
+
+@st.composite
+def conditions(draw):
+    label = draw(st.sampled_from(FILTER_LABELS))
+    kind = draw(st.sampled_from(["compare", "compare", "exists", "not"]))
+    if kind == "exists":
+        return label
+    cond = f"{label}{draw(st.sampled_from(OPS))}{draw(st.sampled_from(LITERALS))}"
+    return f"not({cond})" if kind == "not" else cond
+
+
+@st.composite
+def filter_queries(draw):
+    parts = []
+    if draw(st.booleans()):
+        parts.append(draw(st.sampled_from(["LET d = a * 2", "LET d = f + a", "LET d = a / f"])))
+    select = draw(st.lists(st.sampled_from(FILTER_LABELS), max_size=3, unique=True))
+    if select:
+        parts.append("SELECT " + ", ".join(select))
+    where = draw(st.lists(conditions(), max_size=3))
+    if where:
+        parts.append("WHERE " + ", ".join(where))
+    if not parts:  # a query selects, filters or derives something
+        parts.append("SELECT a")
+    order = draw(st.lists(st.sampled_from(FILTER_LABELS), max_size=2, unique=True))
+    if order:
+        parts.append("ORDER BY " + ", ".join(
+            f"{label} {draw(st.sampled_from(['ASC', 'DESC']))}" for label in order))
+    limit = draw(st.sampled_from([None, 0, 1, 5, 100]))
+    if limit is not None:
+        parts.append(f"LIMIT {limit}")
+    return " ".join(parts)
+
+
+def reference_filter(text: str, records: list[Record]) -> list[Record]:
+    """LET, then WHERE, SELECT, ORDER BY and LIMIT written out record by
+    record: the row semantics every column path must keep."""
+    from repro.calql.ast import Compare, Exists, NotCond
+    from repro.calql.parser import parse_query
+    from repro.calql.semantics import compare_variants, compile_let
+
+    query = parse_query(text)
+    let = compile_let(query.let)
+    if let is not None:
+        records = [let(r) for r in records]
+
+    def holds(cond, record: Record) -> bool:
+        if isinstance(cond, NotCond):
+            return not holds(cond.inner, record)
+        value = record.get(cond.label)
+        if isinstance(cond, Exists):
+            return not value.is_empty
+        assert isinstance(cond, Compare)
+        return not value.is_empty and compare_variants(value, cond.op, cond.value)
+
+    out = [r for r in records if all(holds(c, r) for c in query.where)]
+    if query.select:
+        out = [r.project(query.select) for r in out]
+    out = [out[i] for i in reference_order(out, query.order_by)]
+    return out if query.limit is None else out[: query.limit]
+
+
+@given(records=filter_records(), text=filter_queries())
+@settings(max_examples=examples(200), deadline=None)
+def test_column_select_where_order_limit_equal_the_python_filter(records, text, tmp_path_factory):
+    want = [exact(r) for r in reference_filter(text, records)]
+    preferred = list(QueryEngine(text).query.select)
+    path = str(tmp_path_factory.mktemp("rcf") / "part.rcf")
+    write_colfile(path, records, chunk_rows=7)
+    for got in (
+        run_query(text, records),
+        Dataset(records).query(text),
+        Dataset.from_file(path).query(text),  # one decoded .rcf store
+        api.query(text, path),
+    ):
+        assert [exact(r) for r in got.records] == want, text
+        rows = reference_filter(text, records)
+        assert got.to_table() == reference_table(rows, preferred)
+        for label in FILTER_LABELS:
+            assert [exact_value(v) for v in got.column(label)] == [
+                exact_value(r.get(label)) for r in rows if not r.get(label).is_empty
+            ]
+    labels = ["a", "d", "absent"]
+    assert list(map(repr, run_query(text, records).rows(labels))) == [  # repr: nan == nan
+        repr(tuple(None if r.get(label).is_empty else r.get(label).value for label in labels))
+        for r in reference_filter(text, records)
+    ]
+
+
+def test_a_filter_over_records_hands_back_the_same_records():
+    records = [Record({"a": i, "s": "x" if i % 2 else "y"}) for i in range(6)]
+    got = run_query("WHERE s=x ORDER BY a DESC LIMIT 2", records)
+    assert [id(r) for r in got.records] == [id(records[5]), id(records[3])]
+
+
+def test_result_columns_and_rows_read_the_codes_of_a_rendered_store(no_result_hydration):
+    records = [
+        Record({"kernel": f"k{i % 3}", "rank": i % 2, "t": [0.5, math.nan, -0.0, 2][i % 4]})
+        for i in range(24)
+    ] + [Record({"t": 1.0})]
+    text = "AGGREGATE count, sum(t), max(t) GROUP BY kernel, rank ORDER BY kernel DESC, rank"
+    want = QueryEngine(text).run(records, backend="rows")  # the records, held as they are
+    got = QueryEngine(text).run(records)  # the rendered store
+    labels = ["kernel", "rank", "count", "sum#t", "max#t", "absent"]
+    for label in labels:
+        assert [exact_value(v) for v in got.column(label)] == [
+            exact_value(r.get(label)) for r in want.records if not r.get(label).is_empty
+        ]
+    assert repr(got.rows(labels)) == repr([
+        tuple(None if r.get(label).is_empty else r.get(label).value for label in labels)
+        for r in want.records
+    ])
+    assert got.rows([]) == [()] * len(want.records)

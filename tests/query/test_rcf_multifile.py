@@ -130,9 +130,10 @@ def test_let_hydrates_per_chunk_and_the_rows_engine_still_matches(two_files, mon
     per_chunk = [6, 6, 6, 2] * 2  # 20 rows in chunks of 6, two files
     query = QUERIES[1]
     want = rows(QueryEngine(query).run(folded, backend="rows"))
-    # the reference engine reads the files as one dataset, every row once
+    # the reference engine reads each file as its own input, chunk by
+    # chunk, every row once
     assert rows(api.query(query, paths, jobs=1, backend="rows")) == want
-    assert hydrated == [40]
+    assert hydrated == per_chunk
     del hydrated[:]
     let_query = "LET half = t / 2 AGGREGATE count, sum(half) GROUP BY rank ORDER BY rank"
     want = rows(QueryEngine(let_query).run(folded, backend="rows"))

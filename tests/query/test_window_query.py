@@ -101,3 +101,123 @@ class TestWindowedBatch:
         starts = [r.get("window.start").value for r in result.records]
         assert starts == sorted(starts)
         assert all(r.get("kernel").to_string() == "k0" for r in result.records)
+
+
+# -- one clock per input, on both backends -------------------------------------------
+
+import math  # noqa: E402
+
+import hypothesis.strategies as st  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
+
+from repro import api  # noqa: E402
+from repro.aggregate import AggregationDB  # noqa: E402
+from repro.calql import parse_scheme  # noqa: E402
+from repro.io import Dataset, write_colfile, write_records  # noqa: E402
+from repro.window import EventClock, make_assigner, stamp_record  # noqa: E402
+
+from ..conftest import examples  # noqa: E402
+
+BACKENDS = ("auto", "rows")
+WINDOWS = ["tumbling(2s)", "sliding(4s, 2s)", "tumbling(300ms)", "sliding(3s, 1s)"]
+halves = st.integers(-2, 40).map(lambda i: 0.5 * i)
+start_values = st.one_of(
+    halves, halves, st.integers(0, 20), st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+)
+durations = st.one_of(
+    st.integers(0, 8).map(lambda i: 0.25 * i), st.sampled_from([0.1, math.nan, math.inf, 3])
+)
+
+
+@st.composite
+def window_rows(draw) -> Record:
+    entries = {"kernel": f"k{draw(st.integers(0, 2))}", "v": 0.5 * draw(st.integers(0, 6))}
+    shape = draw(st.sampled_from(["start", "duration", "duration", "both", "neither"]))
+    if shape in ("start", "both"):
+        entries["time.start"] = draw(start_values)
+    if shape in ("duration", "both"):
+        entries["time.duration"] = draw(durations)
+    return Record(entries)
+
+
+def reference(text: str, inputs: list[list[Record]]) -> list:
+    """The WINDOW answer written out record by record: one clock per input,
+    each timed record copied once per window (``stamp_record``), every copy
+    folded by the row engine under the window bounds as plain key labels."""
+    query = parse_scheme(text.split(" WINDOW ")[0] + ", window.start, window.end")
+    assigner = make_assigner(text.split(" WINDOW ")[1])
+    db = AggregationDB(query)
+    for records in inputs:
+        clock = EventClock()
+        for record in records:
+            t = clock.event_time(record)
+            if t is not None:
+                db.process_all(stamp_record(record, t, assigner))
+    return exact(db.flush())
+
+
+def exact(records) -> list:
+    """Output rows as data that tells 1 from 1.0 and 0.0 from -0.0, in a
+    fixed order (the query has no ORDER BY)."""
+    return sorted(sorted((k, v.type.value, repr(v.value)) for k, v in r.items()) for r in records)
+
+
+@given(
+    parts=st.lists(st.lists(window_rows(), max_size=12), min_size=1, max_size=3),
+    window=st.sampled_from(WINDOWS),
+    chunk_rows=st.sampled_from([1, 3, 5, 1000]),
+)
+@settings(max_examples=examples(60), deadline=None)
+def test_offline_window_is_the_per_record_rule_one_clock_per_input(
+    parts, window, chunk_rows, tmp_path_factory
+):
+    text = f"AGGREGATE count, sum(v) GROUP BY kernel WINDOW {window}"
+    records = [r for part in parts for r in part]
+    one_store = reference(text, [records])
+    per_file = reference(text, parts)
+    directory = tmp_path_factory.mktemp("window")
+    whole = str(directory / "all.rcf")
+    write_colfile(whole, records, chunk_rows=chunk_rows)
+    paths = []
+    for i, part in enumerate(parts):
+        paths.append(str(directory / f"part{i}.rcf"))
+        write_colfile(paths[-1], part, chunk_rows=chunk_rows)
+    for backend in BACKENDS:
+        # a record list, a Dataset and a (chunked) file are one input each
+        assert exact(QueryEngine(text).run(records, backend=backend).records) == one_store
+        assert exact(Dataset(records).query(text, backend=backend).records) == one_store
+        assert exact(api.query(text, whole, backend=backend).records) == one_store
+        assert exact(Dataset.from_file(whole).query(text, backend=backend).records) == one_store
+        # a file list: one clock per file; a Dataset over it is one input
+        assert exact(api.query(text, paths, backend=backend, jobs=1).records) == per_file
+        assert exact(Dataset.from_files(paths).query(text, backend=backend).records) == one_store
+
+
+def duration_records(n: int, step: float) -> list[Record]:
+    return [Record({"kernel": f"k{i % 2}", "time.duration": step}) for i in range(n)]
+
+
+def test_the_duration_clock_runs_across_the_chunks_of_one_file(tmp_path):
+    text = "AGGREGATE count GROUP BY kernel WINDOW tumbling(2s) ORDER BY window.start, kernel"
+    records = duration_records(100, 0.1)
+    rcf, cali = str(tmp_path / "run.rcf"), str(tmp_path / "run.cali")
+    write_colfile(rcf, records, chunk_rows=16)
+    write_records(cali, records)
+    want = QueryEngine(text).run(records)
+    assert len(want) == 10
+    assert {r.get("window.start").value for r in want} == {0.0, 2.0, 4.0, 6.0, 8.0}
+    for backend in BACKENDS:
+        for got in (api.query(text, rcf, backend=backend), api.query(text, cali, backend=backend),
+                    Dataset.from_file(rcf).query(text, backend=backend)):
+            assert str(got) == str(want)
+
+
+def test_a_file_list_runs_one_clock_per_file_on_both_backends(tmp_path):
+    text = "AGGREGATE count GROUP BY kernel WINDOW tumbling(2s) ORDER BY window.start"
+    paths = []
+    for i in range(2):
+        paths.append(str(tmp_path / f"p{i}.cali"))
+        write_records(paths[-1], [Record({"kernel": "x", "time.duration": 0.5})] * 8)
+    for backend in BACKENDS:
+        got = api.query(text, paths, backend=backend)
+        assert got.rows(["window.start", "count"]) == [(0.0, 8), (2.0, 8)]
