@@ -434,13 +434,13 @@ def render_fig9(pivoted) -> str:
 def experiment_listing1():
     from repro.apps.listing1 import run_listing1
     from repro.calql.ast import OrderSpec
-    from repro.query.engine import sort_records
+    from repro.io import ColumnStore
+    from repro.query.engine import order_rows
 
     records, _ = run_listing1(iterations=4)
-    return sort_records(
-        records,
-        [OrderSpec("loop.iteration"), OrderSpec("function", ascending=False)],
-    )
+    store = ColumnStore.from_records(records)
+    order = [OrderSpec("loop.iteration"), OrderSpec("function", ascending=False)]
+    return store.take(order_rows(store, order)).records
 
 
 def render_listing1(records) -> str:

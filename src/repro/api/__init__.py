@@ -116,27 +116,27 @@ def _merge_options(options, kwargs) -> QueryOptions:
 
 
 def _query_sampled(text: str, source, opts: QueryOptions) -> QueryResult:
-    """Sampled execution: materialize the records, Bernoulli-sample, fold
+    """Sampled execution: Bernoulli-sample the source's column store, fold
     with count-scaling, and report confidence columns."""
     from ..sampling import sampled_query
 
     return sampled_query(
         text,
-        _materialize_records(source, opts),
+        _sampled_dataset(source, opts).column_store(),
         float(opts.sampling),  # type: ignore[arg-type]
         seed=opts.sampling_seed,
     )
 
 
-def _materialize_records(source, opts: QueryOptions) -> list[Record]:
+def _sampled_dataset(source, opts: QueryOptions) -> Dataset:
     if isinstance(source, Dataset):
-        return source.records
+        return source
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
         if _glob.has_magic(path):
-            return Dataset.from_glob(path, parallel=opts.jobs).records
+            return Dataset.from_glob(path, parallel=opts.jobs)
         if os.path.exists(path):
-            return Dataset.from_files([path]).records
+            return Dataset.from_files([path])
         raise QueryError(
             "sampling is a local execution option; it cannot run against a "
             f"live server source ({path!r})"
@@ -151,8 +151,8 @@ def _materialize_records(source, opts: QueryOptions) -> list[Record]:
     items = source if isinstance(source, (list, tuple)) else list(source)
     if items and all(isinstance(i, (str, os.PathLike)) for i in items):
         paths = [os.fspath(i) for i in items]
-        return Dataset.from_files(paths, parallel=opts.jobs).records
-    return list(items)
+        return Dataset.from_files(paths, parallel=opts.jobs)
+    return Dataset(items)
 
 
 def _is_address(source: tuple) -> bool:

@@ -6,7 +6,7 @@ executable pieces the engines consume:
 * :func:`build_scheme` — an :class:`~repro.aggregate.scheme.AggregationScheme`
   (operator kernels + key + predicate) for queries with aggregations,
 * :func:`compile_conditions` — a fast record predicate for WHERE clauses,
-* :func:`compile_let` — a record transformer adding derived attributes,
+* :func:`compile_let` — a column store transform adding derived attributes,
 * :func:`validate` — whole-query checks with helpful error messages.
 
 Both the on-line aggregation service and the off-line query engine call
@@ -18,11 +18,14 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from ..aggregate.ops import AggregateOp, OperatorRegistry, default_registry
 from ..aggregate.scheme import AggregationScheme
 from ..common.errors import CalQLSemanticError
 from ..common.record import Record
 from ..common.variant import ValueType, Variant
+from ..io.colfile import ColumnStore
 from .ast import (
     BinExpr,
     Compare,
@@ -206,54 +209,49 @@ def compile_conditions(conds: Sequence[Condition]) -> Optional[Callable[[Record]
 # -- LET compilation --------------------------------------------------------------
 
 
-def _eval_expr(expr: Expr, record: Record) -> Optional[float]:
+def _eval_expr(expr: Expr, store: ColumnStore) -> tuple:
+    """``expr`` over the rows of ``store``: ``(values, ok)``, arrays or (a
+    literal) scalars, ``ok`` where every operand is numeric (``numeric()``
+    without bools) and no divisor is 0."""
     if isinstance(expr, Num):
-        return expr.value
+        return expr.value, True
     if isinstance(expr, Ref):
-        v = record.get(expr.label)
-        if v.is_empty or not v.is_numeric:
-            return None
-        return v.to_double()
-    if isinstance(expr, BinExpr):
-        left = _eval_expr(expr.left, record)
-        right = _eval_expr(expr.right, record)
-        if left is None or right is None:
-            return None
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            return left / right if right != 0.0 else None
-        raise CalQLSemanticError(f"unknown arithmetic operator {expr.op!r}")
-    raise CalQLSemanticError(f"unknown expression type {type(expr).__name__}")
+        return store.numeric(expr.label, include_bool=False)
+    if isinstance(expr, BinExpr) and expr.op in _ARITHMETIC:
+        left, left_ok = _eval_expr(expr.left, store)
+        right, right_ok = _eval_expr(expr.right, store)
+        ok = left_ok & right_ok & ((right != 0.0) if expr.op == "/" else True)
+        with np.errstate(all="ignore"):  # rows outside ``ok`` are dropped
+            return _ARITHMETIC[expr.op](left, right), ok
+    raise CalQLSemanticError(f"unknown LET expression {expr!r}")
 
 
-def compile_let(bindings: Sequence[LetBinding]) -> Optional[Callable[[Record], Record]]:
-    """Compile LET bindings into a record transformer.
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
-    A binding whose expression references a missing or non-numeric attribute
-    simply does not produce the derived attribute for that record (the
-    flexible data model tolerates sparse attributes).  Bindings see earlier
-    bindings' results, so ``LET a = x*2, b = a+1`` works.
+
+def compile_let(bindings: Sequence[LetBinding]) -> Optional[Callable[[ColumnStore], ColumnStore]]:
+    """Compile LET bindings into a column store transform.
+
+    Each binding adds a ``DOUBLE`` column on the rows where its expression
+    holds: a row with a missing or non-numeric operand, or a zero divisor,
+    simply lacks the derived attribute (the flexible data model tolerates
+    sparse attributes).  A binding that shadows an input attribute keeps
+    the input value on those rows, as ``Record.with_entries`` does; one that
+    holds on no row adds nothing.  Bindings see earlier bindings' results,
+    so ``LET a = x*2, b = a+1`` works.
     """
     if not bindings:
         return None
-    compiled = [(b.name, b.expr) for b in bindings]
+    bindings = tuple(bindings)
 
-    def transform(record: Record, _compiled=tuple(compiled)) -> Record:
-        extra: dict[str, Variant] = {}
-        current = record
-        for name, expr in _compiled:
-            value = _eval_expr(expr, current)
-            if value is not None:
-                extra[name] = Variant.of(value)
-                current = current.with_entries({name: extra[name]})
-        if not extra:
-            return record
-        return current
+    def transform(store: ColumnStore) -> ColumnStore:
+        for binding in bindings:
+            values, ok = _eval_expr(binding.expr, store)
+            ok = np.broadcast_to(ok, len(store))
+            if ok.any():
+                values = np.where(ok, values, 0.0)
+                store = store.with_doubles({binding.name: values}, None if ok.all() else ok)
+        return store
 
     return transform
 

@@ -495,6 +495,14 @@ def _first_use(codes: np.ndarray, values: Sequence[Variant]) -> tuple[np.ndarray
     return renumber[codes], [values[i] for i in used.tolist()]
 
 
+def _first_use_column(codes: np.ndarray, values: Sequence[Variant]) -> "_DictColumn":
+    """A dictionary column of ``codes`` (-1: missing; renumbered in place)
+    with its values in first-use order, unused ones left out."""
+    held = codes >= 0
+    codes[held], used = _first_use(codes[held], values)
+    return _DictColumn(codes, used)
+
+
 class _NumColumn:
     """A typed numeric/bool column: values array + presence mask (None=dense).
 
@@ -727,9 +735,11 @@ class ColumnStore:
     @property
     def columns(self) -> dict[str, _Column]:
         if self._partial:
+            # first-seen label order, whichever columns were built before
             records = self._records or ()
-            for label in dict.fromkeys(chain.from_iterable(r._entries for r in records)):
-                self._column(label)
+            labels = dict.fromkeys(chain.from_iterable(r._entries for r in records))
+            built = [(label, self._column(label)) for label in labels]
+            self._columns = {label: col for label, col in built if col is not None}
             self._partial = False
         return self._columns
 
@@ -863,13 +873,24 @@ class ColumnStore:
     def with_doubles(
         self, columns: dict[str, np.ndarray], present: Optional[np.ndarray] = None
     ) -> "ColumnStore":
-        """This store with ``float64`` columns added, each replacing a
-        same-named column as :meth:`Record.with_entries` would; ``present``
-        masks the rows that have them (``None``: every row; the values are
-        0.0 elsewhere).  The other columns are shared, not copied."""
+        """This store with ``float64`` columns added to the rows ``present``
+        masks (``None``: every row; the values are 0.0 elsewhere), as
+        :meth:`Record.with_entries` adds them to each of those rows: there a
+        column replaces a same-named one, elsewhere that one's value stays.
+        The other columns are shared, not copied."""
         merged = dict(self.columns)
         for label, values in columns.items():
-            merged[label] = _NumColumn(ValueType.DOUBLE, values, present)
+            col = merged[label] = _NumColumn(ValueType.DOUBLE, values, present)
+            held = self.present(label)
+            if present is not None and held is not None and (held & ~present).any():
+                # both columns' values in one dictionary, as records hold them
+                dictionary = _Dictionary()
+                codes, old = self.interned(label)
+                old_codes = np.array([-1, *dictionary.encode(old)])[codes + 1]
+                codes, new = _intern_num_column(col, self._n)
+                new_codes = np.array([-1, *dictionary.encode(new)])[codes + 1]
+                codes = np.where(present, new_codes, old_codes)
+                merged[label] = _first_use_column(codes, dictionary.values)
         return ColumnStore(self._n, merged)
 
     def take(self, rows: np.ndarray) -> "ColumnStore":
@@ -889,6 +910,17 @@ class ColumnStore:
             out._records = [records[i] for i in rows.tolist()]
             out._partial = self._partial
         return out
+
+    def renumbered(self) -> "ColumnStore":
+        """This store with each dictionary column's values in the order its
+        rows first use them, unused ones left out: the dictionaries
+        :meth:`from_records` builds over the same rows, so an un-ORDERed
+        ``GROUP BY`` lists its groups as it would over them."""
+        columns = dict(self.columns)
+        for label, col in columns.items():
+            if isinstance(col, _DictColumn):
+                columns[label] = _first_use_column(col.codes.copy(), col.values)
+        return ColumnStore(self._n, columns)
 
     def select(self, labels: Sequence[str]) -> "ColumnStore":
         """``SELECT``'s projection: the columns of ``labels`` (those a row
@@ -993,7 +1025,7 @@ def records_from_store(store: ColumnStore, rows: Optional[np.ndarray] = None) ->
     """Hydrate input rows of a columnar store into :class:`Record` objects:
     every row, or just ``rows`` of it (in that order).  Every column path
     exists to avoid this; what still calls it is a row-oriented consumer
-    of the data itself (a rows-backend query, LET, a kernel-less operator)."""
+    of the data itself (a rows-backend query, a kernel-less operator)."""
     return _records(store, rows)
 
 

@@ -8,7 +8,7 @@ Underneath it holds either a record list (built in memory, or parsed from
 text files) or a column store: every ``.rcf`` source stays the decoded
 column store it is on disk, one file or many, and a ``Record`` is built only
 when something row-oriented asks — ``.records``, iteration, a
-``backend="rows"`` / LET query.
+``backend="rows"`` query.
 
 Two performance layers live here as well:
 
@@ -141,16 +141,16 @@ def _load_source_packed(
 #: that cost a text parse or a ``Record`` hydration each (4-9 us).
 MIN_PARALLEL_RECORDS_PER_WORKER = 10_000
 APPROX_BYTES_PER_RECORD = 48
+#: ``.rcf`` rows stay columns: folding one costs ~0.2 us, so that many weigh
+#: one record; two workers tie with the serial loop near 250k rows each.
+RCF_ROWS_PER_RECORD = 40
 
 
-def _estimate_records(
-    paths: Optional[Sequence[str]], rcf_rows_per_record: int = 1
-) -> Optional[int]:
-    """Record count before parsing — exact from an ``.rcf`` footer (the
-    format is ~12 B/record, a byte estimate is 4x off), rough from a text
-    file's size; None when it cannot be estimated.  A caller that never
-    turns ``.rcf`` rows into records says how many of them cost what one
-    parsed record does (``rcf_rows_per_record``)."""
+def _estimate_records(paths: Optional[Sequence[str]]) -> Optional[int]:
+    """Work before parsing, in records — from an ``.rcf`` footer's exact row
+    count (the format is ~12 B/record, a byte estimate is 4x off), weighed
+    by ``RCF_ROWS_PER_RECORD``, rough from a text file's size; None when it
+    cannot be estimated."""
     if not paths:
         return None
     rows = text_bytes = 0
@@ -164,14 +164,13 @@ def _estimate_records(
         except (OSError, DatasetError):
             # Missing/unreadable file: let the reader raise its usual error.
             return None
-    return rows // rcf_rows_per_record + text_bytes // APPROX_BYTES_PER_RECORD
+    return rows // RCF_ROWS_PER_RECORD + text_bytes // APPROX_BYTES_PER_RECORD
 
 
 def _resolve_workers(
     parallel: Union[bool, int, None],
     n_items: int,
     paths: Optional[Sequence[str]] = None,
-    rcf_rows_per_record: int = 1,
 ) -> int:
     """Turn a ``parallel=`` argument into a worker count (1 = serial).
 
@@ -191,7 +190,7 @@ def _resolve_workers(
         observe.count("parallel.fallback", reason="single-core")
         return 1
     workers = min(cpus, n_items)
-    est_records = _estimate_records(paths, rcf_rows_per_record)
+    est_records = _estimate_records(paths)
     if est_records is not None:
         cap = max(1, int(est_records // MIN_PARALLEL_RECORDS_PER_WORKER))
         if cap < workers:
@@ -386,10 +385,9 @@ class Dataset:
 
         Every query reads the cached :meth:`column_store`, so repeated
         queries skip the row→column conversion and a lazy ``.rcf`` dataset
-        builds no ``Record`` — except for LET, whose derived rows are
-        records, and ``backend="rows"``, the reference row engine, which
-        folds the store's records.  The whole dataset is one input: a WINDOW
-        query runs one event clock over it.
+        builds no ``Record`` — except for ``backend="rows"``, the reference
+        row engine, which folds the derived rows' records.  The whole
+        dataset is one input: a WINDOW query runs one event clock over it.
         """
         from ..query.engine import QueryEngine  # deferred: query sits above io
 

@@ -2,7 +2,7 @@
 
 from .columnar import columnar_aggregate, columnar_db
 from .compare import compare_profiles
-from .engine import QueryEngine, QueryResult, run_query, sort_records
+from .engine import QueryEngine, QueryResult, run_query
 from .mpi_query import MPIQueryOutcome, MPIQueryRunner, PhaseTimes
 from .options import QueryOptions
 from .parallel import parallel_query_files
@@ -13,7 +13,6 @@ __all__ = [
     "QueryResult",
     "QueryOptions",
     "run_query",
-    "sort_records",
     "MPIQueryRunner",
     "MPIQueryOutcome",
     "PhaseTimes",

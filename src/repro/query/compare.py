@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from ..calql.ast import OrderSpec
 from ..common.record import Record
 from ..common.variant import ValueType, Variant
-from .engine import QueryResult, sort_records
-from ..calql.ast import OrderSpec
+from ..io.colfile import ColumnStore
+from .engine import QueryResult, order_rows
 
 __all__ = ["compare_profiles"]
 
@@ -41,7 +42,8 @@ def compare_profiles(
     ``m<suffixes[1]>``, ``m.diff`` (other - base) and ``m.ratio``
     (other / base, omitted when base is 0).  Keys present in only one input
     get only that side's value and no diff/ratio.  Results are sorted by
-    the first metric's diff, largest regression first.
+    the first metric's diff, largest regression first; ties (and keys
+    without a diff) keep the order keys are first seen in, base then other.
     """
     if query is not None:
         from .engine import QueryEngine
@@ -67,7 +69,7 @@ def compare_profiles(
     other_by_key = index(other)
 
     out: list[Record] = []
-    for k in base_by_key.keys() | other_by_key.keys():
+    for k in [*base_by_key, *(k for k in other_by_key if k not in base_by_key)]:
         entries: dict[str, Variant] = {}
         for label, value in zip(key, k):
             if value is not None and not value.is_empty:
@@ -90,7 +92,8 @@ def compare_profiles(
                     )
         out.append(Record.from_variants(entries))
 
-    out = sort_records(out, [OrderSpec(f"{metrics[0]}.diff", ascending=False)])
+    store = ColumnStore.from_records(out)
+    store = store.take(order_rows(store, [OrderSpec(f"{metrics[0]}.diff", ascending=False)]))
     preferred = list(key)
     for metric in metrics:
         preferred += [
@@ -99,4 +102,4 @@ def compare_profiles(
             f"{metric}.diff",
             f"{metric}.ratio",
         ]
-    return QueryResult(out, preferred)
+    return QueryResult(store, preferred)

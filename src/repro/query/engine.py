@@ -2,10 +2,10 @@
 
 Executes CalQL queries: LET preprocessing, WINDOW stamping, WHERE
 filtering, aggregation (when the query has operators) or projection,
-ORDER BY, LIMIT, and FORMAT rendering.  Every clause but LET — the one row
-step, whose records are read back as a store — reads the
+ORDER BY, LIMIT, and FORMAT rendering.  Every clause reads the
 :class:`~repro.io.colfile.ColumnStore` (a record list through
-``ColumnStore.from_records``).  Every aggregation folds into the
+``ColumnStore.from_records``) and none builds a ``Record``.  Every
+aggregation folds into the
 :class:`~repro.aggregate.table.StateTable` the aggregation server's shards
 hold — column kernels where an operator has one, its own ``update`` per row
 where it has not — and renders it by column; the same partial-aggregation
@@ -16,8 +16,7 @@ up a reduction tree.
 
 ``backend="rows"`` aggregates with the reference row engine instead: the
 per-record :class:`AggregationDB` of the on-line service, the oracle every
-table fold is checked against, over the same input derived record by
-record.
+table fold is checked against, over the records of the same derived rows.
 """
 
 from __future__ import annotations
@@ -201,19 +200,10 @@ class QueryEngine:
             # (see calql.semantics).
             self._assigner = None if self.query.window is None else make_assigner(self.query.window)
 
-    def reads_stores(self) -> bool:
-        """Whether a column store is read as it is, with no ``Record``
-        built: every query without LET, whose derived rows are records."""
-        return self._let is None
-
     def _input(self, source: Source) -> ColumnStore:
-        """``source`` as a store, after LET — the one row step: it maps the
-        source's records (a store hydrates them) and reads them back as a
-        store."""
-        if self._let is not None:
-            records = source.records if isinstance(source, ColumnStore) else source
-            return ColumnStore.from_records(list(map(self._let, records)))
-        return source if isinstance(source, ColumnStore) else ColumnStore.from_records(source)
+        """``source`` as a store, after LET (which adds its columns)."""
+        store = source if isinstance(source, ColumnStore) else ColumnStore.from_records(source)
+        return store if self._let is None else self._let(store)
 
     def _derive(
         self, source: Source, clock: Optional[EventClock] = None
@@ -226,18 +216,20 @@ class QueryEngine:
         if self._assigner is None:
             return store, None
         rows, starts, ends, _untimed = window_copies(store, clock or EventClock(), self._assigner)
-        return stamp_columns(store, rows, starts, ends)
+        store, rows = stamp_columns(store, rows, starts, ends)
+        # LET's copies group as records of them would (first use)
+        return (store if self._let is None else store.renumbered()), rows
 
     def _derived_records(
         self, source: Source, clock: Optional[EventClock] = None
     ) -> Iterable[Record]:
-        """:meth:`_derive`'s rows as a stream of records, written record by
-        record for the reference row engine and the sampler: LET's records,
+        """:meth:`_derive`'s rows as a stream of records for the reference
+        row engine: the source's (with LET, the derived store's) records,
         under WINDOW each timed record's ``stamp_record`` copies on
         ``clock``.  The oracle of a large stream holds only the input."""
-        records = source.records if isinstance(source, ColumnStore) else source
         if self._let is not None:
-            records = map(self._let, records)
+            source = self._input(source)
+        records = source.records if isinstance(source, ColumnStore) else source
         if self._assigner is None:
             return records
         clock, assigner = clock or EventClock(), self._assigner
@@ -264,7 +256,7 @@ class QueryEngine:
     def run(self, source: Source, backend: str = "auto") -> QueryResult:
         """Execute the full pipeline over ``source``, one input: a record
         iterable or a :class:`~repro.io.colfile.ColumnStore`, read as a
-        store either way (no ``Record`` built unless LET derives the rows).
+        store either way (no ``Record`` built).
 
         An aggregation folds a state table and renders its answer as a
         store; a query without AGGREGATE filters and projects the store;
@@ -323,9 +315,9 @@ class QueryEngine:
         goes one chunk store at a time: the globals are overlaid on every
         decoded chunk as constant columns (a global overrides a same-named
         column) and the chunk store goes straight to :meth:`feed`, so peak
-        memory stays one chunk and Records are only hydrated — per chunk —
-        for LET.  A WINDOW query's event clock runs across the file's
-        chunks.  Text formats are parsed into records first.
+        memory stays one chunk and no Record is built.  A WINDOW query's
+        event clock runs across the file's chunks.  Text formats are parsed
+        into records first.
 
         Returns ``(rows, parse seconds)``; for ``.rcf`` "parse" is opening
         the file and decoding its chunks.
@@ -397,12 +389,6 @@ def order_rows(
             keys.append(rank if spec.ascending else -rank)
     rows = np.lexsort(keys) if keys else np.arange(len(store))
     return rows if limit is None else rows[:limit]
-
-
-def sort_records(records: Iterable[Record], order: Sequence[OrderSpec]) -> list[Record]:
-    """``records`` in ``ORDER BY`` order (:func:`order_rows`)."""
-    store = ColumnStore.from_records(records)
-    return store.take(order_rows(store, order)).held_records
 
 
 def run_query(

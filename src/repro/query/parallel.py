@@ -7,12 +7,12 @@ structure on actual cores: a :class:`~concurrent.futures.ProcessPoolExecutor`
 fans the input files out to worker processes, each worker
 **partially aggregates** its chunk with the regular
 :class:`~repro.query.engine.QueryEngine` (``.rcf`` files are decoded into
-chunk stores and, unless LET derives the rows, never turned into
-records) into a :class:`~repro.aggregate.table.StateTable`, and only
-its ``RSB1`` state batch (:meth:`StateTable.to_binary`) travels back, to be
-decoded and merged by column (:meth:`StateTable.merge`) — the combine step
-of the paper's tree, flattened to one level because a process pool has no
-network hierarchy worth modelling.
+chunk stores, never turned into records) into a
+:class:`~repro.aggregate.table.StateTable`, and only its ``RSB1`` state
+batch (:meth:`StateTable.to_binary`) travels back, to be decoded and
+merged by column (:meth:`StateTable.merge`) — the combine step of the
+paper's tree, flattened to one level because a process pool has no network
+hierarchy worth modelling.
 
 Shipping aggregated states instead of records is what makes this win: the
 inter-process payload is proportional to the number of *groups*, not the
@@ -34,13 +34,6 @@ from .engine import QueryEngine, QueryResult
 from .options import QueryOptions
 
 __all__ = ["parallel_query_files"]
-
-#: Pool sizing counts work in parsed records (~9 us each, what
-#: ``MIN_PARALLEL_RECORDS_PER_WORKER`` was sized for).  Folding a decoded
-#: ``.rcf`` row through the column kernels costs ~0.2 us, so that many rows
-#: weigh one record: two workers tie with the serial loop near 250k rows each
-#: and win above it, below it the pool start is most of the wall.
-RCF_ROWS_PER_RECORD = 40
 
 #: per-file worker telemetry: (basename, parse seconds, feed seconds)
 _FileTiming = tuple[str, float, float]
@@ -105,8 +98,8 @@ def parallel_query_files(
     ``options`` is a :class:`~repro.query.options.QueryOptions`:
     ``jobs=None``/``True`` picks the pool size automatically — one worker
     per CPU, degrading to serial on single-core machines or undersized
-    inputs (recorded as ``parallel.fallback``; ``.rcf`` rows that stay
-    columnar count ``RCF_ROWS_PER_RECORD`` to a record); an explicit integer
+    inputs (recorded as ``parallel.fallback``; ``.rcf`` rows, which stay
+    columnar, count ``RCF_ROWS_PER_RECORD`` to a record); an explicit integer
     sets the pool size; 1 (or a single file) degrades to the serial path.
     """
     engine = QueryEngine(query)
@@ -135,12 +128,7 @@ def query_files(
     if not path_list:
         # No inputs: an empty result of the right shape, no pool spin-up.
         return engine.finalize(table)
-    n_workers = _resolve_workers(
-        pool_size,
-        len(path_list),
-        path_list,
-        RCF_ROWS_PER_RECORD if engine.reads_stores() else 1,
-    )
+    n_workers = _resolve_workers(pool_size, len(path_list), path_list)
     with observe.span(
         "parallel.query_files", files=len(path_list), workers=n_workers
     ):

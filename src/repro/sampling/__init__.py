@@ -20,7 +20,7 @@ values keep probability 1 (a region seen once is never lost), hot values
 absorb the thinning.
 
 Offline, :func:`sampled_query` runs a CalQL aggregation over a Bernoulli
-sample of a dataset and surfaces the estimate columns of
+sample of a dataset's columns and surfaces the estimate columns of
 :mod:`repro.window.estimate` (``est#``, ``est.lo#``, ``est.hi#``) so users
 see confidence intervals, not silent error; ``repro.api.query(...,
 options=QueryOptions(sampling=0.1))`` and ``repro-query --sample 0.1`` are
@@ -33,7 +33,7 @@ from ..aggregate.ops import WEIGHT_LABEL
 from .budget import format_ns, parse_budget
 from .controller import OverheadController, waterfill_quota
 from .gate import SamplingGate
-from .query import sample_records, sampled_query, scheme_with_moments
+from .query import sampled_query, scheme_with_moments
 from .sampler import ChannelSampler
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "SamplingGate",
     "format_ns",
     "parse_budget",
-    "sample_records",
     "sampled_query",
     "scheme_with_moments",
     "waterfill_quota",

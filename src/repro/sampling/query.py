@@ -1,11 +1,11 @@
 """Offline sampled queries with confidence intervals.
 
 :func:`sampled_query` runs a CalQL aggregation over a Bernoulli sample of a
-record stream instead of the full input, and reports *both* sides of the
-trade: the count-scaled (Horvitz–Thompson) point aggregates, and the
-``est#`` / ``est.lo#`` / ``est.hi#`` confidence columns of
-:class:`repro.window.estimate.WindowEstimator` so sampling error is visible
-in the result, never silent.
+record stream or a column store instead of the full input, and reports
+*both* sides of the trade: the count-scaled (Horvitz–Thompson) point
+aggregates, and the ``est#`` / ``est.lo#`` / ``est.hi#`` confidence columns
+of :class:`repro.window.estimate.WindowEstimator` so sampling error is
+visible in the result, never silent.
 
 The estimator reuse is exact, not analogical: a Bernoulli sample at
 probability ``p`` has the same first- and second-moment algebra as a
@@ -24,53 +24,36 @@ estimate columns, computed from the cells scaled by ``p``, appended.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from ..aggregate.ops import WEIGHT_LABEL
 from ..aggregate.table import StateTable
 from ..common.errors import QueryError
 from ..common.record import Record
-from ..common.variant import Variant
+from ..io.colfile import ColumnStore
 from ..window.estimate import WindowEstimator, scheme_with_moments
 
-__all__ = ["sample_records", "sampled_query", "scheme_with_moments"]
-
-
-def sample_records(
-    records: Iterable[Record],
-    probability: float,
-    seed: Optional[int] = None,
-) -> Iterator[Record]:
-    """Bernoulli-sample a record stream, stamping ``sample.weight``.
-
-    Each record is kept independently with ``probability``; kept records
-    carry ``sample.weight = 1/probability`` so any weighted fold downstream
-    reproduces the full-input aggregates in expectation.  ``probability``
-    1 passes the stream through untouched (weight 1 is implicit).
-    """
-    p = float(probability)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"sampling probability must be in (0, 1], got {probability!r}")
-    if p >= 1.0:
-        yield from records
-        return
-    rnd = random.Random(seed).random
-    weight = Variant.double(1.0 / p)
-    for record in records:
-        if rnd() < p:
-            data = dict(record._entries)
-            data[WEIGHT_LABEL] = weight
-            yield Record.from_variants(data)
+__all__ = ["sampled_query", "scheme_with_moments"]
 
 
 def sampled_query(
     query,
-    records: Iterable[Record],
+    source: Union[Iterable[Record], ColumnStore],
     probability: float,
     seed: Optional[int] = None,
     confidence: float = 0.90,
 ):
-    """Run a CalQL aggregation over a Bernoulli sample of ``records``.
+    """Run a CalQL aggregation over a Bernoulli sample of ``source``, a
+    record iterable or a :class:`~repro.io.colfile.ColumnStore` (read as
+    columns: no ``Record`` built).
+
+    Each derived row (after LET and WINDOW: a row in several windows once
+    per window, in start order) takes one ``random.Random(seed).random()``
+    draw, in row order; kept rows carry ``sample.weight = 1/probability``
+    (replacing their own), so the weighted fold reproduces the full-input
+    aggregates in expectation.  Probability 1 folds every row, unweighted.
 
     Returns a :class:`~repro.query.engine.QueryResult` whose rows hold the
     count-scaled point aggregates (``count``, ``sum#x``, ...) plus the
@@ -93,5 +76,13 @@ def sampled_query(
 
     scheme = scheme_with_moments(engine.scheme)
     table = StateTable(scheme)
-    table.fold(sample_records(engine._derived_records(records), p, seed), where=engine.query.where)
+    store, rows = engine._derive(source)
+    if p < 1.0:
+        rnd = random.Random(seed).random
+        kept = np.flatnonzero([rnd() < p for _ in range(len(store) if rows is None else len(rows))])
+        rows = kept if rows is None else rows[kept]
+        store = store.with_doubles({WEIGHT_LABEL: np.full(len(store), 1.0 / p)})
+    if rows is not None:  # the sample alone, its groups in first-use order
+        store = store.take(rows).renumbered()
+    table.fold(store, where=engine.query.where)
     return engine.answer(WindowEstimator(scheme, confidence).estimate(table, None, p))

@@ -11,6 +11,8 @@ from repro.calql import (
     validate,
 )
 from repro.common import CalQLSemanticError, Record
+from repro.io import ColumnStore
+from repro.io.colfile import records_from_store
 
 
 class TestValidate:
@@ -86,31 +88,32 @@ class TestConditions:
         assert compile_conditions(()) is None
 
 
+def let_row(text: str, record: Record) -> Record:
+    """``record`` after the query's LET: its one-row store, derived."""
+    derived = compile_let(parse_query(text).let)(ColumnStore.from_records([record]))
+    return records_from_store(derived)[0]
+
+
 class TestLet:
     def test_derived_attribute(self):
-        let = compile_let(parse_query("LET rate = bytes/time AGGREGATE sum(rate)").let)
-        rec = let(Record({"bytes": 100.0, "time": 4.0}))
+        rec = let_row(
+            "LET rate = bytes/time AGGREGATE sum(rate)", Record({"bytes": 100.0, "time": 4.0})
+        )
         assert rec["rate"].value == 25.0
 
     def test_missing_ref_skips_binding(self):
-        let = compile_let(parse_query("LET rate = bytes/time AGGREGATE sum(rate)").let)
-        rec = let(Record({"bytes": 100.0}))
+        rec = let_row("LET rate = bytes/time AGGREGATE sum(rate)", Record({"bytes": 100.0}))
         assert "rate" not in rec
 
     def test_division_by_zero_skips(self):
-        let = compile_let(parse_query("LET r = a/b AGGREGATE sum(r)").let)
-        assert "r" not in let(Record({"a": 1.0, "b": 0.0}))
+        assert "r" not in let_row("LET r = a/b AGGREGATE sum(r)", Record({"a": 1.0, "b": 0.0}))
 
     def test_chained_bindings(self):
-        let = compile_let(
-            parse_query("LET d = a*2, e = d+1 AGGREGATE sum(e)").let
-        )
-        rec = let(Record({"a": 3}))
+        rec = let_row("LET d = a*2, e = d+1 AGGREGATE sum(e)", Record({"a": 3}))
         assert rec["d"].value == 6.0 and rec["e"].value == 7.0
 
     def test_non_numeric_ref_skips(self):
-        let = compile_let(parse_query("LET d = a*2 AGGREGATE sum(d)").let)
-        assert "d" not in let(Record({"a": "text"}))
+        assert "d" not in let_row("LET d = a*2 AGGREGATE sum(d)", Record({"a": "text"}))
 
     def test_empty_list_compiles_to_none(self):
         assert compile_let(()) is None

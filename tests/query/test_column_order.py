@@ -25,7 +25,7 @@ from repro.calql.ast import OrderSpec
 from repro.common import Record, ValueType, Variant
 from repro.io import Dataset, write_colfile
 from repro.io.colfile import ColumnStore, _DictColumn, _NumColumn, result_records
-from repro.query import QueryEngine, run_query, sort_records
+from repro.query import QueryEngine, run_query
 from repro.query.cli import main as cli_main
 from repro.query.engine import order_rows
 from repro.report import TableOptions, format_table
@@ -212,7 +212,10 @@ def test_column_order_and_limit_equal_the_python_sort(data):
         exact(records[i]) for i in want
     ]
     # the records path: the same ranks over a records-built store
-    assert sort_records(records, order) == [records[i] for i in reference_order(records, order)]
+    built = ColumnStore.from_records(records)
+    assert built.take(order_rows(built, order)).held_records == [
+        records[i] for i in reference_order(records, order)
+    ]
 
 
 def test_an_order_by_label_no_row_holds_keeps_the_input_order():
@@ -429,12 +432,12 @@ def reference_filter(text: str, records: list[Record]) -> list[Record]:
     record: the row semantics every column path must keep."""
     from repro.calql.ast import Compare, Exists, NotCond
     from repro.calql.parser import parse_query
-    from repro.calql.semantics import compare_variants, compile_let
+    from repro.calql.semantics import compare_variants
+
+    from .test_let_columns import let_reference
 
     query = parse_query(text)
-    let = compile_let(query.let)
-    if let is not None:
-        records = [let(r) for r in records]
+    records = [let_reference(query.let)(r) for r in records]
 
     def holds(cond, record: Record) -> bool:
         if isinstance(cond, NotCond):

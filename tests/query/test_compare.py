@@ -1,7 +1,12 @@
 """Tests for profile comparison."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.common import Record
 from repro.query.compare import compare_profiles
 
@@ -76,3 +81,26 @@ class TestCompare:
         other = [Record({"kernel": "a", "t": 2.0, "n": 5})]
         (row,) = compare_profiles(base, other, key=["kernel"], metrics=["t", "n"])
         assert row["n.diff"].value == pytest.approx(-5.0)
+
+    def test_ties_keep_first_seen_key_order_whatever_the_hash_seed(self):
+        # one-sided keys have no diff: they keep the order they are first
+        # seen in, base first, in every interpreter
+        script = (
+            "from repro.common import Record\n"
+            "from repro.query.compare import compare_profiles\n"
+            "base = [Record({'kernel': f'b{i}', 't': 1.0}) for i in range(6)]\n"
+            "other = [Record({'kernel': f'o{i}', 't': 2.0}) for i in range(6)]\n"
+            "print(compare_profiles(base, other, key=['kernel'], metrics=['t']))\n"
+        )
+        src = os.path.join(os.path.dirname(repro.__file__), os.pardir)
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.abspath(src))
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                check=True,
+            )
+            outputs.add(done.stdout)
+        (out,) = outputs
+        kernels = [line.split()[0] for line in out.splitlines()[1:]]
+        assert kernels == [f"b{i}" for i in range(6)] + [f"o{i}" for i in range(6)]

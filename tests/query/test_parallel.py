@@ -249,7 +249,9 @@ class TestAutoParallelHeuristics:
         from repro.io import dataset as dataset_mod
 
         # 100 rows exactly, whatever the files weigh (.rcf is ~12 B/record,
-        # not the 48 the byte estimate assumes for text formats).
+        # not the 48 the byte estimate assumes for text formats); one row
+        # weighs one record here.
+        monkeypatch.setattr(dataset_mod, "RCF_ROWS_PER_RECORD", 1)
         rcf = [str(p) for p in rcf_files]
         assert dataset_mod._estimate_records(rcf) == 100
         cali = [str(p) for p in many_files]
@@ -271,16 +273,14 @@ class TestAutoParallelHeuristics:
 
         from repro import observe
         from repro.io import dataset as dataset_mod
-        from repro.query import parallel as parallel_mod
 
-        # 100 rows over 5 files: a query that folds the chunk stores sizes its
-        # pool on 100 / RCF_ROWS_PER_RECORD records, one that hydrates rows
-        # (LET) on all 100.
+        # 100 rows over 5 files: every query folds the chunk stores, LET
+        # included, so each sizes its pool on 100 / RCF_ROWS_PER_RECORD records.
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(dataset_mod, "MIN_PARALLEL_RECORDS_PER_WORKER", 1)
-        monkeypatch.setattr(parallel_mod, "RCF_ROWS_PER_RECORD", 50)
+        monkeypatch.setattr(dataset_mod, "RCF_ROWS_PER_RECORD", 50)
         let_query = "LET twice = time.duration * 2 " + QUERY
-        for query, workers in ((QUERY, 2), (let_query, 5)):
+        for query, workers in ((QUERY, 2), (let_query, 2)):
             with observe.collecting() as reg:
                 got = parallel_query_files(query, rcf_files, QueryOptions(jobs=True))
             assert (

@@ -117,7 +117,7 @@ def test_auto_backend_never_hydrates_a_record(two_files, no_record_hydration, ca
         assert capsys.readouterr().out == str(want) + "\n"
 
 
-def test_let_hydrates_per_chunk_and_the_rows_engine_still_matches(two_files, monkeypatch):
+def test_let_hydrates_nothing_and_the_rows_engine_still_matches(two_files, monkeypatch):
     paths, folded = two_files
     hydrated = []
     real = colfile.records_from_store
@@ -134,8 +134,12 @@ def test_let_hydrates_per_chunk_and_the_rows_engine_still_matches(two_files, mon
     # chunk, every row once
     assert rows(api.query(query, paths, jobs=1, backend="rows")) == want
     assert hydrated == per_chunk
-    del hydrated[:]
     let_query = "LET half = t / 2 AGGREGATE count, sum(half) GROUP BY rank ORDER BY rank"
     want = rows(QueryEngine(let_query).run(folded, backend="rows"))
+    del hydrated[:]
+    # LET adds its columns to each chunk store: nothing is hydrated
     assert rows(api.query(let_query, paths, jobs=1)) == want
+    assert hydrated == []
+    # the reference engine hydrates the derived chunk stores, every row once
+    assert rows(api.query(let_query, paths, jobs=1, backend="rows")) == want
     assert hydrated == per_chunk

@@ -25,7 +25,9 @@ from repro.calql import parse_query
 from repro.calql.semantics import build_scheme
 from repro.common import Record
 from repro.query.engine import QueryEngine
-from repro.sampling import sample_records, sampled_query
+from repro.sampling import sampled_query
+
+from .test_query import sample_records
 
 QUERY = (
     "AGGREGATE count, sum(x), avg(x), variance(x) GROUP BY k ORDER BY k"

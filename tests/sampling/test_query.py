@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from typing import Iterable, Iterator, Optional
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.io.dataset import write_records
 from repro.query.cli import main as cli_main
 from repro.query.engine import QueryEngine
 from repro.query.options import QueryOptions
-from repro.sampling import sample_records, sampled_query
+from repro.sampling import WEIGHT_LABEL, sampled_query
 
 QUERY = "AGGREGATE count, sum(x), avg(x) GROUP BY k ORDER BY k"
 
@@ -34,29 +35,46 @@ def table(result):
     return out
 
 
+def sample_records(
+    records: Iterable[Record], probability: float, seed: Optional[int] = None
+) -> Iterator[Record]:
+    """The per-record Bernoulli sampler, the reference the sampled query is
+    checked against: one ``random.Random(seed).random()`` draw per record,
+    in order; a kept record carries ``sample.weight = 1/probability``
+    (replacing its own).  Probability 1 passes the stream through."""
+    p = float(probability)
+    if p >= 1.0:
+        yield from records
+        return
+    rnd = random.Random(seed).random
+    weight = Variant.double(1.0 / p)
+    for record in records:
+        if rnd() < p:
+            yield record.with_entries({WEIGHT_LABEL: weight})
+
+
 class TestSampleRecords:
+    """What the sample is: kept rows weighted ``1/p``, fixed by the seed."""
+
     def test_probability_one_keeps_everything_unweighted(self):
         records = make_records(100)
-        sampled = list(sample_records(records, 1.0, seed=1))
-        assert len(sampled) == 100
-        assert all(
-            "sample.weight" not in [label for label, _ in r.items()]
-            for r in sampled
-        )
+        plain = table(QueryEngine(QUERY).run(records))
+        for k, entries in table(sampled_query(QUERY, records, 1.0, seed=1)).items():
+            assert entries["count"] == entries["est.samples"] == plain[k]["count"]
+            assert entries["count"].type is plain[k]["count"].type  # no weight: an int
 
     def test_weights_are_inverse_probability(self):
         records = make_records(2000)
-        sampled = list(sample_records(records, 0.25, seed=1))
-        assert 300 < len(sampled) < 700
-        for r in sampled:
-            entries = {label: v for label, v in r.items()}
-            assert entries["sample.weight"].value == pytest.approx(4.0)
+        result = table(sampled_query(QUERY, records, 0.25, seed=1))
+        assert 300 < sum(e["est.samples"].value for e in result.values()) < 700
+        for entries in result.values():
+            assert entries["count"].value == pytest.approx(4.0 * entries["est.samples"].value)
 
     def test_seed_reproducible(self):
         records = make_records(500)
-        a = [str(r) for r in sample_records(records, 0.5, seed=9)]
-        b = [str(r) for r in sample_records(records, 0.5, seed=9)]
-        assert a == b
+        a = str(sampled_query(QUERY, records, 0.5, seed=9))
+        assert a == str(sampled_query(QUERY, records, 0.5, seed=9))
+        assert a != str(sampled_query(QUERY, records, 0.5, seed=10))
 
 
 class TestSampledQuery:

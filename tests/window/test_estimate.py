@@ -19,7 +19,7 @@ from repro.aggregate.table import StateTable
 from repro.calql import parse_scheme
 from repro.common import Record, Variant
 from repro.io.colfile import result_records
-from repro.sampling import sample_records, sampled_query
+from repro.sampling import sampled_query
 from repro.window import (
     FRACTION_LABEL,
     SAMPLES_LABEL,
@@ -32,6 +32,7 @@ from repro.window.estimate import scheme_with_moments
 
 from ..conftest import examples
 from ..query.test_column_fold import exact_value
+from ..sampling.test_query import sample_records
 
 SCHEME_TEXT = "AGGREGATE count, sum(v), avg(v) GROUP BY k"
 
