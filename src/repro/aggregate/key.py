@@ -7,18 +7,26 @@ paper's Section III-B table shows rows "where only one or none of the key
 attributes were set".
 
 The key is the tuple of :class:`Variant` values (``None`` for a missing
-attribute): no auxiliary state, and the key attributes are reconstructed
-from the tuple itself at flush time.
+attribute), and the key attributes are reconstructed from the tuple itself
+at flush time.  Tuples of Variants group by Variant equality, under which a
+NaN equals nothing, not even itself: a double NaN is therefore replaced by
+one Variant per bit pattern, so same-bit NaNs share an entry as they share
+a state-table slot, whichever objects carry them.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import struct
+
 from ..common.record import Record
-from ..common.variant import Variant
+from ..common.variant import ValueType, Variant
 
 __all__ = ["TupleKeyExtractor", "make_extractor"]
+
+_INV, _DOUBLE = ValueType.INV, ValueType.DOUBLE
+_F64 = struct.Struct("<d")
 
 
 class TupleKeyExtractor:
@@ -29,23 +37,37 @@ class TupleKeyExtractor:
 
     def __init__(self, key_labels: Sequence[str]) -> None:
         self.key_labels = tuple(key_labels)
+        #: NaN bit pattern -> the Variant standing for it in keys
+        self._nans: dict[bytes, Variant] = {}
 
     def extract(self, record: Record) -> tuple:
-        get = record.get
-        empty = Variant.empty()
-        return tuple(
-            v if (v := get(lbl, empty)) is not empty and not v.is_empty else None
-            for lbl in self.key_labels
-        )
+        return self.rekey(tuple(map(record._entries.get, self.key_labels)))
+
+    def rekey(self, key: tuple) -> tuple:
+        """``key`` (values or ``None``) as this extractor keys it: itself,
+        unless it holds an empty value or a NaN (:meth:`_canonical`)."""
+        for v in key:
+            if v is None or v.type is _INV or (v.type is _DOUBLE and v.value != v.value):
+                return self._canonical(key)
+        return key
 
     def from_entries(self, entries: Mapping[str, Variant]) -> tuple:
         """:meth:`extract` over bare ``label -> Variant`` entries (an
         exported group's), same rule: a missing or empty value is ``None``."""
-        get = entries.get
-        return tuple(
-            v if (v := get(lbl)) is not None and not v.is_empty else None
-            for lbl in self.key_labels
-        )
+        return self._canonical(tuple(map(entries.get, self.key_labels)))
+
+    def _canonical(self, key: tuple) -> tuple:
+        """``key`` with an empty value as ``None`` and a NaN as the one
+        Variant of its bit pattern."""
+        nans = self._nans
+        out = []
+        for v in key:
+            if v is None or v.type is _INV:
+                v = None
+            elif v.type is _DOUBLE and v.value != v.value:
+                v = nans.setdefault(_F64.pack(v.value), v)
+            out.append(v)
+        return tuple(out)
 
     def entries(self, key: tuple) -> list[tuple[str, Variant]]:
         """Reconstruct the (label, value) pairs a key stands for."""

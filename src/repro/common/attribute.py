@@ -125,15 +125,19 @@ class Attribute:
     def check(self, value: object) -> Variant:
         """Coerce ``value`` into a Variant of this attribute's type.
 
-        Checked **string** values are interned per attribute: repeated
-        ``begin("function", "solve")`` calls return the *identical* Variant
-        object.  Besides skipping validation and allocation, this identity
-        stability is what lets the aggregation service's context-key cache
-        recognise re-entered regions (it memos keys by value identity).
-        Benign data race by design: the cache is per-attribute and guarded
-        only by the GIL; a lost update merely re-creates an equal Variant.
+        Checked **string** and exact-``int`` values are interned per
+        attribute: repeated ``begin("function", "solve")`` or
+        ``set("iteration", 3)`` calls return the *identical* Variant object.
+        Besides skipping validation and allocation, this identity stability
+        is what lets the aggregation service's context-key memo recognise
+        re-entered regions (it memos keys by value identity).  Only ``str``
+        and ``int`` values are ever looked up, so ``1``, ``True`` and ``1.0``
+        (equal as dict keys) never meet in the cache: bools and floats are
+        not interned.  Benign data race by design: the cache is
+        per-attribute and guarded only by the GIL; a lost update merely
+        re-creates an equal Variant.
         """
-        if isinstance(value, str):
+        if value.__class__ is str or value.__class__ is int:
             cached = self._value_cache.get(value)
             if cached is None:
                 cached = Variant(self.type, value)

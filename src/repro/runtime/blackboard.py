@@ -18,7 +18,7 @@ taking a snapshot allocates nothing — :meth:`snapshot_entries` returns the
 live dict and :meth:`snapshot_record` a stable :class:`Record` wrapping it.
 Nested path values are interned per ``(label, parent-path, segment)``, which
 makes re-entering the same region return the *identical* ``Variant`` object
-— the property the aggregation service's context-key cache keys on (it memos
+— the property the aggregation service's context-key memo keys on (it memos
 extracted keys by value identity).  This mirrors Caliper's incremental
 context-tree key update.
 

@@ -78,11 +78,21 @@ def sampled_query(
     table = StateTable(scheme)
     store, rows = engine._derive(source)
     if p < 1.0:
-        rnd = random.Random(seed).random
-        kept = np.flatnonzero([rnd() < p for _ in range(len(store) if rows is None else len(rows))])
+        n = len(store) if rows is None else len(rows)
+        kept = np.flatnonzero(_random_draws(seed, n) < p)
         rows = kept if rows is None else rows[kept]
         store = store.with_doubles({WEIGHT_LABEL: np.full(len(store), 1.0 / p)})
     if rows is not None:  # the sample alone, its groups in first-use order
         store = store.take(rows).renumbered()
     table.fold(store, where=engine.query.where)
     return engine.answer(WindowEstimator(scheme, confidence).estimate(table, None, p))
+
+
+def _random_draws(seed: Optional[int], n: int) -> np.ndarray:
+    """The first ``n`` ``random.Random(seed).random()`` draws, bit for bit,
+    from numpy: both are MT19937 with 53-bit doubles from two 32-bit outputs,
+    so numpy takes over the generator's state and draws them in one call."""
+    _version, state, _gauss = random.Random(seed).getstate()
+    generator = np.random.RandomState()
+    generator.set_state(("MT19937", np.array(state[:624], dtype=np.uint32), state[624]))
+    return generator.random_sample(n)

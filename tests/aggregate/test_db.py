@@ -280,3 +280,41 @@ class TestIntrospectionInvariants:
         db.process(Record({"time.duration": 1}))  # no key at all
         assert db.num_partial_keys == 2
         assert db.num_entries == 3
+
+
+class TestNanKeys:
+    """A NaN equals nothing, not even itself; keys group same-bit NaNs by
+    bit pattern whichever objects carry them, as the state table does."""
+
+    SCHEME = AggregationScheme([make_op("count")], key=["x"])
+
+    @staticmethod
+    def nan(payload: int = 0) -> Variant:
+        import struct
+
+        bits = 0x7FF8000000000000 | payload
+        return Variant.double(struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+    def test_fresh_nan_objects_share_one_entry(self):
+        db = AggregationDB(self.SCHEME)
+        for _ in range(3):
+            db.process(Record.from_variants({"x": self.nan()}))
+        assert [r.get("count").value for r in db.flush()] == [3]
+
+    def test_nan_payloads_stay_apart(self):
+        db = AggregationDB(self.SCHEME)
+        for payload in (0, 1, 0):
+            db.process(Record.from_variants({"x": self.nan(payload)}))
+        assert sorted(r.get("count").value for r in db.flush()) == [1, 2]
+
+    def test_combine_and_state_table_batches_agree(self):
+        from repro.aggregate import StateTable
+
+        left, right = AggregationDB(self.SCHEME), AggregationDB(self.SCHEME)
+        table = StateTable(self.SCHEME)
+        for db in (left, right):
+            db.process(Record.from_variants({"x": self.nan()}))
+            table.fold([Record.from_variants({"x": self.nan()})])
+        left.combine(right)
+        assert [r.get("count").value for r in left.flush()] == [2]
+        assert [r.get("count").value for r in table.flush()] == [2]
