@@ -3,7 +3,8 @@
 :class:`ChannelSampler` is what the channel's snapshot path actually talks
 to.  Per event it answers two questions — *probe this one?* (:meth:`tick`)
 and *keep this one?* (:meth:`decide`, bound straight from the gate) — and
-per control interval it closes the feedback loop: mean probe costs feed the
+per control interval it closes the feedback loop: the interval's median
+kept and dropped probe costs feed the
 :class:`~repro.sampling.controller.OverheadController`, the resulting
 global probability is waterfilled across the gate's per-key table, and the
 interval's numbers are published as ``sampling.*`` observe gauges.
@@ -13,12 +14,16 @@ calls stay off most events.  A probe times the *entire* gated stage —
 decision plus, when kept, snapshot assembly and fold — and both kept and
 dropped probes carry the same two-``perf_counter``-call measurement
 overhead, which cancels in the controller's ``kept - drop`` elidable-cost
-term.
+term.  Medians, not means: one probe that caught a garbage-collection
+pause or a context switch would otherwise move an interval's estimate by
+its whole length over the probe count, and where a kept event costs little
+more than a drop that is enough to read ``kept - drop <= 0``.
 """
 
 from __future__ import annotations
 
 import time
+from statistics import median
 from typing import Optional
 
 from .. import observe
@@ -59,10 +64,8 @@ class ChannelSampler:
         self._next_control = self.control_interval
         self._interval_started = time.perf_counter()
         self._interval_base = 0
-        self._kept_ns = 0.0
-        self._kept_probes = 0
-        self._drop_ns = 0.0
-        self._drop_probes = 0
+        self._kept_ns: list[float] = []
+        self._drop_ns: list[float] = []
 
     # -- hot path -------------------------------------------------------------
 
@@ -78,12 +81,10 @@ class ChannelSampler:
         return False
 
     def record_kept_probe(self, seconds: float) -> None:
-        self._kept_ns += seconds * 1e9
-        self._kept_probes += 1
+        self._kept_ns.append(seconds * 1e9)
 
     def record_drop_probe(self, seconds: float) -> None:
-        self._drop_ns += seconds * 1e9
-        self._drop_probes += 1
+        self._drop_ns.append(seconds * 1e9)
 
     # -- control loop ---------------------------------------------------------
 
@@ -92,8 +93,8 @@ class ChannelSampler:
         events = n - self._interval_base
         wall_ns = (now - self._interval_started) * 1e9
         wall_per_event = wall_ns / events if events > 0 else None
-        kept_mean = self._kept_ns / self._kept_probes if self._kept_probes else None
-        drop_mean = self._drop_ns / self._drop_probes if self._drop_probes else None
+        kept_ns = median(self._kept_ns) if self._kept_ns else None
+        drop_ns = median(self._drop_ns) if self._drop_ns else None
 
         gate = self.gate
         offered, kept = gate.interval_totals()
@@ -101,7 +102,7 @@ class ChannelSampler:
         self.dropped_total += offered - kept
 
         ctl = self.controller
-        ctl.observe_costs(kept_mean, drop_mean)
+        ctl.observe_costs(kept_ns, drop_ns)
         if ctl.active:
             p = ctl.target_probability(self._p, wall_per_event)
             self._p = p
@@ -118,18 +119,16 @@ class ChannelSampler:
         self.control_steps += 1
         self._interval_base = n
         self._interval_started = time.perf_counter()
-        self._kept_ns = 0.0
-        self._kept_probes = 0
-        self._drop_ns = 0.0
-        self._drop_probes = 0
+        self._kept_ns.clear()
+        self._drop_ns.clear()
         self._next_control = n + self.control_interval
 
         if observe.enabled():
             observe.gauge("sampling.probability", self._p)
-            if kept_mean is not None:
-                observe.gauge("sampling.kept_cost_ns", kept_mean)
-            if drop_mean is not None:
-                observe.gauge("sampling.gate_cost_ns", drop_mean)
+            if kept_ns is not None:
+                observe.gauge("sampling.kept_cost_ns", kept_ns)
+            if drop_ns is not None:
+                observe.gauge("sampling.gate_cost_ns", drop_ns)
             expected = ctl.expected_cost_ns(self._p)
             if expected is not None:
                 observe.gauge("sampling.cost_ns", expected)

@@ -253,7 +253,7 @@ def test_states_and_forward_ride_binary(tmp_path):
             client = FlushClient(
                 *relay.address, scheme=SCHEME, spool_dir=str(tmp_path)
             )
-            assert client.send_states(db)
+            assert client.send_states(StateTable.from_states(db.scheme, db.export_states()))
             assert relay.forward_now()
             got = sorted(map(result_key, root.drain_results()))
             client.close()
@@ -315,9 +315,10 @@ def test_replayed_frames_are_byte_identical_to_first_delivery(tmp_path, monkeypa
     try:
         client.push_all(records)
         assert client.flush()
-        assert client.send_states(db)
+        table = StateTable.from_states(db.scheme, db.export_states())
+        assert client.send_states(table)
         assert client.send_forward(
-            StateTable.from_states(db.scheme, db.export_states()),
+            table,
             origin=("leaf", "e0"), from_epoch="e0",
         )
     finally:

@@ -8,10 +8,11 @@ import threading
 
 import pytest
 
-from repro.aggregate import AggregationDB
+from repro.aggregate.table import StateTable
 from repro.calql import parse_scheme
 from repro.common import Record
 from repro.common.errors import ReproError
+from repro.io import ColumnStore
 from repro.net import AggregationServer, FlushClient
 
 SCHEME = "AGGREGATE count, sum(x) GROUP BY k"
@@ -109,11 +110,10 @@ def test_server_side_dedup_by_sequence_number(server):
 
 
 def test_send_states_roundtrip(server):
-    db = AggregationDB(parse_scheme(SCHEME))
-    for r in make_records(20, "a") + make_records(10, "b"):
-        db.process(r)
+    table = StateTable(parse_scheme(SCHEME))
+    table.fold(ColumnStore.from_records(make_records(20, "a") + make_records(10, "b")))
     with FlushClient(*server.address) as c:
-        assert c.send_states(db) is True
+        assert c.send_states(table) is True
     merged = server.merged_db()
     assert merged.num_entries == 2
     assert merged.num_processed == 30

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.aggregate import AggregationDB, AggregationScheme, StreamAggregator, SumOp, make_op
+from repro.aggregate.table import StateTable
 from repro.calql import parse_scheme
 from repro.common import Record
 from repro.io import colfile
@@ -186,7 +187,7 @@ def test_same_keys_as_records_and_as_states_share_a_shard(tmp_path):
         )
         client.push_all(records)
         assert client.flush()
-        assert client.send_states(partial)
+        assert client.send_states(StateTable.from_states(partial.scheme, partial.export_states()))
         client.close()
         merged = server.merged_db()  # a barrier: everything acknowledged is folded
         # no key lives on two shards, whichever frame kind carried it
